@@ -1,95 +1,94 @@
-"""Dense exact linear algebra over Fraction: rref, solve, nullspace, and a
+"""Sparse exact linear algebra over Fraction: rref, solve, nullspace, and a
 small phase-1 simplex used to find relative-interior points of rational
-cones.  Everything is deterministic (Bland's rule, fixed tie-breaks)."""
+cones.  Everything is deterministic (Bland's rule, fixed tie-breaks).
+
+A row or vector is a dict from column index to a nonzero Fraction; absent
+columns are zero.  Every solver runs on the one elimination kernel,
+``rref``, whose output is the unique reduced row echelon form."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 
-def rref(rows):
-    """Reduced row echelon form.  Returns (new_rows, pivot_columns)."""
-    a = [list(map(Fraction, r)) for r in rows]
-    if not a:
-        return [], []
-    ncols = len(a[0])
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, len(a)) if a[r][col]), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        pv = a[row][col]
-        a[row] = [x / pv for x in a[row]]
-        for r in range(len(a)):
-            if r != row and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(a):
-            break
-    return [r for r in a if any(r)], pivots
+def add_multiple(w, f, row):
+    """w += f * row in place, dropping entries that cancel."""
+    for c, x in row.items():
+        y = w.get(c)
+        y = f * x if y is None else y + f * x
+        if y:
+            w[c] = y
+        else:
+            del w[c]
 
 
-def solve_affine(a_rows, b):
-    """One exact solution of A x = b with free variables set to 0, or None."""
-    if not a_rows:
-        return [] if not any(b) else None
-    aug = [list(r) + [bi] for r, bi in zip(a_rows, b)]
-    red, pivots = rref(aug)
-    ncols = len(a_rows[0])
-    for r in red:
-        if not any(r[:ncols]) and r[ncols]:
-            return None
-    x = [Fraction(0)] * ncols
-    for r, ncol in zip(red, pivots):
-        if ncol < ncols:
-            x[ncol] = r[ncols]
-    return x
+def _entries(row):
+    """A copy of a sparse row with Fraction values and no zeros."""
+    return {
+        c: x if type(x) is Fraction else Fraction(x) for c, x in row.items() if x
+    }
 
 
-def nullspace(a_rows, ncols=None):
-    """Basis of the right nullspace of A (list of Fraction vectors)."""
-    if not a_rows:
-        if ncols is None:
-            return []
-        return [
-            [Fraction(1) if j == i else Fraction(0) for j in range(ncols)]
-            for i in range(ncols)
-        ]
-    ncols = len(a_rows[0]) if ncols is None else ncols
-    red, pivots = rref(a_rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in zip(red, pivots):
-            v[pc] = -r[fc]
-        basis.append(v)
-    return basis
+def _reduce(w, basis):
+    """Reduce w in place against basis, a map from pivot column to a row
+    with a 1 at its pivot and 0 at every other pivot: one pass suffices."""
+    for pc in [c for c in w if c in basis]:
+        add_multiple(w, -w[pc], basis[pc])
+    return w
+
+
+def reduce_against(red_rows, pivots, v):
+    """Remainder of v against an rref row basis, as a new sparse row."""
+    return _reduce(_entries(v), dict(zip(pivots, red_rows)))
 
 
 def in_row_space(red_rows, pivots, v):
     """Is v in the row space described by an rref basis?"""
-    w = list(map(Fraction, v))
-    for r, pc in zip(red_rows, pivots):
-        if w[pc]:
-            f = w[pc]
-            w = [x - f * y for x, y in zip(w, r)]
-    return not any(w)
+    return not reduce_against(red_rows, pivots, v)
 
 
-def reduce_against(red_rows, pivots, v):
-    """Remainder of v against an rref row basis."""
-    w = list(map(Fraction, v))
-    for r, pc in zip(red_rows, pivots):
-        if w[pc]:
-            f = w[pc]
-            w = [x - f * y for x, y in zip(w, r)]
-    return w
+def rref(rows):
+    """Reduced row echelon form.  Returns (rows, pivot_columns): the nonzero
+    rows sorted by pivot, each with a 1 at its pivot."""
+    basis = {}  # pivot column -> row; rows stay reduced against each other
+    for row in rows:
+        w = _reduce(_entries(row), basis)
+        if not w:
+            continue
+        pc = min(w)  # the leading column: keeps the rows in echelon form
+        pv = w[pc]
+        if pv != 1:
+            w = {c: x / pv for c, x in w.items()}
+        for r in basis.values():
+            f = r.get(pc)
+            if f:
+                add_multiple(r, -f, w)
+        basis[pc] = w
+    pivots = sorted(basis)
+    return [basis[pc] for pc in pivots], pivots
+
+
+def solve_affine(a_rows, b, ncols):
+    """One exact solution of A x = b over columns 0..ncols-1, with free
+    variables set to 0, as a sparse vector; None when inconsistent."""
+    red, pivots = rref([{**r, ncols: bi} for r, bi in zip(a_rows, b)])
+    if pivots and pivots[-1] == ncols:
+        return None
+    return {pc: r[ncols] for r, pc in zip(red, pivots) if ncols in r}
+
+
+def nullspace(a_rows, ncols):
+    """Basis of the right nullspace of A, one sparse vector per free column
+    in increasing order."""
+    red, pivots = rref(a_rows) if a_rows else ([], [])
+    basis = {c: {c: Fraction(1)} for c in range(ncols)}
+    for pc in pivots:
+        del basis[pc]
+    for r, pc in zip(red, pivots):
+        for c, x in r.items():
+            if c != pc:
+                basis[c][pc] = -x
+    return list(basis.values())
 
 
 def _phase1_simplex(a, b):
@@ -146,8 +145,7 @@ def cone_interior_point(eqs, stricts, k):
     """A rational point L in Q^k with L.v = 0 for v in eqs and L.w >= 1
     for w in stricts (hence > 0; the region is a cone so scaling is free).
     Returns None when the relatively open cone is empty."""
-    eq_rows = [list(map(Fraction, v)) for v in eqs]
-    ns = nullspace(eq_rows, k)
+    ns = nullspace([dict(enumerate(v)) for v in eqs], k)
     if not ns:
         if stricts:
             return None
@@ -155,7 +153,7 @@ def cone_interior_point(eqs, stricts, k):
     m = len(ns)
     if not stricts:
         return [Fraction(0)] * k
-    g = [[sum(Fraction(w[i]) * nsj[i] for i in range(k)) for nsj in ns] for w in stricts]
+    g = [[sum(Fraction(w[i]) * x for i, x in v.items()) for v in ns] for w in stricts]
     # G y >= 1 with free y: y = u - v, slack s: G u - G v - s = 1
     rows = []
     for gr in g:
@@ -165,12 +163,12 @@ def cone_interior_point(eqs, stricts, k):
     sol = _phase1_simplex(rows, [Fraction(1)] * len(stricts))
     if sol is None:
         return None
-    y = [sol[j] - sol[m + j] for j in range(m)]
-    return _combine(ns, y, k)
-
-
-def _combine(ns, y, k):
-    return [sum(y[j] * ns[j][i] for j in range(len(ns))) for i in range(k)]
+    point = [Fraction(0)] * k
+    for j, v in enumerate(ns):
+        y = sol[j] - sol[m + j]
+        for i, x in v.items():
+            point[i] += y * x
+    return point
 
 
 def to_primitive_int(vec):

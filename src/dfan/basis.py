@@ -70,13 +70,6 @@ def _unflatten(flat: dict, ring: RingDescriptor, dt: bool):
     return cls(ring, tuple(scl(ring, bucket) for bucket in buckets))
 
 
-def _unflatten_scalar(flat: dict, ring: RingDescriptor, dt: bool):
-    cls = DtOp if dt else WeylOp
-    if dt:
-        return cls(ring, {k: v for k, v in flat.items()})
-    return cls(ring, {(a, b): v for (a, b, l), v in flat.items()})
-
-
 def _divides(exp, key) -> bool:
     ea, eb, el, ei = exp
     a, b, l, i = key

@@ -102,14 +102,18 @@ def render_report(report: dict, as_json: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_problem(args):
+def _read_input(args) -> str:
     if not args.input:
         raise UsageError("--input is required")
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
-            return parse_problem(fh.read())
+            return fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {args.input}: {exc}")
+
+
+def _load_problem(args):
+    return parse_problem(_read_input(args))
 
 
 def _resolve_weight(args, problem):
@@ -333,10 +337,7 @@ def _cmd_flat_cert(args):
 
 
 def _cmd_normalize_syzygy(args):
-    if not args.input:
-        raise UsageError("--input is required")
-    with open(args.input, "r", encoding="utf-8") as fh:
-        syz = parse_syzygy(fh.read())
+    syz = parse_syzygy(_read_input(args))
     qs = [parse_w_op(text, syz.n, syz.k) for text in syz.q_texts]
     norm = kernel_normalize(syz.a, qs)
     entries = []

@@ -102,10 +102,6 @@ class FanCone:
     basis: StandardBasis
     strata: tuple
 
-    @property
-    def dimension_defect(self) -> int:
-        return len(self.equalities)
-
     def contains(self, L: LinearForm) -> bool:
         if any(c < 0 for c in L.coeffs):
             return False

@@ -10,8 +10,6 @@ tests)."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import ConeError
 from .weights import LinearForm
 from .weyl import DtOp, WeylOp
@@ -90,11 +88,3 @@ def newton_diagram(B, shifts=None, k: int | None = None) -> frozenset:
     if k is None:
         k = B.ring.k
     return frozenset(_iter_weighted_terms(B, shifts, k))
-
-
-def dual_cone_contains(rays, a) -> bool:
-    """a in the dual cone: L(a) >= 0 for every ray form L."""
-    for ray in rays:
-        if sum(Fraction(c) * x for c, x in zip(ray, a)) < 0:
-            return False
-    return True

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._linalg import nullspace, reduce_against, rref
+from ._linalg import add_multiple, in_row_space, nullspace, rref
 from .basis import StandardBasis, _mul_scalar_vec
 from .errors import (
     CertificateError,
@@ -815,12 +815,10 @@ def intersection_oracle(
         {key + (i,) for col in columns for key, i, _ in col.iter_terms()}
     )
     key_index = {key: idx for idx, key in enumerate(keys)}
-    rows = []
-    for col in columns:
-        vec = [Fraction(0)] * len(keys)
-        for key, i, c in col.iter_terms():
-            vec[key_index[key + (i,)]] = c
-        rows.append(vec)
+    rows = [
+        {key_index[key + (i,)]: c for key, i, c in col.iter_terms()}
+        for col in columns
+    ]
     n_basis, n_pivots = rref(rows)
 
     def admissible(key, j):
@@ -848,16 +846,17 @@ def intersection_oracle(
     def constrained_subspace(basis_rows, bad_cols):
         if not basis_rows:
             return []
-        mat = [[row[c] for row in basis_rows] for c in bad_cols]
-        combos = nullspace(mat, len(basis_rows))
+        # combinations of the basis rows that vanish on the bad columns
+        mat = {c: {} for c in bad_cols}
+        for r, row in enumerate(basis_rows):
+            for c, val in row.items():
+                if c in mat:
+                    mat[c][r] = val
         out = []
-        for combo in combos:
-            vec = [Fraction(0)] * len(keys)
-            for c, row in zip(combo, basis_rows):
-                if c:
-                    for idx, val in enumerate(row):
-                        if val:
-                            vec[idx] += c * val
+        for combo in nullspace(list(mat.values()), len(basis_rows)):
+            vec = {}
+            for r, c in combo.items():
+                add_multiple(vec, c, basis_rows[r])
             out.append(vec)
         red, piv = rref(out)
         return red
@@ -869,18 +868,16 @@ def intersection_oracle(
     rhs, rhs_piv = rref(rhs_rows)
     lhs_red, lhs_piv = rref(lhs)
 
-    def to_vec(dense) -> WeylVec:
+    def to_vec(row) -> WeylVec:
         buckets = [dict() for _ in range(ring.r)]
-        for idx, c in enumerate(dense):
-            if c:
-                a, b, i = keys[idx]
-                buckets[i][(a, b)] = c
+        for idx, c in sorted(row.items()):
+            a, b, i = keys[idx]
+            buckets[i][(a, b)] = c
         return WeylVec(ring, tuple(WeylOp(ring, bkt) for bkt in buckets))
 
     counterexample = None
     for vec in lhs_red:
-        remainder = reduce_against(rhs, rhs_piv, vec)
-        if any(remainder):
+        if not in_row_space(rhs, rhs_piv, vec):
             counterexample = to_vec(vec)
             break
     elements = []

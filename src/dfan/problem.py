@@ -92,6 +92,14 @@ def _parse_rational_vector(text: str, line: int) -> tuple:
     return tuple(out)
 
 
+def _parse_count(name: str, text: str, line: int) -> int:
+    if not re.fullmatch(r"\d+", text):
+        raise SemanticError(
+            f"{name} must be a nonnegative integer, got {text!r} (line {line})"
+        )
+    return int(text)
+
+
 def parse_w_monomials(text: str, k: int) -> tuple:
     """Comma-separated W-monomials like ``W1^2, W2`` into exponents."""
     out = []
@@ -206,9 +214,9 @@ def parse_problem(text: str) -> ProblemFile:
             raise SemanticError(f"s must be an integer vector of length {k}")
         out.s = tuple(int(v) for v in vec)
     if "degree_bound" in fields:
-        out.degree_bound = int(fields.pop("degree_bound")[0])
+        out.degree_bound = _parse_count("degree_bound", *fields.pop("degree_bound"))
     if "l_max" in fields:
-        out.l_max = int(fields.pop("l_max")[0])
+        out.l_max = _parse_count("l_max", *fields.pop("l_max"))
     if "order" in fields:
         name = fields.pop("order")[0]
         if name != TermOrder.NAME:

@@ -267,21 +267,18 @@ def _witness_search(generators, unit: int, bound: int, gamma: BasicCone | None =
             | {unit_key}
         )
         key_index = {key: idx for idx, key in enumerate(keys)}
-        rows = [[Fraction(0)] * len(columns) for _ in keys]
+        rows = [{} for _ in keys]
         for cidx, vec in enumerate(col_vecs):
             for key, c in vec.items():
                 ridx = key_index.get(key)
                 if ridx is not None:
                     rows[ridx][cidx] = c
-        rhs = [
-            Fraction(1) if key == unit_key else Fraction(0) for key in keys
-        ]
-        sol = solve_affine(rows, rhs)
+        rhs = [int(key == unit_key) for key in keys]
+        sol = solve_affine(rows, rhs, len(columns))
         if sol is not None:
             total = WeylVec.zero(ring)
-            for x, prod in zip(sol, columns):
-                if x:
-                    total = total + prod.scale(x)
+            for cidx, x in sorted(sol.items()):
+                total = total + columns[cidx].scale(x)
             return total
     return None
 

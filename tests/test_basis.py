@@ -151,8 +151,8 @@ def left_multiple_span(gens, bound):
     keys = sorted({key + (i,) for c in cols for key, i, _ in c.iter_terms()})
     index = {key: j for j, key in enumerate(keys)}
 
-    def densify(v):
-        row = [Fraction(0)] * len(keys)
+    def sparse_row(v):
+        row = {}
         for key, i, c in v.iter_terms():
             j = index.get(key + (i,))
             if j is None:
@@ -160,11 +160,11 @@ def left_multiple_span(gens, bound):
             row[j] = c
         return row
 
-    rows = [densify(c) for c in cols]
+    rows = [sparse_row(c) for c in cols]
     red, piv = rref(rows)
 
     def contains(v):
-        row = densify(v)
+        row = sparse_row(v)
         return row is not None and in_row_space(red, piv, row)
 
     return cols, contains

@@ -166,6 +166,22 @@ def test_parse_error_exit_three(tmp_path):
     assert "x3 out of range" in err
 
 
+def test_missing_syzygy_file_exit_three(tmp_path):
+    absent = tmp_path / "absent.txt"
+    code, out, err = invoke(["normalize-syzygy", "--input", str(absent)])
+    assert code == 3 and out == ""
+    assert err.startswith(f"dfan: error: cannot read {absent}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_bad_integer_field_exit_three(tmp_path):
+    problem = tmp_path / "p.txt"
+    problem.write_text("ring n=1 k=1 r=1\ngen: d1\ndegree_bound = abc\n")
+    code, out, err = invoke(["gb", "--input", str(problem), "--weight", "[1]"])
+    assert code == 3 and out == ""
+    assert "degree_bound must be a nonnegative integer" in err
+
+
 def test_divide_requires_target(tmp_path):
     problem = tmp_path / "p.txt"
     problem.write_text("ring n=1 k=1 r=1\ngen: d1\n")

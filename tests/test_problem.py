@@ -113,6 +113,13 @@ def test_unsupported_order_name():
         parse_problem("ring n=2 k=2 r=1\ngen: x1\norder = lex\n")
 
 
+@pytest.mark.parametrize("field", ["degree_bound", "l_max"])
+@pytest.mark.parametrize("value", ["abc", "-1", "2.5", ""])
+def test_integer_fields_checked(field, value):
+    with pytest.raises(SemanticError, match=f"{field} must be a nonnegative"):
+        parse_problem(f"ring n=2 k=2 r=1\ngen: x1\n{field} = {value}\n")
+
+
 def test_w_monomials():
     assert parse_w_monomials("W1^2, W2", 2) == ((2, 0), (0, 1))
     assert parse_w_monomials("1", 2) == (((0, 0)),)
