@@ -418,10 +418,6 @@ class MembershipResult:
     l: int | None
     l_max: int
 
-    @property
-    def conclusive(self) -> bool:
-        return self.is_member
-
     def __bool__(self):
         return self.is_member
 

@@ -11,6 +11,7 @@ stated bound, 3 usage or validation error."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -31,6 +32,7 @@ from .flatness import (
 from .grammar import format_op, format_vec
 from .problem import (
     format_w_monomials,
+    nonnegative_int,
     parse_problem,
     parse_syzygy,
     parse_w_monomials,
@@ -399,7 +401,10 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built on first use and shared by every later ``run`` call:
+    ``parse_args`` leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="dfan",
         description="standard bases, standard fans and flatness certificates "
@@ -413,10 +418,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cone", help="cone rows, e.g. \"[[1,0],[0,1]]\"")
         p.add_argument("--ideal", help="W-monomials, e.g. \"W1,W2\"")
         p.add_argument("--s", help="graded degree, e.g. \"[0,0]\"")
-        p.add_argument("--degree-bound", type=int, dest="degree_bound")
-        p.add_argument("--l-max", type=int, dest="l_max")
-        p.add_argument("--bound", type=int, help="fiber truncation bound")
-        p.add_argument("--k", type=int, help="number of W variables")
+        p.add_argument("--degree-bound", type=nonnegative_int, dest="degree_bound")
+        p.add_argument("--l-max", type=nonnegative_int, dest="l_max")
+        p.add_argument("--bound", type=nonnegative_int, help="fiber truncation bound")
+        p.add_argument("--k", type=nonnegative_int, help="number of W variables")
         p.add_argument("--json", action="store_true")
         p.add_argument("--expect", help="expected verdict; exit 0 iff it matches")
     return parser

@@ -3,17 +3,21 @@ weight quadrant into rational polyhedral cones on which the reduced
 standard basis and its graded symbols stay constant.
 
 Construction: collect wall normals (pairwise differences of shifted weight
-vectors inside each basis element) adaptively, enumerate the cells of the
-resulting central hyperplane arrangement inside the quadrant with exact
-rational samples, then merge cells that carry identical basis-and-stratum
-data along the convex constancy region of one defining cell.  Every merge
-is re-verified by recomputation at each member cell's sample; a failed
-merge falls back to emitting the member cells individually."""
+vectors inside each basis element) adaptively.  The cells of the resulting
+central hyperplane arrangement inside the quadrant are split from the
+quadrant's faces by the signs of the normals on integer cone generators,
+with no LP, and carried from one saturation round to the next; the LP runs
+once per cell for its canonical exact rational sample.  Then merge cells
+that carry identical basis-and-stratum data along the convex constancy
+region of one defining cell.  Every merge is re-verified by recomputation
+at each member cell's sample; a failed merge falls back to emitting the
+member cells individually."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 from ._linalg import cone_interior_point, to_primitive_int
@@ -149,31 +153,72 @@ class Fan:
         return len(self.cones)
 
 
-def _enumerate_cells(normals, coord_set, k, max_cells):
-    """All nonempty sign-pattern cells of the arrangement, relative to the
-    quadrant.  Returns a list of (pattern, eqs, signed_stricts, sample)."""
-    cells = [((), (), ())]  # pattern, eqs, signed stricts
+def _quadrant_faces(coord):
+    """The 2^k open faces of the closed quadrant as (signs, generators), one
+    per set of positive coordinates, each generated by its unit vectors
+    ``coord`` (the origin is the face with no generators)."""
+    return [
+        (dict(zip(coord, pos)), [e for e, s in zip(coord, pos) if s])
+        for pos in product((0, 1), repeat=len(coord))
+    ]
+
+
+def _capped(cells, max_cells):
+    if len(cells) > max_cells:
+        raise ResourceBoundExceeded(f"arrangement exceeded {max_cells} cells")
+    return cells
+
+
+def _split(cell, v):
+    """The nonempty parts of one cell on the sides of v (the
+    double-description update, integer arithmetic only).  A cell is
+    (signs, generators): its sign dict over the normals split so far, and
+    primitive integer generators whose strictly positive combinations are
+    exactly the cell (the relative interior of the cone they generate).
+    A cell that meets both sides of v splits into three; each side keeps
+    its own and the zero generators plus the crossings of every opposite
+    pair."""
+    signs, gens = cell
+    sides = {-1: [], 0: [], 1: []}
+    for g in gens:
+        d = sum(a * b for a, b in zip(v, g))
+        sides[_sign(d)].append((d, g))
+    if not (sides[1] and sides[-1]):
+        s = 1 if sides[1] else (-1 if sides[-1] else 0)
+        return [({**signs, v: s}, gens)]
+    wall = [g for _, g in sides[0]] + [
+        _canon(tuple(dp * a - dn * b for a, b in zip(n, p)))
+        for dp, p in sides[1]
+        for dn, n in sides[-1]
+    ]
+    wall = list(dict.fromkeys(wall))
+    return [
+        ({**signs, v: s}, [g for _, g in sides[s]] + wall if s else wall)
+        for s in (-1, 0, 1)
+    ]
+
+
+def _split_cells(cells, normals, max_cells):
+    """Split every cell by each of ``normals`` in turn, checking the cell
+    cap after each normal (cell counts only grow as normals are added)."""
     for v in normals:
-        allowed = (0, 1) if v in coord_set else (-1, 0, 1)
-        nxt = []
-        for pattern, eqs, sts in cells:
-            for sign in allowed:
-                if sign == 0:
-                    e2, s2 = eqs + (v,), sts
-                else:
-                    e2, s2 = eqs, sts + ((tuple(sign * c for c in v)),)
-                pt = cone_interior_point(e2, s2, k)
-                if pt is not None:
-                    nxt.append((pattern + (sign,), e2, s2))
-        cells = nxt
-        if len(cells) > max_cells:
-            raise ResourceBoundExceeded(
-                f"arrangement exceeded {max_cells} cells"
-            )
+        cells = _capped(
+            [part for cell in cells for part in _split(cell, v)], max_cells
+        )
+    return cells
+
+
+def _cell_samples(cells, sorted_normals, k):
+    """The cells as (pattern, eqs, signed_stricts, sample), sorted by sign
+    pattern over ``sorted_normals``; the sample is the LP's interior point
+    of the cell's constraints taken in sorted-normal order."""
     out = []
-    for pattern, eqs, sts in cells:
-        pt = cone_interior_point(eqs, sts, k)
-        out.append((pattern, eqs, sts, tuple(pt)))
+    for pattern in sorted(tuple(sg[v] for v in sorted_normals) for sg, _ in cells):
+        eqs = tuple(v for v, s in zip(sorted_normals, pattern) if s == 0)
+        sts = tuple(
+            tuple(s * c for c in v) for v, s in zip(sorted_normals, pattern) if s
+        )
+        out.append((pattern, eqs, sts, tuple(cone_interior_point(eqs, sts, k))))
     return out
 
 
@@ -199,6 +244,8 @@ def standard_fan(
         tuple(1 if j == i else 0 for j in range(k)) for i in range(k)
     )
     normals = set(coord)
+    split_by = set(coord)
+    parts = _capped(_quadrant_faces(coord), max_cells)
     data_cache: dict = {}
 
     def data_at(sample):
@@ -216,7 +263,9 @@ def standard_fan(
             raise ResourceBoundExceeded(
                 f"fan needed more than {max_normals} wall normals"
             )
-        cells = _enumerate_cells(sorted_normals, set(coord), k, max_cells)
+        parts = _split_cells(parts, sorted(normals - split_by), max_cells)
+        split_by = normals
+        cells = _cell_samples(parts, sorted_normals, k)
         new = set(normals)
         for _, _, _, sample in cells:
             _, _, _, _, cell_normals = data_at(sample)

@@ -92,12 +92,18 @@ def _parse_rational_vector(text: str, line: int) -> tuple:
     return tuple(out)
 
 
-def _parse_count(name: str, text: str, line: int) -> int:
+def nonnegative_int(text: str) -> int:
+    """A count written as decimal digits only: no sign, no spaces."""
     if not re.fullmatch(r"\d+", text):
-        raise SemanticError(
-            f"{name} must be a nonnegative integer, got {text!r} (line {line})"
-        )
+        raise ValueError(f"must be a nonnegative integer, got {text!r}")
     return int(text)
+
+
+def _parse_count(name: str, text: str, line: int) -> int:
+    try:
+        return nonnegative_int(text)
+    except ValueError as exc:
+        raise SemanticError(f"{name} {exc} (line {line})") from None
 
 
 def parse_w_monomials(text: str, k: int) -> tuple:

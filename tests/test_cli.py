@@ -182,6 +182,36 @@ def test_bad_integer_field_exit_three(tmp_path):
     assert "degree_bound must be a nonnegative integer" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["flat-cert", "--input", str(PROBLEMS / "euler.txt"), "--degree-bound", "-1"],
+        ["flat-cert", "--input", str(PROBLEMS / "euler.txt"), "--l-max", "-1"],
+        ["fiber", "--input", str(PROBLEMS / "paper_fiber.txt"), "--bound", "-2"],
+        ["monomial-chain", "--ideal", "W1", "--k", "-2"],
+    ],
+    ids=["degree-bound", "l-max", "bound", "k"],
+)
+def test_negative_integer_flag_exit_three(argv, capsys):
+    # a negative truncation must not reach the math, where
+    # --degree-bound -1 certifies vacuously and --bound -2 is inconclusive
+    code, out, _ = invoke(argv)
+    assert code == 3 and out == ""
+    err = capsys.readouterr().err
+    assert f"argument {argv[-2]}: invalid nonnegative_int value: '{argv[-1]}'" in err
+
+
+def test_run_calls_share_no_state():
+    gb = ["gb", "--input", str(PROBLEMS / "euler.txt"), "--weight", "[1,1]"]
+    code, out, _ = invoke(gb + ["--json"])
+    assert code == 0 and json.loads(out)["command"] == "gb"
+    text = invoke(gb)
+    assert text[0] == 0 and "\nx1 d1 e1 + x2 d2 e1\n" in text[1]
+    assert invoke(gb + ["--expect", "no"])[0] == 1
+    assert invoke(["gb", "--no-such-flag"])[0] == 3
+    assert invoke(gb) == text
+
+
 def test_divide_requires_target(tmp_path):
     problem = tmp_path / "p.txt"
     problem.write_text("ring n=1 k=1 r=1\ngen: d1\n")

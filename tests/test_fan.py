@@ -1,11 +1,21 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dfan._linalg import cone_interior_point
 from dfan.basis import reduce_basis
-from dfan.errors import WeightError
-from dfan.fan import standard_fan
+from dfan.errors import ResourceBoundExceeded, WeightError
+from dfan.fan import (
+    _canon,
+    _capped,
+    _cell_samples,
+    _quadrant_faces,
+    _split_cells,
+    standard_fan,
+)
 from dfan.grammar import parse_vec
 from dfan.weights import LinearForm
 from dfan.weyl import RingDescriptor
@@ -199,3 +209,110 @@ def test_shifted_rank_two_fan():
         L = LinearForm(cone.sample)
         b = reduce_basis(gens, L)
         assert b.elements == cone.basis.elements
+
+
+# --- the LP-free cell splitter against the LP-per-sign enumeration ---------
+
+
+@functools.cache
+def interior_point(eqs, stricts, k):
+    """cone_interior_point, memoised across the oracle's many reruns."""
+    return cone_interior_point(eqs, stricts, k)
+
+
+def reference_cells(normals, coord_set, k, max_cells):
+    """The enumeration the splitter replaced, kept as the oracle: one
+    phase-1 LP per (cell, normal, sign) decides which cells are nonempty.
+    Returns a list of (pattern, eqs, signed_stricts, sample)."""
+    cells = [((), (), ())]  # pattern, eqs, signed stricts
+    for v in normals:
+        allowed = (0, 1) if v in coord_set else (-1, 0, 1)
+        nxt = []
+        for pattern, eqs, sts in cells:
+            for sign in allowed:
+                if sign == 0:
+                    e2, s2 = eqs + (v,), sts
+                else:
+                    e2, s2 = eqs, sts + ((tuple(sign * c for c in v)),)
+                pt = interior_point(e2, s2, k)
+                if pt is not None:
+                    nxt.append((pattern + (sign,), e2, s2))
+        cells = nxt
+        if len(cells) > max_cells:
+            raise ResourceBoundExceeded(
+                f"arrangement exceeded {max_cells} cells"
+            )
+    out = []
+    for pattern, eqs, sts in cells:
+        pt = interior_point(eqs, sts, k)
+        out.append((pattern, eqs, sts, tuple(pt)))
+    return out
+
+
+def unit_vectors(k):
+    return [tuple(int(j == i) for j in range(k)) for i in range(k)]
+
+
+def reference_rounds(k, rounds, max_cells):
+    """Each round's cells computed anew; "capped" ends the list when the
+    cap trips."""
+    out = []
+    coord = set(unit_vectors(k))
+    try:
+        for normals in rounds:
+            out.append(reference_cells(sorted(normals), coord, k, max_cells))
+    except ResourceBoundExceeded:
+        out.append("capped")
+    return out
+
+
+def splitter_rounds(k, rounds, max_cells):
+    """The cells of each round as standard_fan builds them: split from the
+    quadrant's faces, carried over, split only by each round's new normals."""
+    out = []
+    split_by = set(unit_vectors(k))
+    try:
+        parts = _capped(_quadrant_faces(unit_vectors(k)), max_cells)
+        for normals in rounds:
+            parts = _split_cells(parts, sorted(normals - split_by), max_cells)
+            split_by = normals
+            out.append(_cell_samples(parts, sorted(normals), k))
+    except ResourceBoundExceeded:
+        out.append("capped")
+    return out
+
+
+@st.composite
+def arrangements(draw):
+    """k, then the normal sets of one round and of two incremental rounds."""
+    k = draw(st.integers(1, 4))
+    normal = (
+        st.tuples(*[st.integers(-3, 3)] * k)
+        .map(_canon)
+        .filter(lambda v: v is not None)
+    )
+    # fewer normals as k grows keeps the oracle's LPs to seconds in all
+    extra = draw(st.lists(normal, unique=True, max_size=7 - k))
+    cut = draw(st.integers(0, len(extra)))
+    first = set(unit_vectors(k) + extra[:cut])
+    return k, [first, first | set(extra[cut:])]
+
+
+@settings(max_examples=40, deadline=None)
+@given(arrangements())
+def test_splitter_matches_lp_enumeration(arrangement):
+    k, rounds = arrangement
+    uncapped = reference_rounds(k, rounds, 10**6)
+    assert splitter_rounds(k, rounds, 10**6) == uncapped
+    assert splitter_rounds(k, rounds[1:], 10**6) == uncapped[1:]
+    # The cap trips in the first round whose arrangement has more cells than
+    # the cap.  The oracle also counts cells of partial arrangements in which
+    # some quadrant walls are still missing, so it may trip at caps the
+    # splitter passes, never the other way round.
+    counts = [len(cells) for cells in uncapped]
+    for cap in {n + d for n in (2**k, *counts) for d in (-1, 0)}:
+        over = [i for i, n in enumerate(counts) if n > cap]
+        expected = uncapped[: over[0]] + ["capped"] if over else uncapped
+        assert splitter_rounds(k, rounds, cap) == expected
+        if over:
+            assert "capped" in reference_rounds(k, rounds, cap)
