@@ -29,6 +29,7 @@ from .weyl import (
     WeylOp,
     WeylVec,
     _mul_terms,
+    accumulate,
     homogenize_vec,
     require_f_homogeneous,
     t_power_times,
@@ -80,29 +81,31 @@ def _divides(exp, key) -> bool:
     )
 
 
-def _term_times_flat(mu, coef, flat: dict, emit_t: bool, acc: dict, sign: int):
-    """acc += sign * coef * (x^a d^b t^l) * flat."""
-    for (a2, b2, l2, i), c2 in flat.items():
-        if emit_t:
-            for (na, nb, nl), cc in _mul_terms(mu, coef, (a2, b2, l2), c2, True):
-                key = (na, nb, nl, i)
-                v = acc.get(key)
-                v = sign * cc if v is None else v + sign * cc
-                if v:
-                    acc[key] = v
-                elif key in acc:
-                    del acc[key]
-        else:
-            for (na, nb), cc in _mul_terms(
-                (mu[0], mu[1]), coef, (a2, b2), c2, False
-            ):
-                key = (na, nb, 0, i)
-                v = acc.get(key)
-                v = sign * cc if v is None else v + sign * cc
-                if v:
-                    acc[key] = v
-                elif key in acc:
-                    del acc[key]
+def _term_times_flat(mu, coef, flat: dict, emit_t: bool, acc: dict, on_new=None):
+    """acc += coef * (x^a d^b t^l) * flat; ``on_new`` as in ``accumulate``."""
+    if emit_t:
+        products = (
+            (key + (i,), cc)
+            for (a2, b2, l2, i), c2 in flat.items()
+            for key, cc in _mul_terms(mu, coef, (a2, b2, l2), c2, True)
+        )
+    else:
+        ab = mu[:2]
+        products = (
+            ((na, nb, 0, i), cc)
+            for (a2, b2, _, i), c2 in flat.items()
+            for (na, nb), cc in _mul_terms(ab, coef, (a2, b2), c2, False)
+        )
+    accumulate(acc, products, on_new)
+
+
+def _exp_quotient(key, exp):
+    """The monomial (alpha, beta, l) with key = monomial * exp."""
+    return (
+        tuple(x - y for x, y in zip(key[0], exp[0])),
+        tuple(x - y for x, y in zip(key[1], exp[1])),
+        key[2] - exp[2],
+    )
 
 
 class _KeyCache:
@@ -189,55 +192,15 @@ def _divide_flat(
         coef = tail[tau]
         for m, exp in enumerate(exps):
             if _divides(exp, tau):
-                mu = (
-                    tuple(x - y for x, y in zip(tau[0], exp[0])),
-                    tuple(x - y for x, y in zip(tau[1], exp[1])),
-                    tau[2] - exp[2],
-                )
+                mu = _exp_quotient(tau, exp)
                 cq = coef / lcs[m]
-                q = quots[m]
-                v = q.get(mu)
-                v = cq if v is None else v + cq
-                if v:
-                    q[mu] = v
-                elif mu in q:
-                    del q[mu]
-                _term_times_flat_push(
-                    mu, cq, basis_flats[m], emit_t, tail, -1, push
-                )
+                accumulate(quots[m], ((mu, cq),))
+                _term_times_flat(mu, -cq, basis_flats[m], emit_t, tail, push)
                 break
         else:
             rem[tau] = coef
             del tail[tau]
     return quots, rem
-
-
-def _term_times_flat_push(mu, coef, flat: dict, emit_t: bool, acc: dict, sign: int, push):
-    """Like _term_times_flat, but reports freshly inserted keys."""
-    for (a2, b2, l2, i), c2 in flat.items():
-        if emit_t:
-            products = _mul_terms(mu, coef, (a2, b2, l2), c2, True)
-        else:
-            products = (
-                ((na, nb, 0), cc)
-                for (na, nb), cc in _mul_terms(
-                    (mu[0], mu[1]), coef, (a2, b2), c2, False
-                )
-            )
-        for pkey, cc in products:
-            key = pkey + (i,)
-            v = acc.get(key)
-            if v is None:
-                val = sign * cc
-                if val:
-                    acc[key] = val
-                    push(key)
-                continue
-            val = v + sign * cc
-            if val:
-                acc[key] = val
-            else:
-                del acc[key]
 
 
 @dataclass
@@ -255,12 +218,8 @@ class DivisionResult:
         for a, h in zip(self.quotients, self.basis.elements):
             if a.is_zero():
                 continue
-            total = total + _mul_scalar_vec(a, h)
+            total = total + h.left_mul(a)
         return total
-
-
-def _mul_scalar_vec(a: DtOp, h: DtVec) -> DtVec:
-    return DtVec(h.ring, tuple(a * c for c in h.components))
 
 
 class StandardBasis:
@@ -325,15 +284,9 @@ class StandardBasis:
         for a, hf in zip(qops, self._flats):
             prod = {}
             for mu, c in a.terms.items():
-                _term_times_flat(mu, c, hf, True, prod, 1)
+                _term_times_flat(mu, c, hf, True, prod)
             prods.append(prod)
-            for key, c in prod.items():
-                v = acc.get(key)
-                v = c if v is None else v + c
-                if v:
-                    acc[key] = v
-                elif key in acc:
-                    del acc[key]
+            accumulate(acc, prod.items())
         if acc != flat:
             raise DfanError("division recomposition failed")
         for key in rem:
@@ -352,7 +305,7 @@ class StandardBasis:
             for a, h in zip(qops, self.elements):
                 if a.is_zero():
                     continue
-                w = ord_L_vec(_mul_scalar_vec(a, h), L, self.ring.shifts)
+                w = ord_L_vec(h.left_mul(a), L, self.ring.shifts)
                 if w > bound:
                     raise DfanError(
                         f"L-order bound violated for context form {L}"
@@ -423,23 +376,11 @@ class MembershipResult:
 
 
 def _spair(fi, fj, ei, ej, emit_t):
-    a = tuple(max(x, y) for x, y in zip(ei[0], ej[0]))
-    b = tuple(max(x, y) for x, y in zip(ei[1], ej[1]))
-    l = max(ei[2], ej[2])
-    mi = (
-        tuple(x - y for x, y in zip(a, ei[0])),
-        tuple(x - y for x, y in zip(b, ei[1])),
-        l - ei[2],
-    )
-    mj = (
-        tuple(x - y for x, y in zip(a, ej[0])),
-        tuple(x - y for x, y in zip(b, ej[1])),
-        l - ej[2],
-    )
+    lcm = _lcm_exp(ei, ej)
     s: dict = {}
-    _term_times_flat(mi, Fraction(1), fi, emit_t, s, 1)
-    _term_times_flat(mj, Fraction(1), fj, emit_t, s, -1)
-    return s, (a, b, l, ei[3])
+    _term_times_flat(_exp_quotient(lcm, ei), Fraction(1), fi, emit_t, s)
+    _term_times_flat(_exp_quotient(lcm, ej), Fraction(-1), fj, emit_t, s)
+    return s
 
 
 def _monic(flat, keyf):
@@ -490,7 +431,7 @@ def _buchberger(flats, keyf, emit_t, caps):
         lcm_ij = _lcm_exp(exps[i], exps[j])
         if chain_skippable(i, j, lcm_ij):
             continue
-        s, _ = _spair(basis[i], basis[j], exps[i], exps[j], emit_t)
+        s = _spair(basis[i], basis[j], exps[i], exps[j], emit_t)
         if not s:
             continue
         _, rem = _divide_flat(

@@ -11,6 +11,7 @@ stated bound, 3 usage or validation error."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -365,7 +366,9 @@ def _cmd_monomial_chain(args):
     if args.input:
         problem = _load_problem(args)
         k = problem.ring.k
-    elif args.k:
+    elif args.k is not None:
+        if args.k < 1:
+            raise UsageError("--k must be at least 1")
         k = args.k
     else:
         raise UsageError("monomial-chain needs --k or --input")
@@ -432,7 +435,8 @@ def run(argv, stdout=None, stderr=None) -> int:
     stderr = stderr if stderr is not None else sys.stderr
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stderr(stderr):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return 3 if exc.code not in (0, None) else 0
     try:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._linalg import add_multiple, in_row_space, nullspace, rref
-from .basis import StandardBasis, _mul_scalar_vec
+from .basis import StandardBasis
 from .errors import (
     CertificateError,
     ConeError,
@@ -29,6 +29,7 @@ from .errors import (
 )
 from .filtration import in_V_gamma, multi_weight
 from .grammar import format_op, format_vec
+from .problem import format_w_monomials
 from .toric import BasicCone, _det, _inverse_unimodular
 from .weights import LinearForm, ord_L_vec, symbol_L
 from .weyl import (
@@ -36,8 +37,10 @@ from .weyl import (
     DtVec,
     WeylOp,
     WeylVec,
+    accumulate,
     dehomogenize,
     homogenize_vec,
+    monomial_multiples,
     t_power_times,
 )
 
@@ -116,16 +119,7 @@ class MonomialIdeal:
     def format(self) -> str:
         if not self.gens:
             return "(0)"
-        return "(" + ", ".join(_format_w_monomial(g) for g in self.gens) + ")"
-
-
-def _format_w_monomial(e) -> str:
-    parts = [
-        f"W{i + 1}" + (f"^{c}" if c > 1 else "")
-        for i, c in enumerate(e)
-        if c
-    ]
-    return " ".join(parts) if parts else "1"
+        return "(" + format_w_monomials(self.gens) + ")"
 
 
 def coordinate_ideal(k: int, J) -> MonomialIdeal:
@@ -235,14 +229,7 @@ class WOp:
         elif isinstance(terms, dict):
             self.terms = {key: c for key, c in terms.items() if c}
         else:
-            self.terms = {}
-            for key, coef in terms:
-                c = self.terms.get(key)
-                c = coef if c is None else c + coef
-                if c:
-                    self.terms[key] = c
-                elif key in self.terms:
-                    del self.terms[key]
+            self.terms = accumulate({}, terms)
 
     def is_zero(self):
         return not self.terms
@@ -259,15 +246,7 @@ class WOp:
         return WOp(self.n, self.k, out)
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for key, coef in other.terms.items():
-            c = out.get(key)
-            c = coef if c is None else c + coef
-            if c:
-                out[key] = c
-            elif key in out:
-                del out[key]
-        return WOp(self.n, self.k, out)
+        return WOp(self.n, self.k, accumulate(dict(self.terms), other.terms.items()))
 
     def __neg__(self):
         return WOp(self.n, self.k, {k: -v for k, v in self.terms.items()})
@@ -686,7 +665,7 @@ def flat_decompose(
                 if _in_region(point, s, frame, j):
                     splits.append((m, key, coef, j))
                     term = DtOp(ring, {key: coef})
-                    r_pieces[j] = r_pieces[j] + _mul_scalar_vec(term, h_m)
+                    r_pieces[j] = r_pieces[j] + h_m.left_mul(term)
                     break
             else:
                 raise CertificateError(
@@ -795,22 +774,12 @@ def intersection_oracle(
     if slack is None:
         slack = max(g.total_degree() for g in generators) + 2
     prod_bound = degree_bound + slack
-    from itertools import product as iproduct
-
     # columns: products (monomial * generator) up to the padded bound
-    columns = []
-    for g in generators:
-        room = prod_bound - g.total_degree()
-        for exps in iproduct(range(room + 1), repeat=2 * ring.n):
-            if sum(exps) > room:
-                continue
-            mu = WeylOp(
-                ring,
-                {(tuple(exps[: ring.n]), tuple(exps[ring.n :])): Fraction(1)},
-            )
-            prod = WeylVec(ring, tuple(mu * c for c in g.components))
-            if not prod.is_zero():
-                columns.append(prod)
+    columns = [
+        prod
+        for g in generators
+        for prod in monomial_multiples(g, prod_bound - g.total_degree())
+    ]
     keys = sorted(
         {key + (i,) for col in columns for key, i, _ in col.iter_terms()}
     )

@@ -30,7 +30,9 @@ from .weyl import (
     WeylOp,
     WeylVec,
     _mul_terms,
+    accumulate,
     dehomogenize,
+    monomial_multiples,
 )
 
 
@@ -78,9 +80,7 @@ def rees_mul(e1: ReesElement, e2: ReesElement) -> ReesElement:
     if isinstance(e1.op, WeylVec):
         raise TypeError("left factor must be a scalar ring element")
     if isinstance(e2.op, WeylVec):
-        prod = WeylVec(
-            e2.op.ring, tuple(e1.op * c for c in e2.op.components)
-        )
+        prod = e2.op.left_mul(e1.op)
     else:
         prod = e1.op * e2.op
     s = tuple(a + b for a, b in zip(e1.s, e2.s))
@@ -98,14 +98,7 @@ class AElement:
         if isinstance(terms, dict):
             self.terms = {k: v for k, v in terms.items() if v}
         else:
-            self.terms = {}
-            for key, coef in terms:
-                c = self.terms.get(key)
-                c = coef if c is None else c + coef
-                if c:
-                    self.terms[key] = c
-                elif key in self.terms:
-                    del self.terms[key]
+            self.terms = accumulate({}, terms)
         for (a, b, sig) in self.terms:
             if any(c < 0 for c in sig):
                 raise GradingError("negative U-exponent")
@@ -136,14 +129,10 @@ class AElement:
         for (a1, b1, s1), c1 in self.terms.items():
             for (a2, b2, s2), c2 in other.terms.items():
                 sig = tuple(x + y for x, y in zip(s1, s2))
-                for (na, nb), cc in _mul_terms((a1, b1), c1, (a2, b2), c2, False):
-                    key = (na, nb, sig)
-                    v = acc.get(key)
-                    v = cc if v is None else v + cc
-                    if v:
-                        acc[key] = v
-                    elif key in acc:
-                        del acc[key]
+                accumulate(acc, (
+                    ((na, nb, sig), cc)
+                    for (na, nb), cc in _mul_terms((a1, b1), c1, (a2, b2), c2, False)
+                ))
         return AElement(self.ring, acc)
 
     def __repr__(self):
@@ -241,27 +230,11 @@ def _witness_search(generators, unit: int, bound: int, gamma: BasicCone | None =
             return True  # outside the cone filtration: must vanish
         return all(dr == 0 for dr in drops)  # top stratum otherwise free
 
-    from itertools import product as iproduct
-
     for B in range(bound + 1):
-        columns = []
-        col_vecs = []
-        for g in generators:
-            gdeg = g.total_degree()
-            for exps in iproduct(range(B + 1), repeat=2 * ring.n):
-                if sum(exps) > B:
-                    continue
-                mu = WeylOp(
-                    ring,
-                    {(tuple(exps[: ring.n]), tuple(exps[ring.n :])): Fraction(1)},
-                )
-                prod = WeylVec(ring, tuple(mu * c for c in g.components))
-                if prod.is_zero():
-                    continue
-                columns.append(prod)
-                col_vecs.append(
-                    {key + (i,): c for key, i, c in prod.iter_terms()}
-                )
+        columns = [prod for g in generators for prod in monomial_multiples(g, B)]
+        col_vecs = [
+            {key + (i,): c for key, i, c in prod.iter_terms()} for prod in columns
+        ]
         keys = sorted(
             {key for vec in col_vecs for key in vec if constrained(key)}
             | {unit_key}

@@ -27,7 +27,8 @@ def _det(rows):
 
 
 def _inverse_unimodular(rows):
-    """Exact inverse of an integer matrix with det +-1 (integer entries)."""
+    """Exact inverse of a nonsingular integer matrix: integer entries when
+    the determinant is +-1, exact Fractions otherwise."""
     k = len(rows)
     d = _det(rows)
     inv = [[0] * k for _ in range(k)]
@@ -114,28 +115,12 @@ def _primitive(v):
     return tuple(c // g for c in v) if g else v
 
 
-def _solve_membership(rays, v):
-    """Barycentric coordinates of v in the simplicial cone spanned by rays
-    (rows as points), or None if v is outside."""
-    k = len(rays)
-    # solve lambda . rays = v exactly
-    a = [[Fraction(rays[i][j]) for i in range(k)] + [Fraction(v[j])] for j in range(k)]
-    # gaussian elimination
-    cols = list(range(k))
-    row = 0
-    for col in cols:
-        piv = next((r for r in range(row, k) if a[r][col]), None)
-        if piv is None:
-            return None
-        a[row], a[piv] = a[piv], a[row]
-        pv = a[row][col]
-        a[row] = [x / pv for x in a[row]]
-        for r in range(k):
-            if r != row and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-        row += 1
-    lam = [a[j][k] for j in range(k)]
+def _solve_membership(inv, v):
+    """Barycentric coordinates of v in the simplicial cone whose rays (rows
+    as points) form the matrix with inverse ``inv``, or None if v is
+    outside: the solution of lambda . rays = v is v . inv."""
+    k = len(inv)
+    lam = [sum(v[j] * inv[j][i] for j in range(k)) for i in range(k)]
     if any(l < 0 for l in lam):
         return None
     return lam
@@ -157,18 +142,19 @@ def refine_to_basic(rays) -> tuple[BasicCone, ...]:
     # candidate subdivision points: nonzero lattice points of the half-open
     # fundamental parallelepiped, lexicographically smallest primitive first
     candidates = set()
+    inv = _inverse_unimodular(tuple(rays))
     bound = max(abs(c) for r in rays for c in r) * k
     from itertools import product
 
     for point in product(range(bound + 1), repeat=k):
         if all(c == 0 for c in point):
             continue
-        lam = _solve_membership(tuple(rays), point)
+        lam = _solve_membership(inv, point)
         if lam is None or any(l >= 1 for l in lam):
             continue
         candidates.add(_primitive(point))
     for v in sorted(candidates):
-        lam = _solve_membership(tuple(rays), v)
+        lam = _solve_membership(inv, v)
         if lam is None:
             continue
         pieces = []

@@ -19,6 +19,7 @@ rather than by repeated single steps.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import comb, perm
 
 from .errors import HomogeneityError, RingMismatchError, ZeroInputError
@@ -63,16 +64,24 @@ class RingDescriptor:
         return f"RingDescriptor(n={self.n}, k={self.k}, r={self.r}, shifts={list(map(list, self.shifts))})"
 
 
-def _canonical(terms) -> dict:
-    out = {}
+def accumulate(acc: dict, terms, on_new=None) -> dict:
+    """Add the (key, coef) pairs of ``terms`` into ``acc`` in place and
+    drop the keys that cancel; ``on_new(key)`` is called for every key
+    newly inserted.  Returns ``acc``."""
     for key, coef in terms:
-        c = out.get(key)
-        c = coef if c is None else c + coef
+        c = acc.get(key)
+        if c is None:
+            if coef:
+                acc[key] = coef
+                if on_new is not None:
+                    on_new(key)
+            continue
+        c += coef
         if c:
-            out[key] = c
-        elif key in out:
-            del out[key]
-    return out
+            acc[key] = c
+        else:
+            del acc[key]
+    return acc
 
 
 def _check_same_ring(a, b):
@@ -92,7 +101,7 @@ class _OpBase:
         elif isinstance(terms, dict):
             self.terms = {k: v for k, v in terms.items() if v}
         else:
-            self.terms = _canonical(terms)
+            self.terms = accumulate({}, terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -112,15 +121,7 @@ class _OpBase:
 
     def __add__(self, other):
         _check_same_ring(self, other)
-        out = dict(self.terms)
-        for key, coef in other.terms.items():
-            c = out.get(key)
-            c = coef if c is None else c + coef
-            if c:
-                out[key] = c
-            elif key in out:
-                del out[key]
-        return type(self)(self.ring, out)
+        return type(self)(self.ring, accumulate(dict(self.terms), other.terms.items()))
 
     def __neg__(self):
         return type(self)(self.ring, {k: -v for k, v in self.terms.items()})
@@ -173,6 +174,16 @@ def _mul_terms(t1, c1, t2, c2, emit_t: bool):
             yield (alpha, beta), c * mult
 
 
+def _product(p, q, emit_t: bool):
+    """The product p * q of two scalars of one type and ring."""
+    _check_same_ring(p, q)
+    acc = {}
+    for t1, c1 in p.terms.items():
+        for t2, c2 in q.terms.items():
+            accumulate(acc, _mul_terms(t1, c1, t2, c2, emit_t))
+    return type(p)(p.ring, acc)
+
+
 class WeylOp(_OpBase):
     """Element of D: finite Q-linear combination of x^alpha d^beta."""
 
@@ -181,18 +192,7 @@ class WeylOp(_OpBase):
     def __mul__(self, other: "WeylOp") -> "WeylOp":
         if not isinstance(other, WeylOp):
             return NotImplemented
-        _check_same_ring(self, other)
-        acc = {}
-        for t1, c1 in self.terms.items():
-            for t2, c2 in other.terms.items():
-                for key, coef in _mul_terms(t1, c1, t2, c2, False):
-                    c = acc.get(key)
-                    c = coef if c is None else c + coef
-                    if c:
-                        acc[key] = c
-                    elif key in acc:
-                        del acc[key]
-        return WeylOp(self.ring, acc)
+        return _product(self, other, False)
 
     def order(self) -> int:
         """Usual order: max |beta| over the support.  Zero gives -1."""
@@ -214,18 +214,7 @@ class DtOp(_OpBase):
     def __mul__(self, other: "DtOp") -> "DtOp":
         if not isinstance(other, DtOp):
             return NotImplemented
-        _check_same_ring(self, other)
-        acc = {}
-        for t1, c1 in self.terms.items():
-            for t2, c2 in other.terms.items():
-                for key, coef in _mul_terms(t1, c1, t2, c2, True):
-                    c = acc.get(key)
-                    c = coef if c is None else c + coef
-                    if c:
-                        acc[key] = c
-                    elif key in acc:
-                        del acc[key]
-        return DtOp(self.ring, acc)
+        return _product(self, other, True)
 
     def f_degree(self) -> int | None:
         """F-degree l + |beta| when homogeneous, else None; zero gives -1."""
@@ -295,6 +284,16 @@ class _VecBase:
     def scale(self, c):
         return type(self)(self.ring, tuple(p.scale(c) for p in self.components))
 
+    def left_mul(self, P):
+        """The product P * self with a scalar P of the same type and ring."""
+        _check_same_ring(P, self)
+        return type(self)(self.ring, tuple(P * c for c in self.components))
+
+    __rmul__ = left_mul
+
+    def total_degree(self) -> int:
+        return max(c.total_degree() for c in self.components)
+
     def iter_terms(self):
         """Yield (key, comp_index, coef) over the whole support."""
         for i, comp in enumerate(self.components):
@@ -313,15 +312,8 @@ class WeylVec(_VecBase):
     __slots__ = ()
     _scalar = WeylOp
 
-    def __rmul__(self, P: WeylOp) -> "WeylVec":
-        _check_same_ring(P, self)
-        return WeylVec(self.ring, tuple(P * c for c in self.components))
-
     def order(self) -> int:
         return max(c.order() for c in self.components)
-
-    def total_degree(self) -> int:
-        return max(c.total_degree() for c in self.components)
 
 
 class DtVec(_VecBase):
@@ -329,10 +321,6 @@ class DtVec(_VecBase):
 
     __slots__ = ()
     _scalar = DtOp
-
-    def __rmul__(self, P: DtOp) -> "DtVec":
-        _check_same_ring(P, self)
-        return DtVec(self.ring, tuple(P * c for c in self.components))
 
     def f_degree(self) -> int | None:
         """Common F-degree across all components, None if inhomogeneous."""
@@ -344,8 +332,17 @@ class DtVec(_VecBase):
             return None
         return degs.pop()
 
-    def total_degree(self) -> int:
-        return max(c.total_degree() for c in self.components)
+
+def monomial_multiples(g: WeylVec, room: int):
+    """Yield the nonzero x^a d^b g with |a| + |b| <= room, the exponents
+    (a, b) taken in ``itertools.product`` order."""
+    n = g.ring.n
+    for exps in product(range(room + 1), repeat=2 * n):
+        if sum(exps) > room:
+            continue
+        prod = g.left_mul(WeylOp(g.ring, {(exps[:n], exps[n:]): Fraction(1)}))
+        if not prod.is_zero():
+            yield prod
 
 
 def homogenize(P: WeylOp) -> DtOp:

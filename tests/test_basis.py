@@ -2,12 +2,15 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dfan.basis import plain_module_basis, reduce_basis
+from dfan.basis import _flatten, _term_times_flat, plain_module_basis, reduce_basis
 from dfan.errors import HomogeneityError, WeightError, ZeroInputError
 from dfan.grammar import format_vec, parse_dt_op, parse_dt_vec, parse_op, parse_vec
 from dfan.weights import LinearForm, ord_L_vec
 from dfan.weyl import (
+    DtOp,
+    DtVec,
     RingDescriptor,
     WeylOp,
     WeylVec,
@@ -304,3 +307,29 @@ def test_rank_two_with_shifts():
     g2 = parse_vec("d2 e2", RV)
     b = reduce_basis([g1, g2], LinearForm((1, 1)))
     assert {format_vec(h) for h in b.elements} == {"d1 e1", "d2 e2"}
+
+
+COEFS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def term_keys(emit_t):
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    return st.tuples(exps, exps, st.integers(0, 2)) if emit_t else st.tuples(exps, exps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.booleans(), st.data())
+def test_term_times_flat_matches_operator_product(emit_t, data):
+    vec, scalar = (DtVec, DtOp) if emit_t else (WeylVec, WeylOp)
+
+    def draw_vec():
+        comps = st.dictionaries(term_keys(emit_t), COEFS, max_size=3)
+        return vec(RV, [scalar(RV, data.draw(comps)) for _ in range(RV.r)])
+
+    key = data.draw(term_keys(emit_t))
+    coef = data.draw(COEFS.filter(bool))
+    h, g = draw_vec(), draw_vec()
+    acc = _flatten(g)
+    mu = key if emit_t else key + (0,)
+    _term_times_flat(mu, coef, _flatten(h), emit_t, acc)
+    assert acc == _flatten(g + h.left_mul(scalar(RV, {key: coef})))

@@ -192,12 +192,11 @@ def test_bad_integer_field_exit_three(tmp_path):
     ],
     ids=["degree-bound", "l-max", "bound", "k"],
 )
-def test_negative_integer_flag_exit_three(argv, capsys):
+def test_negative_integer_flag_exit_three(argv):
     # a negative truncation must not reach the math, where
     # --degree-bound -1 certifies vacuously and --bound -2 is inconclusive
-    code, out, _ = invoke(argv)
+    code, out, err = invoke(argv)
     assert code == 3 and out == ""
-    err = capsys.readouterr().err
     assert f"argument {argv[-2]}: invalid nonnegative_int value: '{argv[-1]}'" in err
 
 
@@ -210,6 +209,19 @@ def test_run_calls_share_no_state():
     assert invoke(gb + ["--expect", "no"])[0] == 1
     assert invoke(["gb", "--no-such-flag"])[0] == 3
     assert invoke(gb) == text
+
+
+def test_usage_error_reaches_run_stderr(capsys):
+    code, out, err = invoke(["gb", "--bogus"])
+    assert code == 3 and out == ""
+    assert "unrecognized arguments: --bogus" in err
+    assert capsys.readouterr().err == ""
+
+
+def test_monomial_chain_rejects_k_zero():
+    code, out, err = invoke(["monomial-chain", "--ideal", "W1", "--k", "0"])
+    assert code == 3 and out == ""
+    assert "--k must be at least 1" in err
 
 
 def test_divide_requires_target(tmp_path):

@@ -1,10 +1,15 @@
+from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from dfan.errors import ConeError
 from dfan.toric import (
     BasicCone,
+    _det,
+    _inverse_unimodular,
+    _solve_membership,
     dual_membership,
     make_basic_cone,
     orthant_cone,
@@ -112,9 +117,7 @@ def test_refine_to_basic():
     assert all(isinstance(p, BasicCone) for p in pieces)
     # the pieces cover the original cone: check on a sample of rays
     def in_cone(rays, v):
-        from dfan.toric import _solve_membership
-
-        return _solve_membership(tuple(rays), v) is not None
+        return _solve_membership(_inverse_unimodular(tuple(rays)), v) is not None
 
     for v in [(1, 0), (1, 1), (1, 2), (2, 1), (3, 4)]:
         if in_cone([(1, 0), (1, 2)], v):
@@ -127,3 +130,33 @@ def test_refine_to_basic():
 def test_refine_rejects_degenerate():
     with pytest.raises(ConeError):
         refine_to_basic([(1, 1), (2, 2)])
+
+
+def eliminate_membership(rays, v):
+    """Reference: solve lambda . rays = v by Gauss-Jordan elimination;
+    None if v is outside the cone."""
+    k = len(rays)
+    a = [[Fraction(rays[i][j]) for i in range(k)] + [Fraction(v[j])] for j in range(k)]
+    for col in range(k):
+        piv = next(r for r in range(col, k) if a[r][col])
+        a[col], a[piv] = a[piv], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for r in range(k):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    lam = [a[j][k] for j in range(k)]
+    return None if any(l < 0 for l in lam) else lam
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda k: st.tuples(
+    st.lists(st.tuples(*[st.integers(0, 4)] * k), min_size=k, max_size=k),
+    st.lists(st.tuples(*[st.integers(-2, 12)] * k), min_size=1, max_size=5),
+)))
+def test_solve_membership_matches_elimination(case):
+    rays, points = case
+    assume(_det(tuple(rays)) != 0)
+    inv = _inverse_unimodular(tuple(rays))
+    for v in points:
+        assert _solve_membership(inv, v) == eliminate_membership(rays, v)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dfan.errors import RingMismatchError, ZeroInputError
 from dfan.grammar import parse_dt_op, parse_dt_vec, parse_op, parse_vec
@@ -9,6 +10,7 @@ from dfan.weyl import (
     DtOp,
     RingDescriptor,
     WeylOp,
+    accumulate,
     dehomogenize,
     homogenize,
     homogenize_vec,
@@ -181,3 +183,28 @@ def test_dehomogenize_section(rng):
     for _ in range(25):
         P = random_nonzero_op(rng, R2)
         assert dehomogenize(homogenize(P)) == P
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(st.integers(0, 4), st.integers(-3, 3).filter(bool), max_size=4),
+    st.lists(st.tuples(st.integers(0, 4), st.integers(-3, 3)), max_size=20),
+)
+def test_accumulate_matches_reference_sum(start, pairs):
+    acc = {key: Fraction(c) for key, c in start.items()}
+    terms = [(key, Fraction(c)) for key, c in pairs]
+    fresh = []
+    assert accumulate(acc, terms, fresh.append) is acc
+    total = {}
+    for key, c in list(start.items()) + pairs:
+        total[key] = total.get(key, 0) + c
+    assert acc == {key: c for key, c in total.items() if c}
+    # a key is inserted afresh whenever its running sum leaves zero
+    running = dict(start)
+    expected = []
+    for key, c in pairs:
+        before = running.get(key, 0)
+        running[key] = before + c
+        if before == 0 and running[key] != 0:
+            expected.append(key)
+    assert fresh == expected
