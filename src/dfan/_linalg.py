@@ -122,15 +122,17 @@ def _phase1_simplex(a, b):
         if not ratios:
             return None  # unbounded phase-1 cannot happen, defensive
         _, _, leave = min(ratios, key=lambda z: (z[0], z[1]))
-        pv = t[leave][enter]
-        t[leave] = [x / pv for x in t[leave]]
-        for i in range(m):
-            if i != leave and t[i][enter]:
-                f = t[i][enter]
-                t[i] = [x - f * y for x, y in zip(t[i], t[leave])]
-        if obj[enter]:
-            f = obj[enter]
-            obj = [x - f * y for x, y in zip(obj, t[leave])]
+        prow = t[leave]
+        pv = prow[enter]
+        nz = [j for j, x in enumerate(prow) if x]
+        for j in nz:
+            prow[j] /= pv
+        # every other row changes only on the pivot row's nonzero columns
+        for row in t + [obj]:
+            f = row[enter]
+            if f and row is not prow:
+                for j in nz:
+                    row[j] -= f * prow[j]
         basis[leave] = enter
     if obj[n + m] != 0:
         return None

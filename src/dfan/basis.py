@@ -125,12 +125,6 @@ class _KeyCache:
         return k
 
 
-def _neg_key(obj):
-    if isinstance(obj, tuple):
-        return tuple(_neg_key(x) for x in obj)
-    return -obj
-
-
 def _divide_flat(
     g: dict,
     basis_flats: list[dict],
@@ -151,11 +145,11 @@ def _divide_flat(
     quots = [dict() for _ in basis_flats]
     rem = {}
     tail = dict(g)
-    heap = [(_neg_key(keyf(key)), key) for key in tail]
+    heap = [(tuple(-x for x in keyf(key)), key) for key in tail]
     heapq.heapify(heap)
 
     def push(key):
-        heapq.heappush(heap, (_neg_key(keyf(key)), key))
+        heapq.heappush(heap, (tuple(-x for x in keyf(key)), key))
 
     if caps.degree_cap is not None:
         cap = caps.degree_cap

@@ -435,19 +435,25 @@ def run(argv, stdout=None, stderr=None) -> int:
     stderr = stderr if stderr is not None else sys.stderr
     parser = _build_parser()
     try:
-        with contextlib.redirect_stderr(stderr):
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             args = parser.parse_args(argv)
     except SystemExit as exc:
         return 3 if exc.code not in (0, None) else 0
     try:
         report = _HANDLERS[args.command](args)
+        text = render_report(report, args.json)
     except ResourceBoundExceeded as exc:
         stderr.write(f"dfan: inconclusive: {exc}\n")
         return 2
     except DfanError as exc:
         stderr.write(f"dfan: error: {exc}\n")
         return 3
-    stdout.write(render_report(report, args.json))
+    except Exception as exc:
+        # a bug, not a verdict: exit 1 must only ever mean a negative result
+        msg = str(exc).replace("\n", " ")
+        stderr.write(f"dfan: internal error: {type(exc).__name__}: {msg}\n")
+        return 3
+    stdout.write(text)
     verdict = report["verdict"]
     if args.expect:
         if verdict == args.expect:

@@ -17,7 +17,9 @@ then component index ascending.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
+from ._linalg import to_primitive_int
 from .errors import WeightError, ZeroInputError
 from .weyl import DtOp, WeylOp
 
@@ -195,14 +197,21 @@ class TermOrder:
     ``weights`` is a tuple of LinearForms compared first (shifted, most
     significant first); it is empty for the plain order.  The name
     ``deg-revlex-pot`` identifies the unweighted tail in config files.
+
+    Keys are flat tuples of ints: the shifted weights, each form scaled
+    to its primitive integer vector (a positive scale keeps the order),
+    then the total degree, the revlex part and the negated component.
+    Keys of one order and one ring all have the same length, so tuple
+    comparison is the order.
     """
 
     NAME = "deg-revlex-pot"
 
-    __slots__ = ("weights",)
+    __slots__ = ("weights", "_scaled")
 
     def __init__(self, weights=()):
         self.weights = tuple(weights)
+        self._scaled = tuple(to_primitive_int(L.coeffs) for L in self.weights)
 
     def refine(self, *forms: LinearForm) -> "TermOrder":
         return TermOrder(tuple(forms) + self.weights)
@@ -213,15 +222,18 @@ class TermOrder:
             a, b, l = key
         else:
             (a, b), l = key, 0
-        wpart = []
-        for L in self.weights:
-            w = L.weight(a, b)
+        out = []
+        for c in self._scaled:
+            w = sum(map(mul, c, b)) - sum(map(mul, c, a))
             if shifts is not None:
-                w += L.of(shifts[comp])
-            wpart.append(w)
-        deg = sum(a) + sum(b) + l
-        revlex = tuple(-e for e in (l,) + tuple(reversed(a)) + tuple(reversed(b)))
-        return (tuple(wpart), deg, revlex, -comp)
+                w += sum(map(mul, c, shifts[comp]))
+            out.append(w)
+        out.append(sum(a) + sum(b) + l)
+        out.append(-l)
+        out.extend(-e for e in reversed(a))
+        out.extend(-e for e in reversed(b))
+        out.append(-comp)
+        return tuple(out)
 
     def __eq__(self, other):
         return isinstance(other, TermOrder) and self.weights == other.weights

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from dfan import cli
 from dfan.cli import run
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
@@ -216,6 +217,24 @@ def test_usage_error_reaches_run_stderr(capsys):
     assert code == 3 and out == ""
     assert "unrecognized arguments: --bogus" in err
     assert capsys.readouterr().err == ""
+
+
+def test_help_reaches_run_stdout(capsys):
+    code, out, err = invoke(["gb", "--help"])
+    assert code == 0 and err == ""
+    assert out.startswith("usage: dfan gb")
+    assert capsys.readouterr().out == ""
+
+
+def test_internal_error_exit_three(monkeypatch):
+    def broken(args):
+        raise ValueError("bad\nstate")
+
+    monkeypatch.setitem(cli._HANDLERS, "gb", broken)
+    code, out, err = invoke(["gb", "--input", str(PROBLEMS / "euler.txt")])
+    assert code == 3 and out == ""
+    assert err == "dfan: internal error: ValueError: bad state\n"
+    assert "Traceback" not in err
 
 
 def test_monomial_chain_rejects_k_zero():

@@ -3,13 +3,25 @@
 The oracle is a textbook dense Gauss-Jordan kept in this file, so the
 kernel is checked against code it shares nothing with.  RREF, its pivot
 columns, the nullspace basis read off it and the particular solution with
-free variables at 0 are all unique, so the two must agree exactly."""
+free variables at 0 are all unique, so the two must agree exactly.  The
+phase-1 simplex is checked against the dense-update version it replaced:
+the pivot sequence is the same, so the two must return the same point."""
 
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from dfan._linalg import in_row_space, nullspace, reduce_against, rref, solve_affine
+from dfan import _linalg
+from dfan._linalg import (
+    _phase1_simplex,
+    cone_interior_point,
+    in_row_space,
+    nullspace,
+    reduce_against,
+    rref,
+    solve_affine,
+)
 
 ZERO = Fraction(0)
 
@@ -148,3 +160,98 @@ def test_reduce_against_matches_dense_oracle(m, data):
     assert dense(remainder, ncols) == w
     in_span = len(dense_rref(rows + [v], ncols)[1]) == len(ref_pivots)
     assert in_row_space(red, pivots, sparse(v)) is in_span
+
+
+def dense_phase1_simplex(a, b):
+    """Reference phase-1 simplex with dense row updates (Bland's rule)."""
+    m = len(a)
+    if m == 0:
+        return []
+    n = len(a[0])
+    t = [list(map(Fraction, a[i])) + [ZERO] * m + [Fraction(b[i])] for i in range(m)]
+    for i in range(m):
+        t[i][n + i] = Fraction(1)
+    basis = list(range(n, n + m))
+    obj = [ZERO] * (n + m + 1)
+    for i in range(m):
+        obj = [o - x for o, x in zip(obj, t[i])]
+    for i in range(m):
+        obj[n + i] += 1
+    while True:
+        enter = next((j for j in range(n + m) if obj[j] < 0), None)
+        if enter is None:
+            break
+        ratios = [
+            (t[i][n + m] / t[i][enter], basis[i], i)
+            for i in range(m)
+            if t[i][enter] > 0
+        ]
+        if not ratios:
+            return None
+        _, _, leave = min(ratios, key=lambda z: (z[0], z[1]))
+        pv = t[leave][enter]
+        t[leave] = [x / pv for x in t[leave]]
+        for i in range(m):
+            if i != leave and t[i][enter]:
+                f = t[i][enter]
+                t[i] = [x - f * y for x, y in zip(t[i], t[leave])]
+        if obj[enter]:
+            f = obj[enter]
+            obj = [x - f * y for x, y in zip(obj, t[leave])]
+        basis[leave] = enter
+    if obj[n + m] != 0:
+        return None
+    x = [ZERO] * n
+    for i, bv in enumerate(basis):
+        if bv < n:
+            x[bv] = t[i][n + m]
+    return x
+
+
+@st.composite
+def feasibility_problems(draw):
+    """A x = b with b >= 0; half the time b = A x0 for some x0 >= 0."""
+    nrows, ncols = draw(st.integers(0, 4)), draw(st.integers(1, 5))
+    density = draw(DENSITIES)
+    a = [draw(vectors(ncols, density)) for _ in range(nrows)]
+    if draw(st.booleans()):
+        x0 = [abs(x) for x in draw(vectors(ncols, 60))]
+        b = times(a, x0)
+    else:
+        b = draw(vectors(nrows, density))
+    for row, bi in zip(a, b):
+        if bi < 0:
+            row[:] = [-x for x in row]
+    return a, [abs(bi) for bi in b]
+
+
+@settings(max_examples=300, deadline=None)
+@given(feasibility_problems())
+def test_phase1_simplex_matches_dense_updates(problem):
+    a, b = problem
+    x = _phase1_simplex(a, b)
+    assert x == dense_phase1_simplex(a, b)
+    if x is not None:
+        assert all(xi >= 0 for xi in x)
+        assert times(a, x) == b
+
+
+@st.composite
+def cones(draw):
+    """Integer eqs and stricts in Q^k, k = 1-3, as the fan cells give."""
+    k = draw(st.integers(1, 3))
+    vec = st.lists(st.integers(-3, 3), min_size=k, max_size=k)
+    return k, draw(st.lists(vec, max_size=2)), draw(st.lists(vec, max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cones())
+def test_cone_interior_point_matches_dense_updates(case):
+    k, eqs, stricts = case
+    point = cone_interior_point(eqs, stricts, k)
+    with mock.patch.object(_linalg, "_phase1_simplex", dense_phase1_simplex):
+        assert cone_interior_point(eqs, stricts, k) == point
+    if point is not None:
+        assert len(point) == k
+        assert all(sum(c * x for c, x in zip(v, point)) == 0 for v in eqs)
+        assert all(sum(c * x for c, x in zip(w, point)) >= 1 for w in stricts)

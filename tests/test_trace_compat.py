@@ -2,7 +2,8 @@
 products and the layer functions from outside the program.  Every
 command must print the same report and exit with the same code under it:
 a call such as ``scalar * vector`` that reaches ``WeylOp.__mul__`` and
-returns ``NotImplemented`` breaks the tracer's counters."""
+returns ``NotImplemented`` breaks the tracer's counters.  Order keys must
+be built by ``TermOrder.key``, the method the tracer counts."""
 
 import importlib.util
 import io
@@ -22,6 +23,7 @@ COMMANDS = [
     ["cones", "--cone", "[[1,0],[1,2]]"],
     ["normalize-syzygy", "--input", str(PROBLEMS / "syzygy1.txt")],
     ["flat-cert", "--input", str(PROBLEMS / "euler.txt"), "--degree-bound", "2"],
+    ["fan", "--input", str(PROBLEMS / "threecone.txt")],
 ]
 
 
@@ -51,3 +53,6 @@ def test_traced_run_matches_plain_run(argv):
         tracer.uninstall()
     assert traced == plain
     assert any(span[3] == "cli.run" for span in tracer.spans)
+    if argv[0] in ("gb", "fan"):
+        # every order key is built by TermOrder.key, where the tracer counts it
+        assert tracer.hot["weights.key"][0] > 0

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dfan.errors import WeightError, ZeroInputError
 from dfan.grammar import parse_dt_vec, parse_op, parse_vec
@@ -176,3 +177,67 @@ def test_order_compatible_with_addition(rng):
 
         if order.key(u, 0, None) < order.key(v, 0, None):
             assert order.key(add(u, w), 0, None) < order.key(add(v, w), 0, None)
+
+
+def reference_key(order, key, comp=0, shifts=None):
+    """The nested Fraction key that the flat integer key replaced."""
+    if len(key) == 3:
+        a, b, l = key
+    else:
+        (a, b), l = key, 0
+    wpart = []
+    for L in order.weights:
+        w = L.weight(a, b)
+        if shifts is not None:
+            w += L.of(shifts[comp])
+        wpart.append(w)
+    deg = sum(a) + sum(b) + l
+    revlex = tuple(-e for e in (l,) + tuple(reversed(a)) + tuple(reversed(b)))
+    return (tuple(wpart), deg, revlex, -comp)
+
+
+@st.composite
+def keyed_orders(draw):
+    """An order of 0-2 forms with non-primitive rational coefficients
+    (the zero form included), shifts, and two exponents to compare."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, n))
+    r = draw(st.integers(1, 3))
+    coef = st.fractions(min_value=0, max_value=3, max_denominator=4)
+    forms = draw(st.lists(st.lists(coef, min_size=k, max_size=k), max_size=2))
+    order = TermOrder([LinearForm(c) for c in forms])
+    shifts = draw(
+        st.one_of(
+            st.none(),
+            st.lists(
+                st.lists(st.integers(-3, 3), min_size=k, max_size=k),
+                min_size=r,
+                max_size=r,
+            ),
+        )
+    )
+    exps = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple)
+    u = draw(st.tuples(exps, exps, st.integers(0, 2)))
+    # half the time v permutes the entries of u: same degree, so the
+    # revlex part decides unless the weights do
+    if draw(st.booleans()):
+        flat = draw(st.permutations(u[0] + u[1] + (u[2],)))
+        v = (tuple(flat[:n]), tuple(flat[n : 2 * n]), flat[2 * n])
+    else:
+        v = draw(st.tuples(exps, exps, st.integers(0, 2)))
+    comp = st.integers(0, r - 1)
+    return order, shifts, (u, draw(comp)), (v, draw(comp))
+
+
+@settings(max_examples=300, deadline=None)
+@given(keyed_orders())
+def test_flat_integer_key_matches_reference_order(case):
+    order, shifts, (u, i), (v, j) = case
+    ku, kv = order.key(u, i, shifts), order.key(v, j, shifts)
+    ru, rv = reference_key(order, u, i, shifts), reference_key(order, v, j, shifts)
+    assert all(type(x) is int for x in ku + kv)
+    assert len(ku) == len(kv)
+    assert (ku < kv) == (ru < rv)
+    assert (ku == kv) == (ru == rv)
+    # a key without l is the key of l = 0
+    assert order.key(u[:2], i, shifts) == order.key(u[:2] + (0,), i, shifts)
