@@ -1,10 +1,12 @@
-"""Sparse exact linear algebra over Fraction: rref, solve, nullspace, and a
-small phase-1 simplex used to find relative-interior points of rational
-cones.  Everything is deterministic (Bland's rule, fixed tie-breaks).
+"""Sparse exact linear algebra over Fraction: rref, solve, nullspace, the
+subspace of a row space that vanishes on given columns, and a small
+phase-1 simplex used to find relative-interior points of rational cones.
+Everything is deterministic (Bland's rule, fixed tie-breaks).
 
 A row or vector is a dict from column index to a nonzero Fraction; absent
 columns are zero.  Every solver runs on the one elimination kernel,
-``rref``, whose output is the unique reduced row echelon form."""
+``rref``, whose output is the unique reduced row echelon form; a solver
+that needs a different pivot preference renumbers the columns first."""
 
 from __future__ import annotations
 
@@ -66,6 +68,28 @@ def rref(rows):
         basis[pc] = w
     pivots = sorted(basis)
     return [basis[pc] for pc in pivots], pivots
+
+
+def vanishing_rows(rows, bad_cols):
+    """Basis of the part of the row space of ``rows`` that vanishes on
+    every column in ``bad_cols``, as rows over the original columns.
+
+    One elimination with the bad columns ordered first.  An RREF row whose
+    pivot is a good column is zero left of its pivot, hence on every bad
+    column.  In an RREF, a combination's entry at a row's pivot is that
+    row's coefficient, so a combination that uses a row with a bad pivot
+    is nonzero there.  The good-pivot rows are therefore the basis."""
+    bad = set(bad_cols)
+    used = {c for row in rows for c in row}
+    first = sorted(used & bad)
+    order = first + sorted(used - bad)
+    pos = {c: i for i, c in enumerate(order)}
+    red, pivots = rref([{pos[c]: x for c, x in row.items()} for row in rows])
+    return [
+        {order[c]: x for c, x in row.items()}
+        for row, pc in zip(red, pivots)
+        if pc >= len(first)
+    ]
 
 
 def solve_affine(a_rows, b, ncols):

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._linalg import add_multiple, in_row_space, nullspace, rref
+from ._linalg import in_row_space, rref, vanishing_rows
 from .basis import StandardBasis
 from .errors import (
     CertificateError,
@@ -760,6 +760,15 @@ def intersection_oracle(
     algebra over the generators; independent of every standard-basis
     route.
 
+    The module is spanned by the products x^a d^b g, one sparse row each.
+    A term is bad for the left-hand side when it is over the bound or in
+    no region, and bad for region j when it is over the bound or outside
+    region j.  One elimination of the product rows (``vanishing_rows``)
+    gives the left-hand side.  A term bad for the left-hand side is bad
+    for every region, so each right-hand piece is cut from the small
+    left-hand result.  Both sides end in RREF over the original columns,
+    which is unique, so the elements do not depend on the route.
+
     Both verdicts are relative to the recorded truncation (``bound`` on
     element degree, ``slack`` of extra multiplier room when spanning the
     module): enlarge the slack to push a suspicious counterexample.
@@ -788,7 +797,6 @@ def intersection_oracle(
         {key_index[key + (i,)]: c for key, i, c in col.iter_terms()}
         for col in columns
     ]
-    n_basis, n_pivots = rref(rows)
 
     def admissible(key, j):
         delta = multi_weight(key, key[2], ring.shifts, ring.k)
@@ -811,29 +819,10 @@ def intersection_oracle(
         ]
         for j in range(p)
     ]
-
-    def constrained_subspace(basis_rows, bad_cols):
-        if not basis_rows:
-            return []
-        # combinations of the basis rows that vanish on the bad columns
-        mat = {c: {} for c in bad_cols}
-        for r, row in enumerate(basis_rows):
-            for c, val in row.items():
-                if c in mat:
-                    mat[c][r] = val
-        out = []
-        for combo in nullspace(list(mat.values()), len(basis_rows)):
-            vec = {}
-            for r, c in combo.items():
-                add_multiple(vec, c, basis_rows[r])
-            out.append(vec)
-        red, piv = rref(out)
-        return red
-
-    lhs = constrained_subspace(n_basis, bad_any)
+    lhs = vanishing_rows(rows, bad_any)
     rhs_rows = []
     for j in range(p):
-        rhs_rows.extend(constrained_subspace(n_basis, bad_per_j[j]))
+        rhs_rows.extend(vanishing_rows(lhs, bad_per_j[j]))
     rhs, rhs_piv = rref(rhs_rows)
     lhs_red, lhs_piv = rref(lhs)
 

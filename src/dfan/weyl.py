@@ -22,7 +22,12 @@ from fractions import Fraction
 from itertools import product
 from math import comb, perm
 
-from .errors import HomogeneityError, RingMismatchError, ZeroInputError
+from .errors import (
+    HomogeneityError,
+    ResourceBoundExceeded,
+    RingMismatchError,
+    ZeroInputError,
+)
 
 
 class RingDescriptor:
@@ -333,10 +338,22 @@ class DtVec(_VecBase):
         return degs.pop()
 
 
+# Most multiplier tuples one monomial_multiples call may walk.
+MAX_MULTIPLIERS = 20_000
+
+
 def monomial_multiples(g: WeylVec, room: int):
     """Yield the nonzero x^a d^b g with |a| + |b| <= room, the exponents
-    (a, b) taken in ``itertools.product`` order."""
+    (a, b) taken in ``itertools.product`` order.  Raises
+    ResourceBoundExceeded before the first product when there are more
+    than MAX_MULTIPLIERS exponent tuples."""
     n = g.ring.n
+    count = comb(room + 2 * n, 2 * n) if room >= 0 else 0
+    if count > MAX_MULTIPLIERS:
+        raise ResourceBoundExceeded(
+            f"{count} multipliers x^a d^b with |a| + |b| <= {room} "
+            f"exceed the cap of {MAX_MULTIPLIERS}"
+        )
     for exps in product(range(room + 1), repeat=2 * n):
         if sum(exps) > room:
             continue

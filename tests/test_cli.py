@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -157,6 +161,29 @@ def test_fan_resource_bound_exit_two(tmp_path):
     code, _, err = invoke(["fan", "--input", str(problem)])
     assert code == 2
     assert "inconclusive" in err
+
+
+def test_multiplier_cap_exit_two():
+    # the oracle would walk 58,905 multipliers of the euler generator
+    start = time.perf_counter()
+    code, out, err = invoke(
+        ["flat-cert", "--input", str(PROBLEMS / "euler.txt"),
+         "--degree-bound", "30"]
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("dfan: inconclusive:") and err.count("\n") == 1
+
+
+def test_python_dash_m_dfan():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "dfan", "gb", "--help"],
+        capture_output=True, text=True, env=env, cwd=root, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: dfan gb")
 
 
 def test_parse_error_exit_three(tmp_path):

@@ -5,7 +5,9 @@ kernel is checked against code it shares nothing with.  RREF, its pivot
 columns, the nullspace basis read off it and the particular solution with
 free variables at 0 are all unique, so the two must agree exactly.  The
 phase-1 simplex is checked against the dense-update version it replaced:
-the pivot sequence is the same, so the two must return the same point."""
+the pivot sequence is the same, so the two must return the same point.
+``vanishing_rows`` is checked against the nullspace route the intersection
+oracle used before it: both span one space, so their RREFs agree."""
 
 from fractions import Fraction
 from unittest import mock
@@ -15,12 +17,14 @@ from hypothesis import given, settings, strategies as st
 from dfan import _linalg
 from dfan._linalg import (
     _phase1_simplex,
+    add_multiple,
     cone_interior_point,
     in_row_space,
     nullspace,
     reduce_against,
     rref,
     solve_affine,
+    vanishing_rows,
 )
 
 ZERO = Fraction(0)
@@ -114,6 +118,58 @@ def test_rref_and_nullspace_match_dense_oracle(m):
             expected[pc] = -r[fc]
         assert dense(v, ncols) == expected
         assert not any(times(rows, dense(v, ncols)))
+
+
+def nullspace_vanishing_rows(rows, bad_cols):
+    """Reference: rref, then the nullspace of the bad-column restriction of
+    the basis rows, recombined and reduced again."""
+    basis_rows, _ = rref(rows)
+    if not basis_rows:
+        return []
+    mat = {c: {} for c in bad_cols}
+    for r, row in enumerate(basis_rows):
+        for c, val in row.items():
+            if c in mat:
+                mat[c][r] = val
+    out = []
+    for combo in nullspace(list(mat.values()), len(basis_rows)):
+        vec = {}
+        for r, c in combo.items():
+            add_multiple(vec, c, basis_rows[r])
+        out.append(vec)
+    return rref(out)[0]
+
+
+@st.composite
+def vanishing_cases(draw):
+    """0-8 sparse rows over 1-10 columns and a nested pair of bad-column
+    sets A <= B; B is often empty or every column."""
+    nrows, ncols = draw(st.integers(0, 8)), draw(st.integers(1, 10))
+    density = draw(st.integers(0, 100))
+    rows = [sparse(draw(vectors(ncols, density))) for _ in range(nrows)]
+    cols = range(ncols)
+    big = draw(
+        st.one_of(
+            st.just(set()), st.just(set(cols)), st.sets(st.sampled_from(cols))
+        )
+    )
+    small = draw(st.sets(st.sampled_from(sorted(big)))) if big else set()
+    return rows, sorted(small), sorted(big)
+
+
+@settings(max_examples=300, deadline=None)
+@given(vanishing_cases())
+def test_vanishing_rows_matches_nullspace_route(case):
+    rows, small, big = case
+    for bad in (small, big):
+        got = vanishing_rows(rows, bad)
+        check_sparse(got)
+        assert rref(got) == rref(nullspace_vanishing_rows(rows, bad))
+        assert not any(c in row for row in got for c in bad)
+    # the intersection oracle cuts each right-hand piece from the left-hand
+    # result: for A <= B, vanishing on A and then on B is vanishing on B
+    nested = vanishing_rows(vanishing_rows(rows, small), big)
+    assert rref(nested) == rref(vanishing_rows(rows, big))
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dfan.errors import RingMismatchError, ZeroInputError
+from dfan import weyl
+from dfan.errors import ResourceBoundExceeded, RingMismatchError, ZeroInputError
 from dfan.grammar import parse_dt_op, parse_dt_vec, parse_op, parse_vec
 from dfan.weyl import (
     DtOp,
@@ -14,6 +16,7 @@ from dfan.weyl import (
     dehomogenize,
     homogenize,
     homogenize_vec,
+    monomial_multiples,
     require_f_homogeneous,
 )
 from conftest import apply_op, monomials_up_to, random_dt_op, random_nonzero_op
@@ -208,3 +211,44 @@ def test_accumulate_matches_reference_sum(start, pairs):
         if before == 0 and running[key] != 0:
             expected.append(key)
     assert fresh == expected
+
+
+def uncapped_monomial_multiples(g, room):
+    """Reference: monomial_multiples as it was before its size check."""
+    n = g.ring.n
+    for exps in product(range(room + 1), repeat=2 * n):
+        if sum(exps) > room:
+            continue
+        prod = g.left_mul(WeylOp(g.ring, {(exps[:n], exps[n:]): Fraction(1)}))
+        if not prod.is_zero():
+            yield prod
+
+
+@pytest.mark.parametrize(
+    "text, ring",
+    [
+        ("x1 d1 + x2 d2", R2),
+        ("d1^2 e1 + x2 d1 e2", RingDescriptor(2, 2, 2)),
+        ("x1 d3 + 2 x2", R3),
+    ],
+)
+def test_monomial_multiples_keeps_order(text, ring):
+    g = parse_vec(text, ring)
+    for room in range(-1, 5):
+        got = list(monomial_multiples(g, room))
+        assert got == list(uncapped_monomial_multiples(g, room))
+
+
+def test_monomial_multiples_cap_raises_before_first_product():
+    g = parse_vec("x1 d1 + x2 d2", R2)
+    with pytest.raises(ResourceBoundExceeded, match="4598126 multipliers"):
+        next(monomial_multiples(g, 100))
+
+
+def test_monomial_multiples_cap_is_inclusive(monkeypatch):
+    # n = 1: (room + 1)(room + 2)/2 tuples, so 10 at room 3 and 15 at room 4
+    g = parse_vec("x1 d1", R1)
+    monkeypatch.setattr(weyl, "MAX_MULTIPLIERS", 10)
+    assert len(list(monomial_multiples(g, 3))) == 10
+    with pytest.raises(ResourceBoundExceeded, match="exceed the cap of 10"):
+        next(monomial_multiples(g, 4))
