@@ -13,6 +13,7 @@ reported, never silently truncated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import (
@@ -109,12 +110,17 @@ def _exp_quotient(key, exp):
 
 
 class _KeyCache:
-    __slots__ = ("order", "shifts", "cache")
+    """Memoised order keys of flat exponents.  A tracing cache also
+    records the order decisions taken through ``leader`` and ``ranked``,
+    from which ``cone`` derives where they come out the same."""
 
-    def __init__(self, order: TermOrder, shifts):
+    __slots__ = ("order", "shifts", "cache", "trace")
+
+    def __init__(self, order: TermOrder, shifts, trace: bool = False):
         self.order = order
         self.shifts = shifts
         self.cache = {}
+        self.trace = [] if trace else None
 
     def __call__(self, key4):
         k = self.cache.get(key4)
@@ -123,6 +129,53 @@ class _KeyCache:
             k = self.order.key((a, b, l), i, self.shifts)
             self.cache[key4] = k
         return k
+
+    def leader(self, flat):
+        """The exponent of ``flat`` with the largest key."""
+        top = max(flat, key=self)
+        self.ranked(flat, (top,))
+        return top
+
+    def ranked(self, keys, marked=None):
+        """Note that the order between each exponent in ``marked``
+        (default: all of ``keys``) and each of ``keys`` was relied on."""
+        if self.trace is not None:
+            self.trace.append((tuple(keys), None if marked is None else set(marked)))
+
+    def cone(self):
+        """The refining weights L at which every traced decision comes out
+        the same, as integer forms (weak, strict): L.w >= 0 for w in weak,
+        L.w > 0 for w in strict.  The order must be a base order refined
+        by one weight, so a key is L applied to beta - alpha plus the
+        component's shift, then the base order's key."""
+        k = self.order.weights[0].k
+        shifts = self.shifts
+        vecs = {}
+        weak, strict = set(), set()
+
+        def above(hi, lo):
+            for e in (hi, lo):
+                if e not in vecs:
+                    a, b, _, i = e
+                    vecs[e] = [b[j] - a[j] + shifts[i][j] for j in range(k)]
+            w = tuple(x - y for x, y in zip(vecs[hi], vecs[lo]))
+            if any(w):
+                (weak if self(hi)[1:] > self(lo)[1:] else strict).add(w)
+
+        # chain the marked exponents in key order and tie every other one
+        # to its nearest marked neighbours; transitivity does the rest
+        for keys, marked in self.trace:
+            below, loose = None, []
+            for e in sorted(set(keys), key=self):
+                if below is not None:
+                    above(e, below)
+                if marked is None or e in marked:
+                    for u in loose:
+                        above(e, u)
+                    below, loose = e, []
+                else:
+                    loose.append(e)
+        return tuple(sorted(weak - strict)), tuple(sorted(strict))
 
 
 def _divide_flat(
@@ -147,9 +200,16 @@ def _divide_flat(
     tail = dict(g)
     heap = [(tuple(-x for x in keyf(key)), key) for key in tail]
     heapq.heapify(heap)
+    # every term that enters the tail competes for the top, but only the
+    # reduced ones change the tail: the run repeats wherever each reduced
+    # term keeps its place among the others (divisibility is order-free)
+    entered = list(tail) if keyf.trace is not None else None
+    reduced = []
 
     def push(key):
         heapq.heappush(heap, (tuple(-x for x in keyf(key)), key))
+        if entered is not None:
+            entered.append(key)
 
     if caps.degree_cap is not None:
         cap = caps.degree_cap
@@ -188,12 +248,16 @@ def _divide_flat(
             if _divides(exp, tau):
                 mu = _exp_quotient(tau, exp)
                 cq = coef / lcs[m]
+                if entered is not None:
+                    reduced.append(tau)
                 accumulate(quots[m], ((mu, cq),))
                 _term_times_flat(mu, -cq, basis_flats[m], emit_t, tail, push)
                 break
         else:
             rem[tau] = coef
             del tail[tau]
+    if reduced:
+        keyf.ranked(entered, reduced)
     return quots, rem
 
 
@@ -240,11 +304,26 @@ class StandardBasis:
         self._keyf = _KeyCache(order, ring.shifts)
         self._exps = [max(f, key=self._keyf) for f in self._flats]
         self._lcs = [f[e] for f, e in zip(self._flats, self._exps)]
+        # the order decisions of the completion that made this basis, if
+        # any: see order_cone
+        self._trace = None
 
     @property
     def exponents(self):
         """Privileged exponents (alpha, beta, l, i), one per element."""
         return tuple(self._exps)
+
+    @cached_property
+    def order_cone(self):
+        """For a basis from ``reduce_basis``: the refining weights L at
+        which its completion takes every order decision the same way, so
+        a completion at L repeats it step for step and returns these
+        elements, as (weak, strict) integer forms (see ``_KeyCache.cone``).
+        None for any other basis."""
+        if self._trace is None:
+            return None
+        cone, self._trace = self._trace.cone(), None
+        return cone
 
     def __eq__(self, other):
         return (
@@ -378,25 +457,28 @@ def _spair(fi, fj, ei, ej, emit_t):
 
 
 def _monic(flat, keyf):
-    lc = flat[max(flat, key=keyf)]
+    """(flat made monic, its privileged exponent)."""
+    top = keyf.leader(flat)
+    lc = flat[top]
     if lc == 1:
-        return flat
-    return {k: v / lc for k, v in flat.items()}
+        return flat, top
+    return {k: v / lc for k, v in flat.items()}, top
 
 
 def _buchberger(flats, keyf, emit_t, caps):
     import heapq
 
-    basis = [_monic(dict(f), keyf) for f in flats if f]
-    exps = [max(f, key=keyf) for f in basis]
+    monic = [_monic(dict(f), keyf) for f in flats if f]
+    basis = [f for f, _ in monic]
+    exps = [e for _, e in monic]
     heap = []
     pending = set()
+    lcms = []
 
     def add_pair(i, j):
         pending.add((i, j))
-        heapq.heappush(
-            heap, (keyf(_lcm_exp(exps[i], exps[j])), (i, j))
-        )
+        lcms.append(_lcm_exp(exps[i], exps[j]))
+        heapq.heappush(heap, (keyf(lcms[-1]), (i, j)))
 
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
@@ -432,13 +514,14 @@ def _buchberger(flats, keyf, emit_t, caps):
             s, basis, exps, [Fraction(1)] * len(basis), keyf, emit_t, caps
         )
         if rem:
-            rem = _monic(rem, keyf)
+            rem, top = _monic(rem, keyf)
             new = len(basis)
             basis.append(rem)
-            exps.append(max(rem, key=keyf))
+            exps.append(top)
             for m in range(new):
                 if exps[m][3] == exps[new][3]:
                     add_pair(m, new)
+    keyf.ranked(lcms)
     return _autoreduce(basis, exps, keyf, emit_t, caps)
 
 
@@ -454,6 +537,7 @@ def _lcm_exp(ei, ej):
 def _autoreduce(basis, exps, keyf, emit_t, caps):
     # minimalize: with weight-refined orders divisibility is not monotone
     # in the order, so test all pairs (dedupe equal exponents first)
+    keyf.ranked(exps)
     order_idx = sorted(range(len(basis)), key=lambda m: (keyf(exps[m]), m))
     dedup: list[int] = []
     seen = set()
@@ -499,10 +583,10 @@ def _autoreduce(basis, exps, keyf, emit_t, caps):
                 mini[idx] = None
                 changed = True
                 continue
-            rem = _monic(rem, keyf)
+            rem, top = _monic(rem, keyf)
             if rem != mini[idx]:
                 mini[idx] = rem
-                mexp[idx] = max(rem, key=keyf)
+                mexp[idx] = top
                 changed = True
         if not changed:
             break
@@ -535,13 +619,45 @@ def reduce_basis(
         raise ZeroInputError("generators must be nonzero")
     ring = gens[0].ring
     order = (base_order or TermOrder()).refine(sample)
-    keyf = _KeyCache(order, ring.shifts)
+    keyf = _KeyCache(order, ring.shifts, trace=True)
     flats = [_flatten(homogenize_vec(g)) for g in gens]
     done = _buchberger(flats, keyf, True, caps)
     elements = [_unflatten(f, ring, True) for f in done]
-    return StandardBasis(
+    out = StandardBasis(
         ring, elements, order, (sample,) + tuple(extra_forms), caps
     )
+    out._trace = keyf
+    return out
+
+
+def recheck_basis(
+    basis: StandardBasis,
+    sample: LinearForm,
+    base_order: TermOrder | None = None,
+    caps: Caps = DEFAULT_CAPS,
+) -> StandardBasis | None:
+    """``basis`` as a standard basis for the order refined by ``sample``,
+    built as ``reduce_basis`` builds it, or None when that is not
+    certified.  Certified means the privileged exponents stay put, so the
+    elements stay monic and reduced, and every same-component S-pair
+    divides to zero under the new order (Buchberger's criterion).  A cap
+    tripped on the way gives None."""
+    order = (base_order or TermOrder()).refine(sample)
+    out = StandardBasis(basis.ring, basis.elements, order, (sample,), caps)
+    if out.exponents != basis.exponents:
+        return None
+    f, e = out._flats, out._exps
+    try:
+        for j in range(len(f)):
+            for i in range(j):
+                if e[i][3] != e[j][3]:
+                    continue
+                s = _spair(f[i], f[j], e[i], e[j], True)
+                if s and _divide_flat(s, f, e, out._lcs, out._keyf, True, caps)[1]:
+                    return None
+    except ResourceBoundExceeded:
+        return None
+    return out
 
 
 def plain_module_basis(generators, base_order: TermOrder | None = None, caps: Caps = DEFAULT_CAPS):

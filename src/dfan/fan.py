@@ -6,22 +6,42 @@ Construction: collect wall normals (pairwise differences of shifted weight
 vectors inside each basis element) adaptively.  The cells of the resulting
 central hyperplane arrangement inside the quadrant are split from the
 quadrant's faces by the signs of the normals on integer cone generators,
-with no LP, and carried from one saturation round to the next; the LP runs
-once per cell for its canonical exact rational sample.  Then merge cells
-that carry identical basis-and-stratum data along the convex constancy
-region of one defining cell.  Every merge is re-verified by recomputation
-at each member cell's sample; a failed merge falls back to emitting the
-member cells individually."""
+with no LP, and carried from one saturation round to the next.
+
+One Buchberger completion serves a whole region.  A completion at a
+sample records every order decision it takes; the cone of weights at
+which each decision comes out the same (``StandardBasis.order_cone``),
+cut down to the constancy region on which every basis element keeps its
+top-weight stratum, is the completion's region.  A completion anywhere in
+it would repeat the stored one step for step, so a cell whose integer
+generators show it inside a stored region takes the stored data with no
+LP and no completion.  Every other cell gets the LP's canonical exact
+rational sample, and a completion of its own unless that sample lies in a
+stored region and ``recheck_basis`` confirms the stored basis there by
+Buchberger's criterion.
+
+Then merge cells that carry identical basis-and-stratum data along the
+convex constancy region of one defining cell; the merge check compares
+the data found above, not recomputed completions.  Each cone's reported
+sample is the LP sample of its representative cell, and its basis is the
+one a completion there returns: a fresh completion, or a stored basis
+confirmed at exactly that sample.  A failed merge falls back to emitting
+the member cells individually."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import gcd
 
 from ._linalg import cone_interior_point, to_primitive_int
-from .basis import Caps, DEFAULT_CAPS, StandardBasis, reduce_basis
+from .basis import (
+    Caps,
+    DEFAULT_CAPS,
+    StandardBasis,
+    recheck_basis,
+    reduce_basis,
+)
 from .errors import ResourceBoundExceeded, WeightError
 from .filtration import multi_weight
 from .weights import LinearForm, TermOrder
@@ -43,7 +63,7 @@ def _canon(v):
 
 
 def _dot(L, v):
-    return sum(Fraction(a) * b for a, b in zip(L, v))
+    return sum(a * b for a, b in zip(L, v))
 
 
 def _sign(x):
@@ -59,8 +79,11 @@ def _weight_vectors(element, shifts, k):
     return out
 
 
-def _basis_data(generators, sample: LinearForm, base_order, caps):
-    basis = reduce_basis(generators, sample, base_order=base_order, caps=caps)
+def _basis_data(basis: StandardBasis, sample: LinearForm):
+    """(basis, strata, eqs, stricts, normals) at ``sample``: each element's
+    top-weight stratum there, the constancy region on which every stratum
+    stays on top (the equalities and strict forms), and the wall normals
+    met on the way."""
     ring = basis.ring
     k = ring.k
     strata = []
@@ -107,10 +130,8 @@ class FanCone:
     strata: tuple
 
     def contains(self, L: LinearForm) -> bool:
-        if any(c < 0 for c in L.coeffs):
-            return False
-        return all(_dot(L.coeffs, v) == 0 for v in self.equalities) and all(
-            _dot(L.coeffs, v) > 0 for v in self.stricts
+        return all(c >= 0 for c in L.coeffs) and _inside(
+            [L.coeffs], self.equalities, self.stricts
         )
 
 
@@ -134,8 +155,7 @@ class Fan:
                 j
                 for j, other in enumerate(self.cones)
                 if other is not cone
-                and all(_dot(cone.sample, v) == 0 for v in other.equalities)
-                and all(_dot(cone.sample, v) >= 0 for v in other.stricts)
+                and _inside([cone.sample], other.equalities, (), other.stricts)
             )
             out.append(hosts)
         return tuple(out)
@@ -181,7 +201,7 @@ def _split(cell, v):
     signs, gens = cell
     sides = {-1: [], 0: [], 1: []}
     for g in gens:
-        d = sum(a * b for a, b in zip(v, g))
+        d = _dot(v, g)
         sides[_sign(d)].append((d, g))
     if not (sides[1] and sides[-1]):
         s = 1 if sides[1] else (-1 if sides[-1] else 0)
@@ -208,18 +228,92 @@ def _split_cells(cells, normals, max_cells):
     return cells
 
 
-def _cell_samples(cells, sorted_normals, k):
-    """The cells as (pattern, eqs, signed_stricts, sample), sorted by sign
-    pattern over ``sorted_normals``; the sample is the LP's interior point
-    of the cell's constraints taken in sorted-normal order."""
-    out = []
-    for pattern in sorted(tuple(sg[v] for v in sorted_normals) for sg, _ in cells):
-        eqs = tuple(v for v, s in zip(sorted_normals, pattern) if s == 0)
-        sts = tuple(
-            tuple(s * c for c in v) for v, s in zip(sorted_normals, pattern) if s
-        )
-        out.append((pattern, eqs, sts, tuple(cone_interior_point(eqs, sts, k))))
-    return out
+def _constraints(pattern, sorted_normals):
+    """A cell's sign pattern over ``sorted_normals`` as (eqs, signed
+    stricts), in sorted-normal order."""
+    eqs = tuple(v for v, s in zip(sorted_normals, pattern) if s == 0)
+    sts = tuple(
+        tuple(s * c for c in v) for v, s in zip(sorted_normals, pattern) if s
+    )
+    return eqs, sts
+
+
+def _inside(gens, eqs, stricts, weak=()):
+    """Whether the strictly positive combinations of the integer vectors
+    ``gens`` (a cell, or one point) all lie in the cone {L : L.v = 0 for
+    v in eqs, L.w > 0 for w in stricts, L.u >= 0 for u in weak}: every
+    generator meets the equalities, no generator is negative on a strict
+    or weak form, and each strict form is positive on the generators'
+    sum."""
+    if any(_dot(v, g) for v in eqs for g in gens):
+        return False
+    if any(_dot(u, g) < 0 for u in weak for g in gens):
+        return False
+    total = [sum(c) for c in zip(*gens)]
+    return all(
+        all(_dot(w, g) >= 0 for g in gens) and _dot(w, total) > 0
+        for w in stricts
+    )
+
+
+class _Regions:
+    """The data (basis, strata, eqs, stricts, normals) of the cells and
+    samples one ``standard_fan`` call looks at, and the region of every
+    fresh completion made for them (see the module docstring)."""
+
+    def __init__(self, generators, base_order, caps):
+        self.generators = generators
+        self.base_order = base_order
+        self.caps = caps
+        self.stored = []  # (data, region) of every fresh completion
+        self._cells = {}
+        self._samples = {}
+        self._lp = {}
+
+    def _find(self, gens):
+        for data, region in self.stored:
+            if _inside(gens, *region):
+                return data
+        return None
+
+    def sample(self, cons):
+        """The LP's interior point of a cell's constraints (eqs, stricts)."""
+        if cons not in self._lp:
+            k = self.generators[0].ring.k
+            self._lp[cons] = tuple(cone_interior_point(*cons, k))
+        return self._lp[cons]
+
+    def at_sample(self, sample):
+        """The data at ``sample``, the basis exactly the one a completion
+        there returns (same order and context)."""
+        if sample not in self._samples:
+            L = LinearForm(sample)
+            data = self._find([to_primitive_int(sample)])
+            basis = None
+            if data is not None:
+                basis = recheck_basis(data[0], L, self.base_order, self.caps)
+            if basis is not None:
+                data = (basis,) + data[1:]
+            else:
+                basis = reduce_basis(
+                    self.generators, L, base_order=self.base_order, caps=self.caps
+                )
+                data = _basis_data(basis, L)
+                weak, strict = basis.order_cone
+                self.stored.append((data, (data[2], data[3] + strict, weak)))
+            self._samples[sample] = data
+        return self._samples[sample]
+
+    def of_cell(self, gens, cons):
+        """The data of the cell spanned by ``gens``: a stored region's when
+        it holds the whole cell, else the data at the LP sample of the
+        cell's constraints ``cons``."""
+        if gens not in self._cells:
+            data = self._find(gens)
+            if data is None:
+                return self.at_sample(self.sample(cons))
+            self._cells[gens] = data
+        return self._cells[gens]
 
 
 def standard_fan(
@@ -246,15 +340,7 @@ def standard_fan(
     normals = set(coord)
     split_by = set(coord)
     parts = _capped(_quadrant_faces(coord), max_cells)
-    data_cache: dict = {}
-
-    def data_at(sample):
-        key = tuple(sample)
-        if key not in data_cache:
-            data_cache[key] = _basis_data(
-                generators, LinearForm(sample), base_order, caps
-            )
-        return data_cache[key]
+    regions = _Regions(generators, base_order, caps)
 
     # saturate the wall-normal set
     while True:
@@ -265,11 +351,14 @@ def standard_fan(
             )
         parts = _split_cells(parts, sorted(normals - split_by), max_cells)
         split_by = normals
-        cells = _cell_samples(parts, sorted_normals, k)
-        new = set(normals)
-        for _, _, _, sample in cells:
-            _, _, _, _, cell_normals = data_at(sample)
-            new |= cell_normals
+        cells = sorted(
+            (tuple(sg[v] for v in sorted_normals), tuple(gens)) for sg, gens in parts
+        )
+        data = [
+            regions.of_cell(gens, _constraints(pattern, sorted_normals))
+            for pattern, gens in cells
+        ]
+        new = normals.union(*(d[4] for d in data))
         if new == normals:
             break
         normals = new
@@ -277,42 +366,32 @@ def standard_fan(
     # group cells into constancy cones
     cones: list[FanCone] = []
     cell_map: dict = {}
-    claimed = [False] * len(cells)
-    order_idx = sorted(range(len(cells)), key=lambda c: cells[c][0])
-    for ci in order_idx:
-        if claimed[ci]:
+    for ci, (pattern, _) in enumerate(cells):
+        if pattern in cell_map:
             continue
-        pattern, eqs, sts, sample = cells[ci]
-        basis, strata, ceqs, cstricts, _ = data_at(sample)
-        members = []
-        for cj in order_idx:
-            if claimed[cj]:
-                continue
-            s2 = cells[cj][3]
-            if all(_dot(s2, v) == 0 for v in ceqs) and all(
-                _dot(s2, v) > 0 for v in cstricts
-            ):
-                members.append(cj)
+        basis, strata, ceqs, cstricts, _ = data[ci]
+        members = [
+            cj
+            for cj in range(ci, len(cells))
+            if cells[cj][0] not in cell_map
+            and _inside(cells[cj][1], ceqs, cstricts)
+        ]
         same = all(
-            data_at(cells[cj][3])[0].elements == basis.elements
-            and data_at(cells[cj][3])[1] == strata
+            data[cj][0].elements == basis.elements and data[cj][1] == strata
             for cj in members
         )
         if not same:
             members = [ci]
         # representative: member cell with the fewest equalities (max dim)
-        rep = min(members, key=lambda cj: (sum(1 for s in cells[cj][0] if s == 0), cells[cj][0]))
-        rep_sample = cells[rep][3]
-        rep_basis, rep_strata, rceqs, rcstricts, _ = data_at(rep_sample)
-        if members == [ci] and not same:
+        rep = min(members, key=lambda cj: (cells[cj][0].count(0), cells[cj][0]))
+        cons = _constraints(cells[rep][0], sorted_normals)
+        rep_sample = regions.sample(cons)
+        rep_basis, rep_strata, cone_eqs, cone_stricts, _ = regions.at_sample(
+            rep_sample
+        )
+        if not same:
             # fall back to the cell's own sign-pattern constraints
-            cone_eqs = tuple(sorted(cells[ci][1]))
-            cone_stricts = tuple(sorted(cells[ci][2]))
-            rep_sample = sample
-            rep_basis, rep_strata = basis, strata
-        else:
-            cone_eqs = rceqs
-            cone_stricts = rcstricts
+            cone_eqs, cone_stricts = (tuple(sorted(c)) for c in cons)
         cone = FanCone(
             equalities=cone_eqs,
             stricts=cone_stricts,
@@ -323,6 +402,5 @@ def standard_fan(
         idx = len(cones)
         cones.append(cone)
         for cj in members:
-            claimed[cj] = True
             cell_map[cells[cj][0]] = idx
-    return Fan(ring, generators, tuple(sorted(normals)), cones, cell_map)
+    return Fan(ring, generators, tuple(sorted_normals), cones, cell_map)

@@ -11,8 +11,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import ConeError
+from .errors import ConeError, ResourceBoundExceeded
 from .filtration import normalize_rays
+
+# Most lattice points one refine_to_basic step may scan ((bound + 1)^k).
+MAX_BOX_POINTS = 20_000
 
 
 def _det(rows):
@@ -129,7 +132,9 @@ def _solve_membership(inv, v):
 def refine_to_basic(rays) -> tuple[BasicCone, ...]:
     """Refine a full-dimensional simplicial cone (given by its ray forms)
     into basic subcones by iterated stellar subdivision at the
-    lexicographically smallest primitive vector reducing the determinant."""
+    lexicographically smallest primitive vector reducing the determinant.
+    Raises ResourceBoundExceeded before a step whose box of candidate
+    points holds more than MAX_BOX_POINTS."""
     rays = [tuple(r) for r in normalize_rays(rays)]
     k = len(rays)
     if any(len(r) != k for r in rays):
@@ -144,6 +149,11 @@ def refine_to_basic(rays) -> tuple[BasicCone, ...]:
     candidates = set()
     inv = _inverse_unimodular(tuple(rays))
     bound = max(abs(c) for r in rays for c in r) * k
+    if (bound + 1) ** k > MAX_BOX_POINTS:
+        raise ResourceBoundExceeded(
+            f"refinement would scan {(bound + 1) ** k} lattice points "
+            f"(coordinates 0..{bound}), over the cap of {MAX_BOX_POINTS}"
+        )
     from itertools import product
 
     for point in product(range(bound + 1), repeat=k):

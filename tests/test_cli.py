@@ -163,6 +163,50 @@ def test_fan_resource_bound_exit_two(tmp_path):
     assert "inconclusive" in err
 
 
+def test_fan_report_where_completions_near_the_degree_cap(tmp_path):
+    # fan pool op 38 (seed 3): completions at some weights of this module
+    # climb toward the division degree cap, and a basis check there may
+    # trip it; the fan must still come out as it did with one completion
+    # per cell
+    problem = tmp_path / "p.txt"
+    problem.write_text(
+        "ring n=2 k=2 r=1\nshifts = [[0, 0]]\ngen: -x2\ngen: 2 x2 d2 + 3 x1\n"
+    )
+    code, out, err = invoke(["fan", "--input", str(problem), "--json"])
+    assert code == 0, err
+    assert json.loads(out)["data"] == {
+        "cones": [
+            {
+                "basis": ["x2 e1", "x1 t e1 - 2/3 t e1"],
+                "equalities": [[1, 0]],
+                "in_closure_of": [1],
+                "sample": [0, 1],
+                "stricts": [],
+            },
+            {
+                "basis": ["-3/2 x1 t e1 + t e1", "x2 e1"],
+                "equalities": [],
+                "in_closure_of": [],
+                "sample": [1, 1],
+                "stricts": [[1, 0]],
+            },
+        ],
+        "count": 2,
+    }
+
+
+def test_cone_refinement_cap_exit_two():
+    # |det| = 100, but the box scan would visit 1401^2 lattice points
+    start = time.perf_counter()
+    code, out, err = invoke(["cones", "--cone", "[[1,200],[3,700]]"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("dfan: inconclusive:") and err.count("\n") == 1
+    # 141^2 = 19,881 points still fit under the cap
+    code, out, _ = invoke(["cones", "--cone", "[[1,20],[3,70]]"])
+    assert code == 0 and "cones: refined" in out
+
+
 def test_multiplier_cap_exit_two():
     # the oracle would walk 58,905 multipliers of the euler generator
     start = time.perf_counter()

@@ -5,20 +5,24 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dfan._linalg import cone_interior_point
-from dfan.basis import reduce_basis
+import dfan.fan
+from dfan._linalg import cone_interior_point, to_primitive_int
+from dfan.basis import StandardBasis, recheck_basis, reduce_basis
 from dfan.errors import ResourceBoundExceeded, WeightError
 from dfan.fan import (
+    FanCone,
+    _basis_data,
     _canon,
     _capped,
-    _cell_samples,
+    _inside,
     _quadrant_faces,
+    _Regions,
     _split_cells,
     standard_fan,
 )
 from dfan.grammar import parse_vec
-from dfan.weights import LinearForm
-from dfan.weyl import RingDescriptor
+from dfan.weights import LinearForm, TermOrder
+from dfan.weyl import RingDescriptor, WeylOp, WeylVec, homogenize_vec
 
 R2 = RingDescriptor(2, 2, 1)
 
@@ -266,9 +270,24 @@ def reference_rounds(k, rounds, max_cells):
     return out
 
 
-def splitter_rounds(k, rounds, max_cells):
-    """The cells of each round as standard_fan builds them: split from the
-    quadrant's faces, carried over, split only by each round's new normals."""
+def lp_cells(parts, sorted_normals, k):
+    """Split cells as (pattern, eqs, signed_stricts, sample), sorted by sign
+    pattern over ``sorted_normals``; the sample is the LP's interior point
+    of the pattern's constraints taken in sorted-normal order."""
+    out = []
+    for pattern in sorted(tuple(sg[v] for v in sorted_normals) for sg, _ in parts):
+        eqs = tuple(v for v, s in zip(sorted_normals, pattern) if s == 0)
+        sts = tuple(
+            tuple(s * c for c in v) for v, s in zip(sorted_normals, pattern) if s
+        )
+        out.append((pattern, eqs, sts, tuple(interior_point(eqs, sts, k))))
+    return out
+
+
+def split_rounds(k, rounds, max_cells):
+    """The split cells (signs, generators) of each round as standard_fan
+    builds them: split from the quadrant's faces, carried over, split only
+    by each round's new normals."""
     out = []
     split_by = set(unit_vectors(k))
     try:
@@ -276,10 +295,18 @@ def splitter_rounds(k, rounds, max_cells):
         for normals in rounds:
             parts = _split_cells(parts, sorted(normals - split_by), max_cells)
             split_by = normals
-            out.append(_cell_samples(parts, sorted(normals), k))
+            out.append(parts)
     except ResourceBoundExceeded:
         out.append("capped")
     return out
+
+
+def splitter_rounds(k, rounds, max_cells):
+    """split_rounds, each round's cells LP-sampled by lp_cells."""
+    return [
+        parts if parts == "capped" else lp_cells(parts, sorted(normals), k)
+        for parts, normals in zip(split_rounds(k, rounds, max_cells), rounds)
+    ]
 
 
 @st.composite
@@ -316,3 +343,371 @@ def test_splitter_matches_lp_enumeration(arrangement):
         assert splitter_rounds(k, rounds, cap) == expected
         if over:
             assert "capped" in reference_rounds(k, rounds, cap)
+
+
+@settings(max_examples=40, deadline=None)
+@given(arrangements())
+def test_generator_sum_is_relatively_interior(arrangement):
+    # standard_fan certifies a cell's data at the sum of its generators:
+    # that sum must meet every normal with the cell's own sign, and the
+    # generator test must place each cell inside its own constraints and
+    # outside every other cell's
+    k, rounds = arrangement
+    for parts, normals in zip(split_rounds(k, rounds, 10**6), rounds):
+        cells = lp_cells(parts, sorted(normals), k)
+        for signs, gens in parts:
+            total = [sum(c) for c in zip(*gens)] or [0] * k
+            for v, s in signs.items():
+                assert (sum(a * b for a, b in zip(v, total)) > 0) - (
+                    sum(a * b for a, b in zip(v, total)) < 0
+                ) == s
+            pattern = tuple(signs[v] for v in sorted(normals))
+            for other, eqs, sts, _ in cells:
+                assert _inside(gens, eqs, sts) == (other == pattern)
+
+
+# --- region reuse against fresh completions --------------------------------
+
+
+def reference_fan(generators, max_normals=64, max_cells=4096):
+    """standard_fan before region reuse, kept as the oracle: one LP sample
+    and one fresh completion per cell of every round.  Returns the sorted
+    normals, the cones and the sign-pattern map."""
+    k = generators[0].ring.k
+    coord = unit_vectors(k)
+    normals = set(coord)
+    split_by = set(coord)
+    parts = _capped(_quadrant_faces(coord), max_cells)
+    cache = {}
+
+    def data_at(sample):
+        if sample not in cache:
+            L = LinearForm(sample)
+            cache[sample] = _basis_data(reduce_basis(generators, L), L)
+        return cache[sample]
+
+    def inside(sample, eqs, stricts):
+        return all(sum(a * b for a, b in zip(sample, v)) == 0 for v in eqs) and all(
+            sum(a * b for a, b in zip(sample, v)) > 0 for v in stricts
+        )
+
+    while True:
+        sorted_normals = sorted(normals)
+        if len(sorted_normals) > max_normals:
+            raise ResourceBoundExceeded(
+                f"fan needed more than {max_normals} wall normals"
+            )
+        parts = _split_cells(parts, sorted(normals - split_by), max_cells)
+        split_by = normals
+        cells = lp_cells(parts, sorted_normals, k)
+        new = set(normals)
+        for *_, sample in cells:
+            new |= data_at(sample)[4]
+        if new == normals:
+            break
+        normals = new
+    cones = []
+    cell_map = {}
+    for pattern, eqs, sts, sample in cells:
+        if pattern in cell_map:
+            continue
+        basis, strata, ceqs, csts, _ = data_at(sample)
+        members = [
+            c for c in cells if c[0] not in cell_map and inside(c[3], ceqs, csts)
+        ]
+        if all(data_at(c[3])[:2] == (basis, strata) for c in members):
+            rep = min(members, key=lambda c: (c[0].count(0), c[0]))
+            rbasis, rstrata, ceqs, csts, _ = data_at(rep[3])
+            cone = FanCone(ceqs, csts, to_primitive_int(rep[3]), rbasis, rstrata)
+        else:
+            members = [(pattern,)]
+            cone = FanCone(
+                tuple(sorted(eqs)), tuple(sorted(sts)),
+                to_primitive_int(sample), basis, strata,
+            )
+        for c in members:
+            cell_map[c[0]] = len(cones)
+        cones.append(cone)
+    return tuple(sorted(normals)), cones, cell_map
+
+
+def fan_summary(normals, cones, cell_map):
+    """Everything a report or a flat-cert run reads from a fan."""
+    return (
+        normals,
+        [
+            (
+                c.equalities, c.stricts, c.sample, c.basis.elements,
+                c.basis.order, c.basis.context, c.strata,
+            )
+            for c in cones
+        ],
+        cell_map,
+    )
+
+
+def summary(fan):
+    return fan_summary(fan.normals, fan.cones, fan._cell_map)
+
+
+def recorded_fan(generators):
+    """standard_fan, with the data it used for each cell: a list of
+    (generators, constraints, data) per ``_Regions.of_cell`` call.  The fan
+    is the ResourceBoundExceeded it raised, if any."""
+    calls = []
+    of_cell = _Regions.of_cell
+
+    def recording(self, gens, cons):
+        data = of_cell(self, gens, cons)
+        calls.append((gens, cons, data))
+        return data
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Regions, "of_cell", recording)
+        try:
+            fan = standard_fan(generators)
+        except ResourceBoundExceeded as exc:
+            fan = exc
+    return fan, calls
+
+
+COEFFICIENTS = st.sampled_from((-3, -2, -1, 1, 2, 3))
+
+
+def monomials(n, max_deg):
+    """(alpha, beta) of total degree 1..max_deg in n variable pairs."""
+    return st.lists(st.integers(0, 2 * n - 1), min_size=1, max_size=max_deg).map(
+        lambda vs: (
+            tuple(vs.count(v) for v in range(n)),
+            tuple(vs.count(v) for v in range(n, 2 * n)),
+        )
+    )
+
+
+@st.composite
+def fan_modules(draw):
+    """Modules like the three families of the benchmark's fan pool: one
+    generator with n = 2, degree <= 3 and 2-3 terms; one with n = 3,
+    degree <= 2 and 2-3 terms; two with n = 2, degree <= 2 and 1-2 terms."""
+    family = draw(st.integers(0, 2))
+    n, deg, lo, hi, count = [(2, 3, 2, 3, 1), (3, 2, 2, 3, 1), (2, 2, 1, 2, 2)][family]
+    ring = RingDescriptor(n, n, 1)
+    gens = [
+        draw(st.dictionaries(monomials(n, deg), COEFFICIENTS, min_size=lo, max_size=hi))
+        for _ in range(count)
+    ]
+    return [
+        WeylVec(ring, (WeylOp(ring, {m: Fraction(c) for m, c in g.items()}),))
+        for g in gens
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(fan_modules())
+def test_region_reuse_matches_fresh_completions(generators):
+    # each cell's data, reused or not, is what a completion at the cell's
+    # LP sample gives: basis, strata, region and normals; and the fan, or
+    # the cap it trips, is the no-reuse reference's
+    fan, calls = recorded_fan(generators)
+    k = generators[0].ring.k
+    fresh = {}
+    for _, (eqs, sts), data in calls:
+        sample = tuple(interior_point(eqs, sts, k))
+        if sample not in fresh:
+            L = LinearForm(sample)
+            fresh[sample] = _basis_data(reduce_basis(generators, L), L)
+        assert data == fresh[sample]
+    try:
+        reference = fan_summary(*reference_fan(generators))
+    except ResourceBoundExceeded as exc:
+        assert isinstance(fan, ResourceBoundExceeded)
+        assert str(fan) == str(exc)
+    else:
+        assert summary(fan) == reference
+
+
+def weights(k):
+    return st.tuples(*[st.integers(0, 4)] * k).map(LinearForm)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_order_cone_repeats_the_completion(data):
+    # a completion at any weight of another completion's order cone
+    # returns the same elements
+    generators = data.draw(fan_modules())
+    k = generators[0].ring.k
+    L0 = data.draw(weights(k))
+    try:
+        basis = reduce_basis(generators, L0)
+    except ResourceBoundExceeded:
+        return
+    weak, strict = basis.order_cone
+    for L in data.draw(st.lists(weights(k), min_size=1, max_size=6)):
+        dots = [sum(a * b for a, b in zip(L.coeffs, w)) for w in weak + strict]
+        if all(d >= 0 for d in dots[: len(weak)]) and all(
+            d > 0 for d in dots[len(weak):]
+        ):
+            assert reduce_basis(generators, L).elements == basis.elements
+
+
+def test_order_cone_of_a_tie_break():
+    # d1 t^2 and x1 d2^2 have weights L1 and 2 L2 - L1; the base order
+    # breaks their tie on the wall L1 = L2 for x1 d2^2.  So the completions
+    # at (1, 2) and (1, 1) both repeat on L2 >= L1, wall included, while
+    # the one at (2, 1) repeats only strictly below the wall.
+    gens = [parse_vec("d1 + x1 d2^2", R2)]
+    for L in ((1, 2), (1, 1)):
+        assert reduce_basis(gens, LinearForm(L)).order_cone == (((-2, 2),), ())
+    assert reduce_basis(gens, LinearForm((2, 1))).order_cone == ((), ((2, -2),))
+    # nothing to decide for a monomial
+    d1 = [parse_vec("d1", R2)]
+    assert reduce_basis(d1, LinearForm((1, 1))).order_cone == ((), ())
+    # a basis not made by a completion has no trace
+    L = LinearForm((1, 1))
+    h = homogenize_vec(gens[0])
+    assert StandardBasis(R2, [h], TermOrder().refine(L), (L,)).order_cone is None
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["d1 + x1 d2^2", "x1 d1 + x2 d2", "x1^2 d1 - x2 d2^2 + 3 d1",
+     "-3 x1 - 2 x1^3 + x1 x2 d1"],
+)
+def test_one_completion_per_cone(text, monkeypatch):
+    # without reuse these take 6, 4, 6 and 8 completions
+    gens = [parse_vec(text, R2)]
+    completions = []
+    monkeypatch.setattr(
+        dfan.fan, "reduce_basis",
+        lambda *a, **kw: completions.append(a) or reduce_basis(*a, **kw),
+    )
+    fan = standard_fan(gens)
+    assert len(completions) == len(fan.cones)
+    assert summary(fan) == fan_summary(*reference_fan(gens))
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [
+        # the completion at (0, 1) gives x2; at (1, 0) it gives x2 + x1 x2,
+        # and both keep every stratum on top of the whole quadrant
+        ("-x1 x2", "3 x1 x2 + 3 x2"),
+        # the completions at some cells' samples trip the division cap
+        ("-3 x1^2 + 3 x1", "-3 x1^2"),
+    ],
+)
+def test_constancy_region_alone_does_not_reuse(texts):
+    # reusing a completion on the whole constancy region would change the
+    # fan of the first module and let the second one finish
+    gens = [parse_vec(t, R2) for t in texts]
+    try:
+        reference = fan_summary(*reference_fan(gens))
+    except ResourceBoundExceeded as exc:
+        with pytest.raises(ResourceBoundExceeded) as got:
+            standard_fan(gens)
+        assert str(got.value) == str(exc)
+    else:
+        assert summary(standard_fan(gens)) == reference
+
+
+def test_failed_recheck_falls_back_to_a_completion(monkeypatch):
+    # a sample whose stored basis cannot be confirmed gets a completion of
+    # its own, and the fan does not change
+    gens = [parse_vec("x1^2 d1 - x2 d2^2 + 3 d1", R2)]
+    completions = []
+    monkeypatch.setattr(
+        dfan.fan, "reduce_basis",
+        lambda *a, **kw: completions.append(a) or reduce_basis(*a, **kw),
+    )
+    monkeypatch.setattr(dfan.fan, "recheck_basis", lambda *a, **kw: None)
+    fan = standard_fan(gens)
+    assert len(completions) > len(fan.cones)
+    assert summary(fan) == fan_summary(*reference_fan(gens))
+
+
+def test_recheck_basis_certifies_within_a_cone(three_cone_fan):
+    gens = list(three_cone_fan.generators)
+    for cone in three_cone_fan.cones:
+        L = LinearForm(cone.sample)
+        fresh = reduce_basis(gens, L)
+        again = recheck_basis(cone.basis, L)
+        assert (again.elements, again.order, again.context) == (
+            fresh.elements, fresh.order, fresh.context,
+        )
+
+
+def test_recheck_basis_rejects_adjacent_cones(three_cone_fan):
+    # the three cones share one element; the wall's tie-break gives it the
+    # privileged exponent of one side, so only that side's basis passes at
+    # the wall and vice versa
+    gens = list(three_cone_fan.generators)
+    rejected = 0
+    for cone in three_cone_fan.cones:
+        L = LinearForm(cone.sample)
+        for other in three_cone_fan.cones:
+            again = recheck_basis(other.basis, L)
+            if other.basis.exponents != cone.basis.exponents:
+                assert again is None
+                rejected += 1
+            else:
+                assert again.elements == reduce_basis(gens, L).elements
+    assert rejected == 4
+
+
+def test_recheck_basis_rejects_non_standard_generators():
+    # x1 and d1 keep their privileged exponents at every weight, but their
+    # S-pair x1 d1 - d1 x1 = -1 does not divide to zero
+    L = LinearForm((1, 1))
+    order = TermOrder().refine(L)
+    elements = [homogenize_vec(parse_vec(t, R2)) for t in ("x1", "d1")]
+    basis = StandardBasis(R2, elements, order, (L,))
+    assert recheck_basis(basis, L) is None
+
+
+def test_recheck_basis_gives_none_when_a_cap_trips():
+    # the completion's own basis: one S-pair's division climbs past the
+    # degree cap under the local order at (1, 1), but not at (1, 0)
+    gens = [parse_vec(t, R2) for t in ("x1", "-2 x1 d1 - x2")]
+    L = LinearForm((1, 1))
+    assert recheck_basis(reduce_basis(gens, L), L) is None
+    L = LinearForm((1, 0))
+    assert recheck_basis(reduce_basis(gens, L), L) is not None
+
+
+def test_merge_fallback_emits_member_cells(monkeypatch):
+    # no module known today reaches the fallback: give the open cell of the
+    # one-cone euler fan a basis unlike the rest of its region's so that
+    # the merge check fails
+    gens = [parse_vec("x1 d1 + x2 d2", R2)]
+    of_cell = _Regions.of_cell
+    other = reduce_basis([parse_vec("d1", R2)], LinearForm((1, 1)))
+    patched = []
+
+    def tampered(self, cell_gens, cons):
+        data = of_cell(self, cell_gens, cons)
+        if cell_gens == ((1, 0), (0, 1)):
+            patched.append(cell_gens)
+            return (other,) + data[1:]
+        return data
+
+    monkeypatch.setattr(_Regions, "of_cell", tampered)
+    fan = standard_fan(gens)
+    assert patched
+    cells = lp_cells(_quadrant_faces(unit_vectors(2)), sorted(fan.normals), 2)
+    # one cone per member cell: the first three on their own cells'
+    # constraints, the tampered open cell alone in its (whole) region
+    assert len(fan.cones) == len(cells) == 4
+    for idx, ((pattern, eqs, sts, sample), cone) in enumerate(zip(cells, fan.cones)):
+        assert fan._cell_map[pattern] == idx
+        if idx < 3:
+            assert cone.equalities == tuple(sorted(eqs))
+            assert cone.stricts == tuple(sorted(sts))
+        else:
+            assert (cone.equalities, cone.stricts) == ((), ())
+        assert cone.sample == to_primitive_int(sample)
+        assert cone.basis.elements == reduce_basis(gens, LinearForm(sample)).elements
+    for p in range(4):
+        for q in range(4):
+            L = LinearForm((p, q))
+            assert fan.cone_of_weight(L).contains(L)
