@@ -27,7 +27,6 @@ from .weyl import (
     DtOp,
     DtVec,
     RingDescriptor,
-    WeylOp,
     WeylVec,
     _mul_terms,
     accumulate,
@@ -44,7 +43,6 @@ class Caps:
     a few degrees above their inputs; the defaults are generous for those
     while tripping fast on tails that feed themselves."""
 
-    degree_cap: int | None = None  # absolute total-degree ceiling
     step_cap: int = 20_000
     reduction_rounds: int = 64
     degree_slack: int = 16
@@ -64,12 +62,13 @@ def _flatten(V) -> dict:
 
 
 def _unflatten(flat: dict, ring: RingDescriptor, dt: bool):
-    buckets = [dict() for _ in range(ring.r)]
-    for (a, b, l, i), coef in flat.items():
-        key = (a, b, l) if dt else (a, b)
-        buckets[i][key] = coef
-    cls, scl = (DtVec, DtOp) if dt else (WeylVec, WeylOp)
-    return cls(ring, tuple(scl(ring, bucket) for bucket in buckets))
+    if dt:
+        return DtVec.from_terms(
+            ring, (((a, b, l), i, c) for (a, b, l, i), c in flat.items())
+        )
+    return WeylVec.from_terms(
+        ring, (((a, b), i, c) for (a, b, _, i), c in flat.items())
+    )
 
 
 def _divides(exp, key) -> bool:
@@ -211,19 +210,16 @@ def _divide_flat(
         if entered is not None:
             entered.append(key)
 
-    if caps.degree_cap is not None:
-        cap = caps.degree_cap
-    else:
-        gd = max((sum(a) + sum(b) + l for (a, b, l, i) in g), default=0)
-        bd = max(
-            (
-                sum(a) + sum(b) + l
-                for f in basis_flats
-                for (a, b, l, i) in f
-            ),
-            default=0,
-        )
-        cap = gd + bd + caps.degree_slack
+    gd = max((sum(a) + sum(b) + l for (a, b, l, i) in g), default=0)
+    bd = max(
+        (
+            sum(a) + sum(b) + l
+            for f in basis_flats
+            for (a, b, l, i) in f
+        ),
+        default=0,
+    )
+    cap = gd + bd + caps.degree_slack
     steps = 0
     while True:
         while heap and heap[0][1] not in tail:
@@ -606,26 +602,21 @@ def _autoreduce(basis, exps, keyf, emit_t, caps):
 def reduce_basis(
     generators,
     sample: LinearForm,
-    extra_forms=(),
-    base_order: TermOrder | None = None,
     caps: Caps = DEFAULT_CAPS,
 ) -> StandardBasis:
     """Homogenize the generators and complete them into the reduced
     standard basis for the order refined by ``sample`` (an interior weight
-    of the cone of validity); ``extra_forms`` join the verification
-    context."""
+    of the cone of validity)."""
     gens = [g for g in generators]
     if not gens or any(g.is_zero() for g in gens):
         raise ZeroInputError("generators must be nonzero")
     ring = gens[0].ring
-    order = (base_order or TermOrder()).refine(sample)
+    order = TermOrder().refine(sample)
     keyf = _KeyCache(order, ring.shifts, trace=True)
     flats = [_flatten(homogenize_vec(g)) for g in gens]
     done = _buchberger(flats, keyf, True, caps)
     elements = [_unflatten(f, ring, True) for f in done]
-    out = StandardBasis(
-        ring, elements, order, (sample,) + tuple(extra_forms), caps
-    )
+    out = StandardBasis(ring, elements, order, (sample,), caps)
     out._trace = keyf
     return out
 
@@ -633,7 +624,6 @@ def reduce_basis(
 def recheck_basis(
     basis: StandardBasis,
     sample: LinearForm,
-    base_order: TermOrder | None = None,
     caps: Caps = DEFAULT_CAPS,
 ) -> StandardBasis | None:
     """``basis`` as a standard basis for the order refined by ``sample``,
@@ -642,7 +632,7 @@ def recheck_basis(
     elements stay monic and reduced, and every same-component S-pair
     divides to zero under the new order (Buchberger's criterion).  A cap
     tripped on the way gives None."""
-    order = (base_order or TermOrder()).refine(sample)
+    order = TermOrder().refine(sample)
     out = StandardBasis(basis.ring, basis.elements, order, (sample,), caps)
     if out.exponents != basis.exponents:
         return None
@@ -660,14 +650,14 @@ def recheck_basis(
     return out
 
 
-def plain_module_basis(generators, base_order: TermOrder | None = None, caps: Caps = DEFAULT_CAPS):
+def plain_module_basis(generators, caps: Caps = DEFAULT_CAPS):
     """Groebner basis of a submodule of D^r under the plain degree
     well-order (used for graded symbol-module membership)."""
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         raise ZeroInputError("generators must be nonzero")
     ring = gens[0].ring
-    order = base_order or TermOrder()
+    order = TermOrder()
     keyf = _KeyCache(order, ring.shifts)
     flats = [_flatten(g) for g in gens]
     done = _buchberger(flats, keyf, False, caps)

@@ -30,14 +30,8 @@ from .flatness import (
     monomial_filtration,
     parse_w_op,
 )
-from .grammar import format_op, format_vec
-from .problem import (
-    format_w_monomials,
-    nonnegative_int,
-    parse_problem,
-    parse_syzygy,
-    parse_w_monomials,
-)
+from .grammar import format_op, format_vec, format_w_monomials, parse_w_monomials
+from .problem import nonnegative_int, parse_problem, parse_syzygy
 from .rees import fiber_V_zero_test
 from .toric import BasicCone, refine_to_basic
 from .weights import LinearForm, ones_form

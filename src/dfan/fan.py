@@ -44,7 +44,7 @@ from .basis import (
 )
 from .errors import ResourceBoundExceeded, WeightError
 from .filtration import multi_weight
-from .weights import LinearForm, TermOrder
+from .weights import LinearForm
 
 
 def _canon(v):
@@ -261,9 +261,8 @@ class _Regions:
     samples one ``standard_fan`` call looks at, and the region of every
     fresh completion made for them (see the module docstring)."""
 
-    def __init__(self, generators, base_order, caps):
+    def __init__(self, generators, caps):
         self.generators = generators
-        self.base_order = base_order
         self.caps = caps
         self.stored = []  # (data, region) of every fresh completion
         self._cells = {}
@@ -291,13 +290,11 @@ class _Regions:
             data = self._find([to_primitive_int(sample)])
             basis = None
             if data is not None:
-                basis = recheck_basis(data[0], L, self.base_order, self.caps)
+                basis = recheck_basis(data[0], L, self.caps)
             if basis is not None:
                 data = (basis,) + data[1:]
             else:
-                basis = reduce_basis(
-                    self.generators, L, base_order=self.base_order, caps=self.caps
-                )
+                basis = reduce_basis(self.generators, L, caps=self.caps)
                 data = _basis_data(basis, L)
                 weak, strict = basis.order_cone
                 self.stored.append((data, (data[2], data[3] + strict, weak)))
@@ -318,7 +315,6 @@ class _Regions:
 
 def standard_fan(
     generators,
-    base_order: TermOrder | None = None,
     caps: Caps = DEFAULT_CAPS,
     max_normals: int = 64,
     max_cells: int = 4096,
@@ -340,7 +336,7 @@ def standard_fan(
     normals = set(coord)
     split_by = set(coord)
     parts = _capped(_quadrant_faces(coord), max_cells)
-    regions = _Regions(generators, base_order, caps)
+    regions = _Regions(generators, caps)
 
     # saturate the wall-normal set
     while True:

@@ -14,9 +14,9 @@ bit-identically from their recorded inputs."""
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from ._linalg import in_row_space, rref, vanishing_rows
 from .basis import StandardBasis
@@ -24,18 +24,26 @@ from .errors import (
     CertificateError,
     ConeError,
     DfanError,
+    ResourceBoundExceeded,
     SemanticError,
+    SyntaxErrorWithPos,
     ZeroInputError,
 )
 from .filtration import in_V_gamma, multi_weight
-from .grammar import format_op, format_vec
-from .problem import format_w_monomials
-from .toric import BasicCone, _det, _inverse_unimodular
+from .grammar import (
+    SYZYGY,
+    format_factors,
+    format_op,
+    format_sum,
+    format_vec,
+    format_w_monomials,
+    parse_sum,
+)
+from .toric import MAX_BOX_POINTS, BasicCone, _det, _inverse_unimodular
 from .weights import LinearForm, ord_L_vec, symbol_L
 from .weyl import (
     DtOp,
     DtVec,
-    WeylOp,
     WeylVec,
     accumulate,
     dehomogenize,
@@ -169,7 +177,9 @@ def monomial_filtration(H: MonomialIdeal) -> FiltrationChain:
     """Greedy chain construction: at each step pick the first monomial
     outside the ideal (by total degree, then lex, inside the componentwise
     generator-degree box) whose colon is a coordinate ideal.  Capping at
-    the box loses nothing: colons are constant beyond it."""
+    the box loses nothing: colons are constant beyond it.  Raises
+    ResourceBoundExceeded before a step whose box holds more than
+    MAX_BOX_POINTS points."""
     if H.is_unit():
         return FiltrationChain(H, ())
     steps = []
@@ -184,6 +194,12 @@ def monomial_filtration(H: MonomialIdeal) -> FiltrationChain:
         box = tuple(
             max((g[i] for g in h.gens), default=0) for i in range(h.k)
         )
+        points = prod(b + 1 for b in box)
+        if points > MAX_BOX_POINTS:
+            raise ResourceBoundExceeded(
+                f"the filtration chain would scan {points} monomials "
+                f"(exponents up to {list(box)}), over the cap of {MAX_BOX_POINTS}"
+            )
         candidates = sorted(
             (e for e in product(*(range(b + 1) for b in box))),
             key=lambda e: (sum(e), e),
@@ -265,98 +281,30 @@ class WOp:
         return f"WOp({format_w_op(self)!r})"
 
 
-_W_TOKEN = re.compile(
-    r"\s*(?:(?P<rat>\d+(?:/\d+)?)|(?P<fac>[xdw]\d+(?:\^\d+)?)|(?P<sign>[+-]))"
-)
-
-
 def parse_w_op(text: str, n: int, k: int) -> WOp:
     """Parse the x/d/w grammar for cone-coordinate operators."""
-    pos = 0
-    toks = []
-    while pos < len(text):
-        m = _W_TOKEN.match(text, pos)
-        if not m or m.lastgroup is None:
-            break
-        toks.append((m.lastgroup, m.group(m.lastgroup)))
-        pos = m.end()
-    if text[pos:].strip():
-        raise SemanticError(f"unexpected input {text[pos:].strip()[:10]!r}")
-    if not toks:
-        raise SemanticError("empty operator")
-    terms = []
-    i = 0
-    first = True
-    while i < len(toks):
-        sign = 1
-        if toks[i][0] == "sign":
-            sign = -1 if toks[i][1] == "-" else 1
-            i += 1
-        elif not first:
-            raise SemanticError("expected + or - between terms")
-        first = False
-        coef = Fraction(sign)
-        saw = False
-        if i < len(toks) and toks[i][0] == "rat":
-            coef = sign * Fraction(toks[i][1])
-            saw = True
-            i += 1
-        alpha = [0] * n
-        beta = [0] * n
-        ell = [0] * k
-        while i < len(toks) and toks[i][0] == "fac":
-            saw = True
-            tok = toks[i][1]
-            head, body = tok[0], tok[1:]
-            exp = 1
-            if "^" in body:
-                body, e = body.split("^")
-                exp = int(e)
-            idx = int(body)
-            if head == "x":
-                if not 1 <= idx <= n:
-                    raise SemanticError(f"x{idx} out of range")
-                alpha[idx - 1] += exp
-            elif head == "d":
-                if not 1 <= idx <= n:
-                    raise SemanticError(f"d{idx} out of range")
-                beta[idx - 1] += exp
-            else:
-                if not 1 <= idx <= k:
-                    raise SemanticError(f"w{idx} out of range")
-                ell[idx - 1] += exp
-            i += 1
-        if not saw:
-            raise SemanticError("empty term")
-        terms.append(((tuple(alpha), tuple(beta), tuple(ell)), coef))
-    return WOp(n, k, terms)
+    try:
+        terms = parse_sum(text, SYZYGY)
+    except SyntaxErrorWithPos as exc:
+        # a q: line's text arrives without its line number
+        raise SemanticError(exc.message) from None
+    out = []
+    for coef, factors in terms:
+        alpha, beta, ell = [0] * n, [0] * n, [0] * k
+        for head, idx, e in factors:
+            exps = alpha if head == "x" else beta if head == "d" else ell
+            if not 1 <= idx <= len(exps):
+                raise SemanticError(f"{head}{idx} out of range")
+            exps[idx - 1] += e
+        out.append(((tuple(alpha), tuple(beta), tuple(ell)), coef))
+    return WOp(n, k, out)
 
 
 def format_w_op(q: WOp) -> str:
-    if not q.terms:
-        return "0"
-    chunks = []
-    for idx, key in enumerate(sorted(q.terms, key=lambda key: (sum(key[0]) + sum(key[1]) + sum(key[2]), key))):
-        a, b, l = key
-        coef = q.terms[key]
-        factors = []
-        for i, e in enumerate(a):
-            if e:
-                factors.append(f"x{i + 1}" + (f"^{e}" if e > 1 else ""))
-        for i, e in enumerate(b):
-            if e:
-                factors.append(f"d{i + 1}" + (f"^{e}" if e > 1 else ""))
-        for i, e in enumerate(l):
-            if e:
-                factors.append(f"w{i + 1}" + (f"^{e}" if e > 1 else ""))
-        body = " ".join(factors) if factors else str(abs(coef))
-        if abs(coef) != 1 and factors:
-            body = f"{abs(coef)} {body}"
-        if idx == 0:
-            chunks.append(("-" if coef < 0 else "") + body)
-        else:
-            chunks.append(("- " if coef < 0 else "+ ") + body)
-    return " ".join(chunks)
+    return format_sum(
+        (q.terms[key], format_factors(SYZYGY, key))
+        for key in sorted(q.terms, key=lambda key: (sum(map(sum, key)), key))
+    )
 
 
 @dataclass
@@ -705,29 +653,28 @@ def flat_decompose(
     return cert
 
 
+def _assign_parts(Q: WeylVec, s, frame):
+    """Each term of Q in the first region of ``frame`` that admits it, as
+    one vector per region; None when some term fits no region."""
+    ring = Q.ring
+    parts = [[] for _ in range(frame.p)]
+    for key, i, c in Q.iter_terms():
+        delta = multi_weight(key, i, ring.shifts, ring.k)
+        for j in range(frame.p):
+            if _in_region(delta, s, frame, j):
+                parts[j].append((key, i, c))
+                break
+        else:
+            return None
+    return tuple(WeylVec.from_terms(ring, terms) for terms in parts)
+
+
 def greedy_parts(Q: WeylVec, s, gamma: BasicCone, J):
     """Assign each term of Q to the first admissible ideal region,
     producing the decomposition flat_decompose needs.  Returns None when
     some term fits no region (Q is then outside the graded piece of the
     ideal times the free module)."""
-    ring = Q.ring
-    frame = _IdealFrame(gamma, J)
-    s = tuple(int(c) for c in s)
-    buckets = [
-        [dict() for _ in range(ring.r)] for _ in range(frame.p)
-    ]
-    for key, i, c in Q.iter_terms():
-        delta = multi_weight(key, i, ring.shifts, ring.k)
-        for j in range(frame.p):
-            if _in_region(delta, s, frame, j):
-                buckets[j][i][key] = c
-                break
-        else:
-            return None
-    return tuple(
-        WeylVec(ring, tuple(WeylOp(ring, bkt) for bkt in comp_buckets))
-        for comp_buckets in buckets
-    )
+    return _assign_parts(Q, tuple(int(c) for c in s), _IdealFrame(gamma, J))
 
 
 # ---------------------------------------------------------------------------
@@ -752,7 +699,6 @@ def intersection_oracle(
     J,
     s,
     degree_bound: int,
-    slack: int | None = None,
 ) -> OracleResult:
     """Compare, degree by degree up to a truncation bound, the graded
     piece of (ideal times free Rees module) intersected with the module
@@ -771,7 +717,7 @@ def intersection_oracle(
 
     Both verdicts are relative to the recorded truncation (``bound`` on
     element degree, ``slack`` of extra multiplier room when spanning the
-    module): enlarge the slack to push a suspicious counterexample.
+    module, two above the largest generator degree).
 
     An empty ``J`` encodes the unit ideal, for which both sides are the
     graded piece of the module itself and equality is trivial (the
@@ -780,14 +726,13 @@ def intersection_oracle(
     frame = _UnitFrame(gamma) if not tuple(J) else _IdealFrame(gamma, J)
     p = frame.p
     s = tuple(int(c) for c in s)
-    if slack is None:
-        slack = max(g.total_degree() for g in generators) + 2
+    slack = max(g.total_degree() for g in generators) + 2
     prod_bound = degree_bound + slack
     # columns: products (monomial * generator) up to the padded bound
     columns = [
-        prod
+        mult
         for g in generators
-        for prod in monomial_multiples(g, prod_bound - g.total_degree())
+        for mult in monomial_multiples(g, prod_bound - g.total_degree())
     ]
     keys = sorted(
         {key + (i,) for col in columns for key, i, _ in col.iter_terms()}
@@ -827,38 +772,17 @@ def intersection_oracle(
     lhs_red, lhs_piv = rref(lhs)
 
     def to_vec(row) -> WeylVec:
-        buckets = [dict() for _ in range(ring.r)]
-        for idx, c in sorted(row.items()):
-            a, b, i = keys[idx]
-            buckets[i][(a, b)] = c
-        return WeylVec(ring, tuple(WeylOp(ring, bkt) for bkt in buckets))
+        return WeylVec.from_terms(
+            ring, ((keys[idx][:2], keys[idx][2], c) for idx, c in sorted(row.items()))
+        )
 
     counterexample = None
     for vec in lhs_red:
         if not in_row_space(rhs, rhs_piv, vec):
             counterexample = to_vec(vec)
             break
-    elements = []
-    assignments = []
-    for vec in lhs_red:
-        w = to_vec(vec)
-        elements.append(w)
-        # per-term greedy assignment to the first admissible region
-        buckets = [dict() for _ in range(p)]
-        for key, i, c in w.iter_terms():
-            for j in range(p):
-                if admissible(key + (i,), j):
-                    buckets[j][(key, i)] = c
-                    break
-        parts = []
-        for j in range(p):
-            comp_buckets = [dict() for _ in range(ring.r)]
-            for (key, i), c in buckets[j].items():
-                comp_buckets[i][key] = c
-            parts.append(
-                WeylVec(ring, tuple(WeylOp(ring, bkt) for bkt in comp_buckets))
-            )
-        assignments.append(tuple(parts))
+    elements = [to_vec(vec) for vec in lhs_red]
+    assignments = [_assign_parts(w, s, frame) for w in elements]
     return OracleResult(
         equal=counterexample is None,
         lhs_dim=len(lhs_red),

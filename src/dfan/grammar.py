@@ -1,94 +1,173 @@
-"""ASCII operator grammar.
+"""The text grammar of every monomial format.
 
-    term    = [rational] factors
-    factors = { x<i>[^<e>] | d<i>[^<e>] | t[^<e>] | e<i> }
-    sum     = term { (+|-) term }
+    sum      = term { (+|-) term }
+    term     = [rational] { factor }        (a rational, a factor or both)
+    factor   = <letter>[<index>][^<exponent>]
+    rational = <int> | <int>/<nonzero int>
 
-Examples: ``3/2 x1^2 d1 e1 - d2 e1``, ``x1 d1 + x2 d2``.  Component
-markers ``e<i>`` are required for vectors and forbidden for scalars; ``t``
-factors are only legal in D[t].  Formatting is deterministic and
-``parse(format(v)) == v`` holds bit-exactly.
+Each format has its own table of letters, in print order:
+
+    x d t e   operators of D and D[t] and their vectors    (OPERATOR)
+    x d w     syzygy operators in the toric coordinates    (SYZYGY)
+    W w       monomials of Q[W], unsigned; w reads as W    (W_MONOMIAL)
+    X D U     the graded algebra                           (GRADED)
+
+Examples: ``3/2 x1^2 d1 e1 - d2 e1``, ``x1 d1 w2``, ``W1^2 W2``.  ``t``
+carries no index; ``e<i>`` marks a vector component, is required for
+vectors of rank r > 1 and forbidden for scalars.  Printing puts ``|c|``
+before the factors when it is not 1 or there are none, a bare ``-`` on a
+negative first term and ``+ `` or ``- `` on the later ones.  Formatting
+is deterministic and ``parse(format(v)) == v`` holds bit-exactly.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import SemanticError, SyntaxErrorWithPos
 from .weyl import DtOp, DtVec, RingDescriptor, WeylOp, WeylVec
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<rat>\d+(?:/\d+)?)|(?P<fac>[xdet]\d*(?:\^\d+)?)|(?P<sign>[+-]))"
-)
+
+class Letters:
+    """The factor letters of one format in print order.  ``unindexed``
+    letters are written without an index (``t``); every other letter
+    needs one."""
+
+    def __init__(self, letters: str, unindexed: str = ""):
+        self.letters = letters
+        self.unindexed = unindexed
+        self.indexed = tuple(letter not in unindexed for letter in letters)
+
+    @cached_property
+    def token(self) -> re.Pattern:
+        """The token pattern of these letters, compiled on first use."""
+        return re.compile(
+            rf"\s*((\d+)(?:/(\d+))?|([{self.letters}])(\d*)(?:\^(\d+))?|[+-])"
+        )
 
 
-def _tokenize(text: str):
+OPERATOR = Letters("xdte", unindexed="t")
+SYZYGY = Letters("xdw")
+W_MONOMIAL = Letters("Ww")
+GRADED = Letters("XDU")
+
+
+def tokenize(text: str, table: Letters) -> list:
+    """``text`` as (kind, value, column) tokens: ("rat", Fraction),
+    ("fac", (letter, index, exponent)) with index 0 for an unindexed
+    letter, or ("sign", +1 or -1)."""
     pos = 0
     out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.lastgroup is None:
+    match = table.token.match
+    while True:
+        m = match(text, pos)
+        if m is None:
             break
-        out.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
+        tok, num, den, letter, idx, exp = m.groups()
+        col = m.start(1) + 1
+        if num is not None:
+            if den is None:
+                out.append(("rat", Fraction(int(num)), col))
+            elif int(den):
+                out.append(("rat", Fraction(int(num), int(den)), col))
+            else:
+                raise SyntaxErrorWithPos(f"zero denominator in {tok!r}", 1, col)
+        elif letter is not None:
+            if letter in table.unindexed:
+                if idx:
+                    raise SyntaxErrorWithPos(f"bad factor {tok!r}", 1, col)
+            elif not idx:
+                raise SyntaxErrorWithPos(f"missing index in factor {tok!r}", 1, col)
+            out.append(("fac", (letter, int(idx or 0), int(exp or 1)), col))
+        else:
+            out.append(("sign", -1 if tok == "-" else 1, col))
         pos = m.end()
-    if text[pos:].strip():
-        raise SyntaxErrorWithPos(
-            f"unexpected input {text[pos:].strip()[:10]!r}", 1, pos + 1
-        )
+    rest = text[pos:].strip()
+    if rest:
+        raise SyntaxErrorWithPos(f"unexpected input {rest[:10]!r}", 1, pos + 1)
     return out
 
 
-def _parse_factor(tok: str, pos: int):
-    head = tok[0]
-    body = tok[1:]
-    exp = 1
-    if "^" in body:
-        body, etxt = body.split("^", 1)
-        exp = int(etxt)
-    if head == "t":
-        if body:
-            raise SyntaxErrorWithPos(f"bad factor {tok!r}", 1, pos + 1)
-        return ("t", 0, exp)
-    if not body:
-        raise SyntaxErrorWithPos(f"missing index in factor {tok!r}", 1, pos + 1)
-    return (head, int(body), exp)
-
-
-def parse_terms(text: str, ring: RingDescriptor, *, vector: bool, dt: bool):
-    """Parse into a list of (alpha, beta, l, comp, coef) tuples."""
-    toks = _tokenize(text)
+def parse_sum(text: str, table: Letters) -> list:
+    """The terms of a signed sum as (coefficient, factors) pairs, each
+    factor a (letter, index, exponent) triple from ``tokenize``."""
+    toks = tokenize(text, table)
     if not toks:
         raise SyntaxErrorWithPos("empty operator", 1, 1)
     terms = []
-    i = 0
-    first = True
-    while i < len(toks):
-        sign = 1
-        kind, val, pos = toks[i]
+    i, end = 0, len(toks)
+    while i < end:
+        kind, sign, col = toks[i]
         if kind == "sign":
-            sign = -1 if val == "-" else 1
             i += 1
-        elif not first:
-            raise SyntaxErrorWithPos("expected + or - between terms", 1, pos + 1)
-        first = False
-        coef = Fraction(sign)
-        saw_rat = False
-        if i < len(toks) and toks[i][0] == "rat":
-            coef = sign * Fraction(toks[i][1])
-            saw_rat = True
+        elif terms:
+            raise SyntaxErrorWithPos("expected + or - between terms", 1, col)
+        else:
+            sign = 1
+        coef = None
+        if i < end and toks[i][0] == "rat":
+            coef = sign * toks[i][1]
             i += 1
-        alpha = [0] * ring.n
-        beta = [0] * ring.n
+        factors = []
+        while i < end and toks[i][0] == "fac":
+            factors.append(toks[i][1])
+            i += 1
+        if coef is None:
+            if not factors:
+                raise SyntaxErrorWithPos("empty term", 1, col)
+            coef = Fraction(sign)
+        terms.append((coef, factors))
+    return terms
+
+
+def format_factors(table: Letters, exponents) -> list:
+    """The factor texts of one term: ``exponents[j]`` holds the exponents
+    of letter j of ``table`` by index; letters past its end print none."""
+    out = []
+    for letter, indexed, exps in zip(table.letters, table.indexed, exponents):
+        for i, e in enumerate(exps):
+            if e:
+                head = f"{letter}{i + 1}" if indexed else letter
+                out.append(f"{head}^{e}" if e > 1 else head)
+    return out
+
+
+def format_sum(items) -> str:
+    """Render (coefficient, factor texts) pairs, already in print order,
+    as a signed sum, ``|c|`` written when it is not 1 or there are no
+    factors; no pairs give ``0``."""
+    chunks = []
+    for coef, factors in items:
+        negative = coef < 0
+        mag = -coef if negative else coef
+        body = " ".join(factors if mag == 1 and factors else [str(mag), *factors])
+        if chunks:
+            chunks.append(("- " if negative else "+ ") + body)
+        else:
+            chunks.append(("-" if negative else "") + body)
+    return " ".join(chunks) if chunks else "0"
+
+
+# ---------------------------------------------------------------------------
+# operators
+
+
+def parse_terms(text: str, ring: RingDescriptor, *, vector: bool, dt: bool):
+    """Parse into a list of (key, comp, coef) triples, the key (alpha,
+    beta, l) in D[t] and (alpha, beta) in D."""
+    n = ring.n
+    terms = []
+    for coef, factors in parse_sum(text, OPERATOR):
+        alpha = [0] * n
+        beta = [0] * n
         l = 0
         comp = None
-        saw_factor = False
-        while i < len(toks) and toks[i][0] == "fac":
-            saw_factor = True
-            head, idx, exp = _parse_factor(toks[i][1], toks[i][2])
-            if head in ("x", "d"):
-                if not (1 <= idx <= ring.n):
-                    raise SemanticError(f"{head}{idx} out of range (n = {ring.n})")
+        for head, idx, exp in factors:
+            if head == "x" or head == "d":
+                if not 1 <= idx <= n:
+                    raise SemanticError(f"{head}{idx} out of range (n = {n})")
                 (alpha if head == "x" else beta)[idx - 1] += exp
             elif head == "t":
                 if not dt:
@@ -97,54 +176,38 @@ def parse_terms(text: str, ring: RingDescriptor, *, vector: bool, dt: bool):
             else:  # component marker
                 if not vector:
                     raise SemanticError("component marker e<i> in a scalar")
-                if not (1 <= idx <= ring.r):
+                if not 1 <= idx <= ring.r:
                     raise SemanticError(f"e{idx} out of range (r = {ring.r})")
                 if comp is not None and comp != idx - 1:
                     raise SemanticError("two component markers in one term")
                 if exp != 1:
                     raise SemanticError("component marker cannot carry an exponent")
                 comp = idx - 1
-            i += 1
-        if not saw_rat and not saw_factor:
-            raise SyntaxErrorWithPos("empty term", 1, pos + 1)
-        if vector:
-            if comp is None:
-                if ring.r == 1:
-                    comp = 0
-                else:
-                    raise SemanticError("vector term without component marker")
-        else:
+        if comp is None:
+            if vector and ring.r != 1:
+                raise SemanticError("vector term without component marker")
             comp = 0
-        terms.append((tuple(alpha), tuple(beta), l, comp, coef))
+        key = (tuple(alpha), tuple(beta), l) if dt else (tuple(alpha), tuple(beta))
+        terms.append((key, comp, coef))
     return terms
 
 
 def parse_op(text: str, ring: RingDescriptor) -> WeylOp:
     terms = parse_terms(text, ring, vector=False, dt=False)
-    return WeylOp(ring, (((a, b), c) for a, b, _, _, c in terms))
+    return WeylOp(ring, ((key, c) for key, _, c in terms))
 
 
 def parse_dt_op(text: str, ring: RingDescriptor) -> DtOp:
     terms = parse_terms(text, ring, vector=False, dt=True)
-    return DtOp(ring, (((a, b, l), c) for a, b, l, _, c in terms))
-
-
-def _build_vec(cls, scalar, ring, terms, dt):
-    buckets = [[] for _ in range(ring.r)]
-    for a, b, l, comp, c in terms:
-        key = (a, b, l) if dt else (a, b)
-        buckets[comp].append((key, c))
-    return cls(ring, tuple(scalar(ring, bucket) for bucket in buckets))
+    return DtOp(ring, ((key, c) for key, _, c in terms))
 
 
 def parse_vec(text: str, ring: RingDescriptor) -> WeylVec:
-    terms = parse_terms(text, ring, vector=True, dt=False)
-    return _build_vec(WeylVec, WeylOp, ring, terms, False)
+    return WeylVec.from_terms(ring, parse_terms(text, ring, vector=True, dt=False))
 
 
 def parse_dt_vec(text: str, ring: RingDescriptor) -> DtVec:
-    terms = parse_terms(text, ring, vector=True, dt=True)
-    return _build_vec(DtVec, DtOp, ring, terms, True)
+    return DtVec.from_terms(ring, parse_terms(text, ring, vector=True, dt=True))
 
 
 def _display_key(key):
@@ -157,57 +220,63 @@ def _display_key(key):
     return (-(sum(a) + sum(b) + l), tuple(-e for e in b), tuple(-e for e in a), -l)
 
 
-def _format_term(key, coef: Fraction, comp: int | None) -> str:
+def _op_factors(key, comp: int | None) -> list:
     if len(key) == 3:
-        a, b, l = key
-    else:
-        (a, b), l = key, 0
-    factors = []
-    for i, e in enumerate(a):
-        if e:
-            factors.append(f"x{i + 1}" + (f"^{e}" if e > 1 else ""))
-    for i, e in enumerate(b):
-        if e:
-            factors.append(f"d{i + 1}" + (f"^{e}" if e > 1 else ""))
-    if l:
-        factors.append("t" + (f"^{l}" if l > 1 else ""))
-    has_var = bool(factors)
+        key = (key[0], key[1], (key[2],))
+    out = format_factors(OPERATOR, key)
     if comp is not None:
-        factors.append(f"e{comp + 1}")
-    mag = abs(coef)
-    parts = []
-    if mag != 1 or not factors:
-        parts.append(str(mag))
-    elif not has_var and comp is None:
-        parts.append(str(mag))
-    parts.extend(factors)
-    return " ".join(parts)
-
-
-def _format_terms(items) -> str:
-    # items: list of (key, comp_or_None, coef) already sorted
-    if not items:
-        return "0"
-    chunks = []
-    for idx, (key, comp, coef) in enumerate(items):
-        body = _format_term(key, coef, comp)
-        if idx == 0:
-            chunks.append(("-" if coef < 0 else "") + body)
-        else:
-            chunks.append(("- " if coef < 0 else "+ ") + body)
-    return " ".join(chunks)
+        out.append(f"e{comp + 1}")
+    return out
 
 
 def format_op(P) -> str:
     """Render a scalar WeylOp or DtOp."""
-    items = sorted(P.terms.items(), key=lambda kv: _display_key(kv[0]))
-    return _format_terms([(key, None, coef) for key, coef in items])
+    keys = sorted(P.terms, key=_display_key)
+    return format_sum([(P.terms[key], _op_factors(key, None)) for key in keys])
 
 
 def format_vec(V) -> str:
     """Render a WeylVec or DtVec, component-major."""
-    items = []
-    for i, comp in enumerate(V.components):
-        for key in sorted(comp.terms, key=_display_key):
-            items.append((key, i, comp.terms[key]))
-    return _format_terms(items)
+    return format_sum(
+        [
+            (comp.terms[key], _op_factors(key, i))
+            for i, comp in enumerate(V.components)
+            for key in sorted(comp.terms, key=_display_key)
+        ]
+    )
+
+
+# ---------------------------------------------------------------------------
+# monomials of Q[W]
+
+
+def parse_w_monomials(text: str, k: int) -> tuple:
+    """Comma-separated W-monomials like ``W1^2, W2`` into exponents."""
+    out = []
+    for chunk in text.split(","):
+        chunk = chunk.strip()
+        if chunk in ("1", ""):
+            if chunk == "1":
+                out.append((0,) * k)
+            continue
+        try:
+            toks = tokenize(chunk, W_MONOMIAL)
+        except SyntaxErrorWithPos:
+            toks = None
+        if not toks or any(kind != "fac" for kind, _, _ in toks):
+            raise SemanticError(f"bad W-monomial {chunk!r}")
+        exp = [0] * k
+        for _, (_, idx, e), _ in toks:
+            if not 1 <= idx <= k:
+                raise SemanticError(f"W{idx} out of range (k = {k})")
+            exp[idx - 1] += e
+        out.append(tuple(exp))
+    if not out:
+        raise SemanticError("empty ideal")
+    return tuple(out)
+
+
+def format_w_monomials(exps) -> str:
+    return ", ".join(
+        format_sum([(1, format_factors(W_MONOMIAL, (e,)))]) for e in exps
+    )

@@ -22,12 +22,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import SemanticError, SyntaxErrorWithPos
-from .grammar import format_vec, parse_vec
+from .grammar import format_vec, format_w_monomials, parse_vec, parse_w_monomials
 from .weights import LinearForm, TermOrder
 from .weyl import RingDescriptor, WeylVec
 
 _RING = re.compile(r"ring\s+n\s*=\s*(\d+)\s+k\s*=\s*(\d+)\s+r\s*=\s*(\d+)\s*$")
-_WMON = re.compile(r"W(\d+)(?:\^(\d+))?\s*", re.IGNORECASE)
 
 
 @dataclass
@@ -86,8 +85,11 @@ def _parse_rational_vector(text: str, line: int) -> tuple:
     out = []
     for piece in text[1:-1].split(","):
         piece = piece.strip()
-        if not re.fullmatch(r"-?\d+(/\d+)?", piece):
+        m = re.fullmatch(r"-?\d+(?:/(\d+))?", piece)
+        if not m:
             raise SyntaxErrorWithPos(f"bad rational {piece!r}", line, 1)
+        if m.group(1) is not None and not int(m.group(1)):
+            raise SyntaxErrorWithPos(f"zero denominator in {piece!r}", line, 1)
         out.append(Fraction(piece))
     return tuple(out)
 
@@ -104,42 +106,6 @@ def _parse_count(name: str, text: str, line: int) -> int:
         return nonnegative_int(text)
     except ValueError as exc:
         raise SemanticError(f"{name} {exc} (line {line})") from None
-
-
-def parse_w_monomials(text: str, k: int) -> tuple:
-    """Comma-separated W-monomials like ``W1^2, W2`` into exponents."""
-    out = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if chunk in ("1", ""):
-            if chunk == "1":
-                out.append((0,) * k)
-            continue
-        exp = [0] * k
-        pos = 0
-        while pos < len(chunk):
-            m = _WMON.match(chunk, pos)
-            if not m:
-                raise SemanticError(f"bad W-monomial {chunk!r}")
-            idx = int(m.group(1))
-            if not 1 <= idx <= k:
-                raise SemanticError(f"W{idx} out of range (k = {k})")
-            exp[idx - 1] += int(m.group(2) or 1)
-            pos = m.end()
-        out.append(tuple(exp))
-    if not out:
-        raise SemanticError("empty ideal")
-    return tuple(out)
-
-
-def format_w_monomials(exps) -> str:
-    def one(e):
-        parts = [
-            f"W{i + 1}" + (f"^{c}" if c > 1 else "") for i, c in enumerate(e) if c
-        ]
-        return " ".join(parts) if parts else "1"
-
-    return ", ".join(one(e) for e in exps)
 
 
 def parse_problem(text: str) -> ProblemFile:
@@ -288,7 +254,9 @@ def parse_syzygy(text: str) -> SyzygyFile:
             header = (int(m.group(1)), int(m.group(2)))
             continue
         if line.startswith("a"):
-            _, value = line.split("=", 1)
+            _, eq, value = line.partition("=")
+            if not eq:
+                raise SyntaxErrorWithPos("expected 'a = [[..], ..]'", lineno, 1)
             a = _parse_int_matrix(value, lineno)
             continue
         if line.startswith("q:"):

@@ -23,6 +23,7 @@ from ._linalg import solve_affine
 from .basis import plain_module_basis, reduce_basis
 from .errors import ConeError, GradingError, RingMismatchError, ZeroInputError
 from .filtration import in_V_gamma, in_V_s, multi_weight
+from .grammar import GRADED, format_factors, format_sum
 from .toric import BasicCone
 from .weights import LinearForm, ones_form, ord_L_vec, symbol_L
 from .weyl import (
@@ -139,27 +140,9 @@ class AElement:
         return f"AElement({self.format()!r})"
 
     def format(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (a, b, sig) in sorted(self.terms):
-            coef = self.terms[(a, b, sig)]
-            factors = []
-            for i, e in enumerate(a):
-                if e:
-                    factors.append(f"X{i + 1}" + (f"^{e}" if e > 1 else ""))
-            for i, e in enumerate(b):
-                if e:
-                    factors.append(f"D{i + 1}" + (f"^{e}" if e > 1 else ""))
-            for i, e in enumerate(sig):
-                if e:
-                    factors.append(f"U{i + 1}" + (f"^{e}" if e > 1 else ""))
-            body = " ".join(factors) if factors else "1"
-            if abs(coef) != 1 or not factors:
-                body = f"{abs(coef)} {body}" if factors else str(abs(coef))
-            parts.append(("- " if coef < 0 else "+ ") + body)
-        out = " ".join(parts)
-        return out[2:] if out.startswith("+ ") else "-" + out[2:]
+        return format_sum(
+            (self.terms[key], format_factors(GRADED, key)) for key in sorted(self.terms)
+        )
 
 
 def to_A(e: ReesElement) -> AElement:
@@ -194,16 +177,6 @@ class FiberResult:
 
     def __bool__(self):
         return self.verdict == "zero"
-
-
-def _unit_vector(ring: RingDescriptor, i: int) -> WeylVec:
-    zero = ((0,) * ring.n, (0,) * ring.n)
-    comps = []
-    for j in range(ring.r):
-        comps.append(
-            WeylOp(ring, {zero: Fraction(1)} if j == i else {})
-        )
-    return WeylVec(ring, comps)
 
 
 def _witness_search(generators, unit: int, bound: int, gamma: BasicCone | None = None):
@@ -285,8 +258,9 @@ def fiber_V_zero_test(
         d = ord_L_vec(h, Lstar, ring.shifts)
         symbols.append(dehomogenize(symbol_L(h, Lstar, d, ring.shifts)))
     symbol_gb = plain_module_basis(symbols)
+    one = ((0,) * ring.n, (0,) * ring.n)
     for i in range(ring.r):
-        if not symbol_gb.member(_unit_vector(ring, i)):
+        if not symbol_gb.member(WeylVec.from_terms(ring, [(one, i, Fraction(1))])):
             return FiberResult("nonzero", [], i, bound)
     # conclusive "zero": exhibit a witness per unit
     witnesses = []

@@ -257,6 +257,15 @@ class _VecBase:
     def zero(cls, ring: RingDescriptor):
         return cls(ring, tuple(cls._scalar(ring) for _ in range(ring.r)))
 
+    @classmethod
+    def from_terms(cls, ring: RingDescriptor, terms):
+        """The vector of the (key, comp_index, coef) ``terms``; the
+        coefficients of a repeated key add up."""
+        buckets = [[] for _ in range(ring.r)]
+        for key, i, coef in terms:
+            buckets[i].append((key, coef))
+        return cls(ring, tuple(cls._scalar(ring, bucket) for bucket in buckets))
+
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -217,6 +218,48 @@ def test_multiplier_cap_exit_two():
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert err.startswith("dfan: inconclusive:") and err.count("\n") == 1
+
+
+def test_monomial_chain_cap_exit_two():
+    # 61^3 = 226,981 monomials in the box of the first step
+    start = time.perf_counter()
+    code, out, err = invoke(
+        ["monomial-chain", "--ideal", "W1^60 W2^60 W3^60", "--k", "3"]
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("dfan: inconclusive:") and err.count("\n") == 1
+    # 21^3 = 9,261 monomials still fit under the cap: the same report
+    code, out, _ = invoke(
+        ["monomial-chain", "--ideal", "W1^20 W2^20 W3^20", "--k", "3"]
+    )
+    assert code == 0 and "\nlength: 60\n" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "00c5d4fa7d55b0ceae0ea77d476d3494f4479e0aaaf0f163c2a6328445dc6469"
+    )
+
+
+SYZYGY = "syzygy n=2 k=2\na = [[1, 0], [0, 1]]\nq: x1 d1 w2\nq: - x1 d1 w1\n"
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        ("ring n=2 k=2 r=1\ngen: 1/0 x1\n", ["gb"]),
+        (SYZYGY.replace("q: x1 d1 w2", "q: 1/0 x1 w2"), ["normalize-syzygy"]),
+        ("ring n=2 k=2 r=1\ngen: x1\nweight = [1/0, 1]\n", ["gb"]),
+        ("ring n=2 k=2 r=1\ngen: x1 d1 + x2 d2\n",
+         ["flat-cert", "--cone", "[[1,0],[0,1]]", "--ideal", "W1", "--s", "[1/0,0]"]),
+        (SYZYGY.replace("a = ", "a "), ["normalize-syzygy"]),
+    ],
+    ids=["gen", "syzygy-q", "weight", "flat-cert-s", "syzygy-a"],
+)
+def test_malformed_input_is_an_error_not_a_bug(tmp_path, text, argv):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    code, out, err = invoke([*argv, "--input", str(path)])
+    assert code == 3 and out == ""
+    assert err.startswith("dfan: error:") and err.count("\n") == 1, err
 
 
 def test_python_dash_m_dfan():

@@ -1,14 +1,23 @@
-import pytest
+import re
+from fractions import Fraction
 
-from dfan.errors import SemanticError, SyntaxErrorWithPos
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dfan.errors import DfanError, SemanticError, SyntaxErrorWithPos
+from dfan.flatness import WOp, format_w_op, parse_w_op
 from dfan.grammar import (
     format_op,
     format_vec,
+    format_w_monomials,
+    parse_dt_op,
     parse_dt_vec,
     parse_op,
     parse_vec,
+    parse_w_monomials,
 )
-from dfan.weyl import RingDescriptor
+from dfan.rees import AElement
+from dfan.weyl import DtOp, DtVec, RingDescriptor, WeylOp, WeylVec
 from conftest import random_dt_op, random_nonzero_op, random_vec
 
 R2 = RingDescriptor(2, 2, 1)
@@ -91,3 +100,487 @@ def test_zero_formats_as_zero():
     from dfan.weyl import WeylOp
 
     assert format_op(WeylOp(R2)) == "0"
+
+
+# ---------------------------------------------------------------------------
+# The grammar against the hand-written parsers and formatters it replaced,
+# kept here verbatim as references.
+
+_REF_TOKEN = re.compile(
+    r"\s*(?:(?P<rat>\d+(?:/\d+)?)|(?P<fac>[xdet]\d*(?:\^\d+)?)|(?P<sign>[+-]))"
+)
+
+
+def ref_tokenize(text):
+    pos = 0
+    out = []
+    while pos < len(text):
+        m = _REF_TOKEN.match(text, pos)
+        if not m or m.lastgroup is None:
+            break
+        out.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
+        pos = m.end()
+    if text[pos:].strip():
+        raise SyntaxErrorWithPos(
+            f"unexpected input {text[pos:].strip()[:10]!r}", 1, pos + 1
+        )
+    return out
+
+
+def ref_parse_factor(tok, pos):
+    head = tok[0]
+    body = tok[1:]
+    exp = 1
+    if "^" in body:
+        body, etxt = body.split("^", 1)
+        exp = int(etxt)
+    if head == "t":
+        if body:
+            raise SyntaxErrorWithPos(f"bad factor {tok!r}", 1, pos + 1)
+        return ("t", 0, exp)
+    if not body:
+        raise SyntaxErrorWithPos(f"missing index in factor {tok!r}", 1, pos + 1)
+    return (head, int(body), exp)
+
+
+def ref_parse_terms(text, ring, *, vector, dt):
+    toks = ref_tokenize(text)
+    if not toks:
+        raise SyntaxErrorWithPos("empty operator", 1, 1)
+    terms = []
+    i = 0
+    first = True
+    while i < len(toks):
+        sign = 1
+        kind, val, pos = toks[i]
+        if kind == "sign":
+            sign = -1 if val == "-" else 1
+            i += 1
+        elif not first:
+            raise SyntaxErrorWithPos("expected + or - between terms", 1, pos + 1)
+        first = False
+        coef = Fraction(sign)
+        saw_rat = False
+        if i < len(toks) and toks[i][0] == "rat":
+            coef = sign * Fraction(toks[i][1])
+            saw_rat = True
+            i += 1
+        alpha = [0] * ring.n
+        beta = [0] * ring.n
+        l = 0
+        comp = None
+        saw_factor = False
+        while i < len(toks) and toks[i][0] == "fac":
+            saw_factor = True
+            head, idx, exp = ref_parse_factor(toks[i][1], toks[i][2])
+            if head in ("x", "d"):
+                if not (1 <= idx <= ring.n):
+                    raise SemanticError(f"{head}{idx} out of range (n = {ring.n})")
+                (alpha if head == "x" else beta)[idx - 1] += exp
+            elif head == "t":
+                if not dt:
+                    raise SemanticError("t factor outside D[t]")
+                l += exp
+            else:
+                if not vector:
+                    raise SemanticError("component marker e<i> in a scalar")
+                if not (1 <= idx <= ring.r):
+                    raise SemanticError(f"e{idx} out of range (r = {ring.r})")
+                if comp is not None and comp != idx - 1:
+                    raise SemanticError("two component markers in one term")
+                if exp != 1:
+                    raise SemanticError("component marker cannot carry an exponent")
+                comp = idx - 1
+            i += 1
+        if not saw_rat and not saw_factor:
+            raise SyntaxErrorWithPos("empty term", 1, pos + 1)
+        if vector:
+            if comp is None:
+                if ring.r == 1:
+                    comp = 0
+                else:
+                    raise SemanticError("vector term without component marker")
+        else:
+            comp = 0
+        terms.append((tuple(alpha), tuple(beta), l, comp, coef))
+    return terms
+
+
+def ref_parse(kind, text, ring):
+    dt = kind in (DtOp, DtVec)
+    vector = kind in (WeylVec, DtVec)
+    terms = ref_parse_terms(text, ring, vector=vector, dt=dt)
+    if not vector:
+        return kind(ring, ((((a, b, l) if dt else (a, b)), c) for a, b, l, _, c in terms))
+    scalar = DtOp if dt else WeylOp
+    buckets = [[] for _ in range(ring.r)]
+    for a, b, l, comp, c in terms:
+        buckets[comp].append((((a, b, l) if dt else (a, b)), c))
+    return kind(ring, tuple(scalar(ring, bucket) for bucket in buckets))
+
+
+def ref_display_key(key):
+    if len(key) == 3:
+        a, b, l = key
+    else:
+        (a, b), l = key, 0
+    return (-(sum(a) + sum(b) + l), tuple(-e for e in b), tuple(-e for e in a), -l)
+
+
+def ref_format_term(key, coef, comp):
+    if len(key) == 3:
+        a, b, l = key
+    else:
+        (a, b), l = key, 0
+    factors = []
+    for i, e in enumerate(a):
+        if e:
+            factors.append(f"x{i + 1}" + (f"^{e}" if e > 1 else ""))
+    for i, e in enumerate(b):
+        if e:
+            factors.append(f"d{i + 1}" + (f"^{e}" if e > 1 else ""))
+    if l:
+        factors.append("t" + (f"^{l}" if l > 1 else ""))
+    has_var = bool(factors)
+    if comp is not None:
+        factors.append(f"e{comp + 1}")
+    mag = abs(coef)
+    parts = []
+    if mag != 1 or not factors:
+        parts.append(str(mag))
+    elif not has_var and comp is None:
+        parts.append(str(mag))
+    parts.extend(factors)
+    return " ".join(parts)
+
+
+def ref_format_terms(items):
+    if not items:
+        return "0"
+    chunks = []
+    for idx, (key, comp, coef) in enumerate(items):
+        body = ref_format_term(key, coef, comp)
+        if idx == 0:
+            chunks.append(("-" if coef < 0 else "") + body)
+        else:
+            chunks.append(("- " if coef < 0 else "+ ") + body)
+    return " ".join(chunks)
+
+
+def ref_format_op(P):
+    items = sorted(P.terms.items(), key=lambda kv: ref_display_key(kv[0]))
+    return ref_format_terms([(key, None, coef) for key, coef in items])
+
+
+def ref_format_vec(V):
+    items = []
+    for i, comp in enumerate(V.components):
+        for key in sorted(comp.terms, key=ref_display_key):
+            items.append((key, i, comp.terms[key]))
+    return ref_format_terms(items)
+
+
+_REF_W_TOKEN = re.compile(
+    r"\s*(?:(?P<rat>\d+(?:/\d+)?)|(?P<fac>[xdw]\d+(?:\^\d+)?)|(?P<sign>[+-]))"
+)
+
+
+def ref_parse_w_op(text, n, k):
+    pos = 0
+    toks = []
+    while pos < len(text):
+        m = _REF_W_TOKEN.match(text, pos)
+        if not m or m.lastgroup is None:
+            break
+        toks.append((m.lastgroup, m.group(m.lastgroup)))
+        pos = m.end()
+    if text[pos:].strip():
+        raise SemanticError(f"unexpected input {text[pos:].strip()[:10]!r}")
+    if not toks:
+        raise SemanticError("empty operator")
+    terms = []
+    i = 0
+    first = True
+    while i < len(toks):
+        sign = 1
+        if toks[i][0] == "sign":
+            sign = -1 if toks[i][1] == "-" else 1
+            i += 1
+        elif not first:
+            raise SemanticError("expected + or - between terms")
+        first = False
+        coef = Fraction(sign)
+        saw = False
+        if i < len(toks) and toks[i][0] == "rat":
+            coef = sign * Fraction(toks[i][1])
+            saw = True
+            i += 1
+        alpha = [0] * n
+        beta = [0] * n
+        ell = [0] * k
+        while i < len(toks) and toks[i][0] == "fac":
+            saw = True
+            tok = toks[i][1]
+            head, body = tok[0], tok[1:]
+            exp = 1
+            if "^" in body:
+                body, e = body.split("^")
+                exp = int(e)
+            idx = int(body)
+            if head == "x":
+                if not 1 <= idx <= n:
+                    raise SemanticError(f"x{idx} out of range")
+                alpha[idx - 1] += exp
+            elif head == "d":
+                if not 1 <= idx <= n:
+                    raise SemanticError(f"d{idx} out of range")
+                beta[idx - 1] += exp
+            else:
+                if not 1 <= idx <= k:
+                    raise SemanticError(f"w{idx} out of range")
+                ell[idx - 1] += exp
+            i += 1
+        if not saw:
+            raise SemanticError("empty term")
+        terms.append(((tuple(alpha), tuple(beta), tuple(ell)), coef))
+    return WOp(n, k, terms)
+
+
+def ref_format_w_op(q):
+    if not q.terms:
+        return "0"
+    chunks = []
+    for idx, key in enumerate(sorted(q.terms, key=lambda key: (sum(key[0]) + sum(key[1]) + sum(key[2]), key))):
+        a, b, l = key
+        coef = q.terms[key]
+        factors = []
+        for i, e in enumerate(a):
+            if e:
+                factors.append(f"x{i + 1}" + (f"^{e}" if e > 1 else ""))
+        for i, e in enumerate(b):
+            if e:
+                factors.append(f"d{i + 1}" + (f"^{e}" if e > 1 else ""))
+        for i, e in enumerate(l):
+            if e:
+                factors.append(f"w{i + 1}" + (f"^{e}" if e > 1 else ""))
+        body = " ".join(factors) if factors else str(abs(coef))
+        if abs(coef) != 1 and factors:
+            body = f"{abs(coef)} {body}"
+        if idx == 0:
+            chunks.append(("-" if coef < 0 else "") + body)
+        else:
+            chunks.append(("- " if coef < 0 else "+ ") + body)
+    return " ".join(chunks)
+
+
+def ref_format_a(terms):
+    if not terms:
+        return "0"
+    parts = []
+    for (a, b, sig) in sorted(terms):
+        coef = terms[(a, b, sig)]
+        factors = []
+        for i, e in enumerate(a):
+            if e:
+                factors.append(f"X{i + 1}" + (f"^{e}" if e > 1 else ""))
+        for i, e in enumerate(b):
+            if e:
+                factors.append(f"D{i + 1}" + (f"^{e}" if e > 1 else ""))
+        for i, e in enumerate(sig):
+            if e:
+                factors.append(f"U{i + 1}" + (f"^{e}" if e > 1 else ""))
+        body = " ".join(factors) if factors else "1"
+        if abs(coef) != 1 or not factors:
+            body = f"{abs(coef)} {body}" if factors else str(abs(coef))
+        parts.append(("- " if coef < 0 else "+ ") + body)
+    out = " ".join(parts)
+    return out[2:] if out.startswith("+ ") else "-" + out[2:]
+
+
+_REF_WMON = re.compile(r"W(\d+)(?:\^(\d+))?\s*", re.IGNORECASE)
+
+
+def ref_parse_w_monomials(text, k):
+    out = []
+    for chunk in text.split(","):
+        chunk = chunk.strip()
+        if chunk in ("1", ""):
+            if chunk == "1":
+                out.append((0,) * k)
+            continue
+        exp = [0] * k
+        pos = 0
+        while pos < len(chunk):
+            m = _REF_WMON.match(chunk, pos)
+            if not m:
+                raise SemanticError(f"bad W-monomial {chunk!r}")
+            idx = int(m.group(1))
+            if not 1 <= idx <= k:
+                raise SemanticError(f"W{idx} out of range (k = {k})")
+            exp[idx - 1] += int(m.group(2) or 1)
+            pos = m.end()
+        out.append(tuple(exp))
+    if not out:
+        raise SemanticError("empty ideal")
+    return tuple(out)
+
+
+def ref_format_w_monomials(exps):
+    def one(e):
+        parts = [
+            f"W{i + 1}" + (f"^{c}" if c > 1 else "") for i, c in enumerate(e) if c
+        ]
+        return " ".join(parts) if parts else "1"
+
+    return ", ".join(one(e) for e in exps)
+
+
+# ---------------------------------------------------------------- values
+
+coefficients = st.builds(
+    Fraction, st.integers(-7, 7).filter(bool), st.integers(1, 4)
+) | st.sampled_from([Fraction(1), Fraction(-1)])
+
+
+def exponents(size):
+    return st.tuples(*[st.integers(0, 3)] * size)
+
+
+def term_dicts(key):
+    return st.dictionaries(key, coefficients, max_size=5)
+
+
+@st.composite
+def operators(draw):
+    n = draw(st.integers(1, 2))
+    r = draw(st.integers(1, 3))
+    ring = RingDescriptor(n, n, r)
+    dt = draw(st.booleans())
+    key = st.tuples(exponents(n), exponents(n))
+    if dt:
+        key = st.tuples(exponents(n), exponents(n), st.integers(0, 3))
+    scalar = DtOp if dt else WeylOp
+    comps = [scalar(ring, draw(term_dicts(key))) for _ in range(r)]
+    return comps[0], (DtVec if dt else WeylVec)(ring, comps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(operators())
+def test_operators_print_as_the_reference(value):
+    op, vec = value
+    assert format_op(op) == ref_format_op(op)
+    assert format_vec(vec) == ref_format_vec(vec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2), st.integers(1, 3), st.data())
+def test_syzygy_operators_print_as_the_reference(n, k, data):
+    key = st.tuples(exponents(n), exponents(n), exponents(k))
+    q = WOp(n, k, data.draw(term_dicts(key)))
+    assert format_w_op(q) == ref_format_w_op(q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2), st.data())
+def test_graded_elements_print_as_the_reference(n, data):
+    key = st.tuples(exponents(n), exponents(n), exponents(n))
+    terms = data.draw(term_dicts(key))
+    assert AElement(RingDescriptor(n, n, 1), terms).format() == ref_format_a(terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_w_monomials_print_as_the_reference(k, data):
+    exps = data.draw(st.lists(exponents(k), max_size=4))
+    assert format_w_monomials(exps) == ref_format_w_monomials(exps)
+
+
+# --------------------------------------------------------------- strings
+
+ALPHABET = "xdetwW0123^/+- ,"
+PIECES = ["x1", "d2", "t", "e1", "e2", "w1", "W2", "^2", "^0", "3", "/2", "/0",
+          "+", "- ", " ", ",", "1", "x", "t1", "e3", "w", "W"]
+
+LETTERS = [
+    ["x1", "x2", "d1", "d2", "t", "e1", "e2"],
+    ["x1", "x2", "d1", "d2", "w1", "w2"],
+    ["W1", "W2", "w1"],
+    ["x1", "d2", "t", "e1", "w1", "W1", "x", "t2", "e"],
+]
+
+
+@st.composite
+def sums(draw):
+    """Signed sums over one format's letters, sometimes with another's."""
+    factor = st.tuples(
+        st.sampled_from(draw(st.sampled_from(LETTERS))),
+        st.sampled_from(["", "", "^2", "^0"]),
+    ).map("".join)
+    term = st.tuples(
+        st.sampled_from(["", "", "2 ", "3/2 ", "1 ", "1/0 "]),
+        st.lists(factor, max_size=3),
+    ).map(lambda t: t[0] + " ".join(t[1]))
+    parts = draw(st.lists(
+        st.tuples(st.sampled_from(["", "-", " + ", " - ", ", ", " "]), term),
+        min_size=1,
+        max_size=3,
+    ))
+    return "".join(sep + text for sep, text in parts)
+
+
+texts = (
+    st.text(ALPHABET, max_size=16)
+    | st.lists(st.sampled_from(PIECES), max_size=8).map("".join)
+    | sums()
+)
+
+
+def outcome(parse, *args, rejects=DfanError):
+    """("ok", value) or ("reject",)."""
+    try:
+        return ("ok", parse(*args))
+    except rejects:
+        return ("reject",)
+
+
+def ref_outcome(parse, *args):
+    """As ``outcome``; the reference's ZeroDivisionError on a zero
+    denominator counts as a reject."""
+    return outcome(parse, *args, rejects=(DfanError, ZeroDivisionError))
+
+
+R2V = RingDescriptor(2, 2, 2)
+R1V = RingDescriptor(2, 2, 1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(texts)
+def test_operator_strings_parse_as_the_reference(text):
+    parsers = {WeylOp: parse_op, DtOp: parse_dt_op, WeylVec: parse_vec, DtVec: parse_dt_vec}
+    for kind, parse in parsers.items():
+        for ring in (R1V, R2V):
+            assert outcome(parse, text, ring) == ref_outcome(ref_parse, kind, text, ring)
+
+
+@settings(max_examples=400, deadline=None)
+@given(texts)
+def test_syzygy_strings_parse_as_the_reference(text):
+    for n, k in ((1, 1), (2, 2)):
+        assert outcome(parse_w_op, text, n, k) == ref_outcome(ref_parse_w_op, text, n, k)
+
+
+@settings(max_examples=400, deadline=None)
+@given(texts)
+def test_w_monomial_strings_parse_as_the_reference(text):
+    for k in (1, 2):
+        assert outcome(parse_w_monomials, text, k) == ref_outcome(
+            ref_parse_w_monomials, text, k
+        )
+
+
+def test_zero_denominator_is_a_positioned_syntax_error():
+    with pytest.raises(SyntaxErrorWithPos, match="zero denominator in '1/0'") as exc:
+        parse_op("x1 + 1/0 d1", R2)
+    assert exc.value.column == 6
+    with pytest.raises(SemanticError, match="zero denominator"):
+        parse_w_op("1/0 x1 w2", 2, 2)

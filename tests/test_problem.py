@@ -1,13 +1,8 @@
 import pytest
 
 from dfan.errors import SemanticError, SyntaxErrorWithPos
-from dfan.problem import (
-    format_problem,
-    format_w_monomials,
-    parse_problem,
-    parse_syzygy,
-    parse_w_monomials,
-)
+from dfan.grammar import format_w_monomials, parse_w_monomials
+from dfan.problem import format_problem, parse_problem, parse_syzygy
 
 EULER = """\
 ring n=2 k=2 r=1
