@@ -11,6 +11,7 @@ that needs a different pivot preference renumbers the columns first."""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def add_multiple(w, f, row):
@@ -197,18 +198,15 @@ def cone_interior_point(eqs, stricts, k):
     return point
 
 
+def primitive(v):
+    """An integer vector divided by the gcd of its entries, as a tuple;
+    the zero vector stays zero."""
+    g = gcd(*v)
+    return tuple(c // g for c in v) if g > 1 else tuple(v)
+
+
 def to_primitive_int(vec):
     """Scale a rational vector to a primitive integer vector (same ray)."""
-    from math import gcd, lcm
-
     fr = [Fraction(x) for x in vec]
-    if not any(fr):
-        return tuple(0 for _ in fr)
-    den = 1
-    for f in fr:
-        den = lcm(den, f.denominator)
-    ints = [int(f * den) for f in fr]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    return tuple(c // g for c in ints)
+    den = lcm(*(f.denominator for f in fr))
+    return primitive([int(f * den) for f in fr])

@@ -18,7 +18,7 @@ import sys
 
 from . import __version__
 from .basis import reduce_basis
-from .errors import DfanError, ResourceBoundExceeded
+from .errors import DfanError, ResourceBoundExceeded, SyntaxErrorWithPos
 from .fan import standard_fan
 from .flatness import (
     MonomialIdeal,
@@ -28,10 +28,15 @@ from .flatness import (
     intersection_oracle,
     kernel_normalize,
     monomial_filtration,
-    parse_w_op,
 )
 from .grammar import format_op, format_vec, format_w_monomials, parse_w_monomials
-from .problem import nonnegative_int, parse_problem, parse_syzygy
+from .problem import (
+    nonnegative_int,
+    parse_int_matrix,
+    parse_problem,
+    parse_rational_vector,
+    parse_syzygy,
+)
 from .rees import fiber_V_zero_test
 from .toric import BasicCone, refine_to_basic
 from .weights import LinearForm, ones_form
@@ -113,15 +118,18 @@ def _load_problem(args):
     return parse_problem(_read_input(args))
 
 
+def _flag_value(parse, flag, text):
+    """A flag's value read by the parser of the matching problem-file
+    field; an error names the flag instead of a file position."""
+    try:
+        return parse(text, 0)
+    except SyntaxErrorWithPos as exc:
+        raise UsageError(f"{flag}: {exc.message}") from None
+
+
 def _resolve_weight(args, problem):
     if getattr(args, "weight", None):
-        vec = [p.strip() for p in args.weight.strip().strip("[]").split(",")]
-        from fractions import Fraction
-
-        try:
-            form = LinearForm(tuple(Fraction(p) for p in vec))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"bad weight {args.weight!r}: {exc}")
+        form = LinearForm(_flag_value(parse_rational_vector, "--weight", args.weight))
         if form.k != problem.ring.k:
             raise UsageError(
                 f"weight has length {form.k}, the ring has k = {problem.ring.k}"
@@ -135,9 +143,7 @@ def _resolve_weight(args, problem):
 def _resolve_cone_rows(args, problem):
     text = getattr(args, "cone", None)
     if text:
-        from .problem import _parse_int_matrix
-
-        rows = _parse_int_matrix(text, 0)
+        rows = _flag_value(parse_int_matrix, "--cone", text)
     elif problem is not None and problem.cone is not None:
         rows = problem.cone
     else:
@@ -272,9 +278,7 @@ def _cmd_flat_cert(args):
         J.append(e.index(1) + 1)
     J = tuple(sorted(set(J)))
     if args.s:
-        from .problem import _parse_rational_vector
-
-        svec = _parse_rational_vector(args.s, 0)
+        svec = _flag_value(parse_rational_vector, "--s", args.s)
         if len(svec) != ring.k or any(v.denominator != 1 for v in svec):
             raise UsageError(f"--s must be an integer vector of length {ring.k}")
         s = tuple(int(v) for v in svec)
@@ -335,8 +339,7 @@ def _cmd_flat_cert(args):
 
 def _cmd_normalize_syzygy(args):
     syz = parse_syzygy(_read_input(args))
-    qs = [parse_w_op(text, syz.n, syz.k) for text in syz.q_texts]
-    norm = kernel_normalize(syz.a, qs)
+    norm = kernel_normalize(syz.a, syz.qs)
     entries = []
     for (i, p), rop in sorted(norm.matrix.items()):
         v, w = norm.offsets[(i, p)]

@@ -32,9 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import gcd
 
-from ._linalg import cone_interior_point, to_primitive_int
+from ._linalg import cone_interior_point, primitive, to_primitive_int
 from .basis import (
     Caps,
     DEFAULT_CAPS,
@@ -48,17 +47,12 @@ from .weights import LinearForm
 
 
 def _canon(v):
-    g = 0
+    """The primitive vector on the line of v whose first nonzero entry is
+    positive, or None for zero."""
+    v = primitive(v)
     for c in v:
-        g = gcd(g, abs(c))
-    if g == 0:
-        return None
-    v = tuple(c // g for c in v)
-    for c in v:
-        if c > 0:
-            return v
-        if c < 0:
-            return tuple(-x for x in v)
+        if c:
+            return v if c > 0 else tuple(-x for x in v)
     return None
 
 
@@ -134,6 +128,10 @@ class FanCone:
             [L.coeffs], self.equalities, self.stricts
         )
 
+    def closure_contains(self, gens) -> bool:
+        """Whether every integer vector in ``gens`` lies in the closure."""
+        return _inside(gens, self.equalities, (), self.stricts)
+
 
 class Fan:
     """The full partition, with a sign-pattern index for point location."""
@@ -154,8 +152,7 @@ class Fan:
             hosts = tuple(
                 j
                 for j, other in enumerate(self.cones)
-                if other is not cone
-                and _inside([cone.sample], other.equalities, (), other.stricts)
+                if other is not cone and other.closure_contains([cone.sample])
             )
             out.append(hosts)
         return tuple(out)

@@ -2,16 +2,15 @@
 
 The multiweight of a term x^alpha d^beta in component i is
 (beta - alpha)[:k] + n^(i), with n^(i) the i-th shift column.  A vector
-lies in V_s iff every multiweight is <= s componentwise; it lies in the
-cone-refined V^Gamma_s iff L(delta) <= L(s) for every ray form L of the
-cone (each term may take sigma = delta in the defining sum, so the ray
-characterization is equivalent; the brute-force regression lives in the
-tests)."""
+lies in the cone-refined V^Gamma_s iff L(delta) <= L(s) for every ray
+form L of the cone (each term may take sigma = delta in the defining sum,
+so the ray characterization is equivalent; the brute-force regression
+lives in the tests).  V_s, where every multiweight is <= s componentwise,
+is the case of the orthant cone."""
 
 from __future__ import annotations
 
-from .errors import ConeError
-from .weights import LinearForm
+from .toric import BasicCone, normalize_rays, orthant_cone
 from .weyl import DtOp, WeylOp
 
 
@@ -34,52 +33,26 @@ def _iter_weighted_terms(B, shifts, k):
             yield multi_weight(key, i, shifts, k)
 
 
-def in_V_s(B, s, shifts=None) -> bool:
-    """Membership in V[n_]_s: every multiweight <= s componentwise."""
-    k = len(s)
-    for delta in _iter_weighted_terms(B, shifts, k):
-        if any(d > si for d, si in zip(delta, s)):
-            return False
-    return True
-
-
-def normalize_rays(rays):
-    """Primitive integer ray forms in the nonnegative quadrant."""
-    from math import gcd
-
-    out = []
-    for ray in rays:
-        v = tuple(int(c) for c in ray)
-        if any(c < 0 for c in v):
-            raise ConeError(f"ray {v} leaves the nonnegative quadrant")
-        g = 0
-        for c in v:
-            g = gcd(g, abs(c))
-        if g == 0:
-            raise ConeError("zero ray")
-        out.append(tuple(c // g for c in v))
-    if not out:
-        raise ConeError("empty ray set")
-    return tuple(out)
-
-
-def _cone_rays(gamma):
-    if hasattr(gamma, "rows"):  # BasicCone
-        return gamma.rows
-    return normalize_rays(gamma)
+def cone_drops(rows, s, delta):
+    """L(s) - L(delta) for each row form L.  A term of multiweight delta
+    lies in V^Gamma_s when no drop is negative, and on its top stratum
+    when every drop is zero."""
+    return tuple(sum(r * (x - d) for r, x, d in zip(row, s, delta)) for row in rows)
 
 
 def in_V_gamma(B, s, gamma, shifts=None) -> bool:
-    """Membership in the cone-refined filtration V^Gamma_s."""
-    rays = _cone_rays(gamma)
-    k = len(s)
-    forms = [LinearForm(ray) for ray in rays]
-    svals = [L.of(s) for L in forms]
-    for delta in _iter_weighted_terms(B, shifts, k):
-        for L, sv in zip(forms, svals):
-            if L.of(delta) > sv:
-                return False
-    return True
+    """Membership in the cone-refined filtration V^Gamma_s; ``gamma`` is a
+    BasicCone or a list of ray forms."""
+    rows = gamma.rows if isinstance(gamma, BasicCone) else normalize_rays(gamma)
+    return all(
+        min(cone_drops(rows, s, delta)) >= 0
+        for delta in _iter_weighted_terms(B, shifts, len(s))
+    )
+
+
+def in_V_s(B, s, shifts=None) -> bool:
+    """Membership in V[n_]_s: V^Gamma_s for the orthant cone."""
+    return in_V_gamma(B, s, orthant_cone(len(s)), shifts)
 
 
 def newton_diagram(B, shifts=None, k: int | None = None) -> frozenset:

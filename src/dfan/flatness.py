@@ -15,7 +15,6 @@ bit-identically from their recorded inputs."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
 
 from ._linalg import in_row_space, rref, vanishing_rows
@@ -29,7 +28,7 @@ from .errors import (
     SyntaxErrorWithPos,
     ZeroInputError,
 )
-from .filtration import in_V_gamma, multi_weight
+from .filtration import cone_drops, in_V_gamma, multi_weight
 from .grammar import (
     SYZYGY,
     format_factors,
@@ -39,7 +38,7 @@ from .grammar import (
     format_w_monomials,
     parse_sum,
 )
-from .toric import MAX_BOX_POINTS, BasicCone, _det, _inverse_unimodular
+from .toric import MAX_BOX_POINTS, BasicCone
 from .weights import LinearForm, ord_L_vec, symbol_L
 from .weyl import (
     DtOp,
@@ -388,61 +387,38 @@ def kernel_normalize(a_list, q_list) -> SyzygyNormalization:
 # the flat-decomposition certifier
 
 
-class _IdealFrame:
-    """Cone rows renumbered so the ideal coordinates come first; only
-    L L' = 1 matters here, so the determinant may be -1."""
+class _Frame:
+    """The regions of the coordinate ideal W_J in the cone Gamma at degree
+    s.  The rows are Gamma's with the ideal coordinates first; the inverse
+    of a row-permuted matrix is the inverse with its columns permuted
+    alike, so the columns C_j of the ideal coordinates are Gamma's.  Region
+    j is V^Gamma at s - C_j.  An empty J is the unit ideal: one region, at
+    s."""
 
-    __slots__ = ("rows", "inverse", "columns", "original", "p")
+    __slots__ = ("rows", "columns", "degrees")
 
-    def __init__(self, gamma: BasicCone, J):
+    def __init__(self, gamma: BasicCone, J, s):
         J = tuple(sorted(set(J)))
         k = gamma.k
-        if not J or any(not 1 <= j <= k for j in J):
+        if any(not 1 <= j <= k for j in J):
             raise ConeError(f"ideal coordinates {J} out of range")
         order = [j - 1 for j in J] + [j for j in range(k) if j + 1 not in J]
-        rows = tuple(gamma.rows[j] for j in order)
-        d = _det(rows)
-        if d not in (1, -1):
-            raise ConeError("frame is not unimodular")
-        self.rows = rows
-        self.inverse = _inverse_unimodular(rows)
-        self.columns = tuple(
-            tuple(self.inverse[i][j] for i in range(k)) for j in range(k)
+        self.rows = tuple(gamma.rows[j] for j in order)
+        self.columns = tuple(gamma.columns[j - 1] for j in J) or ((0,) * k,)
+        self.degrees = tuple(
+            tuple(x - c for x, c in zip(s, col)) for col in self.columns
         )
-        self.original = tuple(order)
-        self.p = len(J)
 
-    @property
-    def k(self):
-        return len(self.rows)
+    def fits(self, delta):
+        """For each region, whether a term of multiweight delta lies in it."""
+        return [min(cone_drops(self.rows, d, delta)) >= 0 for d in self.degrees]
 
 
-class _UnitFrame:
-    """Degenerate frame for the unit ideal: one region, no column drop."""
-
-    __slots__ = ("rows", "columns", "original", "p")
-
-    def __init__(self, gamma: BasicCone):
-        self.rows = gamma.rows
-        self.columns = ((0,) * gamma.k,)
-        self.original = (0,)
-        self.p = 1
-
-    @property
-    def k(self):
-        return len(self.rows)
-
-
-def _in_region(point, s, frame, j):
-    """point in (s - C_j) - dual cone: every row form drops by delta_ij."""
-    unit = isinstance(frame, _UnitFrame)
-    for i, row in enumerate(frame.rows):
-        bound = sum(r * x for r, x in zip(row, s)) - (
-            1 if (i == j and not unit) else 0
-        )
-        if sum(r * x for r, x in zip(row, point)) > bound:
-            return False
-    return True
+def _ideal_frame(gamma: BasicCone, J, s) -> _Frame:
+    """The frame of a certificate, whose ideal is never the unit ideal."""
+    if not J:
+        raise ConeError("ideal coordinates () out of range")
+    return _Frame(gamma, J, s)
 
 
 @dataclass
@@ -464,7 +440,7 @@ class FlatCertificate:
     basis: StandardBasis
 
     def verify(self) -> None:
-        frame = _IdealFrame(self.gamma, self.J)
+        degrees = _Frame(self.gamma, self.J, self.s).degrees
         total = WeylVec.zero(self.Q.ring)
         for piece in self.pieces:
             total = total + piece
@@ -473,10 +449,7 @@ class FlatCertificate:
         for j, piece in enumerate(self.pieces):
             if piece.is_zero():
                 continue
-            target = tuple(
-                x - c for x, c in zip(self.s, frame.columns[j])
-            )
-            if not in_V_gamma(piece, target, frame.rows):
+            if not in_V_gamma(piece, degrees[j], self.gamma):
                 raise CertificateError(
                     f"piece {j + 1} leaves the cone filtration"
                 )
@@ -497,8 +470,7 @@ class FlatCertificate:
             "t_power": self.t_power,
             "pieces": [format_vec(p) for p in self.pieces],
             "piece_degrees": [
-                [x - c for x, c in zip(self.s, _IdealFrame(self.gamma, self.J).columns[j])]
-                for j in range(len(self.pieces))
+                list(d) for d in _Frame(self.gamma, self.J, self.s).degrees
             ],
             "quotients": [format_op(a) for a in self.quotients],
             "split": [
@@ -529,22 +501,11 @@ def flat_decompose(
     ring = Q.ring
     if Q.is_zero():
         raise ZeroInputError("nothing to decompose")
-    frame = _IdealFrame(gamma, J)
-    p = frame.p
     s = tuple(int(c) for c in s)
-    if fan_cone is not None:
-        for row in frame.rows:
-            L = LinearForm(row)
-            if not all(
-                sum(Fraction(c) * v for c, v in zip(L.coeffs, eq)) == 0
-                for eq in fan_cone.equalities
-            ) or not all(
-                sum(Fraction(c) * v for c, v in zip(L.coeffs, st)) >= 0
-                for st in fan_cone.stricts
-            ):
-                raise CertificateError(
-                    "cone is not included in the closure of the fan cone"
-                )
+    frame = _ideal_frame(gamma, J, s)
+    p = len(frame.degrees)
+    if fan_cone is not None and not fan_cone.closure_contains(frame.rows):
+        raise CertificateError("cone is not included in the closure of the fan cone")
     parts = tuple(parts)
     if len(parts) != p:
         raise CertificateError(f"need {p} decomposition parts, got {len(parts)}")
@@ -553,13 +514,10 @@ def flat_decompose(
         total = total + part
     if total != Q:
         raise CertificateError("decomposition parts do not sum to the input")
-    for j, part in enumerate(parts):
-        if part.is_zero():
-            continue
-        target = tuple(x - c for x, c in zip(s, frame.columns[j]))
-        if not in_V_gamma(part, target, frame.rows):
+    for j, (part, degree) in enumerate(zip(parts, frame.degrees)):
+        if not in_V_gamma(part, degree, gamma):
             raise CertificateError(
-                f"part {j + 1} is not in the cone filtration at {target}"
+                f"part {j + 1} is not in the cone filtration at {degree}"
             )
     mem = basis.member(Q, l_max)
     if not mem.is_member:
@@ -608,17 +566,14 @@ def flat_decompose(
             delta = tuple(
                 key[1][i] - key[0][i] for i in range(ring.k)
             )
-            point = tuple(x + y for x, y in zip(delta, w_m))
-            for j in range(1, p):
-                if _in_region(point, s, frame, j):
-                    splits.append((m, key, coef, j))
-                    term = DtOp(ring, {key: coef})
-                    r_pieces[j] = r_pieces[j] + h_m.left_mul(term)
-                    break
-            else:
+            fits = frame.fits(tuple(x + y for x, y in zip(delta, w_m)))
+            if not any(fits[1:]):
                 raise CertificateError(
                     f"stratum term {key} of quotient {m} fits no ideal region"
                 )
+            j = fits.index(True, 1)
+            splits.append((m, key, coef, j))
+            r_pieces[j] = r_pieces[j] + h_m.left_mul(DtOp(ring, {key: coef}))
     pieces = [None] * p
     rest = Q
     for j in range(1, p):
@@ -653,19 +608,16 @@ def flat_decompose(
     return cert
 
 
-def _assign_parts(Q: WeylVec, s, frame):
+def _assign_parts(Q: WeylVec, frame: _Frame):
     """Each term of Q in the first region of ``frame`` that admits it, as
     one vector per region; None when some term fits no region."""
     ring = Q.ring
-    parts = [[] for _ in range(frame.p)]
+    parts = [[] for _ in frame.degrees]
     for key, i, c in Q.iter_terms():
-        delta = multi_weight(key, i, ring.shifts, ring.k)
-        for j in range(frame.p):
-            if _in_region(delta, s, frame, j):
-                parts[j].append((key, i, c))
-                break
-        else:
+        fits = frame.fits(multi_weight(key, i, ring.shifts, ring.k))
+        if not any(fits):
             return None
+        parts[fits.index(True)].append((key, i, c))
     return tuple(WeylVec.from_terms(ring, terms) for terms in parts)
 
 
@@ -674,7 +626,8 @@ def greedy_parts(Q: WeylVec, s, gamma: BasicCone, J):
     producing the decomposition flat_decompose needs.  Returns None when
     some term fits no region (Q is then outside the graded piece of the
     ideal times the free module)."""
-    return _assign_parts(Q, tuple(int(c) for c in s), _IdealFrame(gamma, J))
+    s = tuple(int(c) for c in s)
+    return _assign_parts(Q, _ideal_frame(gamma, J, s))
 
 
 # ---------------------------------------------------------------------------
@@ -723,9 +676,9 @@ def intersection_oracle(
     graded piece of the module itself and equality is trivial (the
     enumeration is still useful)."""
     ring = generators[0].ring
-    frame = _UnitFrame(gamma) if not tuple(J) else _IdealFrame(gamma, J)
-    p = frame.p
     s = tuple(int(c) for c in s)
+    frame = _Frame(gamma, J, s)
+    p = len(frame.degrees)
     slack = max(g.total_degree() for g in generators) + 2
     prod_bound = degree_bound + slack
     # columns: products (monomial * generator) up to the padded bound
@@ -743,27 +696,15 @@ def intersection_oracle(
         for col in columns
     ]
 
-    def admissible(key, j):
-        delta = multi_weight(key, key[2], ring.shifts, ring.k)
-        return _in_region(delta, s, frame, j)
-
-    def key_degree(key):
-        return sum(key[0]) + sum(key[1])
-
-    bad_any = [
-        idx
-        for idx, key in enumerate(keys)
-        if key_degree(key) > degree_bound
-        or not any(admissible(key, j) for j in range(p))
+    # per key, the regions it lies in; none when over the bound
+    fits = [
+        frame.fits(multi_weight(key, key[2], ring.shifts, ring.k))
+        if sum(key[0]) + sum(key[1]) <= degree_bound
+        else [False] * p
+        for key in keys
     ]
-    bad_per_j = [
-        [
-            idx
-            for idx, key in enumerate(keys)
-            if key_degree(key) > degree_bound or not admissible(key, j)
-        ]
-        for j in range(p)
-    ]
+    bad_any = [idx for idx, f in enumerate(fits) if not any(f)]
+    bad_per_j = [[idx for idx, f in enumerate(fits) if not f[j]] for j in range(p)]
     lhs = vanishing_rows(rows, bad_any)
     rhs_rows = []
     for j in range(p):
@@ -782,7 +723,7 @@ def intersection_oracle(
             counterexample = to_vec(vec)
             break
     elements = [to_vec(vec) for vec in lhs_red]
-    assignments = [_assign_parts(w, s, frame) for w in elements]
+    assignments = [_assign_parts(w, frame) for w in elements]
     return OracleResult(
         equal=counterexample is None,
         lhs_dim=len(lhs_red),

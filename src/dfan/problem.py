@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import SemanticError, SyntaxErrorWithPos
+from .flatness import parse_w_op
 from .grammar import format_vec, format_w_monomials, parse_vec, parse_w_monomials
 from .weights import LinearForm, TermOrder
 from .weyl import RingDescriptor, WeylVec
@@ -59,13 +60,21 @@ class ProblemFile:
         )
 
 
-def _parse_int_matrix(text: str, line: int) -> tuple:
+_ROW = r"\[[^\[\]]*\]"
+_MATRIX = re.compile(rf"\[\s*{_ROW}(?:\s*,\s*{_ROW})*\s*\]")
+
+
+def parse_int_matrix(text: str, line: int) -> tuple:
+    """A bracketed, comma-separated list of bracketed integer rows."""
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
         raise SyntaxErrorWithPos("expected a bracketed list of rows", line, 1)
-    inner = text[1:-1].strip()
+    if not text[1:-1].strip():
+        raise SyntaxErrorWithPos("empty matrix", line, 1)
+    if not _MATRIX.fullmatch(text):
+        raise SyntaxErrorWithPos("expected a comma-separated list of rows", line, 1)
     rows = []
-    for chunk in re.findall(r"\[([^\]]*)\]", inner):
+    for chunk in re.findall(r"\[([^\]]*)\]", text[1:-1]):
         row = []
         for piece in chunk.split(","):
             piece = piece.strip()
@@ -73,12 +82,10 @@ def _parse_int_matrix(text: str, line: int) -> tuple:
                 raise SyntaxErrorWithPos(f"bad integer {piece!r}", line, 1)
             row.append(int(piece))
         rows.append(tuple(row))
-    if not rows:
-        raise SyntaxErrorWithPos("empty matrix", line, 1)
     return tuple(rows)
 
 
-def _parse_rational_vector(text: str, line: int) -> tuple:
+def parse_rational_vector(text: str, line: int) -> tuple:
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
         raise SyntaxErrorWithPos("expected a bracketed vector", line, 1)
@@ -148,7 +155,7 @@ def parse_problem(text: str) -> ProblemFile:
         raise SyntaxErrorWithPos("missing ring line", 1, 1)
     n, k, r = ring
     if "shifts" in fields:
-        shifts = _parse_int_matrix(*fields.pop("shifts"))
+        shifts = parse_int_matrix(*fields.pop("shifts"))
         if len(shifts) != r or any(len(col) != k for col in shifts):
             raise SemanticError(
                 f"shifts must be {r} rows of length {k}, got {list(map(list, shifts))}"
@@ -170,18 +177,18 @@ def parse_problem(text: str) -> ProblemFile:
         target = parse_vec(target_text[0], ring_desc)
     out = ProblemFile(ring_desc, tuple(generators), target)
     if "cone" in fields:
-        out.cone = _parse_int_matrix(*fields.pop("cone"))
+        out.cone = parse_int_matrix(*fields.pop("cone"))
         if any(len(row) != k for row in out.cone):
             raise SemanticError(f"cone rows must have length {k}")
     if "weight" in fields:
-        vec = _parse_rational_vector(*fields.pop("weight"))
+        vec = parse_rational_vector(*fields.pop("weight"))
         if len(vec) != k:
             raise SemanticError(f"weight must have length {k}")
         out.weight = LinearForm(vec)
     if "ideal" in fields:
         out.ideal = parse_w_monomials(fields.pop("ideal")[0], k)
     if "s" in fields:
-        vec = _parse_rational_vector(*fields.pop("s"))
+        vec = parse_rational_vector(*fields.pop("s"))
         if len(vec) != k or any(v.denominator != 1 for v in vec):
             raise SemanticError(f"s must be an integer vector of length {k}")
         out.s = tuple(int(v) for v in vec)
@@ -233,7 +240,7 @@ class SyzygyFile:
     n: int
     k: int
     a: tuple
-    q_texts: tuple
+    qs: tuple  # one WOp per q: line
 
 
 _SYZ = re.compile(r"syzygy\s+n\s*=\s*(\d+)\s+k\s*=\s*(\d+)\s*$")
@@ -253,14 +260,14 @@ def parse_syzygy(text: str) -> SyzygyFile:
                 raise SyntaxErrorWithPos("bad syzygy header", lineno, 1)
             header = (int(m.group(1)), int(m.group(2)))
             continue
-        if line.startswith("a"):
+        if re.match(r"a\b", line):
             _, eq, value = line.partition("=")
             if not eq:
                 raise SyntaxErrorWithPos("expected 'a = [[..], ..]'", lineno, 1)
-            a = _parse_int_matrix(value, lineno)
+            a = parse_int_matrix(value, lineno)
             continue
         if line.startswith("q:"):
-            qs.append(line[2:].strip())
+            qs.append((line[2:].strip(), lineno))
             continue
         raise SyntaxErrorWithPos(f"unrecognized line {line[:20]!r}", lineno, 1)
     if header is None or a is None or not qs:
@@ -272,4 +279,10 @@ def parse_syzygy(text: str) -> SyzygyFile:
         raise SemanticError("exponents must be nonnegative")
     if len(a) != len(qs):
         raise SemanticError("need as many q: lines as exponent rows")
-    return SyzygyFile(n, k, tuple(a), tuple(qs))
+    ops = []
+    for qtext, lineno in qs:
+        try:
+            ops.append(parse_w_op(qtext, n, k))
+        except SemanticError as exc:
+            raise SemanticError(f"{exc} (line {lineno})") from None
+    return SyzygyFile(n, k, tuple(a), tuple(ops))

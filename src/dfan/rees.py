@@ -22,10 +22,10 @@ from fractions import Fraction
 from ._linalg import solve_affine
 from .basis import plain_module_basis, reduce_basis
 from .errors import ConeError, GradingError, RingMismatchError, ZeroInputError
-from .filtration import in_V_gamma, in_V_s, multi_weight
+from .filtration import cone_drops, in_V_gamma, multi_weight
 from .grammar import GRADED, format_factors, format_sum
-from .toric import BasicCone
-from .weights import LinearForm, ones_form, ord_L_vec, symbol_L
+from .toric import BasicCone, orthant_cone
+from .weights import LinearForm, ord_L_vec, symbol_L
 from .weyl import (
     RingDescriptor,
     WeylOp,
@@ -53,14 +53,8 @@ class ReesElement:
         if len(self.s) != k:
             raise GradingError(f"degree must live in Z^{k}")
         shifts = None if isinstance(op, WeylOp) else op.ring.shifts
-        if cone is None:
-            if not in_V_s(op, self.s, shifts):
-                raise GradingError(f"operator is not in V_s for s = {self.s}")
-        else:
-            if not in_V_gamma(op, self.s, cone, shifts):
-                raise GradingError(
-                    f"operator is not in the cone filtration at s = {self.s}"
-                )
+        if not in_V_gamma(op, self.s, cone or orthant_cone(k), shifts):
+            raise GradingError(f"operator is not in the filtration at s = {self.s}")
 
     def __eq__(self, other):
         return (
@@ -179,29 +173,20 @@ class FiberResult:
         return self.verdict == "zero"
 
 
-def _witness_search(generators, unit: int, bound: int, gamma: BasicCone | None = None):
+def _witness_search(generators, unit: int, bound: int, gamma: BasicCone):
     """Find F = e_unit + (strictly smaller filtration terms) inside the
     module, by exact linear algebra over multiplier monomials of degree
-    <= bound.  With a basic cone the lower stratum is the cone ideal's
-    span: rows of L(s - delta) nonnegative and not all zero."""
+    <= bound.  The lower stratum is the cone ideal's span: terms whose
+    cone drops are nonnegative and not all zero."""
     ring = generators[0].ring
     s = ring.shifts[unit]
-    k = ring.k
     unit_key = ((0,) * ring.n, (0,) * ring.n, unit)
 
     def constrained(key):
-        delta = multi_weight(key, key[2], ring.shifts, k)
-        if gamma is None:
-            if all(d <= t for d, t in zip(delta, s)):
-                return delta == tuple(s)  # top stratum: must match the unit
-            return True  # outside V_s: must vanish
-        drops = tuple(
-            sum(r * (si - d) for r, si, d in zip(row, s, delta))
-            for row in gamma.rows
-        )
-        if any(dr < 0 for dr in drops):
-            return True  # outside the cone filtration: must vanish
-        return all(dr == 0 for dr in drops)  # top stratum otherwise free
+        """Outside the filtration (must vanish) or on the top stratum
+        (must match the unit)."""
+        drops = cone_drops(gamma.rows, s, multi_weight(key, key[2], ring.shifts, ring.k))
+        return min(drops) < 0 or not any(drops)
 
     for B in range(bound + 1):
         columns = [prod for g in generators for prod in monomial_multiples(g, B)]
@@ -241,17 +226,15 @@ def fiber_V_zero_test(
     if not gens or any(g.is_zero() for g in gens):
         raise ZeroInputError("generators must be nonzero")
     ring = gens[0].ring
-    if gamma is not None and gamma.k != ring.k:
+    gamma = gamma or orthant_cone(ring.k)
+    if gamma.k != ring.k:
         raise ConeError(f"cone lives in the wrong dimension ({gamma.k} != {ring.k})")
     if bound is None:
         bound = 2 * max(g.total_degree() for g in gens) + 4
     # conclusive "nonzero": graded symbol-module membership must hold for
     # a strictly positive interior reference form (sum of the cone rows;
     # the plain case is the orthant, giving the all-ones form)
-    if gamma is None:
-        Lstar = ones_form(ring.k)
-    else:
-        Lstar = LinearForm(tuple(sum(col) for col in zip(*gamma.rows)))
+    Lstar = LinearForm(tuple(sum(col) for col in zip(*gamma.rows)))
     sbasis = reduce_basis(gens, Lstar)
     symbols = []
     for h in sbasis.elements:
@@ -279,22 +262,16 @@ def gamma_fiber_reduce(e: ReesElement):
     operator in the X/Delta Weyl algebra."""
     if e.cone is None:
         raise ConeError("reduction needs a basic cone context")
-    gamma = e.cone
-    k = gamma.k
+    k = e.cone.k
     ring = e.op.ring
+    shifts = ring.shifts if isinstance(e.op, WeylVec) else ((0,) * k,)
 
     def survives(key, comp):
-        a, b = key[0], key[1]
-        shift = ring.shifts[comp] if isinstance(e.op, WeylVec) else (0,) * k
-        sigma = tuple(
-            e.s[i] - shift[i] + a[i] - b[i] for i in range(k)
-        )
-        wexp = tuple(
-            sum(gamma.rows[i][j] * sigma[j] for j in range(k)) for i in range(k)
-        )
-        if any(c < 0 for c in wexp):
+        """The W-exponent of the term is its cone drops."""
+        wexp = cone_drops(e.cone.rows, e.s, multi_weight(key, comp, shifts, k))
+        if min(wexp) < 0:
             raise GradingError("term escapes the cone filtration")
-        return all(c == 0 for c in wexp)
+        return not any(wexp)
 
     if isinstance(e.op, WeylVec):
         comps = []

@@ -9,10 +9,9 @@ refined into basic subcones by stellar subdivision."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
+from ._linalg import primitive
 from .errors import ConeError, ResourceBoundExceeded
-from .filtration import normalize_rays
 
 # Most lattice points one refine_to_basic step may scan ((bound + 1)^k).
 MAX_BOX_POINTS = 20_000
@@ -111,11 +110,19 @@ def u_to_w(sigma, gamma: BasicCone):
     return tuple(sum(gamma.rows[i][j] * sigma[j] for j in range(k)) for i in range(k))
 
 
-def _primitive(v):
-    g = 0
-    for c in v:
-        g = gcd(g, abs(c))
-    return tuple(c // g for c in v) if g else v
+def normalize_rays(rays):
+    """Primitive integer ray forms in the nonnegative quadrant."""
+    out = []
+    for ray in rays:
+        v = tuple(int(c) for c in ray)
+        if any(c < 0 for c in v):
+            raise ConeError(f"ray {v} leaves the nonnegative quadrant")
+        if not any(v):
+            raise ConeError("zero ray")
+        out.append(primitive(v))
+    if not out:
+        raise ConeError("empty ray set")
+    return tuple(out)
 
 
 def _solve_membership(inv, v):
@@ -162,7 +169,7 @@ def refine_to_basic(rays) -> tuple[BasicCone, ...]:
         lam = _solve_membership(inv, point)
         if lam is None or any(l >= 1 for l in lam):
             continue
-        candidates.add(_primitive(point))
+        candidates.add(primitive(point))
     for v in sorted(candidates):
         lam = _solve_membership(inv, v)
         if lam is None:

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from dfan.weyl import DtOp, RingDescriptor, WeylOp, WeylVec
 
@@ -87,3 +88,17 @@ def monomials_up_to(n: int, degree: int):
 @pytest.fixture
 def rng():
     return random.Random(20240813)
+
+
+@st.composite
+def unimodular_rows(draw, k):
+    """k nonnegative integer rows of determinant +-1: a permutation matrix
+    (an odd one has determinant -1, which BasicCone reorients) with a few
+    row additions applied."""
+    perm = draw(st.permutations(range(k)))
+    rows = [[int(perm[i] == j) for j in range(k)] for i in range(k)]
+    if k > 1:
+        pairs = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1))
+        for i, j in draw(st.lists(pairs.filter(lambda p: p[0] != p[1]), max_size=4)):
+            rows[i] = [a + b for a, b in zip(rows[i], rows[j])]
+    return tuple(tuple(r) for r in rows)

@@ -262,6 +262,59 @@ def test_malformed_input_is_an_error_not_a_bug(tmp_path, text, argv):
     assert err.startswith("dfan: error:") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gb", "--weight", "[1.5, 1]"], "--weight: bad rational '1.5'"),
+        (["gb", "--weight", "[ 1 , 1e0 ]"], "--weight: bad rational '1e0'"),
+        (["flat-cert", "--s", "[1/0,0]"], "--s: zero denominator in '1/0'"),
+        (["flat-cert", "--cone", "[[1,0],[0,x]]"], "--cone: bad integer 'x'"),
+    ],
+    ids=["weight-decimal", "weight-exponent", "s", "cone"],
+)
+def test_flag_values_use_the_field_parsers_and_name_the_flag(argv, message):
+    code, out, err = invoke([*argv, "--input", str(PROBLEMS / "euler.txt")])
+    assert (code, out, err) == (3, "", f"dfan: error: {message}\n")
+
+
+def test_q_line_error_carries_its_line(tmp_path):
+    path = tmp_path / "syz.txt"
+    path.write_text(SYZYGY.replace("q: x1 d1 w2", "q: x1 y2"))
+    code, out, err = invoke(["normalize-syzygy", "--input", str(path)])
+    assert (code, out, err) == (3, "", "dfan: error: unexpected input 'y2' (line 3)\n")
+
+
+@pytest.mark.parametrize(
+    "cone", ["[[1,0],[0,1],junk]", "[[1,0][0,1]]", "[[1,0],,[0,1]]"]
+)
+def test_matrix_must_be_a_comma_separated_list_of_rows(tmp_path, cone):
+    code, out, err = invoke(["cones", "--cone", cone])
+    assert code == 3 and out == ""
+    assert err.startswith("dfan: error:") and err.count("\n") == 1
+    path = tmp_path / "p.txt"
+    path.write_text(f"ring n=2 k=2 r=1\ngen: x1 d1\ncone = {cone}\n")
+    code, out, err = invoke(["cones", "--input", str(path)])
+    assert code == 3 and out == ""
+    assert err.startswith("dfan: error:") and err.count("\n") == 1
+
+
+def test_syzygy_exponent_key_is_exactly_a(tmp_path):
+    path = tmp_path / "syz.txt"
+    path.write_text("syzygy n=1 k=1\nabba = [[0]]\nq: 0\n")
+    code, out, err = invoke(["normalize-syzygy", "--input", str(path)])
+    assert code == 3 and out == ""
+    assert err.startswith("dfan: error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cone", ["[[1, 0], [0, 1]]", "[[1,2],[1,3]]"])
+def test_benchmark_and_corpus_matrix_spellings_parse(tmp_path, cone):
+    code, out, _ = invoke(["cones", "--cone", cone])
+    assert code == 0 and "\ncones: basic\n" in out
+    path = tmp_path / "p.txt"
+    path.write_text(f"ring n=2 k=2 r=1\ngen: x1 d1\ncone = {cone}\n")
+    assert invoke(["cones", "--input", str(path)])[0] == 0
+
+
 def test_python_dash_m_dfan():
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}

@@ -711,3 +711,36 @@ def test_merge_fallback_emits_member_cells(monkeypatch):
         for q in range(4):
             L = LinearForm((p, q))
             assert fan.cone_of_weight(L).contains(L)
+
+
+def ref_closure_contains(cone, rows):
+    """The Fraction loop flat_decompose ran before: every row form is zero
+    on the equalities and nonnegative on the strict forms."""
+    for row in rows:
+        L = LinearForm(row)
+        if not all(
+            sum(Fraction(c) * v for c, v in zip(L.coeffs, eq)) == 0
+            for eq in cone.equalities
+        ) or not all(
+            sum(Fraction(c) * v for c, v in zip(L.coeffs, st)) >= 0
+            for st in cone.stricts
+        ):
+            return False
+    return True
+
+
+@st.composite
+def closure_cases(draw):
+    k = draw(st.integers(1, 3))
+    vec = lambda lo, hi: st.tuples(*[st.integers(lo, hi)] * k)
+    eqs = tuple(draw(st.lists(vec(-2, 2), max_size=2)))
+    stricts = tuple(draw(st.lists(vec(-2, 2), max_size=3)))
+    rows = draw(st.lists(vec(0, 3), min_size=1, max_size=3))
+    return FanCone(eqs, stricts, (1,) * k, None, ()), rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(closure_cases())
+def test_closure_contains_matches_the_fraction_loop(case):
+    cone, rows = case
+    assert cone.closure_contains(rows) == ref_closure_contains(cone, rows)

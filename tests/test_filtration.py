@@ -1,9 +1,13 @@
+import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dfan.errors import ConeError
 from dfan.filtration import (
+    _iter_weighted_terms,
+    cone_drops,
     in_V_gamma,
     in_V_s,
     multi_weight,
@@ -11,8 +15,10 @@ from dfan.filtration import (
     normalize_rays,
 )
 from dfan.grammar import parse_dt_vec, parse_op, parse_vec
+from dfan.toric import make_basic_cone
+from dfan.weights import LinearForm
 from dfan.weyl import RingDescriptor, WeylVec
-from conftest import random_nonzero_op, random_vec
+from conftest import random_nonzero_op, random_vec, unimodular_rows
 
 R1 = RingDescriptor(1, 1, 1)
 R2 = RingDescriptor(2, 2, 1)
@@ -36,12 +42,58 @@ def test_in_V_s_examples():
     assert not in_V_s(C, (0, 0))
 
 
+def ref_in_V_s(B, s, shifts=None):
+    """The componentwise test: every multiweight <= s."""
+    k = len(s)
+    for delta in _iter_weighted_terms(B, shifts, k):
+        if any(d > si for d, si in zip(delta, s)):
+            return False
+    return True
+
+
+def ref_in_V_gamma(B, s, gamma, shifts=None):
+    """The test by Fraction-valued linear forms on every ray."""
+    rays = gamma.rows if hasattr(gamma, "rows") else normalize_rays(gamma)
+    forms = [LinearForm(ray) for ray in rays]
+    svals = [L.of(s) for L in forms]
+    for delta in _iter_weighted_terms(B, shifts, len(s)):
+        for L, sv in zip(forms, svals):
+            if L.of(delta) > sv:
+                return False
+    return True
+
+
 def test_in_V_gamma_orthant_equals_in_V_s(rng):
     orthant = ((1, 0), (0, 1))
     for _ in range(30):
         B = random_vec(rng, R2)
         for s in product(range(-2, 3), repeat=2):
-            assert in_V_gamma(B, s, orthant) == in_V_s(B, s)
+            assert in_V_gamma(B, s, orthant) == ref_in_V_s(B, s) == in_V_s(B, s)
+
+
+def test_cone_drops_examples():
+    assert cone_drops(((1, 0), (1, 1)), (2, 1), (0, 0)) == (2, 3)
+    assert cone_drops(((2, 1),), (0, 0), (1, -2)) == (0,)
+    assert cone_drops(((1, 2), (0, 1)), (1, 1), (1, 1)) == (0, 0)
+
+
+@st.composite
+def membership_cases(draw):
+    k = draw(st.integers(1, 3))
+    vec = lambda lo, hi: st.tuples(*[st.integers(lo, hi)] * k)
+    rays = st.lists(vec(0, 3).filter(any), min_size=1, max_size=3)
+    gamma = draw(unimodular_rows(k).map(make_basic_cone) | rays)
+    return k, gamma, draw(vec(-3, 3)), draw(vec(0, 1)), draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=300, deadline=None)
+@given(membership_cases())
+def test_in_V_gamma_matches_the_fraction_reference(case):
+    k, gamma, s, shift, seed = case
+    ring = RingDescriptor(k, k, 2, [[0] * k, list(shift)])
+    B = random_vec(random.Random(seed), ring)
+    assert in_V_gamma(B, s, gamma) == ref_in_V_gamma(B, s, gamma)
+    assert in_V_s(B, s) == ref_in_V_s(B, s)
 
 
 def test_in_V_gamma_examples():

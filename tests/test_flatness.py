@@ -1,16 +1,20 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dfan.basis import StandardBasis, reduce_basis
-from dfan.errors import CertificateError, DfanError, SemanticError
+from dfan.errors import CertificateError, ConeError, DfanError, SemanticError
 from dfan.fan import standard_fan
+from dfan.filtration import multi_weight
 from dfan.flatness import (
     FiltrationChain,
     MonomialIdeal,
     WOp,
+    _assign_parts,
+    _Frame,
     coordinate_ideal,
     flat_decompose,
     format_w_op,
@@ -22,9 +26,10 @@ from dfan.flatness import (
     parse_w_op,
 )
 from dfan.grammar import format_vec, parse_op, parse_vec
-from dfan.toric import make_basic_cone, orthant_cone
+from dfan.toric import _det, _inverse_unimodular, make_basic_cone, orthant_cone
 from dfan.weights import LinearForm
 from dfan.weyl import RingDescriptor, WeylVec
+from conftest import random_vec, unimodular_rows
 
 R2 = RingDescriptor(2, 2, 1)
 
@@ -358,3 +363,113 @@ def test_nonorthant_cone_certificates():
     for elt, parts in zip(res.elements, res.part_assignments):
         cert = flat_decompose(elt, (0, 0), gamma, (1, 2), cone.basis, parts, fan_cone=cone)
         assert cert.replay().to_report() == cert.to_report()
+
+
+def test_empty_ideal_set_is_rejected_by_the_certifier(euler_setup):
+    gens, fan, cone = euler_setup
+    gamma = orthant_cone(2)
+    Q = parse_op("x1", R2) * gens[0]
+    with pytest.raises(ConeError, match=r"ideal coordinates \(\) out of range"):
+        greedy_parts(Q, (0, 0), gamma, ())
+    with pytest.raises(ConeError, match=r"ideal coordinates \(\) out of range"):
+        flat_decompose(Q, (0, 0), gamma, (), cone.basis, (Q,), fan_cone=cone)
+
+
+# the one region frame against the two frame classes and the region test
+# it replaced, kept here as references
+
+
+class RefIdealFrame:
+    """Cone rows renumbered so the ideal coordinates come first, with the
+    columns of their own inverse."""
+
+    def __init__(self, gamma, J):
+        J = tuple(sorted(set(J)))
+        k = gamma.k
+        if not J or any(not 1 <= j <= k for j in J):
+            raise ConeError(f"ideal coordinates {J} out of range")
+        order = [j - 1 for j in J] + [j for j in range(k) if j + 1 not in J]
+        rows = tuple(gamma.rows[j] for j in order)
+        if _det(rows) not in (1, -1):
+            raise ConeError("frame is not unimodular")
+        self.rows = rows
+        inverse = _inverse_unimodular(rows)
+        self.columns = tuple(
+            tuple(inverse[i][j] for i in range(k)) for j in range(k)
+        )
+        self.p = len(J)
+
+
+class RefUnitFrame:
+    """Degenerate frame for the unit ideal: one region, no column drop."""
+
+    def __init__(self, gamma):
+        self.rows = gamma.rows
+        self.columns = ((0,) * gamma.k,)
+        self.p = 1
+
+
+def ref_in_region(point, s, frame, j):
+    """point in (s - C_j) - dual cone: every row form drops by delta_ij."""
+    unit = isinstance(frame, RefUnitFrame)
+    for i, row in enumerate(frame.rows):
+        bound = sum(r * x for r, x in zip(row, s)) - (
+            1 if (i == j and not unit) else 0
+        )
+        if sum(r * x for r, x in zip(row, point)) > bound:
+            return False
+    return True
+
+
+def ref_region_index(point, s, frame):
+    return next(
+        (j for j in range(frame.p) if ref_in_region(point, s, frame, j)), None
+    )
+
+
+@st.composite
+def frame_cases(draw):
+    k = draw(st.integers(1, 3))
+    vec = lambda bound: st.tuples(*[st.integers(-bound, bound)] * k)
+    return (
+        draw(unimodular_rows(k)),
+        draw(vec(3)),
+        draw(st.lists(vec(4), min_size=1, max_size=12)),
+        draw(st.integers(0, 2**32)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(frame_cases())
+def test_frame_matches_the_reference_frames(case):
+    rows, s, points, seed = case
+    gamma = make_basic_cone(rows)
+    k = gamma.k
+    ring = RingDescriptor(k, k, 1)
+    Q = random_vec(random.Random(seed), ring)
+    for size in range(k + 1):
+        for J in combinations(range(1, k + 1), size):
+            frame = _Frame(gamma, J, s)
+            ref = RefIdealFrame(gamma, J) if J else RefUnitFrame(gamma)
+            assert frame.rows == ref.rows
+            assert frame.columns == ref.columns[: ref.p]
+            assert frame.degrees == tuple(
+                tuple(x - c for x, c in zip(s, ref.columns[j])) for j in range(ref.p)
+            )
+            for point in points:
+                fits = frame.fits(point)
+                assert fits == [ref_in_region(point, s, ref, j) for j in range(ref.p)]
+                first = fits.index(True) if any(fits) else None
+                assert first == ref_region_index(point, s, ref)
+            # the region index each term of a vector is assigned
+            parts = _assign_parts(Q, frame)
+            indices = [
+                ref_region_index(multi_weight(key, i, ring.shifts, k), s, ref)
+                for key, i, _ in Q.iter_terms()
+            ]
+            if None in indices:
+                assert parts is None
+            else:
+                assert [
+                    j for j, part in enumerate(parts) for _ in part.iter_terms()
+                ] == sorted(indices)

@@ -10,6 +10,7 @@ the pivot sequence is the same, so the two must return the same point.
 oracle used before it: both span one space, so their RREFs agree."""
 
 from fractions import Fraction
+from math import gcd, lcm
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
@@ -21,11 +22,14 @@ from dfan._linalg import (
     cone_interior_point,
     in_row_space,
     nullspace,
+    primitive,
     reduce_against,
     rref,
     solve_affine,
+    to_primitive_int,
     vanishing_rows,
 )
+from dfan.fan import _canon
 
 ZERO = Fraction(0)
 
@@ -311,3 +315,46 @@ def test_cone_interior_point_matches_dense_updates(case):
         assert len(point) == k
         assert all(sum(c * x for c, x in zip(v, point)) == 0 for v in eqs)
         assert all(sum(c * x for c, x in zip(w, point)) >= 1 for w in stricts)
+
+
+# the one primitive-vector helper against the gcd loops it replaced
+
+
+def ref_primitive(v):
+    g = 0
+    for c in v:
+        g = gcd(g, abs(c))
+    return tuple(c // g for c in v) if g else tuple(v)
+
+
+def ref_canon(v):
+    v = ref_primitive(v)
+    for c in v:
+        if c > 0:
+            return v
+        if c < 0:
+            return tuple(-x for x in v)
+    return None
+
+
+def ref_to_primitive_int(vec):
+    fr = [Fraction(x) for x in vec]
+    if not any(fr):
+        return tuple(0 for _ in fr)
+    den = 1
+    for f in fr:
+        den = lcm(den, f.denominator)
+    return ref_primitive([int(f * den) for f in fr])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-12, 12), max_size=4))
+def test_primitive_matches_the_gcd_loop(v):
+    assert primitive(v) == ref_primitive(v)
+    assert _canon(tuple(v)) == ref_canon(v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6), max_size=4))
+def test_to_primitive_int_matches_the_gcd_loop(vec):
+    assert to_primitive_int(vec) == ref_to_primitive_int(vec)

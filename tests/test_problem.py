@@ -129,6 +129,6 @@ def test_parse_syzygy():
     )
     assert syz.n == 2 and syz.k == 2
     assert syz.a == ((1, 0), (0, 1))
-    assert len(syz.q_texts) == 2
+    assert len(syz.qs) == 2
     with pytest.raises(SemanticError):
         parse_syzygy("syzygy n=2 k=2\na = [[1, 0]]\nq: x1\nq: x2\n")

@@ -1,9 +1,13 @@
+import random
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dfan.errors import ConeError, GradingError
+from dfan._linalg import solve_affine
+from dfan.errors import ConeError, DfanError, GradingError
+from dfan.filtration import in_V_gamma, multi_weight
 from dfan.grammar import format_op, format_vec, parse_op, parse_vec
 from dfan.rees import (
     AElement,
@@ -16,8 +20,8 @@ from dfan.rees import (
     _witness_search,
 )
 from dfan.toric import make_basic_cone, orthant_cone
-from dfan.weyl import RingDescriptor, WeylOp, WeylVec
-from conftest import random_nonzero_op
+from dfan.weyl import RingDescriptor, WeylOp, WeylVec, monomial_multiples
+from conftest import random_nonzero_op, random_vec, unimodular_rows
 
 R1 = RingDescriptor(1, 1, 1)
 R2 = RingDescriptor(2, 2, 1)
@@ -133,7 +137,7 @@ def test_derivative_ideal_fiber_nonzero():
     assert res.failing_unit == 0
     # truncated linear-algebra cross-check: no witness exists at any
     # reasonable bound
-    assert _witness_search([parse_vec("d1", R1)], 0, 6) is None
+    assert _witness_search([parse_vec("d1", R1)], 0, 6, orthant_cone(1)) is None
 
 
 def test_unit_ideal_fiber_zero():
@@ -208,3 +212,145 @@ def test_gamma_fiber_reduce_requires_cone():
     e = ReesElement(parse_op("x1 d1", R2), (0, 0))
     with pytest.raises(ConeError):
         gamma_fiber_reduce(e)
+
+
+# the plain context as the orthant cone, against the two-branch witness
+# search and the hand-written row product kept here as references
+
+
+def ref_witness_search(generators, unit, bound, gamma=None):
+    """Find F = e_unit + (strictly smaller filtration terms) inside the
+    module; the plain context (gamma None) tests V_s componentwise."""
+    ring = generators[0].ring
+    s = ring.shifts[unit]
+    k = ring.k
+    unit_key = ((0,) * ring.n, (0,) * ring.n, unit)
+
+    def constrained(key):
+        delta = multi_weight(key, key[2], ring.shifts, k)
+        if gamma is None:
+            if all(d <= t for d, t in zip(delta, s)):
+                return delta == tuple(s)  # top stratum: must match the unit
+            return True  # outside V_s: must vanish
+        drops = tuple(
+            sum(r * (si - d) for r, si, d in zip(row, s, delta))
+            for row in gamma.rows
+        )
+        if any(dr < 0 for dr in drops):
+            return True  # outside the cone filtration: must vanish
+        return all(dr == 0 for dr in drops)  # top stratum otherwise free
+
+    for B in range(bound + 1):
+        columns = [prod for g in generators for prod in monomial_multiples(g, B)]
+        col_vecs = [
+            {key + (i,): c for key, i, c in prod.iter_terms()} for prod in columns
+        ]
+        keys = sorted(
+            {key for vec in col_vecs for key in vec if constrained(key)}
+            | {unit_key}
+        )
+        key_index = {key: idx for idx, key in enumerate(keys)}
+        rows = [{} for _ in keys]
+        for cidx, vec in enumerate(col_vecs):
+            for key, c in vec.items():
+                ridx = key_index.get(key)
+                if ridx is not None:
+                    rows[ridx][cidx] = c
+        rhs = [int(key == unit_key) for key in keys]
+        sol = solve_affine(rows, rhs, len(columns))
+        if sol is not None:
+            total = WeylVec.zero(ring)
+            for cidx, x in sorted(sol.items()):
+                total = total + columns[cidx].scale(x)
+            return total
+    return None
+
+
+def ref_gamma_fiber_reduce(e):
+    gamma = e.cone
+    k = gamma.k
+    ring = e.op.ring
+
+    def survives(key, comp):
+        a, b = key[0], key[1]
+        shift = ring.shifts[comp] if isinstance(e.op, WeylVec) else (0,) * k
+        sigma = tuple(e.s[i] - shift[i] + a[i] - b[i] for i in range(k))
+        wexp = tuple(
+            sum(gamma.rows[i][j] * sigma[j] for j in range(k)) for i in range(k)
+        )
+        if any(c < 0 for c in wexp):
+            raise GradingError("term escapes the cone filtration")
+        return all(c == 0 for c in wexp)
+
+    return WeylVec(
+        ring,
+        [
+            WeylOp(ring, {key: c for key, c in comp.terms.items() if survives(key, i)})
+            for i, comp in enumerate(e.op.components)
+        ],
+    )
+
+
+@st.composite
+def fiber_cases(draw):
+    k = draw(st.integers(1, 2))
+    shift = draw(st.tuples(*[st.integers(0, 1)] * k))
+    ring = RingDescriptor(k, k, 2, [[0] * k, list(shift)])
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    # a unit vector plus random terms often has a witness
+    units = [parse_vec("1 e1", ring), parse_vec("1 e2", ring), WeylVec.zero(ring)]
+    gens = []
+    for _ in range(rnd.randint(1, 2)):
+        g = random_vec(rnd, ring, max_degree=2, max_terms=2) + rnd.choice(units)
+        gens.append(g if not g.is_zero() else units[0])
+    return ring, draw(unimodular_rows(k)), gens
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except DfanError as exc:
+        return type(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(fiber_cases())
+def test_witness_search_matches_the_two_branch_reference(case):
+    ring, rows, gens = case
+    gamma = make_basic_cone(rows)
+    for unit in range(ring.r):
+        assert _witness_search(gens, unit, 2, gamma) == ref_witness_search(
+            gens, unit, 2, gamma
+        )
+        assert _witness_search(
+            gens, unit, 2, orthant_cone(ring.k)
+        ) == ref_witness_search(gens, unit, 2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(fiber_cases())
+def test_plain_fiber_test_is_the_orthant_case(case):
+    ring, _, gens = case
+    plain = outcome(fiber_V_zero_test, gens, 2)
+    orth = outcome(fiber_V_zero_test, gens, 2, orthant_cone(ring.k))
+    if isinstance(plain, type):
+        assert plain is orth
+    else:
+        assert (plain.verdict, plain.witnesses, plain.failing_unit) == (
+            orth.verdict, orth.witnesses, orth.failing_unit,
+        )
+
+
+@settings(max_examples=100, deadline=None)
+@given(fiber_cases(), st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+def test_gamma_fiber_reduce_matches_the_row_product(case, s):
+    ring, rows, gens = case
+    gamma = make_basic_cone(rows)
+    s = s[: ring.k]
+    for g in gens:
+        if in_V_gamma(g, s, gamma):
+            e = ReesElement(g, s, gamma)
+            assert gamma_fiber_reduce(e) == ref_gamma_fiber_reduce(e)
+        else:
+            with pytest.raises(GradingError):
+                ReesElement(g, s, gamma)
