@@ -6,11 +6,15 @@ Everything is deterministic (Bland's rule, fixed tie-breaks).
 A row or vector is a dict from column index to a nonzero Fraction; absent
 columns are zero.  Every solver runs on the one elimination kernel,
 ``rref``, whose output is the unique reduced row echelon form; a solver
-that needs a different pivot preference renumbers the columns first."""
+that needs a different pivot preference renumbers the columns first.
+The simplex tableau is integer, after the fraction-free idea of Bareiss
+("Sylvester's identity and multistep integer-preserving Gaussian
+elimination", 1968)."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 
 
@@ -117,55 +121,90 @@ def nullspace(a_rows, ncols):
 
 
 def _phase1_simplex(a, b):
-    """Find x >= 0 with A x = b (b >= 0), or None.  Bland's rule."""
+    """Find x >= 0 with A x = b (b >= 0), or None; the entries are ints or
+    Fractions.  Bland's rule.
+
+    The tableau is integer: each row is a positive multiple of the row of
+    the textbook rational tableau, made primitive after every update.  A
+    positive scale changes neither the sign of a reduced cost nor a ratio
+    of the ratio test, so the pivots and the vertex are the textbook ones;
+    a basic variable is its row's right-hand side over the row's entry in
+    its basic column."""
     m = len(a)
     if m == 0:
         return []
     n = len(a[0])
-    # tableau with artificial variables: columns 0..n-1 original, n..n+m-1
-    # artificial, last column rhs
-    t = [list(map(Fraction, a[i])) + [Fraction(0)] * m + [Fraction(b[i])] for i in range(m)]
-    for i in range(m):
-        t[i][n + i] = Fraction(1)
-    basis = list(range(n, n + m))
+    # columns 0..n-1 original, n..n+m-1 artificial, last column rhs; row
+    # i is its rational row times d_i, the lcm of its denominators.  Rows
+    # are lists and gcds are folded with reduce: a row-sized tuple (or
+    # star-args call) per update would fill the interpreter's tuple free
+    # lists and raise peak memory.
+    t, scales = [], []
+    for i, row in enumerate(a):
+        row = [*row, *[0] * m, b[i]]
+        d = reduce(lcm, (x.denominator for x in row))
+        t.append([x.numerator * (d // x.denominator) for x in row])
+        t[i][n + i] = d
+        scales.append(d)
     # objective row: minimize sum of artificials (reduced costs; basic
-    # artificial columns must start at zero)
-    obj = [Fraction(0)] * (n + m + 1)
+    # artificial columns start at zero), times the lcm of the d_i
+    big = reduce(lcm, scales)
+    obj = [0] * (n + m + 1)
+    for d, row in zip(scales, t):
+        f = big // d
+        obj = [o - f * x for o, x in zip(obj, row)]
     for i in range(m):
-        obj = [o - x for o, x in zip(obj, t[i])]
-    for i in range(m):
-        obj[n + i] += 1
+        obj[n + i] += big
+    t = [_primitive_row(row) for row in t]
+    obj = _primitive_row(obj)
+    basis = list(range(n, n + m))
     while True:
         enter = next((j for j in range(n + m) if obj[j] < 0), None)
         if enter is None:
             break
-        ratios = [
-            (t[i][n + m] / t[i][enter], basis[i], i)
-            for i in range(m)
-            if t[i][enter] > 0
-        ]
-        if not ratios:
+        # least ratio rhs / entry over the positive entries, ties to the
+        # least basic index
+        leave = None
+        for i in range(m):
+            e = t[i][enter]
+            if e > 0:
+                if leave is None:
+                    leave, num, den = i, t[i][-1], e
+                    continue
+                d = t[i][-1] * den - num * e
+                if d < 0 or d == 0 and basis[i] < basis[leave]:
+                    leave, num, den = i, t[i][-1], e
+        if leave is None:
             return None  # unbounded phase-1 cannot happen, defensive
-        _, _, leave = min(ratios, key=lambda z: (z[0], z[1]))
         prow = t[leave]
         pv = prow[enter]
-        nz = [j for j, x in enumerate(prow) if x]
-        for j in nz:
-            prow[j] /= pv
-        # every other row changes only on the pivot row's nonzero columns
-        for row in t + [obj]:
+        for i, row in enumerate(t):
             f = row[enter]
-            if f and row is not prow:
-                for j in nz:
-                    row[j] -= f * prow[j]
+            if f and i != leave:
+                t[i] = _pivot_update(row, prow, pv, f)
+        obj = _pivot_update(obj, prow, pv, obj[enter])
         basis[leave] = enter
-    if obj[n + m] != 0:
+    if obj[-1] != 0:
         return None
     x = [Fraction(0)] * n
-    for i, bv in enumerate(basis):
+    for row, bv in zip(t, basis):
         if bv < n:
-            x[bv] = t[i][n + m]
+            x[bv] = Fraction(row[-1], row[bv])
     return x
+
+
+def _pivot_update(row, prow, pv, f):
+    """pv * row - f * prow (pv > 0) made primitive: a positive multiple of
+    row - (f / pv) * prow, which is zero in the pivot column."""
+    g = gcd(pv, f)
+    p, q = pv // g, f // g
+    return _primitive_row([p * x - q * y for x, y in zip(row, prow)])
+
+
+def _primitive_row(row):
+    """An integer tableau row divided by the gcd of its entries, as a list."""
+    g = reduce(gcd, row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def cone_interior_point(eqs, stricts, k):

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from operator import ge, sub
 
 from .errors import (
     DfanError,
@@ -72,12 +73,11 @@ def _unflatten(flat: dict, ring: RingDescriptor, dt: bool):
 
 
 def _divides(exp, key) -> bool:
-    ea, eb, el, ei = exp
-    a, b, l, i = key
-    if i != ei or l < el:
-        return False
-    return all(x >= y for x, y in zip(a, ea)) and all(
-        x >= y for x, y in zip(b, eb)
+    return (
+        key[3] == exp[3]
+        and key[2] >= exp[2]
+        and all(map(ge, key[0], exp[0]))
+        and all(map(ge, key[1], exp[1]))
     )
 
 
@@ -102,8 +102,8 @@ def _term_times_flat(mu, coef, flat: dict, emit_t: bool, acc: dict, on_new=None)
 def _exp_quotient(key, exp):
     """The monomial (alpha, beta, l) with key = monomial * exp."""
     return (
-        tuple(x - y for x, y in zip(key[0], exp[0])),
-        tuple(x - y for x, y in zip(key[1], exp[1])),
+        tuple(map(sub, key[0], exp[0])),
+        tuple(map(sub, key[1], exp[1])),
         key[2] - exp[2],
     )
 
@@ -523,8 +523,8 @@ def _buchberger(flats, keyf, emit_t, caps):
 
 def _lcm_exp(ei, ej):
     return (
-        tuple(max(x, y) for x, y in zip(ei[0], ej[0])),
-        tuple(max(x, y) for x, y in zip(ei[1], ej[1])),
+        tuple(map(max, ei[0], ej[0])),
+        tuple(map(max, ei[1], ej[1])),
         max(ei[2], ej[2]),
         ei[3],
     )

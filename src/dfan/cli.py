@@ -18,7 +18,7 @@ import sys
 
 from . import __version__
 from .basis import reduce_basis
-from .errors import DfanError, ResourceBoundExceeded, SyntaxErrorWithPos
+from .errors import DfanError, ResourceBoundExceeded, SemanticError, SyntaxErrorWithPos
 from .fan import standard_fan
 from .flatness import (
     MonomialIdeal,
@@ -158,7 +158,10 @@ def _resolve_cone_rows(args, problem):
 def _resolve_ideal(args, problem, k):
     text = getattr(args, "ideal", None)
     if text:
-        return parse_w_monomials(text, k)
+        try:
+            return parse_w_monomials(text, k)
+        except SemanticError as exc:
+            raise UsageError(f"--ideal: {exc}") from None
     if problem is not None and problem.ideal is not None:
         return problem.ideal
     raise UsageError("an ideal is required (--ideal or an ideal= line)")

@@ -161,12 +161,16 @@ def parse_problem(text: str) -> ProblemFile:
                 f"shifts must be {r} rows of length {k}, got {list(map(list, shifts))}"
             )
     ring_desc = RingDescriptor(n, k, r, shifts)
+
+    def parse_line(vtext, lineno):
+        try:
+            return parse_vec(vtext, ring_desc)
+        except SyntaxErrorWithPos as exc:
+            raise SyntaxErrorWithPos(exc.message, lineno, exc.column) from None
+
     generators = []
     for gtext, lineno in gens:
-        try:
-            g = parse_vec(gtext, ring_desc)
-        except SyntaxErrorWithPos as exc:
-            raise SyntaxErrorWithPos(exc.message, lineno, exc.column)
+        g = parse_line(gtext, lineno)
         if g.is_zero():
             raise SemanticError(f"zero generator at line {lineno}")
         generators.append(g)
@@ -174,7 +178,7 @@ def parse_problem(text: str) -> ProblemFile:
         raise SemanticError("problem has no generators")
     target = None
     if target_text is not None:
-        target = parse_vec(target_text[0], ring_desc)
+        target = parse_line(*target_text)
     out = ProblemFile(ring_desc, tuple(generators), target)
     if "cone" in fields:
         out.cone = parse_int_matrix(*fields.pop("cone"))
@@ -186,7 +190,11 @@ def parse_problem(text: str) -> ProblemFile:
             raise SemanticError(f"weight must have length {k}")
         out.weight = LinearForm(vec)
     if "ideal" in fields:
-        out.ideal = parse_w_monomials(fields.pop("ideal")[0], k)
+        value, lineno = fields.pop("ideal")
+        try:
+            out.ideal = parse_w_monomials(value, k)
+        except SemanticError as exc:
+            raise SemanticError(f"{exc} (line {lineno})") from None
     if "s" in fields:
         vec = parse_rational_vector(*fields.pop("s"))
         if len(vec) != k or any(v.denominator != 1 for v in vec):

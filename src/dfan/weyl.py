@@ -21,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import comb, perm
+from operator import add, mul
 
 from .errors import (
     HomogeneityError,
@@ -156,8 +157,14 @@ def _mul_terms(t1, c1, t2, c2, emit_t: bool):
         a1, b1 = t1
         a2, b2 = t2
         lbase = 0
-    n = len(a1)
     c = c1 * c2
+    if not any(map(mul, b1, a2)):
+        # no d_i meets an x_i: the monomials commute and nu = 0 is the
+        # only term
+        alpha, beta = tuple(map(add, a1, a2)), tuple(map(add, b1, b2))
+        yield ((alpha, beta, lbase) if emit_t else (alpha, beta)), c
+        return
+    n = len(a1)
     # iterate over nu <= min(b1, a2) componentwise
     ranges = [range(min(b1[i], a2[i]) + 1) for i in range(n)]
     stack = [((), 1)]

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb, perm
 
 import pytest
 from hypothesis import strategies as st
@@ -102,3 +103,67 @@ def unimodular_rows(draw, k):
         for i, j in draw(st.lists(pairs.filter(lambda p: p[0] != p[1]), max_size=4)):
             rows[i] = [a + b for a, b in zip(rows[i], rows[j])]
     return tuple(tuple(r) for r in rows)
+
+
+COEFFICIENTS = st.sampled_from((-3, -2, -1, 1, 2, 3))
+
+
+def monomials(n, max_deg):
+    """(alpha, beta) of total degree 1..max_deg in n variable pairs."""
+    return st.lists(st.integers(0, 2 * n - 1), min_size=1, max_size=max_deg).map(
+        lambda vs: (
+            tuple(vs.count(v) for v in range(n)),
+            tuple(vs.count(v) for v in range(n, 2 * n)),
+        )
+    )
+
+
+@st.composite
+def fan_modules(draw):
+    """Modules like the three families of the benchmark's fan pool: one
+    generator with n = 2, degree <= 3 and 2-3 terms; one with n = 3,
+    degree <= 2 and 2-3 terms; two with n = 2, degree <= 2 and 1-2 terms."""
+    family = draw(st.integers(0, 2))
+    n, deg, lo, hi, count = [(2, 3, 2, 3, 1), (3, 2, 2, 3, 1), (2, 2, 1, 2, 2)][family]
+    ring = RingDescriptor(n, n, 1)
+    gens = [
+        draw(st.dictionaries(monomials(n, deg), COEFFICIENTS, min_size=lo, max_size=hi))
+        for _ in range(count)
+    ]
+    return [
+        WeylVec(ring, (WeylOp(ring, {m: Fraction(c) for m, c in g.items()}),))
+        for g in gens
+    ]
+
+
+def ref_mul_terms(t1, c1, t2, c2, emit_t):
+    """Reference: the expansion of c1 t1 * c2 t2 over every nu <=
+    min(b1, a2), with no commuting shortcut."""
+    if emit_t:
+        a1, b1, l1 = t1
+        a2, b2, l2 = t2
+        lbase = l1 + l2
+    else:
+        a1, b1 = t1
+        a2, b2 = t2
+        lbase = 0
+    n = len(a1)
+    c = c1 * c2
+    ranges = [range(min(b1[i], a2[i]) + 1) for i in range(n)]
+    stack = [((), 1)]
+    for i in range(n):
+        nxt = []
+        bi, ai = b1[i], a2[i]
+        for prefix, mult in stack:
+            for nu in ranges[i]:
+                m = mult * comb(bi, nu) * perm(ai, nu)
+                if m:
+                    nxt.append((prefix + (nu,), m))
+        stack = nxt
+    for nu, mult in stack:
+        alpha = tuple(a1[i] + a2[i] - nu[i] for i in range(n))
+        beta = tuple(b1[i] + b2[i] - nu[i] for i in range(n))
+        if emit_t:
+            yield (alpha, beta, lbase + sum(nu)), c * mult
+        else:
+            yield (alpha, beta), c * mult

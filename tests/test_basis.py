@@ -1,11 +1,18 @@
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dfan import basis as basis_module
 from dfan.basis import _flatten, _term_times_flat, plain_module_basis, reduce_basis
-from dfan.errors import HomogeneityError, WeightError, ZeroInputError
+from dfan.errors import (
+    HomogeneityError,
+    ResourceBoundExceeded,
+    WeightError,
+    ZeroInputError,
+)
 from dfan.grammar import format_vec, parse_dt_op, parse_dt_vec, parse_op, parse_vec
 from dfan.weights import LinearForm, ord_L_vec
 from dfan.weyl import (
@@ -17,7 +24,7 @@ from dfan.weyl import (
     dehomogenize,
     homogenize_vec,
 )
-from conftest import random_nonzero_op, random_vec
+from conftest import fan_modules, random_nonzero_op, random_vec, ref_mul_terms
 
 R2 = RingDescriptor(2, 2, 1)
 RV = RingDescriptor(2, 2, 2, [[0, 0], [1, 0]])
@@ -333,3 +340,63 @@ def test_term_times_flat_matches_operator_product(emit_t, data):
     mu = key if emit_t else key + (0,)
     _term_times_flat(mu, coef, _flatten(h), emit_t, acc)
     assert acc == _flatten(g + h.left_mul(scalar(RV, {key: coef})))
+
+
+# the completion on the exponent helpers and term kernel it had before
+# their shortcuts: same elements, same order decisions
+
+
+def ref_divides(exp, key):
+    ea, eb, el, ei = exp
+    a, b, l, i = key
+    if i != ei or l < el:
+        return False
+    return all(x >= y for x, y in zip(a, ea)) and all(
+        x >= y for x, y in zip(b, eb)
+    )
+
+
+def ref_exp_quotient(key, exp):
+    return (
+        tuple(x - y for x, y in zip(key[0], exp[0])),
+        tuple(x - y for x, y in zip(key[1], exp[1])),
+        key[2] - exp[2],
+    )
+
+
+def ref_lcm_exp(ei, ej):
+    return (
+        tuple(max(x, y) for x, y in zip(ei[0], ej[0])),
+        tuple(max(x, y) for x, y in zip(ei[1], ej[1])),
+        max(ei[2], ej[2]),
+        ei[3],
+    )
+
+
+def completion(generators, L):
+    """(elements, order cone) of reduce_basis, or the cap message."""
+    try:
+        b = reduce_basis(generators, L)
+    except ResourceBoundExceeded as exc:
+        return str(exc)
+    assert all(
+        type(c) is Fraction for h in b.elements for _, _, c in h.iter_terms()
+    )
+    return b.elements, b.order_cone
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_reduce_basis_matches_the_reference_kernels(data):
+    generators = data.draw(fan_modules())
+    k = generators[0].ring.k
+    L = LinearForm(data.draw(st.tuples(*[st.integers(0, 4)] * k)))
+    got = completion(generators, L)
+    with mock.patch.multiple(
+        basis_module,
+        _mul_terms=ref_mul_terms,
+        _divides=ref_divides,
+        _exp_quotient=ref_exp_quotient,
+        _lcm_exp=ref_lcm_exp,
+    ):
+        assert got == completion(generators, L)

@@ -284,6 +284,20 @@ def test_q_line_error_carries_its_line(tmp_path):
     assert (code, out, err) == (3, "", "dfan: error: unexpected input 'y2' (line 3)\n")
 
 
+def test_ideal_line_error_carries_its_line(tmp_path):
+    path = tmp_path / "p.txt"
+    path.write_text("ring n=2 k=2 r=1\ngen: x1 d1\n\nideal = W3\n")
+    code, out, err = invoke(["monomial-chain", "--input", str(path)])
+    assert (code, out, err) == (
+        3, "", "dfan: error: W3 out of range (k = 2) (line 4)\n"
+    )
+
+
+def test_ideal_flag_error_names_the_flag():
+    code, out, err = invoke(["monomial-chain", "--k", "2", "--ideal", "W1, Q"])
+    assert (code, out, err) == (3, "", "dfan: error: --ideal: bad W-monomial 'Q'\n")
+
+
 @pytest.mark.parametrize(
     "cone", ["[[1,0],[0,1],junk]", "[[1,0][0,1]]", "[[1,0],,[0,1]]"]
 )

@@ -22,7 +22,8 @@ from dfan.fan import (
 )
 from dfan.grammar import parse_vec
 from dfan.weights import LinearForm, TermOrder
-from dfan.weyl import RingDescriptor, WeylOp, WeylVec, homogenize_vec
+from dfan.weyl import RingDescriptor, homogenize_vec
+from conftest import fan_modules
 
 R2 = RingDescriptor(2, 2, 1)
 
@@ -469,37 +470,6 @@ def recorded_fan(generators):
         except ResourceBoundExceeded as exc:
             fan = exc
     return fan, calls
-
-
-COEFFICIENTS = st.sampled_from((-3, -2, -1, 1, 2, 3))
-
-
-def monomials(n, max_deg):
-    """(alpha, beta) of total degree 1..max_deg in n variable pairs."""
-    return st.lists(st.integers(0, 2 * n - 1), min_size=1, max_size=max_deg).map(
-        lambda vs: (
-            tuple(vs.count(v) for v in range(n)),
-            tuple(vs.count(v) for v in range(n, 2 * n)),
-        )
-    )
-
-
-@st.composite
-def fan_modules(draw):
-    """Modules like the three families of the benchmark's fan pool: one
-    generator with n = 2, degree <= 3 and 2-3 terms; one with n = 3,
-    degree <= 2 and 2-3 terms; two with n = 2, degree <= 2 and 1-2 terms."""
-    family = draw(st.integers(0, 2))
-    n, deg, lo, hi, count = [(2, 3, 2, 3, 1), (3, 2, 2, 3, 1), (2, 2, 1, 2, 2)][family]
-    ring = RingDescriptor(n, n, 1)
-    gens = [
-        draw(st.dictionaries(monomials(n, deg), COEFFICIENTS, min_size=lo, max_size=hi))
-        for _ in range(count)
-    ]
-    return [
-        WeylVec(ring, (WeylOp(ring, {m: Fraction(c) for m, c in g.items()}),))
-        for g in gens
-    ]
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,8 +4,9 @@ The oracle is a textbook dense Gauss-Jordan kept in this file, so the
 kernel is checked against code it shares nothing with.  RREF, its pivot
 columns, the nullspace basis read off it and the particular solution with
 free variables at 0 are all unique, so the two must agree exactly.  The
-phase-1 simplex is checked against the dense-update version it replaced:
-the pivot sequence is the same, so the two must return the same point.
+phase-1 simplex is checked against the dense-update Fraction tableau it
+replaced: its integer rows are positive multiples of that tableau's rows,
+so the pivot sequence is the same and the two must return the same point.
 ``vanishing_rows`` is checked against the nullspace route the intersection
 oracle used before it: both span one space, so their RREFs agree."""
 
@@ -13,7 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dfan import _linalg
 from dfan._linalg import (
@@ -293,6 +294,62 @@ def test_phase1_simplex_matches_dense_updates(problem):
     assert x == dense_phase1_simplex(a, b)
     if x is not None:
         assert all(xi >= 0 for xi in x)
+        assert times(a, x) == b
+
+
+TWELFTHS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+
+
+@st.composite
+def tied_feasibility_problems(draw):
+    """A x = b, b >= 0, with denominators up to 12 and ties in the ratio
+    test: some rows are positive multiples of others, and some right-hand
+    sides are 0 (degenerate pivots)."""
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    a = [[draw(TWELFTHS) for _ in range(ncols)] for _ in range(nrows)]
+    x0 = [abs(draw(TWELFTHS)) for _ in range(ncols)]
+    b = times(a, x0) if draw(st.booleans()) else [draw(TWELFTHS) for _ in a]
+    for row, bi in zip(a, b):
+        if bi < 0:
+            row[:] = [-x for x in row]
+    b = [abs(bi) for bi in b]
+    if draw(st.booleans()):
+        b = [ZERO if draw(st.booleans()) else bi for bi in b]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(a) - 1))
+        f = abs(draw(TWELFTHS)) or Fraction(1, 7)
+        a.append([f * x for x in a[i]])
+        b.append(f * b[i])
+    return a, b
+
+
+def row_scaled(a, b, scales):
+    """A x = b with row i times scales[i]: the same feasible set."""
+    return (
+        [[f * Fraction(x) for x in row] for f, row in zip(scales, a)],
+        [f * Fraction(x) for f, x in zip(scales, b)],
+    )
+
+
+# two ratio-test ties whose tie-break decides the vertex returned: taking
+# the greatest basic index, the first row or the last row gives another
+TWELFTH_SCALES = [Fraction(5, 12), Fraction(7, 6), Fraction(3, 4)]
+TIE_BREAKS = [
+    row_scaled([[2, 2, 1, 0], [2, 1, 0, 1], [0, 0, 1, 2]], [2, 2, 1], TWELFTH_SCALES),
+    row_scaled([[0, 2, 2, 1], [0, 1, 2, 1], [2, 1, 2, 0]], [2, 2, 1], TWELFTH_SCALES),
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(tied_feasibility_problems())
+@example(TIE_BREAKS[0])
+@example(TIE_BREAKS[1])
+def test_integer_phase1_matches_the_fraction_tableau_on_ties(problem):
+    a, b = problem
+    x = _phase1_simplex(a, b)
+    assert x == dense_phase1_simplex(a, b)
+    if x is not None:
+        assert all(type(xi) is Fraction and xi >= 0 for xi in x)
         assert times(a, x) == b
 
 

@@ -103,6 +103,19 @@ def test_syntax_error_has_line():
         pytest.fail("expected a syntax error")
 
 
+def test_target_error_carries_its_line():
+    with pytest.raises(SyntaxErrorWithPos) as info:
+        parse_problem("ring n=2 k=2 r=1\ngen: x1 d1\ntarget: x1 y2\n")
+    assert (info.value.line, info.value.column) == (3, 3)
+    assert str(info.value) == "unexpected input 'y2' (line 3, column 3)"
+
+
+def test_ideal_error_carries_its_line():
+    with pytest.raises(SemanticError) as info:
+        parse_problem("ring n=2 k=2 r=1\ngen: x1 d1\n\nideal = W3\n")
+    assert str(info.value) == "W3 out of range (k = 2) (line 4)"
+
+
 def test_unsupported_order_name():
     with pytest.raises(SemanticError, match="unsupported order"):
         parse_problem("ring n=2 k=2 r=1\ngen: x1\norder = lex\n")

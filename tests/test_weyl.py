@@ -12,6 +12,7 @@ from dfan.weyl import (
     DtOp,
     RingDescriptor,
     WeylOp,
+    _mul_terms,
     accumulate,
     dehomogenize,
     homogenize,
@@ -19,7 +20,13 @@ from dfan.weyl import (
     monomial_multiples,
     require_f_homogeneous,
 )
-from conftest import apply_op, monomials_up_to, random_dt_op, random_nonzero_op
+from conftest import (
+    apply_op,
+    monomials_up_to,
+    random_dt_op,
+    random_nonzero_op,
+    ref_mul_terms,
+)
 
 R1 = RingDescriptor(1, 1, 1)
 R2 = RingDescriptor(2, 2, 1)
@@ -252,3 +259,39 @@ def test_monomial_multiples_cap_is_inclusive(monkeypatch):
     assert len(list(monomial_multiples(g, 3))) == 10
     with pytest.raises(ResourceBoundExceeded, match="exceed the cap of 10"):
         next(monomial_multiples(g, 4))
+
+
+# the term kernel's commuting shortcut against the general nu-expansion it had
+# (``ref_mul_terms`` in conftest.py)
+
+
+@st.composite
+def term_pairs(draw):
+    """Two monomials in n = 1-3 variable pairs; half of them commute (no
+    d_i of the left meets an x_i of the right)."""
+    n = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    a1, b1, a2, b2 = (draw(exps) for _ in range(4))
+    if draw(st.booleans()):
+        a2 = tuple(0 if b else a for a, b in zip(a2, b1))
+    l1, l2 = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    return (a1, b1, l1), (a2, b2, l2)
+
+
+COEFS = st.fractions(min_value=-7, max_value=7, max_denominator=5).filter(bool)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    term_pairs(),
+    st.one_of(st.sampled_from([1, -1, Fraction(1), Fraction(-1)]), COEFS),
+    COEFS,
+    st.booleans(),
+)
+def test_mul_terms_matches_the_nu_expansion(pair, c1, c2, emit_t):
+    t1, t2 = pair if emit_t else (pair[0][:2], pair[1][:2])
+    got = list(_mul_terms(t1, c1, t2, c2, emit_t))
+    assert got == list(ref_mul_terms(t1, c1, t2, c2, emit_t))
+    assert all(type(c) is Fraction for _, c in got)
+    commute = not any(b and a for b, a in zip(t1[1], t2[0]))
+    assert (len(got) == 1) is commute
