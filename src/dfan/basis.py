@@ -6,8 +6,10 @@ Division always reduces the maximal remaining term against the first basis
 element whose privileged exponent divides it (the least-index partition of
 the staircase), which pins the output uniquely.  Polynomial coefficients
 replace convergent series at this scale; division by pathological bases
-whose tails climb in degree forever is cut off by explicit caps and
-reported, never silently truncated.
+whose tails climb in degree forever is cut off by the module constants
+STEP_CAP and DEGREE_SLACK, and an autoreduction that does not settle by
+REDUCTION_ROUNDS; each raises ResourceBoundExceeded, never a silently
+truncated result.
 """
 
 from __future__ import annotations
@@ -37,19 +39,13 @@ from .weyl import (
 )
 
 
-@dataclass
-class Caps:
-    """Resource guards for division/completion.  Legitimate desk-scale
-    divisions finish within a few hundred steps and never climb more than
-    a few degrees above their inputs; the defaults are generous for those
-    while tripping fast on tails that feed themselves."""
-
-    step_cap: int = 20_000
-    reduction_rounds: int = 64
-    degree_slack: int = 16
-
-
-DEFAULT_CAPS = Caps()
+# Resource guards for division and completion.  Desk-scale divisions
+# finish within a few hundred steps and never climb more than a few degrees
+# above their inputs; the caps are generous for those while tripping fast
+# on tails that feed themselves.
+STEP_CAP = 20_000  # steps of one division
+REDUCTION_ROUNDS = 64  # inter-reduction rounds of one autoreduction
+DEGREE_SLACK = 16  # total degree above the input's plus the basis's
 
 
 def _flatten(V) -> dict:
@@ -70,6 +66,12 @@ def _unflatten(flat: dict, ring: RingDescriptor, dt: bool):
     return WeylVec.from_terms(
         ring, (((a, b), i, c) for (a, b, _, i), c in flat.items())
     )
+
+
+def _degree(flat) -> int:
+    """The largest total degree |alpha| + |beta| + l of a flat's terms, 0
+    for none."""
+    return max((sum(a) + sum(b) + l for a, b, l, _ in flat), default=0)
 
 
 def _divides(exp, key) -> bool:
@@ -184,9 +186,12 @@ def _divide_flat(
     lcs: list[Fraction],
     keyf: _KeyCache,
     emit_t: bool,
-    caps: Caps,
+    bd: int,
 ):
     """Core division loop; returns (quotient term dicts, remainder dict).
+    ``bd`` is ``_degree`` over all of ``basis_flats``: a term above the
+    degrees of g and of the basis added together, plus DEGREE_SLACK, trips
+    the degree cap.
 
     The maximal live term is tracked through a lazy max-heap (entries
     whose key has left the tail are discarded on pop), so pathological
@@ -210,16 +215,7 @@ def _divide_flat(
         if entered is not None:
             entered.append(key)
 
-    gd = max((sum(a) + sum(b) + l for (a, b, l, i) in g), default=0)
-    bd = max(
-        (
-            sum(a) + sum(b) + l
-            for f in basis_flats
-            for (a, b, l, i) in f
-        ),
-        default=0,
-    )
-    cap = gd + bd + caps.degree_slack
+    cap = _degree(g) + bd + DEGREE_SLACK
     steps = 0
     while True:
         while heap and heap[0][1] not in tail:
@@ -229,10 +225,10 @@ def _divide_flat(
         tau = heap[0][1]
         heapq.heappop(heap)
         steps += 1
-        if steps > caps.step_cap:
+        if steps > STEP_CAP:
             raise ResourceBoundExceeded(
-                f"division exceeded {caps.step_cap} steps; raise the cap or "
-                "inspect the basis for non-terminating tails"
+                f"division exceeded {STEP_CAP} steps; inspect the basis for "
+                "non-terminating tails"
             )
         if sum(tau[0]) + sum(tau[1]) + tau[2] > cap:
             raise ResourceBoundExceeded(
@@ -281,21 +277,13 @@ class StandardBasis:
     homogenized submodule of D[t]^r, valid for the weight forms in
     ``context`` (an interior sample first, then any cone rays)."""
 
-    def __init__(
-        self,
-        ring: RingDescriptor,
-        elements,
-        order: TermOrder,
-        context,
-        caps: Caps = DEFAULT_CAPS,
-    ):
+    def __init__(self, ring: RingDescriptor, elements, order: TermOrder, context):
         self.ring = ring
         self.elements = tuple(elements)
         if not self.elements or any(h.is_zero() for h in self.elements):
             raise ZeroInputError("zero divisor element in a standard basis")
         self.order = order
         self.context = tuple(context)
-        self.caps = caps
         self._flats = [_flatten(h) for h in self.elements]
         self._keyf = _KeyCache(order, ring.shifts)
         self._exps = [max(f, key=self._keyf) for f in self._flats]
@@ -303,6 +291,11 @@ class StandardBasis:
         # the order decisions of the completion that made this basis, if
         # any: see order_cone
         self._trace = None
+
+    @cached_property
+    def _bd(self):
+        """The basis degree of the division degree cap."""
+        return max(map(_degree, self._flats), default=0)
 
     @property
     def exponents(self):
@@ -336,7 +329,7 @@ class StandardBasis:
         require_f_homogeneous(G)
         flat = _flatten(G)
         quots, rem = _divide_flat(
-            flat, self._flats, self._exps, self._lcs, self._keyf, True, self.caps
+            flat, self._flats, self._exps, self._lcs, self._keyf, True, self._bd
         )
         qops = [
             DtOp(self.ring, {mu: c for mu, c in q.items()}) for q in quots
@@ -370,11 +363,11 @@ class StandardBasis:
             if not a.is_zero():
                 require_f_homogeneous(a)
         for L in self.context:
-            bound = ord_L_vec(G, L, self.ring.shifts)
+            bound = ord_L_vec(G, L)
             for a, h in zip(qops, self.elements):
                 if a.is_zero():
                     continue
-                w = ord_L_vec(h.left_mul(a), L, self.ring.shifts)
+                w = ord_L_vec(h.left_mul(a), L)
                 if w > bound:
                     raise DfanError(
                         f"L-order bound violated for context form {L}"
@@ -407,8 +400,8 @@ class StandardBasis:
             raise WeightError(f"{L} is outside the basis context")
         out = []
         for h in self.elements:
-            d = ord_L_vec(h, L, self.ring.shifts)
-            out.append((symbol_L(h, L, d, self.ring.shifts), d))
+            d = ord_L_vec(h, L)
+            out.append((symbol_L(h, L, d), d))
         return out
 
     def _context_contains(self, L: LinearForm) -> bool:
@@ -461,12 +454,14 @@ def _monic(flat, keyf):
     return {k: v / lc for k, v in flat.items()}, top
 
 
-def _buchberger(flats, keyf, emit_t, caps):
+def _buchberger(flats, keyf, emit_t):
     import heapq
 
     monic = [_monic(dict(f), keyf) for f in flats if f]
     basis = [f for f, _ in monic]
     exps = [e for _, e in monic]
+    # the basis only grows, so its degree is a running max
+    bd = max(map(_degree, basis), default=0)
     heap = []
     pending = set()
     lcms = []
@@ -507,18 +502,19 @@ def _buchberger(flats, keyf, emit_t, caps):
         if not s:
             continue
         _, rem = _divide_flat(
-            s, basis, exps, [Fraction(1)] * len(basis), keyf, emit_t, caps
+            s, basis, exps, [Fraction(1)] * len(basis), keyf, emit_t, bd
         )
         if rem:
             rem, top = _monic(rem, keyf)
             new = len(basis)
             basis.append(rem)
             exps.append(top)
+            bd = max(bd, _degree(rem))
             for m in range(new):
                 if exps[m][3] == exps[new][3]:
                     add_pair(m, new)
     keyf.ranked(lcms)
-    return _autoreduce(basis, exps, keyf, emit_t, caps)
+    return _autoreduce(basis, exps, keyf, emit_t)
 
 
 def _lcm_exp(ei, ej):
@@ -530,7 +526,7 @@ def _lcm_exp(ei, ej):
     )
 
 
-def _autoreduce(basis, exps, keyf, emit_t, caps):
+def _autoreduce(basis, exps, keyf, emit_t):
     # minimalize: with weight-refined orders divisibility is not monotone
     # in the order, so test all pairs (dedupe equal exponents first)
     keyf.ranked(exps)
@@ -550,30 +546,22 @@ def _autoreduce(basis, exps, keyf, emit_t, caps):
     ]
     mini = [basis[m] for m in kept]
     mexp = [exps[m] for m in kept]
+    degs = [_degree(f) for f in mini]
     # inter-reduce tails against the other elements until stable
-    for _ in range(caps.reduction_rounds):
+    for _ in range(REDUCTION_ROUNDS):
         changed = False
         for idx in range(len(mini)):
             if mini[idx] is None:
                 continue
-            others = [
-                mini[m]
-                for m in range(len(mini))
-                if m != idx and mini[m] is not None
-            ]
-            oexps = [
-                mexp[m]
-                for m in range(len(mini))
-                if m != idx and mini[m] is not None
-            ]
+            live = [m for m in range(len(mini)) if m != idx and mini[m] is not None]
             _, rem = _divide_flat(
                 mini[idx],
-                others,
-                oexps,
-                [Fraction(1)] * len(others),
+                [mini[m] for m in live],
+                [mexp[m] for m in live],
+                [Fraction(1)] * len(live),
                 keyf,
                 emit_t,
-                caps,
+                max((degs[m] for m in live), default=0),
             )
             if not rem:
                 mini[idx] = None
@@ -583,12 +571,13 @@ def _autoreduce(basis, exps, keyf, emit_t, caps):
             if rem != mini[idx]:
                 mini[idx] = rem
                 mexp[idx] = top
+                degs[idx] = _degree(rem)
                 changed = True
         if not changed:
             break
     else:
         raise ResourceBoundExceeded(
-            "autoreduction did not stabilize within the configured rounds"
+            f"autoreduction did not stabilize within {REDUCTION_ROUNDS} rounds"
         )
     # canonical output order, independent of the refining weight
     canon = TermOrder()
@@ -599,11 +588,7 @@ def _autoreduce(basis, exps, keyf, emit_t, caps):
     return [f for _, f in pairs]
 
 
-def reduce_basis(
-    generators,
-    sample: LinearForm,
-    caps: Caps = DEFAULT_CAPS,
-) -> StandardBasis:
+def reduce_basis(generators, sample: LinearForm) -> StandardBasis:
     """Homogenize the generators and complete them into the reduced
     standard basis for the order refined by ``sample`` (an interior weight
     of the cone of validity)."""
@@ -614,18 +599,14 @@ def reduce_basis(
     order = TermOrder().refine(sample)
     keyf = _KeyCache(order, ring.shifts, trace=True)
     flats = [_flatten(homogenize_vec(g)) for g in gens]
-    done = _buchberger(flats, keyf, True, caps)
+    done = _buchberger(flats, keyf, True)
     elements = [_unflatten(f, ring, True) for f in done]
-    out = StandardBasis(ring, elements, order, (sample,), caps)
+    out = StandardBasis(ring, elements, order, (sample,))
     out._trace = keyf
     return out
 
 
-def recheck_basis(
-    basis: StandardBasis,
-    sample: LinearForm,
-    caps: Caps = DEFAULT_CAPS,
-) -> StandardBasis | None:
+def recheck_basis(basis: StandardBasis, sample: LinearForm) -> StandardBasis | None:
     """``basis`` as a standard basis for the order refined by ``sample``,
     built as ``reduce_basis`` builds it, or None when that is not
     certified.  Certified means the privileged exponents stay put, so the
@@ -633,7 +614,7 @@ def recheck_basis(
     divides to zero under the new order (Buchberger's criterion).  A cap
     tripped on the way gives None."""
     order = TermOrder().refine(sample)
-    out = StandardBasis(basis.ring, basis.elements, order, (sample,), caps)
+    out = StandardBasis(basis.ring, basis.elements, order, (sample,))
     if out.exponents != basis.exponents:
         return None
     f, e = out._flats, out._exps
@@ -643,14 +624,14 @@ def recheck_basis(
                 if e[i][3] != e[j][3]:
                     continue
                 s = _spair(f[i], f[j], e[i], e[j], True)
-                if s and _divide_flat(s, f, e, out._lcs, out._keyf, True, caps)[1]:
+                if s and _divide_flat(s, f, e, out._lcs, out._keyf, True, out._bd)[1]:
                     return None
     except ResourceBoundExceeded:
         return None
     return out
 
 
-def plain_module_basis(generators, caps: Caps = DEFAULT_CAPS):
+def plain_module_basis(generators):
     """Groebner basis of a submodule of D^r under the plain degree
     well-order (used for graded symbol-module membership)."""
     gens = [g for g in generators if not g.is_zero()]
@@ -660,27 +641,31 @@ def plain_module_basis(generators, caps: Caps = DEFAULT_CAPS):
     order = TermOrder()
     keyf = _KeyCache(order, ring.shifts)
     flats = [_flatten(g) for g in gens]
-    done = _buchberger(flats, keyf, False, caps)
-    return PlainBasis(ring, [_unflatten(f, ring, False) for f in done], order, caps)
+    done = _buchberger(flats, keyf, False)
+    return PlainBasis(ring, [_unflatten(f, ring, False) for f in done], order)
 
 
 class PlainBasis:
     """Groebner basis of a plain D^r-submodule under a degree well-order."""
 
-    def __init__(self, ring, elements, order, caps=DEFAULT_CAPS):
+    def __init__(self, ring, elements, order):
         self.ring = ring
         self.elements = tuple(elements)
         self.order = order
-        self.caps = caps
         self._flats = [_flatten(h) for h in self.elements]
         self._keyf = _KeyCache(order, ring.shifts)
         self._exps = [max(f, key=self._keyf) for f in self._flats]
         self._lcs = [f[e] for f, e in zip(self._flats, self._exps)]
 
+    @cached_property
+    def _bd(self):
+        """The basis degree of the division degree cap."""
+        return max(map(_degree, self._flats), default=0)
+
     def normal_form(self, G: WeylVec) -> WeylVec:
         flat = _flatten(G)
         _, rem = _divide_flat(
-            flat, self._flats, self._exps, self._lcs, self._keyf, False, self.caps
+            flat, self._flats, self._exps, self._lcs, self._keyf, False, self._bd
         )
         return _unflatten(rem, self.ring, False)
 

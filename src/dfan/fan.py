@@ -26,7 +26,11 @@ the data found above, not recomputed completions.  Each cone's reported
 sample is the LP sample of its representative cell, and its basis is the
 one a completion there returns: a fresh completion, or a stored basis
 confirmed at exactly that sample.  A failed merge falls back to emitting
-the member cells individually."""
+the member cells individually.
+
+The module constants MAX_K, MAX_NORMALS and MAX_CELLS cap the dimension,
+the wall normals and the arrangement's cells; reaching one raises
+ResourceBoundExceeded."""
 
 from __future__ import annotations
 
@@ -34,16 +38,15 @@ from dataclasses import dataclass
 from itertools import product
 
 from ._linalg import cone_interior_point, primitive, to_primitive_int
-from .basis import (
-    Caps,
-    DEFAULT_CAPS,
-    StandardBasis,
-    recheck_basis,
-    reduce_basis,
-)
+from .basis import StandardBasis, recheck_basis, reduce_basis
 from .errors import ResourceBoundExceeded, WeightError
 from .filtration import multi_weight
 from .weights import LinearForm
+
+# Cell counts grow quickly with the dimension.
+MAX_K = 3  # filtered coordinates of a fan
+MAX_NORMALS = 64  # wall normals of one fan
+MAX_CELLS = 4096  # cells of the arrangement after any split
 
 
 def _canon(v):
@@ -64,9 +67,10 @@ def _sign(x):
     return 0 if x == 0 else (1 if x > 0 else -1)
 
 
-def _weight_vectors(element, shifts, k):
+def _weight_vectors(element, k):
     """Distinct shifted multiweights of an element's support."""
     out = {}
+    shifts = element.shifts
     for key, i, _ in element.iter_terms():
         w = multi_weight(key, i, shifts, k)
         out.setdefault(w, []).append((key, i))
@@ -78,14 +82,13 @@ def _basis_data(basis: StandardBasis, sample: LinearForm):
     top-weight stratum there, the constancy region on which every stratum
     stays on top (the equalities and strict forms), and the wall normals
     met on the way."""
-    ring = basis.ring
-    k = ring.k
+    k = basis.ring.k
     strata = []
     eqs = []
     stricts = []
     normals = set()
     for h in basis.elements:
-        wvs = _weight_vectors(h, ring.shifts, k)
+        wvs = _weight_vectors(h, k)
         vals = {w: sample.of(w) for w in wvs}
         top = max(vals.values())
         stratum_ws = sorted(w for w, v in vals.items() if v == top)
@@ -258,9 +261,8 @@ class _Regions:
     samples one ``standard_fan`` call looks at, and the region of every
     fresh completion made for them (see the module docstring)."""
 
-    def __init__(self, generators, caps):
+    def __init__(self, generators):
         self.generators = generators
-        self.caps = caps
         self.stored = []  # (data, region) of every fresh completion
         self._cells = {}
         self._samples = {}
@@ -287,11 +289,11 @@ class _Regions:
             data = self._find([to_primitive_int(sample)])
             basis = None
             if data is not None:
-                basis = recheck_basis(data[0], L, self.caps)
+                basis = recheck_basis(data[0], L)
             if basis is not None:
                 data = (basis,) + data[1:]
             else:
-                basis = reduce_basis(self.generators, L, caps=self.caps)
+                basis = reduce_basis(self.generators, L)
                 data = _basis_data(basis, L)
                 weak, strict = basis.order_cone
                 self.stored.append((data, (data[2], data[3] + strict, weak)))
@@ -310,39 +312,33 @@ class _Regions:
         return self._cells[gens]
 
 
-def standard_fan(
-    generators,
-    caps: Caps = DEFAULT_CAPS,
-    max_normals: int = 64,
-    max_cells: int = 4096,
-    max_k: int = 3,
-) -> Fan:
+def standard_fan(generators) -> Fan:
     """Compute the partition of the closed quadrant for the module spanned
-    by ``generators``.  Guarded to k <= ``max_k`` filtered coordinates by
-    default (cell counts grow quickly with the dimension)."""
+    by ``generators``.  Raises ResourceBoundExceeded past k = MAX_K
+    filtered coordinates, MAX_NORMALS wall normals or MAX_CELLS cells."""
     ring = generators[0].ring
     k = ring.k
-    if k > max_k:
+    if k > MAX_K:
         raise ResourceBoundExceeded(
-            f"fan construction is capped at k = {max_k} filtered coordinates "
-            f"(got {k}); pass max_k explicitly to go further"
+            f"fan construction is capped at k = {MAX_K} filtered coordinates "
+            f"(got {k})"
         )
     coord = tuple(
         tuple(1 if j == i else 0 for j in range(k)) for i in range(k)
     )
     normals = set(coord)
     split_by = set(coord)
-    parts = _capped(_quadrant_faces(coord), max_cells)
-    regions = _Regions(generators, caps)
+    parts = _capped(_quadrant_faces(coord), MAX_CELLS)
+    regions = _Regions(generators)
 
     # saturate the wall-normal set
     while True:
         sorted_normals = sorted(normals)
-        if len(sorted_normals) > max_normals:
+        if len(sorted_normals) > MAX_NORMALS:
             raise ResourceBoundExceeded(
-                f"fan needed more than {max_normals} wall normals"
+                f"fan needed more than {MAX_NORMALS} wall normals"
             )
-        parts = _split_cells(parts, sorted(normals - split_by), max_cells)
+        parts = _split_cells(parts, sorted(normals - split_by), MAX_CELLS)
         split_by = normals
         cells = sorted(
             (tuple(sg[v] for v in sorted_normals), tuple(gens)) for sg, gens in parts

@@ -6,12 +6,12 @@ lies in the cone-refined V^Gamma_s iff L(delta) <= L(s) for every ray
 form L of the cone (each term may take sigma = delta in the defining sum,
 so the ray characterization is equivalent; the brute-force regression
 lives in the tests).  V_s, where every multiweight is <= s componentwise,
-is the case of the orthant cone."""
+is the case of the orthant cone.  A scalar operator filters as a vector
+of rank one with a zero shift."""
 
 from __future__ import annotations
 
-from .toric import BasicCone, normalize_rays, orthant_cone
-from .weyl import DtOp, WeylOp
+from .toric import BasicCone, cone_drops, normalize_rays, orthant_cone
 
 
 def multi_weight(key, comp: int, shifts, k: int):
@@ -21,43 +21,29 @@ def multi_weight(key, comp: int, shifts, k: int):
     return tuple(b[i] - a[i] + n[i] for i in range(k))
 
 
-def _iter_weighted_terms(B, shifts, k):
-    if isinstance(B, (WeylOp, DtOp)):
-        one_shift = ((0,) * k,)
-        for key in B.terms:
-            yield multi_weight(key, 0, one_shift, k)
-    else:
-        if shifts is None:
-            shifts = B.ring.shifts
-        for key, i, _ in B.iter_terms():
-            yield multi_weight(key, i, shifts, k)
+def _iter_weighted_terms(B, k):
+    """The multiweights of B's terms, with B's own shifts."""
+    shifts = B.shifts
+    for key, i, _ in B.iter_terms():
+        yield multi_weight(key, i, shifts, k)
 
 
-def cone_drops(rows, s, delta):
-    """L(s) - L(delta) for each row form L.  A term of multiweight delta
-    lies in V^Gamma_s when no drop is negative, and on its top stratum
-    when every drop is zero."""
-    return tuple(sum(r * (x - d) for r, x, d in zip(row, s, delta)) for row in rows)
-
-
-def in_V_gamma(B, s, gamma, shifts=None) -> bool:
+def in_V_gamma(B, s, gamma) -> bool:
     """Membership in the cone-refined filtration V^Gamma_s; ``gamma`` is a
     BasicCone or a list of ray forms."""
     rows = gamma.rows if isinstance(gamma, BasicCone) else normalize_rays(gamma)
     return all(
         min(cone_drops(rows, s, delta)) >= 0
-        for delta in _iter_weighted_terms(B, shifts, len(s))
+        for delta in _iter_weighted_terms(B, len(s))
     )
 
 
-def in_V_s(B, s, shifts=None) -> bool:
+def in_V_s(B, s) -> bool:
     """Membership in V[n_]_s: V^Gamma_s for the orthant cone."""
-    return in_V_gamma(B, s, orthant_cone(len(s)), shifts)
+    return in_V_gamma(B, s, orthant_cone(len(s)))
 
 
-def newton_diagram(B, shifts=None, k: int | None = None) -> frozenset:
+def newton_diagram(B) -> frozenset:
     """The V-Newton diagram: the set of shifted weight vectors of the
     support.  t-exponents are ignored."""
-    if k is None:
-        k = B.ring.k
-    return frozenset(_iter_weighted_terms(B, shifts, k))
+    return frozenset(_iter_weighted_terms(B, B.ring.k))

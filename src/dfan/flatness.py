@@ -28,7 +28,7 @@ from .errors import (
     SyntaxErrorWithPos,
     ZeroInputError,
 )
-from .filtration import cone_drops, in_V_gamma, multi_weight
+from .filtration import in_V_gamma, multi_weight
 from .grammar import (
     SYZYGY,
     format_factors,
@@ -38,7 +38,7 @@ from .grammar import (
     format_w_monomials,
     parse_sum,
 )
-from .toric import MAX_BOX_POINTS, BasicCone
+from .toric import MAX_BOX_POINTS, BasicCone, cone_drops
 from .weights import LinearForm, ord_L_vec, symbol_L
 from .weyl import (
     DtOp,
@@ -438,27 +438,39 @@ class FlatCertificate:
     split: tuple  # ((m, key, coef, j) ...) audit of the stratum split
     member_powers: tuple
     basis: StandardBasis
+    l_max: int | None = None  # the membership search bound
 
-    def verify(self) -> None:
+    def verify(self) -> tuple:
+        """Check every claimed invariant; returns the member powers, the
+        least t-power l <= ``l_max`` of each piece's membership (0 for a
+        zero piece)."""
         degrees = _Frame(self.gamma, self.J, self.s).degrees
         total = WeylVec.zero(self.Q.ring)
         for piece in self.pieces:
             total = total + piece
         if total != self.Q:
             raise CertificateError("pieces do not sum to the input")
+        powers = []
         for j, piece in enumerate(self.pieces):
             if piece.is_zero():
+                powers.append(0)
                 continue
             if not in_V_gamma(piece, degrees[j], self.gamma):
                 raise CertificateError(
                     f"piece {j + 1} leaves the cone filtration"
                 )
-            if not self.basis.member(piece):
-                raise CertificateError(f"piece {j + 1} fails module membership")
+            check = self.basis.member(piece, self.l_max)
+            if not check.is_member:
+                raise CertificateError(
+                    f"piece {j + 1} has inconclusive module membership"
+                )
+            powers.append(check.l)
+        return tuple(powers)
 
     def replay(self) -> "FlatCertificate":
         return flat_decompose(
-            self.Q, self.s, self.gamma, self.J, self.basis, self.parts
+            self.Q, self.s, self.gamma, self.J, self.basis, self.parts,
+            l_max=self.l_max,
         )
 
     def to_report(self) -> dict:
@@ -532,7 +544,6 @@ def flat_decompose(
         basis.elements,
         basis.order,
         tuple(basis.context) + tuple(row_forms),
-        basis.caps,
     )
     dq = Q.order()
     degs = [part.order() for part in parts if not part.is_zero()]
@@ -546,14 +557,14 @@ def flat_decompose(
         )
     L1 = row_forms[0]
     d_top = L1.of(s)
-    if ord_L_vec(G, L1, ring.shifts) > d_top:
+    if ord_L_vec(G, L1) > d_top:
         raise CertificateError("input exceeds the stated filtration degree")
     splits = []
     r_pieces = [DtVec.zero(ring) for _ in range(p)]
     for m, (a_m, h_m) in enumerate(zip(division.quotients, work_basis.elements)):
         if a_m.is_zero():
             continue
-        d1m = ord_L_vec(h_m, L1, ring.shifts)
+        d1m = ord_L_vec(h_m, L1)
         try:
             top = symbol_L(a_m, L1, d_top - d1m)
         except DfanError as exc:
@@ -580,17 +591,6 @@ def flat_decompose(
         pieces[j] = dehomogenize(r_pieces[j])
         rest = rest - pieces[j]
     pieces[0] = rest
-    member_powers = []
-    for j, piece in enumerate(pieces):
-        if piece.is_zero():
-            member_powers.append(0)
-            continue
-        check = basis.member(piece, l_max)
-        if not check.is_member:
-            raise CertificateError(
-                f"piece {j + 1} has inconclusive module membership"
-            )
-        member_powers.append(check.l)
     cert = FlatCertificate(
         Q=Q,
         s=s,
@@ -601,10 +601,11 @@ def flat_decompose(
         t_power=ell,
         quotients=tuple(division.quotients),
         split=tuple(splits),
-        member_powers=tuple(member_powers),
+        member_powers=(),
         basis=basis,
+        l_max=l_max,
     )
-    cert.verify()
+    cert.member_powers = cert.verify()
     return cert
 
 

@@ -22,9 +22,9 @@ from fractions import Fraction
 from ._linalg import solve_affine
 from .basis import plain_module_basis, reduce_basis
 from .errors import ConeError, GradingError, RingMismatchError, ZeroInputError
-from .filtration import cone_drops, in_V_gamma, multi_weight
+from .filtration import in_V_gamma, multi_weight
 from .grammar import GRADED, format_factors, format_sum
-from .toric import BasicCone, orthant_cone
+from .toric import BasicCone, cone_drops, orthant_cone
 from .weights import LinearForm, ord_L_vec, symbol_L
 from .weyl import (
     RingDescriptor,
@@ -52,8 +52,7 @@ class ReesElement:
         k = op.ring.k
         if len(self.s) != k:
             raise GradingError(f"degree must live in Z^{k}")
-        shifts = None if isinstance(op, WeylOp) else op.ring.shifts
-        if not in_V_gamma(op, self.s, cone or orthant_cone(k), shifts):
+        if not in_V_gamma(op, self.s, cone or orthant_cone(k)):
             raise GradingError(f"operator is not in the filtration at s = {self.s}")
 
     def __eq__(self, other):
@@ -238,8 +237,7 @@ def fiber_V_zero_test(
     sbasis = reduce_basis(gens, Lstar)
     symbols = []
     for h in sbasis.elements:
-        d = ord_L_vec(h, Lstar, ring.shifts)
-        symbols.append(dehomogenize(symbol_L(h, Lstar, d, ring.shifts)))
+        symbols.append(dehomogenize(symbol_L(h, Lstar, ord_L_vec(h, Lstar))))
     symbol_gb = plain_module_basis(symbols)
     one = ((0,) * ring.n, (0,) * ring.n)
     for i in range(ring.r):
@@ -262,27 +260,16 @@ def gamma_fiber_reduce(e: ReesElement):
     operator in the X/Delta Weyl algebra."""
     if e.cone is None:
         raise ConeError("reduction needs a basic cone context")
-    k = e.cone.k
-    ring = e.op.ring
-    shifts = ring.shifts if isinstance(e.op, WeylVec) else ((0,) * k,)
+    op = e.op
+    shifts = op.shifts
 
     def survives(key, comp):
         """The W-exponent of the term is its cone drops."""
-        wexp = cone_drops(e.cone.rows, e.s, multi_weight(key, comp, shifts, k))
+        wexp = cone_drops(e.cone.rows, e.s, multi_weight(key, comp, shifts, e.cone.k))
         if min(wexp) < 0:
             raise GradingError("term escapes the cone filtration")
         return not any(wexp)
 
-    if isinstance(e.op, WeylVec):
-        comps = []
-        for i, comp in enumerate(e.op.components):
-            comps.append(
-                WeylOp(
-                    ring,
-                    {key: c for key, c in comp.terms.items() if survives(key, i)},
-                )
-            )
-        return WeylVec(ring, comps)
-    return WeylOp(
-        ring, {key: c for key, c in e.op.terms.items() if survives(key, 0)}
+    return type(op).from_terms(
+        op.ring, (t for t in op.iter_terms() if survives(t[0], t[1]))
     )

@@ -93,21 +93,26 @@ def orthant_cone(k: int) -> BasicCone:
     return BasicCone(tuple(tuple(1 if j == i else 0 for j in range(k)) for i in range(k)))
 
 
+def cone_drops(rows, s, delta):
+    """L(s) - L(delta) for each row form L.  A term of multiweight delta
+    lies in V^Gamma_s when no drop is negative, and on its top stratum
+    when every drop is zero."""
+    return tuple(sum(r * (x - d) for r, x, d in zip(row, s, delta)) for row in rows)
+
+
 def dual_membership(a, gamma: BasicCone) -> bool:
     """a in the dual cone iff L_i(a) >= 0 for every row."""
-    return all(sum(c * x for c, x in zip(row, a)) >= 0 for row in gamma.rows)
+    return min(cone_drops(gamma.rows, a, (0,) * gamma.k)) >= 0
 
 
 def w_to_u(a, gamma: BasicCone):
     """Exponent of u representing W^a: the matrix product L' a."""
-    k = gamma.k
-    return tuple(sum(gamma.inverse[i][j] * a[j] for j in range(k)) for i in range(k))
+    return cone_drops(gamma.inverse, a, (0,) * gamma.k)
 
 
 def u_to_w(sigma, gamma: BasicCone):
     """Exponent of W representing u^sigma: the matrix product L sigma."""
-    k = gamma.k
-    return tuple(sum(gamma.rows[i][j] * sigma[j] for j in range(k)) for i in range(k))
+    return cone_drops(gamma.rows, sigma, (0,) * gamma.k)
 
 
 def normalize_rays(rays):

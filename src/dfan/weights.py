@@ -21,7 +21,6 @@ from operator import mul
 
 from ._linalg import to_primitive_int
 from .errors import WeightError, ZeroInputError
-from .weyl import DtOp, WeylOp
 
 NEG_INF = float("-inf")
 
@@ -113,82 +112,45 @@ def usual_order_form(n: int) -> GeneralForm:
 
 
 def ord_general(P, form: GeneralForm):
-    """Max of form(alpha, beta) over the support; -inf for zero."""
-    keys = P.terms if isinstance(P, (WeylOp, DtOp)) else None
-    if keys is None:
-        raise TypeError("ord_general expects a scalar operator")
-    best = NEG_INF
-    for key in keys:
-        a, b = key[0], key[1]
-        w = form(a, b)
-        if best is NEG_INF or w > best:
-            best = w
-    return best
+    """Max of form(alpha, beta) over the support of a scalar operator;
+    -inf for zero."""
+    return max((form(key[0], key[1]) for key in P.terms), default=NEG_INF)
 
 
-def ord_L(P, L: LinearForm):
-    """L-order of a scalar operator (t-exponents contribute nothing)."""
-    best = NEG_INF
-    for key in P.terms:
-        w = L.weight(key[0], key[1])
-        if best is NEG_INF or w > best:
-            best = w
-    return best
+def ord_L_vec(B, L: LinearForm):
+    """Shifted L-order of an operand: max over its terms in component i of
+    L(beta - alpha) + L(n^(i)), with n the operand's shifts (one zero
+    column for a scalar); -inf for zero.  t-exponents weigh nothing."""
+    offs = [L.of(n) for n in B.shifts]
+    return max(
+        (L.weight(key[0], key[1]) + offs[i] for key, i, _ in B.iter_terms()),
+        default=NEG_INF,
+    )
 
 
-def ord_L_vec(B, L: LinearForm, shifts=None):
-    """Shifted L-order of a vector: max over components i of
-    ord_L(component) + L(n^(i))."""
-    if isinstance(B, (WeylOp, DtOp)):
-        return ord_L(B, L)
-    if shifts is None:
-        shifts = B.ring.shifts
-    best = NEG_INF
-    for key, i, _ in B.iter_terms():
-        w = L.weight(key[0], key[1]) + L.of(shifts[i])
-        if best is NEG_INF or w > best:
-            best = w
-    return best
-
-
-def symbol_L(B, L: LinearForm, d, shifts=None):
+def symbol_L(B, L: LinearForm, d):
     """The terms of exact shifted L-weight d: the canonical representative
     of the symbol of order d.  Requires ord <= d; returns 0 when every
     term lies strictly below."""
-    if isinstance(B, (WeylOp, DtOp)):
-        w0 = ord_L(B, L)
-        if w0 is not NEG_INF and w0 > d:
-            raise WeightError(f"ord {w0} exceeds requested symbol degree {d}")
-        kept = {
-            key: c for key, c in B.terms.items() if L.weight(key[0], key[1]) == d
-        }
-        return type(B)(B.ring, kept)
-    if shifts is None:
-        shifts = B.ring.shifts
-    w0 = ord_L_vec(B, L, shifts)
+    w0 = ord_L_vec(B, L)
     if w0 is not NEG_INF and w0 > d:
         raise WeightError(f"ord {w0} exceeds requested symbol degree {d}")
-    comps = []
-    for i, comp in enumerate(B.components):
-        off = L.of(shifts[i])
-        kept = {
-            key: c
-            for key, c in comp.terms.items()
-            if L.weight(key[0], key[1]) + off == d
-        }
-        comps.append(type(comp)(comp.ring, kept))
-    return type(B)(B.ring, comps)
+    offs = [L.of(n) for n in B.shifts]
+    return type(B).from_terms(
+        B.ring,
+        (
+            (key, i, c)
+            for key, i, c in B.iter_terms()
+            if L.weight(key[0], key[1]) + offs[i] == d
+        ),
+    )
 
 
-def principal_symbol(B, L: LinearForm, shifts=None):
+def principal_symbol(B, L: LinearForm):
     """sigma^L at d = ord^L; zero input gives zero."""
-    if isinstance(B, (WeylOp, DtOp)):
-        if B.is_zero():
-            return B
-        return symbol_L(B, L, ord_L(B, L))
     if B.is_zero():
         return B
-    return symbol_L(B, L, ord_L_vec(B, L, shifts), shifts)
+    return symbol_L(B, L, ord_L_vec(B, L))
 
 
 class TermOrder:
@@ -245,23 +207,11 @@ class TermOrder:
         return f"TermOrder(weights={list(self.weights)})"
 
 
-def privileged_exponent(G, order: TermOrder, shifts=None):
+def privileged_exponent(G, order: TermOrder):
     """The maximal (alpha, beta, l, i) in the support of G under the
-    order; deterministic, fails on zero."""
-    if isinstance(G, (WeylOp, DtOp)):
-        if G.is_zero():
-            raise ZeroInputError("zero operator has no privileged exponent")
-        best = max(G.terms, key=lambda key: order.key(key, 0, None))
-        return best + (0,) if len(best) == 3 else best + (0, 0)
+    order, with G's own shifts; deterministic, fails on zero."""
     if G.is_zero():
-        raise ZeroInputError("zero vector has no privileged exponent")
-    if shifts is None:
-        shifts = G.ring.shifts
-    best = None
-    best_key = None
-    for key, i, _ in G.iter_terms():
-        k = order.key(key, i, shifts)
-        if best_key is None or k > best_key:
-            best_key = k
-            best = key + (i,) if len(key) == 3 else key + (0, i)
-    return best
+        raise ZeroInputError("zero operand has no privileged exponent")
+    shifts = G.shifts
+    key, i, _ = max(G.iter_terms(), key=lambda t: order.key(t[0], t[1], shifts))
+    return key + (i,) if len(key) == 3 else key + (0, i)

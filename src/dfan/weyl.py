@@ -109,6 +109,22 @@ class _OpBase:
         else:
             self.terms = accumulate({}, terms)
 
+    @classmethod
+    def from_terms(cls, ring: RingDescriptor, terms):
+        """The scalar of the (key, 0, coef) ``terms``, as for a vector of
+        rank one; the coefficients of a repeated key add up."""
+        return cls(ring, ((key, coef) for key, _, coef in terms))
+
+    @property
+    def shifts(self):
+        """One zero shift column: a scalar filters as a vector of rank one."""
+        return ((0,) * self.ring.k,)
+
+    def iter_terms(self):
+        """Yield (key, 0, coef) over the support."""
+        for key, coef in self.terms.items():
+            yield key, 0, coef
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -272,6 +288,11 @@ class _VecBase:
         for key, i, coef in terms:
             buckets[i].append((key, coef))
         return cls(ring, tuple(cls._scalar(ring, bucket) for bucket in buckets))
+
+    @property
+    def shifts(self):
+        """The ring's shift matrix, one column per component."""
+        return self.ring.shifts
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)

@@ -400,3 +400,61 @@ def test_reduce_basis_matches_the_reference_kernels(data):
         _lcm_exp=ref_lcm_exp,
     ):
         assert got == completion(generators, L)
+
+
+def ref_bd(basis_flats):
+    """The degree cap's basis degree as _divide_flat computed it on every
+    call: the largest total degree over every term of every element."""
+    return max(
+        (sum(a) + sum(b) + l for f in basis_flats for (a, b, l, _) in f),
+        default=0,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_passed_basis_degree_equals_the_recomputed_one(data):
+    # the running max of the completion, the per-element degrees of the
+    # autoreduction and the lazy degree of a finished basis all equal the
+    # full walk over the basis that each division used to make
+    generators = data.draw(fan_modules())
+    k = generators[0].ring.k
+    L = LinearForm(data.draw(st.tuples(*[st.integers(0, 4)] * k)))
+    divide_flat = basis_module._divide_flat
+    seen = []
+
+    def checked(g, basis_flats, exps, lcs, keyf, emit_t, bd):
+        assert bd == ref_bd(basis_flats)
+        seen.append(bd)
+        return divide_flat(g, basis_flats, exps, lcs, keyf, emit_t, bd)
+
+    with mock.patch.object(basis_module, "_divide_flat", checked):
+        try:
+            b = reduce_basis(generators, L)
+            b.member(generators[0])
+            plain_module_basis(generators).member(generators[-1])
+        except ResourceBoundExceeded:
+            pass
+    assert seen
+
+
+LOOP = ("x1", "-2 x1 d1 - x2")
+
+
+def test_looping_division_reports_its_degree_cap(monkeypatch):
+    # the completion at (1, 1) returns t - 1/2 x2 t and x1; dividing their
+    # S-pair reduces by the first element again and again while x2 climbs,
+    # until the degree cap 3 + 2 + DEGREE_SLACK trips
+    b = basis_of(LOOP)
+    assert [format_vec(h) for h in b.elements] == ["-1/2 x2 t e1 + t e1", "x1 e1"]
+    spair = parse_dt_vec("-1/2 x1 x2 t", R2)
+    with pytest.raises(ResourceBoundExceeded, match="exceeded total degree 21;"):
+        b.divide(spair)
+    monkeypatch.setattr(basis_module, "DEGREE_SLACK", 2)
+    with pytest.raises(ResourceBoundExceeded, match="exceeded total degree 7;"):
+        b.divide(spair)
+    # the loop takes one step per degree: a smaller step cap trips first
+    monkeypatch.setattr(basis_module, "DEGREE_SLACK", 16)
+    monkeypatch.setattr(basis_module, "STEP_CAP", 10)
+    with pytest.raises(ResourceBoundExceeded, match="exceeded 10 steps;"):
+        b.divide(spair)

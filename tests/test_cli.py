@@ -8,9 +8,10 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from dfan import cli
-from dfan.cli import run
+from dfan import basis, cli, fan
+from dfan.cli import NEGATIVE_VERDICTS, run
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "docs" / "report-schema.json"
@@ -218,6 +219,51 @@ def test_multiplier_cap_exit_two():
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert err.startswith("dfan: inconclusive:") and err.count("\n") == 1
+
+
+LOOP_PROBLEM = """ring n=2 k=2 r=1
+gen: x1
+gen: -2 x1 d1 - x2
+target: d2 + x1 x2
+weight = [1, 1]
+"""
+
+
+def inconclusive_line(argv):
+    code, out, err = invoke(argv)
+    assert code == 2 and out == ""
+    assert err.startswith("dfan: inconclusive:") and err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize(
+    "module, name, value, argv, message",
+    [
+        (basis, "STEP_CAP", 1, ["divide", "vector2.txt"], "exceeded 1 steps;"),
+        (basis, "REDUCTION_ROUNDS", 1, ["fan", "vector2.txt"], "within 1 rounds"),
+        (fan, "MAX_K", 1, ["fan", "euler.txt"], "capped at k = 1 "),
+        (fan, "MAX_NORMALS", 2, ["fan", "threecone.txt"], "more than 2 wall normals"),
+        (fan, "MAX_CELLS", 4, ["fan", "threecone.txt"], "exceeded 4 cells"),
+    ],
+    ids=["STEP_CAP", "REDUCTION_ROUNDS", "MAX_K", "MAX_NORMALS", "MAX_CELLS"],
+)
+def test_each_cap_exits_two_naming_its_limit(module, name, value, argv, message, monkeypatch):
+    argv = [argv[0], "--input", str(PROBLEMS / argv[1])]
+    code, _, err = invoke(argv)
+    assert code == 0, err
+    monkeypatch.setattr(module, name, value)
+    assert message in inconclusive_line(argv)
+
+
+def test_degree_slack_sets_the_cap_a_looping_division_reports(tmp_path, monkeypatch):
+    # the homogenized target d2 + x1 x2 t divides by t - 1/2 x2 t again and
+    # again while x2 climbs; the cap is 3 + 2 + DEGREE_SLACK
+    problem = tmp_path / "loop.txt"
+    problem.write_text(LOOP_PROBLEM)
+    argv = ["divide", "--input", str(problem)]
+    assert "exceeded total degree 21;" in inconclusive_line(argv)
+    monkeypatch.setattr(basis, "DEGREE_SLACK", 2)
+    assert "exceeded total degree 7;" in inconclusive_line(argv)
 
 
 def test_monomial_chain_cap_exit_two():
@@ -479,3 +525,41 @@ def test_reports_are_deterministic():
     _, first, _ = invoke(argv)
     _, second, _ = invoke(argv)
     assert first == second
+
+
+# Pieces of the problem grammar a mutation may splice into a problem file.
+FUZZ_TOKENS = (
+    *"0123456789 +-/^,[]=:\n",
+    "x1", "x2", "x3", "d1", "d2", "d3", "e1", "e2", "t", "W1", "W2",
+    "gen:", "target:", "ring", "n=", "k=", "r=", "shifts", "cone", "ideal",
+)
+
+
+@st.composite
+def mutated_problems(draw):
+    """A file of problems/ with one to three spans of at most four
+    characters each replaced by a grammar token or deleted."""
+    name = draw(st.sampled_from(sorted(p.name for p in PROBLEMS.iterdir())))
+    text = (PROBLEMS / name).read_text()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 4)))
+        text = text[:i] + draw(st.sampled_from(("",) + FUZZ_TOKENS)) + text[j:]
+    return text
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(mutated_problems())
+def test_mutated_problems_keep_the_exit_code_contract(tmp_path, text):
+    problem = tmp_path / "p.txt"
+    problem.write_text(text)
+    for command in cli._HANDLERS:
+        code, out, err = invoke([command, "--input", str(problem), "--json"])
+        assert code in (0, 1, 2, 3), (command, text)
+        assert "internal error" not in err and "Traceback" not in err, (command, text, err)
+        if code == 1:
+            assert json.loads(out)["verdict"] in NEGATIVE_VERDICTS, (command, text)

@@ -180,14 +180,15 @@ def test_simultaneity_of_cone_basis(three_cone_fan):
                 assert sigmas == reference
 
 
-def test_dimension_guard_is_configurable():
+def test_dimension_guard_is_configurable(monkeypatch):
     from dfan.errors import ResourceBoundExceeded
 
     ring = RingDescriptor(4, 4, 1)
     gens = [parse_vec("x1 d1 + x2 d2 + x3 d3 + x4 d4", ring)]
     with pytest.raises(ResourceBoundExceeded, match="capped at k = 3"):
         standard_fan(gens)
-    fan = standard_fan(gens, max_k=4)
+    monkeypatch.setattr(dfan.fan, "MAX_K", 4)
+    fan = standard_fan(gens)
     assert len(fan) == 1
 
 

@@ -42,21 +42,21 @@ def test_in_V_s_examples():
     assert not in_V_s(C, (0, 0))
 
 
-def ref_in_V_s(B, s, shifts=None):
+def ref_in_V_s(B, s):
     """The componentwise test: every multiweight <= s."""
     k = len(s)
-    for delta in _iter_weighted_terms(B, shifts, k):
+    for delta in _iter_weighted_terms(B, k):
         if any(d > si for d, si in zip(delta, s)):
             return False
     return True
 
 
-def ref_in_V_gamma(B, s, gamma, shifts=None):
+def ref_in_V_gamma(B, s, gamma):
     """The test by Fraction-valued linear forms on every ray."""
     rays = gamma.rows if hasattr(gamma, "rows") else normalize_rays(gamma)
     forms = [LinearForm(ray) for ray in rays]
     svals = [L.of(s) for L in forms]
-    for delta in _iter_weighted_terms(B, shifts, len(s)):
+    for delta in _iter_weighted_terms(B, len(s)):
         for L, sv in zip(forms, svals):
             if L.of(delta) > sv:
                 return False
@@ -191,7 +191,7 @@ def test_newton_diagram_minkowski(rng):
         PB = WeylVec(R2, tuple(P * c for c in B.components))
         if PB.is_zero():
             continue
-        nd_p = newton_diagram(P, k=2)
+        nd_p = newton_diagram(P)
         nd_b = newton_diagram(B)
         mink = {tuple(a + b for a, b in zip(u, v)) for u in nd_p for v in nd_b}
         assert newton_diagram(PB) <= mink

@@ -212,6 +212,36 @@ def test_splitting_certificate(euler_setup):
     assert cert.replay().to_report() == cert.to_report()
 
 
+def test_certificate_divides_each_piece_once(euler_setup, monkeypatch):
+    # one membership division for the input and one per nonzero piece, all
+    # with the certificate's l_max; verify returns the member powers
+    gens, fan, cone = euler_setup
+    gamma = orthant_cone(2)
+    E = gens[0]
+    Q1, Q2 = parse_op("x1", R2) * E, parse_op("x2", R2) * E
+    member = StandardBasis.member
+    calls = []
+
+    def counting(self, Q, l_max=None):
+        calls.append((Q, l_max))
+        return member(self, Q, l_max)
+
+    monkeypatch.setattr(StandardBasis, "member", counting)
+    cert = flat_decompose(
+        Q1 + Q2, (0, 0), gamma, (1, 2), cone.basis, [Q1, Q2], fan_cone=cone, l_max=3
+    )
+    assert calls == [(Q1 + Q2, 3), (Q1, 3), (Q2, 3)]
+    assert cert.member_powers == tuple(
+        member(cone.basis, piece, 3).l for piece in cert.pieces
+    )
+    calls.clear()
+    assert cert.verify() == cert.member_powers
+    assert calls == [(Q1, 3), (Q2, 3)]
+    calls.clear()
+    assert cert.replay().to_report() == cert.to_report()
+    assert {l_max for _, l_max in calls} == {3}
+
+
 def test_certificate_rejects_bad_parts(euler_setup):
     gens, fan, cone = euler_setup
     gamma = orthant_cone(2)
