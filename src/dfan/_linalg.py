@@ -1,15 +1,14 @@
-"""Sparse exact linear algebra over Fraction: rref, solve, nullspace, the
-subspace of a row space that vanishes on given columns, and a small
-phase-1 simplex used to find relative-interior points of rational cones.
-Everything is deterministic (Bland's rule, fixed tie-breaks).
+"""Sparse exact linear algebra: rref, solve, nullspace, the subspace of a
+row space that vanishes on given columns, and a small phase-1 simplex used
+to find relative-interior points of rational cones.  Everything is
+deterministic (Bland's rule, fixed tie-breaks).
 
-A row or vector is a dict from column index to a nonzero Fraction; absent
-columns are zero.  Every solver runs on the one elimination kernel,
-``rref``, whose output is the unique reduced row echelon form; a solver
-that needs a different pivot preference renumbers the columns first.
-The simplex tableau is integer, after the fraction-free idea of Bareiss
-("Sylvester's identity and multistep integer-preserving Gaussian
-elimination", 1968)."""
+A row or vector is a dict from column index to a nonzero int or Fraction;
+absent columns are zero; results are Fractions.  Every solver runs on one
+elimination kernel, ``_echelon``; it and the simplex tableau keep integer
+rows, after Bareiss ("Sylvester's identity and multistep integer-preserving
+Gaussian elimination", 1968).  A solver that needs a different pivot
+preference renumbers the columns first."""
 
 from __future__ import annotations
 
@@ -29,24 +28,14 @@ def add_multiple(w, f, row):
             del w[c]
 
 
-def _entries(row):
-    """A copy of a sparse row with Fraction values and no zeros."""
-    return {
-        c: x if type(x) is Fraction else Fraction(x) for c, x in row.items() if x
-    }
-
-
-def _reduce(w, basis):
-    """Reduce w in place against basis, a map from pivot column to a row
-    with a 1 at its pivot and 0 at every other pivot: one pass suffices."""
+def reduce_against(red_rows, pivots, v):
+    """Remainder of v against an rref row basis, as a new sparse row; one
+    pass suffices, since each basis row is 0 at every other pivot."""
+    w = {c: x if type(x) is Fraction else Fraction(x) for c, x in v.items() if x}
+    basis = dict(zip(pivots, red_rows))
     for pc in [c for c in w if c in basis]:
         add_multiple(w, -w[pc], basis[pc])
     return w
-
-
-def reduce_against(red_rows, pivots, v):
-    """Remainder of v against an rref row basis, as a new sparse row."""
-    return _reduce(_entries(v), dict(zip(pivots, red_rows)))
 
 
 def in_row_space(red_rows, pivots, v):
@@ -54,45 +43,72 @@ def in_row_space(red_rows, pivots, v):
     return not reduce_against(red_rows, pivots, v)
 
 
+def _primitive_dict(w):
+    """A nonzero sparse integer row over the gcd of its entries."""
+    g = gcd(*w.values())
+    return {c: x // g for c, x in w.items()} if g > 1 else w
+
+
+def _echelon(rows):
+    """Integer echelon form of the row space: a map from leading column to
+    a primitive integer row that is zero left of that column.  A new row
+    is reduced only at its leading column, by the fraction-free update
+    pv * w - w[c] * prow made primitive, until that column is new."""
+    basis = {}
+    for row in rows:
+        d = lcm(*(x.denominator for x in row.values()))
+        w = {c: x.numerator * (d // x.denominator) for c, x in row.items() if x}
+        while w:
+            w = _primitive_dict(w)
+            c = min(w)
+            if basis.setdefault(c, w) is w:  # c was no pivot yet
+                break
+            pv, f = basis[c][c], w[c]
+            g = gcd(pv, f)
+            if pv != g:
+                w = {k: pv // g * x for k, x in w.items()}
+            add_multiple(w, -f // g, basis[c])
+    return basis
+
+
 def rref(rows):
     """Reduced row echelon form.  Returns (rows, pivot_columns): the nonzero
-    rows sorted by pivot, each with a 1 at its pivot."""
-    basis = {}  # pivot column -> row; rows stay reduced against each other
-    for row in rows:
-        w = _reduce(_entries(row), basis)
-        if not w:
-            continue
-        pc = min(w)  # the leading column: keeps the rows in echelon form
-        pv = w[pc]
-        if pv != 1:
-            w = {c: x / pv for c, x in w.items()}
-        for r in basis.values():
-            f = r.get(pc)
-            if f:
-                add_multiple(r, -f, w)
-        basis[pc] = w
+    rows sorted by pivot, each with a 1 at its pivot, as Fractions.
+    ``_echelon``, then one integer back-substitution from the last pivot:
+    the later pivot rows are by then zero at every other pivot, so one
+    update over the lcm of their pivot entries clears them all."""
+    basis = _echelon(rows)
     pivots = sorted(basis)
-    return [basis[pc] for pc in pivots], pivots
+    red = []
+    for pc in reversed(pivots):
+        w = basis[pc]
+        later = [c for c in w if c != pc and c in basis]
+        m = lcm(*(basis[c][c] for c in later))
+        w = {k: m * x for k, x in w.items()}
+        for c in later:
+            add_multiple(w, -w[c] // basis[c][c], basis[c])
+        w = basis[pc] = _primitive_dict(w)
+        red.append({c: Fraction(x, w[pc]) for c, x in w.items()})
+    return red[::-1], pivots
 
 
 def vanishing_rows(rows, bad_cols):
     """Basis of the part of the row space of ``rows`` that vanishes on
     every column in ``bad_cols``, as rows over the original columns.
 
-    One elimination with the bad columns ordered first.  An RREF row whose
-    pivot is a good column is zero left of its pivot, hence on every bad
-    column.  In an RREF, a combination's entry at a row's pivot is that
-    row's coefficient, so a combination that uses a row with a bad pivot
-    is nonzero there.  The good-pivot rows are therefore the basis."""
+    An echelon form with the bad columns ordered first suffices.  A row
+    whose pivot is good is zero left of it, hence on every bad column.  A
+    combination that uses a bad-pivot row is nonzero at the smallest pivot
+    it uses, which is bad.  So the good-pivot rows are the basis."""
     bad = set(bad_cols)
     used = {c for row in rows for c in row}
     first = sorted(used & bad)
     order = first + sorted(used - bad)
     pos = {c: i for i, c in enumerate(order)}
-    red, pivots = rref([{pos[c]: x for c, x in row.items()} for row in rows])
+    basis = _echelon([{pos[c]: x for c, x in row.items()} for row in rows])
     return [
-        {order[c]: x for c, x in row.items()}
-        for row, pc in zip(red, pivots)
+        {order[c]: Fraction(x) for c, x in basis[pc].items()}
+        for pc in sorted(basis)
         if pc >= len(first)
     ]
 

@@ -228,12 +228,19 @@ def _divide_flat(
         if steps > STEP_CAP:
             raise ResourceBoundExceeded(
                 f"division exceeded {STEP_CAP} steps; inspect the basis for "
-                "non-terminating tails"
+                "non-terminating tails",
+                cap="STEP_CAP",
+                limit=STEP_CAP,
+                observed=steps,
             )
-        if sum(tau[0]) + sum(tau[1]) + tau[2] > cap:
+        degree = sum(tau[0]) + sum(tau[1]) + tau[2]
+        if degree > cap:
             raise ResourceBoundExceeded(
                 f"division exceeded total degree {cap}; the basis tails climb "
-                "in degree (an analytic-closure artifact at polynomial scale)"
+                "in degree (an analytic-closure artifact at polynomial scale)",
+                cap="DEGREE_SLACK",
+                limit=cap,
+                observed=degree,
             )
         coef = tail[tau]
         for m, exp in enumerate(exps):
@@ -577,7 +584,10 @@ def _autoreduce(basis, exps, keyf, emit_t):
             break
     else:
         raise ResourceBoundExceeded(
-            f"autoreduction did not stabilize within {REDUCTION_ROUNDS} rounds"
+            f"autoreduction did not stabilize within {REDUCTION_ROUNDS} rounds",
+            cap="REDUCTION_ROUNDS",
+            limit=REDUCTION_ROUNDS,
+            observed=REDUCTION_ROUNDS + 1,  # the last round still changed
         )
     # canonical output order, independent of the refining weight
     canon = TermOrder()

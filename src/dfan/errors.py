@@ -27,7 +27,16 @@ class ConeError(DfanError):
 
 class ResourceBoundExceeded(DfanError):
     """A configured degree/step/cone-count cap was hit; the verdict is
-    explicitly inconclusive rather than silently wrong."""
+    explicitly inconclusive rather than silently wrong.
+
+    ``cap`` names the module constant that set the bound, ``limit`` is
+    the bound and ``observed`` the count or size that went over it."""
+
+    def __init__(self, message: str, *, cap: str, limit: int, observed: int):
+        super().__init__(message)
+        self.cap = cap
+        self.limit = limit
+        self.observed = observed
 
 
 class GradingError(DfanError):

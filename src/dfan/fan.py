@@ -185,7 +185,12 @@ def _quadrant_faces(coord):
 
 def _capped(cells, max_cells):
     if len(cells) > max_cells:
-        raise ResourceBoundExceeded(f"arrangement exceeded {max_cells} cells")
+        raise ResourceBoundExceeded(
+            f"arrangement exceeded {max_cells} cells",
+            cap="MAX_CELLS",
+            limit=max_cells,
+            observed=len(cells),
+        )
     return cells
 
 
@@ -321,7 +326,10 @@ def standard_fan(generators) -> Fan:
     if k > MAX_K:
         raise ResourceBoundExceeded(
             f"fan construction is capped at k = {MAX_K} filtered coordinates "
-            f"(got {k})"
+            f"(got {k})",
+            cap="MAX_K",
+            limit=MAX_K,
+            observed=k,
         )
     coord = tuple(
         tuple(1 if j == i else 0 for j in range(k)) for i in range(k)
@@ -336,7 +344,10 @@ def standard_fan(generators) -> Fan:
         sorted_normals = sorted(normals)
         if len(sorted_normals) > MAX_NORMALS:
             raise ResourceBoundExceeded(
-                f"fan needed more than {MAX_NORMALS} wall normals"
+                f"fan needed more than {MAX_NORMALS} wall normals",
+                cap="MAX_NORMALS",
+                limit=MAX_NORMALS,
+                observed=len(sorted_normals),
             )
         parts = _split_cells(parts, sorted(normals - split_by), MAX_CELLS)
         split_by = normals

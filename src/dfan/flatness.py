@@ -197,7 +197,10 @@ def monomial_filtration(H: MonomialIdeal) -> FiltrationChain:
         if points > MAX_BOX_POINTS:
             raise ResourceBoundExceeded(
                 f"the filtration chain would scan {points} monomials "
-                f"(exponents up to {list(box)}), over the cap of {MAX_BOX_POINTS}"
+                f"(exponents up to {list(box)}), over the cap of {MAX_BOX_POINTS}",
+                cap="MAX_BOX_POINTS",
+                limit=MAX_BOX_POINTS,
+                observed=points,
             )
         candidates = sorted(
             (e for e in product(*(range(b + 1) for b in box))),

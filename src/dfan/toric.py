@@ -164,7 +164,10 @@ def refine_to_basic(rays) -> tuple[BasicCone, ...]:
     if (bound + 1) ** k > MAX_BOX_POINTS:
         raise ResourceBoundExceeded(
             f"refinement would scan {(bound + 1) ** k} lattice points "
-            f"(coordinates 0..{bound}), over the cap of {MAX_BOX_POINTS}"
+            f"(coordinates 0..{bound}), over the cap of {MAX_BOX_POINTS}",
+            cap="MAX_BOX_POINTS",
+            limit=MAX_BOX_POINTS,
+            observed=(bound + 1) ** k,
         )
     from itertools import product
 

@@ -19,9 +19,8 @@ rather than by repeated single steps.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from math import comb, perm
-from operator import add, mul
+from operator import add, mul, sub
 
 from .errors import (
     HomogeneityError,
@@ -379,24 +378,49 @@ class DtVec(_VecBase):
 MAX_MULTIPLIERS = 20_000
 
 
+def _compositions(n: int, room: int) -> list:
+    """The n-tuples of naturals with sum <= room, in product order."""
+    if n == 0:
+        return [()]
+    return [(f, *t) for f in range(room + 1) for t in _compositions(n - 1, room - f)]
+
+
+def _d_times(terms: dict, e: tuple) -> dict:
+    """The terms of d_i P for the terms of P in D, e the unit vector e_i:
+    d_i x^alpha d^beta = x^alpha d^(beta + e) + alpha_i x^(alpha - e) d^beta."""
+    i = e.index(1)
+    out = {(x, tuple(map(add, y, e))): c for (x, y), c in terms.items()}
+    return accumulate(out, (
+        ((tuple(map(sub, x, e)), y), x[i] * c) for (x, y), c in terms.items() if x[i]
+    ))
+
+
 def monomial_multiples(g: WeylVec, room: int):
-    """Yield the nonzero x^a d^b g with |a| + |b| <= room, the exponents
-    (a, b) taken in ``itertools.product`` order.  Raises
-    ResourceBoundExceeded before the first product when there are more
-    than MAX_MULTIPLIERS exponent tuples."""
+    """Yield the nonzero x^a d^b g with |a| + |b| <= room, (a, b) in
+    ``itertools.product`` order, from d^b g = d_i (d^(b - e_i) g) built
+    once per b.  Raises ResourceBoundExceeded before the first product
+    when there are more than MAX_MULTIPLIERS exponent tuples."""
     n = g.ring.n
     count = comb(room + 2 * n, 2 * n) if room >= 0 else 0
     if count > MAX_MULTIPLIERS:
         raise ResourceBoundExceeded(
             f"{count} multipliers x^a d^b with |a| + |b| <= {room} "
-            f"exceed the cap of {MAX_MULTIPLIERS}"
+            f"exceed the cap of {MAX_MULTIPLIERS}",
+            cap="MAX_MULTIPLIERS", limit=MAX_MULTIPLIERS, observed=count,
         )
-    for exps in product(range(room + 1), repeat=2 * n):
-        if sum(exps) > room:
-            continue
-        prod = g.left_mul(WeylOp(g.ring, {(exps[:n], exps[n:]): Fraction(1)}))
-        if not prod.is_zero():
-            yield prod
+    if g.is_zero():
+        return  # D is a domain: the multiples of a nonzero g are nonzero
+    d_powers = {(0,) * n: [comp.terms for comp in g.components]}
+    for a in _compositions(n, room):
+        for b in _compositions(n, room - sum(a)):
+            if b not in d_powers:  # i is b's last nonzero entry: b - e_i came first
+                i = max(j for j in range(n) if b[j])
+                e = tuple(int(j == i) for j in range(n))
+                d_powers[b] = [_d_times(t, e) for t in d_powers[tuple(map(sub, b, e))]]
+            yield WeylVec(g.ring, tuple(
+                WeylOp(g.ring, {(tuple(map(add, x, a)), y): c for (x, y), c in t.items()})
+                for t in d_powers[b]
+            ))
 
 
 def homogenize(P: WeylOp) -> DtOp:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import comb, perm
 
 import pytest
@@ -167,3 +168,15 @@ def ref_mul_terms(t1, c1, t2, c2, emit_t):
             yield (alpha, beta, lbase + sum(nu)), c * mult
         else:
             yield (alpha, beta), c * mult
+
+
+def uncapped_monomial_multiples(g, room):
+    """Reference: monomial_multiples as it was before its size check, one
+    full Weyl product per tuple of the filtered (room + 1)^(2n) box."""
+    n = g.ring.n
+    for exps in product(range(room + 1), repeat=2 * n):
+        if sum(exps) > room:
+            continue
+        prod = g.left_mul(WeylOp(g.ring, {(exps[:n], exps[n:]): Fraction(1)}))
+        if not prod.is_zero():
+            yield prod

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from dfan import basis, cli, fan
+from dfan import basis, cli, fan, flatness, toric, weyl
+from dfan.errors import ResourceBoundExceeded
 from dfan.cli import NEGATIVE_VERDICTS, run
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
@@ -106,6 +107,25 @@ def test_flat_cert_euler_certifies():
     code, out, _ = invoke(["flat-cert", "--input", str(PROBLEMS / "euler.txt")])
     assert code == 0
     assert "flat-cert: certified" in out
+
+
+@pytest.mark.parametrize(
+    "degree_bound, digest",
+    [
+        ("8", "ef97935908778c76a3eb81ca92bc0501b0414a54bf24f9eb720461f25031a496"),
+        ("12", "a4e5fa4f9e458eaeab3a034c5a500663952fecb06cf38072ae6fabbb0c8df341"),
+    ],
+    ids=["D8", "D12"],
+)
+def test_flat_cert_euler_reports_at_larger_degree_bounds(degree_bound, digest):
+    # the intersection oracle on Macaulay matrices of hundreds of rows,
+    # well past the benchmark's degree bound of 2
+    code, out, _ = invoke(
+        ["flat-cert", "--input", str(PROBLEMS / "euler.txt"),
+         "--degree-bound", degree_bound]
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_flat_cert_target_path():
@@ -264,6 +284,45 @@ def test_degree_slack_sets_the_cap_a_looping_division_reports(tmp_path, monkeypa
     assert "exceeded total degree 21;" in inconclusive_line(argv)
     monkeypatch.setattr(basis, "DEGREE_SLACK", 2)
     assert "exceeded total degree 7;" in inconclusive_line(argv)
+
+
+@pytest.mark.parametrize(
+    "module, name, value, argv, limit, observed",
+    [
+        (basis, "STEP_CAP", 1, ["divide", "vector2.txt"], 1, 2),
+        (basis, "REDUCTION_ROUNDS", 1, ["fan", "vector2.txt"], 1, 2),
+        # the degree cap is 3 + 2 + DEGREE_SLACK for the looping division
+        (basis, "DEGREE_SLACK", 2, ["divide", "loop.txt"], 7, 8),
+        (fan, "MAX_K", 1, ["fan", "euler.txt"], 1, 2),
+        (fan, "MAX_NORMALS", 2, ["fan", "threecone.txt"], 2, 3),
+        (fan, "MAX_CELLS", 4, ["fan", "threecone.txt"], 4, 6),
+        (toric, "MAX_BOX_POINTS", 100, ["cones", "--cone", "[[1,20],[3,70]]"],
+         100, 141**2),
+        (flatness, "MAX_BOX_POINTS", 100,
+         ["monomial-chain", "--ideal", "W1^20 W2^20 W3^20", "--k", "3"], 100, 21**3),
+        (weyl, "MAX_MULTIPLIERS", 10, ["flat-cert", "euler.txt"], 10, 210),
+    ],
+    ids=[
+        "STEP_CAP", "REDUCTION_ROUNDS", "DEGREE_SLACK", "MAX_K", "MAX_NORMALS",
+        "MAX_CELLS", "toric.MAX_BOX_POINTS", "flatness.MAX_BOX_POINTS",
+        "MAX_MULTIPLIERS",
+    ],
+)
+def test_cap_error_carries_its_cap_limit_and_observed_value(
+    tmp_path, module, name, value, argv, limit, observed, monkeypatch
+):
+    (tmp_path / "loop.txt").write_text(LOOP_PROBLEM)
+    if argv[1].endswith(".txt"):
+        folder = tmp_path if argv[1] == "loop.txt" else PROBLEMS
+        argv = [argv[0], "--input", str(folder / argv[1])]
+    monkeypatch.setattr(module, name, value)
+    args = cli._build_parser().parse_args(argv)
+    with pytest.raises(ResourceBoundExceeded) as got:
+        cli._HANDLERS[args.command](args)
+    exc = got.value
+    assert (exc.cap, exc.limit, exc.observed) == (name, limit, observed)
+    # the fields add nothing to the one stderr line or the exit code
+    assert invoke(argv) == (2, "", f"dfan: inconclusive: {exc}\n")
 
 
 def test_monomial_chain_cap_exit_two():

@@ -246,7 +246,10 @@ def reference_cells(normals, coord_set, k, max_cells):
         cells = nxt
         if len(cells) > max_cells:
             raise ResourceBoundExceeded(
-                f"arrangement exceeded {max_cells} cells"
+                f"arrangement exceeded {max_cells} cells",
+                cap="MAX_CELLS",
+                limit=max_cells,
+                observed=len(cells),
             )
     out = []
     for pattern, eqs, sts in cells:
@@ -397,7 +400,10 @@ def reference_fan(generators, max_normals=64, max_cells=4096):
         sorted_normals = sorted(normals)
         if len(sorted_normals) > max_normals:
             raise ResourceBoundExceeded(
-                f"fan needed more than {max_normals} wall normals"
+                f"fan needed more than {max_normals} wall normals",
+                cap="MAX_NORMALS",
+                limit=max_normals,
+                observed=len(sorted_normals),
             )
         parts = _split_cells(parts, sorted(normals - split_by), max_cells)
         split_by = normals

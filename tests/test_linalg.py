@@ -4,6 +4,8 @@ The oracle is a textbook dense Gauss-Jordan kept in this file, so the
 kernel is checked against code it shares nothing with.  RREF, its pivot
 columns, the nullspace basis read off it and the particular solution with
 free variables at 0 are all unique, so the two must agree exactly.  The
+integer echelon ``rref`` is also checked against ``fraction_rref``, the
+Fraction Gauss-Jordan kernel it replaced, on entries up to 10^6.  The
 phase-1 simplex is checked against the dense-update Fraction tableau it
 replaced: its integer rows are positive multiples of that tableau's rows,
 so the pivot sequence is the same and the two must return the same point.
@@ -53,6 +55,30 @@ def dense_rref(rows, ncols):
                 a[i] = [x - f * y for x, y in zip(a[i], a[top])]
         pivots.append(col)
     return a[: len(pivots)], pivots
+
+
+def fraction_rref(rows):
+    """Reference: the Gauss-Jordan kernel the integer echelon replaced.
+    Each new row is reduced against every pivot row over Fractions, made
+    monic, and eliminated at once from every earlier pivot row."""
+    basis = {}
+    for row in rows:
+        w = {c: Fraction(x) for c, x in row.items() if x}
+        for pc in [c for c in w if c in basis]:
+            add_multiple(w, -w[pc], basis[pc])
+        if not w:
+            continue
+        pc = min(w)
+        pv = w[pc]
+        if pv != 1:
+            w = {c: x / pv for c, x in w.items()}
+        for r in basis.values():
+            f = r.get(pc)
+            if f:
+                add_multiple(r, -f, w)
+        basis[pc] = w
+    pivots = sorted(basis)
+    return [basis[pc] for pc in pivots], pivots
 
 
 def sparse(row):
@@ -123,6 +149,69 @@ def test_rref_and_nullspace_match_dense_oracle(m):
             expected[pc] = -r[fc]
         assert dense(v, ncols) == expected
         assert not any(times(rows, dense(v, ncols)))
+
+
+# entries up to 10^6 in absolute value, as ints or as Fractions with
+# denominators up to 10^3
+BIG = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**3),
+)
+
+
+@st.composite
+def integer_heavy_matrices(draw):
+    """Sparse rows mixing int and Fraction entries, with zero rows and
+    rows that are scaled copies of earlier rows."""
+    ncols = draw(st.integers(1, 12))
+    density = draw(st.sampled_from([10, 30, 60, 100]))
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["new", "new", "zero", "copy"]))
+        if kind == "copy" and rows:
+            f = draw(BIG.filter(bool))
+            rows.append({c: f * x for c, x in draw(st.sampled_from(rows)).items()})
+        elif kind == "zero":
+            rows.append(draw(st.sampled_from([{}, {0: 0}, {0: ZERO}])))
+        else:
+            rows.append({
+                c: draw(BIG)
+                for c in range(ncols)
+                if draw(st.integers(0, 99)) < density
+            })
+    return rows, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_heavy_matrices())
+def test_integer_echelon_rref_matches_both_references(m):
+    rows, ncols = m
+    red, pivots = rref(rows)
+    check_sparse(red)
+    assert (red, pivots) == fraction_rref(rows)
+    ref_red, ref_pivots = dense_rref(
+        [[Fraction(r.get(c, 0)) for c in range(ncols)] for r in rows], ncols
+    )
+    assert pivots == ref_pivots
+    assert [dense(r, ncols) for r in red] == ref_red
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_heavy_matrices(), st.data())
+def test_solvers_leave_their_input_rows_alone(m, data):
+    rows, ncols = m
+    before = [dict(r) for r in rows]
+    rref(rows)
+    assert rows == before
+    bad = data.draw(st.sets(st.integers(0, ncols - 1)))
+    got = vanishing_rows(rows, bad)
+    assert rows == before
+    # echelon rows: one leading column each
+    assert len({min(r) for r in got}) == len(got)
+    b = data.draw(st.lists(BIG, min_size=len(rows), max_size=len(rows)))
+    b_before = list(b)
+    solve_affine(rows, b, ncols)
+    assert rows == before and b == b_before
 
 
 def nullspace_vanishing_rows(rows, bad_cols):

@@ -1,10 +1,12 @@
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dfan import rees
 from dfan._linalg import solve_affine
 from dfan.errors import ConeError, DfanError, GradingError
 from dfan.filtration import in_V_gamma, multi_weight
@@ -21,7 +23,12 @@ from dfan.rees import (
 )
 from dfan.toric import make_basic_cone, orthant_cone
 from dfan.weyl import RingDescriptor, WeylOp, WeylVec, monomial_multiples
-from conftest import random_nonzero_op, random_vec, unimodular_rows
+from conftest import (
+    random_nonzero_op,
+    random_vec,
+    uncapped_monomial_multiples,
+    unimodular_rows,
+)
 
 R1 = RingDescriptor(1, 1, 1)
 R2 = RingDescriptor(2, 2, 1)
@@ -325,6 +332,19 @@ def test_witness_search_matches_the_two_branch_reference(case):
         assert _witness_search(
             gens, unit, 2, orthant_cone(ring.k)
         ) == ref_witness_search(gens, unit, 2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(fiber_cases(), st.integers(0, 3))
+def test_witness_search_keeps_its_witness_under_the_reference_enumerator(case, bound):
+    # the witness is the particular solution over the product columns in
+    # their enumeration order, so any change of order or of product shows
+    ring, rows, gens = case
+    gamma = make_basic_cone(rows)
+    for unit in range(ring.r):
+        got = _witness_search(gens, unit, bound, gamma)
+        with mock.patch.object(rees, "monomial_multiples", uncapped_monomial_multiples):
+            assert _witness_search(gens, unit, bound, gamma) == got
 
 
 @settings(max_examples=25, deadline=None)

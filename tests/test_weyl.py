@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +24,9 @@ from conftest import (
     monomials_up_to,
     random_dt_op,
     random_nonzero_op,
+    random_vec,
     ref_mul_terms,
+    uncapped_monomial_multiples,
 )
 
 R1 = RingDescriptor(1, 1, 1)
@@ -220,17 +221,6 @@ def test_accumulate_matches_reference_sum(start, pairs):
     assert fresh == expected
 
 
-def uncapped_monomial_multiples(g, room):
-    """Reference: monomial_multiples as it was before its size check."""
-    n = g.ring.n
-    for exps in product(range(room + 1), repeat=2 * n):
-        if sum(exps) > room:
-            continue
-        prod = g.left_mul(WeylOp(g.ring, {(exps[:n], exps[n:]): Fraction(1)}))
-        if not prod.is_zero():
-            yield prod
-
-
 @pytest.mark.parametrize(
     "text, ring",
     [
@@ -244,6 +234,24 @@ def test_monomial_multiples_keeps_order(text, ring):
     for room in range(-1, 5):
         got = list(monomial_multiples(g, room))
         assert got == list(uncapped_monomial_multiples(g, room))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 2),
+    st.integers(-1, 4),
+    st.integers(0, 2**32),
+)
+def test_monomial_multiples_match_the_filtered_product(n, r, room, seed):
+    # direct compositions and d^b g built by single d_i steps, against one
+    # full Weyl product per tuple of the filtered (room + 1)^(2n) box
+    g = random_vec(random.Random(seed), RingDescriptor(n, 1, r), max_degree=3)
+    got = list(monomial_multiples(g, room))
+    assert got == list(uncapped_monomial_multiples(g, room))
+    assert all(
+        type(c) is Fraction for v in got for _, _, c in v.iter_terms()
+    )
 
 
 def test_monomial_multiples_cap_raises_before_first_product():
