@@ -49,6 +49,15 @@ def _primitive_dict(w):
     return {c: x // g for c, x in w.items()} if g > 1 else w
 
 
+def primitive_part(w):
+    """(g, d, v) with w = (g / d) * v for a sparse row of ints and Fractions:
+    its content g / d >= 0 and a primitive integer row v, zeros gone."""
+    d = lcm(*(x.denominator for x in w.values()))
+    v = {k: x.numerator * (d // x.denominator) for k, x in w.items() if x}
+    g = gcd(*v.values())
+    return g, d, ({k: x // g for k, x in v.items()} if g > 1 else v)
+
+
 def _echelon(rows):
     """Integer echelon form of the row space: a map from leading column to
     a primitive integer row that is zero left of that column.  A new row
@@ -56,10 +65,8 @@ def _echelon(rows):
     pv * w - w[c] * prow made primitive, until that column is new."""
     basis = {}
     for row in rows:
-        d = lcm(*(x.denominator for x in row.values()))
-        w = {c: x.numerator * (d // x.denominator) for c, x in row.items() if x}
+        w = primitive_part(row)[2]
         while w:
-            w = _primitive_dict(w)
             c = min(w)
             if basis.setdefault(c, w) is w:  # c was no pivot yet
                 break
@@ -68,6 +75,7 @@ def _echelon(rows):
             if pv != g:
                 w = {k: pv // g * x for k, x in w.items()}
             add_multiple(w, -f // g, basis[c])
+            w = _primitive_dict(w)
     return basis
 
 
@@ -262,6 +270,5 @@ def primitive(v):
 
 def to_primitive_int(vec):
     """Scale a rational vector to a primitive integer vector (same ray)."""
-    fr = [Fraction(x) for x in vec]
-    den = lcm(*(f.denominator for f in fr))
-    return primitive([int(f * den) for f in fr])
+    v = primitive_part(dict(enumerate(vec)))[2]
+    return tuple(v.get(i, 0) for i in range(len(vec)))

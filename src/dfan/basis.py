@@ -1,13 +1,17 @@
 """Division with quotients and remainder in D[t]^r (and in D^r), and
 Buchberger completion to reduced L-standard bases of homogenized modules.
 
-Internally elements are flattened to dicts keyed by (alpha, beta, l, i).
-Division always reduces the maximal remaining term against the first basis
-element whose privileged exponent divides it (the least-index partition of
-the staircase), which pins the output uniquely.  Polynomial coefficients
-replace convergent series at this scale; division by pathological bases
-whose tails climb in degree forever is cut off by the module constants
-STEP_CAP and DEGREE_SLACK, and an autoreduction that does not settle by
+Internally elements are flattened to dicts keyed by (alpha, beta, l, i)
+and scaled to primitive integers (content removal, as in Arnold, "Modular
+algorithms for computing Groebner bases", 2003).  Division, fraction free,
+reduces the maximal remaining term against the first element of its
+component whose privileged exponent divides it (the least-index partition
+of the staircase), which pins the output uniquely.  Fractions remain at
+the edges: monic output, quotients folded from the integer steps, and
+remainders scaled back.  Polynomial coefficients replace convergent
+series at this scale; division by pathological bases whose tails climb in
+degree forever is cut off by the module constants STEP_CAP and
+DEGREE_SLACK, and an autoreduction that does not settle by
 REDUCTION_ROUNDS; each raises ResourceBoundExceeded, never a silently
 truncated result.
 """
@@ -17,15 +21,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from math import gcd
 from operator import ge, sub
 
+from ._linalg import primitive_part
 from .errors import (
     DfanError,
     ResourceBoundExceeded,
     WeightError,
     ZeroInputError,
 )
-from .weights import LinearForm, TermOrder, ord_L_vec, symbol_L
+from .weights import LinearForm, TermOrder, _KeyCache, ord_L_vec, symbol_L
 from .weyl import (
     DtOp,
     DtVec,
@@ -110,97 +116,29 @@ def _exp_quotient(key, exp):
     )
 
 
-class _KeyCache:
-    """Memoised order keys of flat exponents.  A tracing cache also
-    records the order decisions taken through ``leader`` and ``ranked``,
-    from which ``cone`` derives where they come out the same."""
+def _divide_flat(g, basis_flats, exps, lcs, keyf, emit_t, bd):
+    """Core division loop of the integer flat g by integer flats h_m with
+    leading coefficients ``lcs``; returns (remainder, scale, steps).  A
+    term c is reduced by h_m fraction free, a = lcs[m] / h > 0 and b = c / h
+    for h = +-gcd(c, lcs[m]): tail <- a tail - b mu h_m, the remainder
+    scaled by a too, so both stay positive multiples of the rational
+    division's.  A step is (m, mu, b, scale after it), and scale * g =
+    sum of b (scale / s) mu h_m over the steps + remainder.
 
-    __slots__ = ("order", "shifts", "cache", "trace")
-
-    def __init__(self, order: TermOrder, shifts, trace: bool = False):
-        self.order = order
-        self.shifts = shifts
-        self.cache = {}
-        self.trace = [] if trace else None
-
-    def __call__(self, key4):
-        k = self.cache.get(key4)
-        if k is None:
-            a, b, l, i = key4
-            k = self.order.key((a, b, l), i, self.shifts)
-            self.cache[key4] = k
-        return k
-
-    def leader(self, flat):
-        """The exponent of ``flat`` with the largest key."""
-        top = max(flat, key=self)
-        self.ranked(flat, (top,))
-        return top
-
-    def ranked(self, keys, marked=None):
-        """Note that the order between each exponent in ``marked``
-        (default: all of ``keys``) and each of ``keys`` was relied on."""
-        if self.trace is not None:
-            self.trace.append((tuple(keys), None if marked is None else set(marked)))
-
-    def cone(self):
-        """The refining weights L at which every traced decision comes out
-        the same, as integer forms (weak, strict): L.w >= 0 for w in weak,
-        L.w > 0 for w in strict.  The order must be a base order refined
-        by one weight, so a key is L applied to beta - alpha plus the
-        component's shift, then the base order's key."""
-        k = self.order.weights[0].k
-        shifts = self.shifts
-        vecs = {}
-        weak, strict = set(), set()
-
-        def above(hi, lo):
-            for e in (hi, lo):
-                if e not in vecs:
-                    a, b, _, i = e
-                    vecs[e] = [b[j] - a[j] + shifts[i][j] for j in range(k)]
-            w = tuple(x - y for x, y in zip(vecs[hi], vecs[lo]))
-            if any(w):
-                (weak if self(hi)[1:] > self(lo)[1:] else strict).add(w)
-
-        # chain the marked exponents in key order and tie every other one
-        # to its nearest marked neighbours; transitivity does the rest
-        for keys, marked in self.trace:
-            below, loose = None, []
-            for e in sorted(set(keys), key=self):
-                if below is not None:
-                    above(e, below)
-                if marked is None or e in marked:
-                    for u in loose:
-                        above(e, u)
-                    below, loose = e, []
-                else:
-                    loose.append(e)
-        return tuple(sorted(weak - strict)), tuple(sorted(strict))
-
-
-def _divide_flat(
-    g: dict,
-    basis_flats: list[dict],
-    exps: list[tuple],
-    lcs: list[Fraction],
-    keyf: _KeyCache,
-    emit_t: bool,
-    bd: int,
-):
-    """Core division loop; returns (quotient term dicts, remainder dict).
     ``bd`` is ``_degree`` over all of ``basis_flats``: a term above the
     degrees of g and of the basis added together, plus DEGREE_SLACK, trips
-    the degree cap.
-
-    The maximal live term is tracked through a lazy max-heap (entries
-    whose key has left the tail are discarded on pop), so pathological
-    inputs hit the step cap in time proportional to the cap, not to the
-    square of the tail size."""
+    the degree cap.  The maximal live term is tracked through a lazy
+    max-heap (entries whose key has left the tail are discarded on pop),
+    so pathological inputs hit the step cap in time proportional to the
+    cap, not to the square of the tail size."""
     import heapq
 
-    quots = [dict() for _ in basis_flats]
+    by_comp = {}
+    for m, exp in enumerate(exps):
+        by_comp.setdefault(exp[3], []).append((m, exp))
     rem = {}
+    scale = 1
+    out = []
     tail = dict(g)
     heap = [(tuple(-x for x in keyf(key)), key) for key in tail]
     heapq.heapify(heap)
@@ -243,21 +181,69 @@ def _divide_flat(
                 observed=degree,
             )
         coef = tail[tau]
-        for m, exp in enumerate(exps):
+        for m, exp in by_comp.get(tau[3], ()):
             if _divides(exp, tau):
                 mu = _exp_quotient(tau, exp)
-                cq = coef / lcs[m]
+                p = lcs[m]
+                h = gcd(coef, p)
+                a, b = p // h, coef // h
+                if a < 0:
+                    a, b = -a, -b
+                if a != 1:
+                    scale *= a
+                    for key in tail:
+                        tail[key] *= a
+                    for key in rem:
+                        rem[key] *= a
                 if entered is not None:
                     reduced.append(tau)
-                accumulate(quots[m], ((mu, cq),))
-                _term_times_flat(mu, -cq, basis_flats[m], emit_t, tail, push)
+                out.append((m, mu, b, scale))
+                _term_times_flat(mu, -b, basis_flats[m], emit_t, tail, push)
                 break
         else:
             rem[tau] = coef
             del tail[tau]
     if reduced:
         keyf.ranked(entered, reduced)
-    return quots, rem
+    return rem, scale, out
+
+
+def _rational(flat: dict, c: Fraction) -> dict:
+    """The integer flat times c, as Fractions."""
+    n, d = c.numerator, c.denominator
+    return {k: Fraction(n * v, d) if d > 1 else Fraction(n * v) for k, v in flat.items()}
+
+
+class _Divisors:
+    """What division needs of a basis, built once: element m is contents[m]
+    times the primitive integer flat flats[m] (``_ints``)."""
+
+    def __init__(self, ring: RingDescriptor, elements, order: TermOrder):
+        self.ring = ring
+        self.elements = tuple(elements)
+        self.order = order
+        self._keyf = _KeyCache(order, ring.shifts)
+
+    @cached_property
+    def _ints(self):
+        parts = [primitive_part(_flatten(h)) for h in self.elements]
+        return [Fraction(g, d) for g, d, _ in parts], [f for *_, f in parts]
+
+    @cached_property
+    def _exps(self):
+        return [max(f, key=self._keyf) for f in self._ints[1]]
+
+    @cached_property
+    def _bd(self):
+        return max(map(_degree, self._ints[1]))
+
+    def _reduce(self, flat, emit_t):
+        """(c, remainder, scale, steps) of dividing flat = c * g, g primitive."""
+        n, d, g = primitive_part(flat)
+        fs, es = self._ints[1], self._exps
+        lcs = [f[e] for f, e in zip(fs, es)]
+        out = _divide_flat(g, fs, es, lcs, self._keyf, emit_t, self._bd)
+        return (Fraction(n, d),) + out
 
 
 @dataclass
@@ -279,30 +265,19 @@ class DivisionResult:
         return total
 
 
-class StandardBasis:
+class StandardBasis(_Divisors):
     """A monic, inter-autoreduced, S-pair-complete generating family of a
     homogenized submodule of D[t]^r, valid for the weight forms in
     ``context`` (an interior sample first, then any cone rays)."""
 
     def __init__(self, ring: RingDescriptor, elements, order: TermOrder, context):
-        self.ring = ring
-        self.elements = tuple(elements)
+        super().__init__(ring, elements, order)
         if not self.elements or any(h.is_zero() for h in self.elements):
             raise ZeroInputError("zero divisor element in a standard basis")
-        self.order = order
         self.context = tuple(context)
-        self._flats = [_flatten(h) for h in self.elements]
-        self._keyf = _KeyCache(order, ring.shifts)
-        self._exps = [max(f, key=self._keyf) for f in self._flats]
-        self._lcs = [f[e] for f, e in zip(self._flats, self._exps)]
         # the order decisions of the completion that made this basis, if
         # any: see order_cone
         self._trace = None
-
-    @cached_property
-    def _bd(self):
-        """The basis degree of the division degree cap."""
-        return max(map(_degree, self._flats), default=0)
 
     @property
     def exponents(self):
@@ -332,17 +307,19 @@ class StandardBasis:
         return hash(self.elements)
 
     def divide(self, G: DtVec, *, verify: bool = True) -> DivisionResult:
-        """Division with full postcondition checks."""
+        """Division with full postcondition checks; the integer steps fold
+        into Fraction quotients here."""
         require_f_homogeneous(G)
         flat = _flatten(G)
-        quots, rem = _divide_flat(
-            flat, self._flats, self._exps, self._lcs, self._keyf, True, self._bd
-        )
-        qops = [
-            DtOp(self.ring, {mu: c for mu, c in q.items()}) for q in quots
-        ]
-        rvec = _unflatten(rem, self.ring, True)
-        res = DivisionResult(qops, rvec, G, self)
+        c, rem, scale, steps = self._reduce(flat, True)
+        ratios = [c / u for u in self._ints[0]]
+        quots = [{} for _ in self.elements]
+        for m, mu, b, s in steps:
+            r = ratios[m]
+            accumulate(quots[m], ((mu, Fraction(r.numerator * b, r.denominator * s)),))
+        qops = [DtOp(self.ring, q) for q in quots]
+        rem = _rational(rem, c / scale)
+        res = DivisionResult(qops, _unflatten(rem, self.ring, True), G, self)
         if verify:
             self._verify_division(G, qops, rem, flat)
         return res
@@ -350,10 +327,10 @@ class StandardBasis:
     def _verify_division(self, G, qops, rem, flat):
         acc = dict(rem)
         prods = []
-        for a, hf in zip(qops, self._flats):
+        for a, u, hf in zip(qops, *self._ints):
             prod = {}
             for mu, c in a.terms.items():
-                _term_times_flat(mu, c, hf, True, prod)
+                _term_times_flat(mu, c * u, hf, True, prod)
             prods.append(prod)
             accumulate(acc, prod.items())
         if acc != flat:
@@ -444,53 +421,58 @@ class MembershipResult:
         return self.is_member
 
 
-def _spair(fi, fj, ei, ej, emit_t):
-    lcm = _lcm_exp(ei, ej)
+def _spair(fi, fj, ei, ej, lcm, emit_t):
+    """The S-pair (p_j/g) mu_i f_i - (p_i/g) mu_j f_j, g = gcd(p_i, p_j)."""
+    pi, pj = fi[ei], fj[ej]
+    g = gcd(pi, pj)
     s: dict = {}
-    _term_times_flat(_exp_quotient(lcm, ei), Fraction(1), fi, emit_t, s)
-    _term_times_flat(_exp_quotient(lcm, ej), Fraction(-1), fj, emit_t, s)
+    _term_times_flat(_exp_quotient(lcm, ei), pj // g, fi, emit_t, s)
+    _term_times_flat(_exp_quotient(lcm, ej), -(pi // g), fj, emit_t, s)
     return s
 
 
-def _monic(flat, keyf):
-    """(flat made monic, its privileged exponent)."""
+def _leading(flat, keyf):
+    """(integer flat over its content, leader made positive; leader's exp)."""
     top = keyf.leader(flat)
-    lc = flat[top]
-    if lc == 1:
-        return flat, top
-    return {k: v / lc for k, v in flat.items()}, top
+    g = gcd(*flat.values())
+    if flat[top] < 0:
+        g = -g
+    return (flat if g == 1 else {k: v // g for k, v in flat.items()}), top
 
 
 def _buchberger(flats, keyf, emit_t):
+    """The reduced basis of the nonzero integer ``flats`` in canonical
+    order, as (primitive flat with a positive leader, exp) pairs."""
     import heapq
 
-    monic = [_monic(dict(f), keyf) for f in flats if f]
-    basis = [f for f, _ in monic]
-    exps = [e for _, e in monic]
-    # the basis only grows, so its degree is a running max
-    bd = max(map(_degree, basis), default=0)
+    basis, exps, lcs = [], [], []  # lcs: the leading coefficients
+    comps = {}  # component -> indices of its elements, in order
     heap = []
     pending = set()
     lcms = []
+    bd = 0  # the basis only grows, so its degree is a running max
 
-    def add_pair(i, j):
-        pending.add((i, j))
-        lcms.append(_lcm_exp(exps[i], exps[j]))
-        heapq.heappush(heap, (keyf(lcms[-1]), (i, j)))
-
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            if exps[i][3] == exps[j][3]:
-                add_pair(i, j)
+    def add(flat):
+        nonlocal bd
+        flat, top = _leading(flat, keyf)
+        new = len(basis)
+        basis.append(flat)
+        exps.append(top)
+        lcs.append(flat[top])
+        bd = max(bd, _degree(flat))
+        for m in comps.setdefault(top[3], []):
+            lcm = _lcm_exp(exps[m], top)
+            pending.add((m, new))
+            lcms.append(lcm)
+            heapq.heappush(heap, (keyf(lcm), (m, new), lcm))
+        comps[top[3]].append(new)
 
     def chain_skippable(i, j, lcm_ij):
         # Buchberger's second criterion: valid if both mediating pairs are
         # treated already (no longer pending); sound in this setting since
         # the leading-term structure is commutative
-        for m in range(len(basis)):
-            if m in (i, j) or exps[m][3] != lcm_ij[3]:
-                continue
-            if not _divides(exps[m], lcm_ij):
+        for m in comps[lcm_ij[3]]:
+            if m in (i, j) or not _divides(exps[m], lcm_ij):
                 continue
             pim = (min(i, m), max(i, m))
             pjm = (min(j, m), max(j, m))
@@ -498,28 +480,19 @@ def _buchberger(flats, keyf, emit_t):
                 return True
         return False
 
+    for f in flats:
+        add(f)
     while heap:
-        _, sel = heapq.heappop(heap)
+        _, sel, lcm_ij = heapq.heappop(heap)
         pending.discard(sel)
         i, j = sel
-        lcm_ij = _lcm_exp(exps[i], exps[j])
         if chain_skippable(i, j, lcm_ij):
             continue
-        s = _spair(basis[i], basis[j], exps[i], exps[j], emit_t)
-        if not s:
-            continue
-        _, rem = _divide_flat(
-            s, basis, exps, [Fraction(1)] * len(basis), keyf, emit_t, bd
-        )
-        if rem:
-            rem, top = _monic(rem, keyf)
-            new = len(basis)
-            basis.append(rem)
-            exps.append(top)
-            bd = max(bd, _degree(rem))
-            for m in range(new):
-                if exps[m][3] == exps[new][3]:
-                    add_pair(m, new)
+        s = _spair(basis[i], basis[j], exps[i], exps[j], lcm_ij, emit_t)
+        if s:
+            rem = _divide_flat(s, basis, exps, lcs, keyf, emit_t, bd)[0]
+            if rem:
+                add(rem)
     keyf.ranked(lcms)
     return _autoreduce(basis, exps, keyf, emit_t)
 
@@ -561,20 +534,16 @@ def _autoreduce(basis, exps, keyf, emit_t):
             if mini[idx] is None:
                 continue
             live = [m for m in range(len(mini)) if m != idx and mini[m] is not None]
-            _, rem = _divide_flat(
-                mini[idx],
-                [mini[m] for m in live],
-                [mexp[m] for m in live],
-                [Fraction(1)] * len(live),
-                keyf,
-                emit_t,
+            rem = _divide_flat(
+                mini[idx], [mini[m] for m in live], [mexp[m] for m in live],
+                [mini[m][mexp[m]] for m in live], keyf, emit_t,
                 max((degs[m] for m in live), default=0),
-            )
+            )[0]
             if not rem:
                 mini[idx] = None
                 changed = True
                 continue
-            rem, top = _monic(rem, keyf)
+            rem, top = _leading(rem, keyf)
             if rem != mini[idx]:
                 mini[idx] = rem
                 mexp[idx] = top
@@ -591,11 +560,20 @@ def _autoreduce(basis, exps, keyf, emit_t):
         )
     # canonical output order, independent of the refining weight
     canon = TermOrder()
-    pairs = sorted(
-        ((e, f) for e, f in zip(mexp, mini) if f is not None),
-        key=lambda p: (canon.key((p[0][0], p[0][1], p[0][2]), p[0][3], None), p[0]),
+    return sorted(
+        ((f, e) for f, e in zip(mini, mexp) if f is not None),
+        key=lambda p: (canon.key((p[1][0], p[1][1], p[1][2]), p[1][3], None), p[1]),
     )
-    return [f for _, f in pairs]
+
+
+def _completed(cls, ring, done, dt, *args):
+    """A ``cls`` basis of the completion's elements made monic."""
+    flats, exps = zip(*done)
+    units = [Fraction(1, f[e]) for f, e in done]
+    elements = [_unflatten(_rational(f, u), ring, dt) for f, u in zip(flats, units)]
+    out = cls(ring, elements, *args)
+    out._ints, out._exps = (units, flats), list(exps)
+    return out
 
 
 def reduce_basis(generators, sample: LinearForm) -> StandardBasis:
@@ -608,10 +586,10 @@ def reduce_basis(generators, sample: LinearForm) -> StandardBasis:
     ring = gens[0].ring
     order = TermOrder().refine(sample)
     keyf = _KeyCache(order, ring.shifts, trace=True)
-    flats = [_flatten(homogenize_vec(g)) for g in gens]
-    done = _buchberger(flats, keyf, True)
-    elements = [_unflatten(f, ring, True) for f in done]
-    out = StandardBasis(ring, elements, order, (sample,))
+    flats = [primitive_part(_flatten(homogenize_vec(g)))[2] for g in gens]
+    out = _completed(
+        StandardBasis, ring, _buchberger(flats, keyf, True), True, order, (sample,)
+    )
     out._trace = keyf
     return out
 
@@ -625,16 +603,17 @@ def recheck_basis(basis: StandardBasis, sample: LinearForm) -> StandardBasis | N
     tripped on the way gives None."""
     order = TermOrder().refine(sample)
     out = StandardBasis(basis.ring, basis.elements, order, (sample,))
+    out._ints = basis._ints
     if out.exponents != basis.exponents:
         return None
-    f, e = out._flats, out._exps
+    f, e = out._ints[1], out._exps
     try:
         for j in range(len(f)):
             for i in range(j):
                 if e[i][3] != e[j][3]:
                     continue
-                s = _spair(f[i], f[j], e[i], e[j], True)
-                if s and _divide_flat(s, f, e, out._lcs, out._keyf, True, out._bd)[1]:
+                s = _spair(f[i], f[j], e[i], e[j], _lcm_exp(e[i], e[j]), True)
+                if s and out._reduce(s, True)[1]:
                     return None
     except ResourceBoundExceeded:
         return None
@@ -650,34 +629,16 @@ def plain_module_basis(generators):
     ring = gens[0].ring
     order = TermOrder()
     keyf = _KeyCache(order, ring.shifts)
-    flats = [_flatten(g) for g in gens]
-    done = _buchberger(flats, keyf, False)
-    return PlainBasis(ring, [_unflatten(f, ring, False) for f in done], order)
+    flats = [primitive_part(_flatten(g))[2] for g in gens]
+    return _completed(PlainBasis, ring, _buchberger(flats, keyf, False), False, order)
 
 
-class PlainBasis:
+class PlainBasis(_Divisors):
     """Groebner basis of a plain D^r-submodule under a degree well-order."""
 
-    def __init__(self, ring, elements, order):
-        self.ring = ring
-        self.elements = tuple(elements)
-        self.order = order
-        self._flats = [_flatten(h) for h in self.elements]
-        self._keyf = _KeyCache(order, ring.shifts)
-        self._exps = [max(f, key=self._keyf) for f in self._flats]
-        self._lcs = [f[e] for f, e in zip(self._flats, self._exps)]
-
-    @cached_property
-    def _bd(self):
-        """The basis degree of the division degree cap."""
-        return max(map(_degree, self._flats), default=0)
-
     def normal_form(self, G: WeylVec) -> WeylVec:
-        flat = _flatten(G)
-        _, rem = _divide_flat(
-            flat, self._flats, self._exps, self._lcs, self._keyf, False, self._bd
-        )
-        return _unflatten(rem, self.ring, False)
+        c, rem, scale, _ = self._reduce(_flatten(G), False)
+        return _unflatten(_rational(rem, c / scale), self.ring, False)
 
     def member(self, G: WeylVec) -> bool:
         return self.normal_form(G).is_zero()

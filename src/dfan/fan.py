@@ -39,7 +39,7 @@ from itertools import product
 
 from ._linalg import cone_interior_point, primitive, to_primitive_int
 from .basis import StandardBasis, recheck_basis, reduce_basis
-from .errors import ResourceBoundExceeded, WeightError
+from .errors import DfanError, ResourceBoundExceeded, WeightError
 from .filtration import multi_weight
 from .weights import LinearForm
 
@@ -370,13 +370,10 @@ def standard_fan(generators) -> Fan:
         if pattern in cell_map:
             continue
         basis, strata, ceqs, cstricts, _ = data[ci]
-        members = [
-            cj
-            for cj in range(ci, len(cells))
-            if cells[cj][0] not in cell_map
-            and _inside(cells[cj][1], ceqs, cstricts)
-        ]
-        same = all(
+        inside = [cj for cj in range(len(cells)) if _inside(cells[cj][1], ceqs, cstricts)]
+        members = [cj for cj in inside if cells[cj][0] not in cell_map]
+        # a region that holds a cell of an earlier cone would overlap it
+        same = len(members) == len(inside) and all(
             data[cj][0].elements == basis.elements and data[cj][1] == strata
             for cj in members
         )
@@ -403,4 +400,9 @@ def standard_fan(generators) -> Fan:
         cones.append(cone)
         for cj in members:
             cell_map[cells[cj][0]] = idx
+    # the cones are disjoint: each cell lies in its own cone and no other
+    for pattern, gens in cells:
+        holders = [i for i, c in enumerate(cones) if _inside(gens, c.equalities, c.stricts)]
+        if holders != [cell_map[pattern]]:
+            raise DfanError(f"cell {pattern} does not lie in exactly its own cone")
     return Fan(ring, generators, tuple(sorted_normals), cones, cell_map)

@@ -257,7 +257,13 @@ def gamma_fiber_reduce(e: ReesElement):
     """Rewrite a cone-context element in (X, Delta, W) coordinates and
     drop every term with a nonzero W-exponent: reduction modulo the
     maximal graded ideal of the toric ring.  Returns the surviving
-    operator in the X/Delta Weyl algebra."""
+    operator in the X/Delta Weyl algebra.
+
+    This is the fiber at zero of the paper's Rees ring of the cone
+    filtration, which the graded isomorphism makes the X/Delta Weyl
+    algebra over the toric ring; the adaptedness the paper proves is
+    flatness over that ring, read on this fiber.  The tests check it term
+    by term: a positive W-exponent dies, W-exponent zero survives."""
     if e.cone is None:
         raise ConeError("reduction needs a basic cone context")
     op = e.op

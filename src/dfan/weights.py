@@ -106,11 +106,6 @@ def ones_form(k: int) -> LinearForm:
     return LinearForm((1,) * k)
 
 
-def usual_order_form(n: int) -> GeneralForm:
-    """e = 0, f = 1: the filtration by the usual operator order."""
-    return GeneralForm((0,) * n, (1,) * n)
-
-
 def ord_general(P, form: GeneralForm):
     """Max of form(alpha, beta) over the support of a scalar operator;
     -inf for zero."""
@@ -215,3 +210,72 @@ def privileged_exponent(G, order: TermOrder):
     shifts = G.shifts
     key, i, _ = max(G.iter_terms(), key=lambda t: order.key(t[0], t[1], shifts))
     return key + (i,) if len(key) == 3 else key + (0, i)
+
+
+class _KeyCache:
+    """Memoised order keys of flat exponents (alpha, beta, l, i).  A
+    tracing cache also records the order decisions taken through ``leader``
+    and ``ranked``, from which ``cone`` derives where they come out the same."""
+
+    __slots__ = ("order", "shifts", "cache", "trace")
+
+    def __init__(self, order: TermOrder, shifts, trace: bool = False):
+        self.order = order
+        self.shifts = shifts
+        self.cache = {}
+        self.trace = [] if trace else None
+
+    def __call__(self, key4):
+        k = self.cache.get(key4)
+        if k is None:
+            a, b, l, i = key4
+            k = self.order.key((a, b, l), i, self.shifts)
+            self.cache[key4] = k
+        return k
+
+    def leader(self, flat):
+        """The exponent of ``flat`` with the largest key."""
+        top = max(flat, key=self)
+        self.ranked(flat, (top,))
+        return top
+
+    def ranked(self, keys, marked=None):
+        """Note that the order between each exponent in ``marked``
+        (default: all of ``keys``) and each of ``keys`` was relied on."""
+        if self.trace is not None:
+            self.trace.append((tuple(keys), None if marked is None else set(marked)))
+
+    def cone(self):
+        """The refining weights L at which every traced decision comes out
+        the same, as integer forms (weak, strict): L.w >= 0 for w in weak,
+        L.w > 0 for w in strict.  The order must be a base order refined
+        by one weight, so a key is L applied to beta - alpha plus the
+        component's shift, then the base order's key."""
+        k = self.order.weights[0].k
+        shifts = self.shifts
+        vecs = {}
+        weak, strict = set(), set()
+
+        def above(hi, lo):
+            for e in (hi, lo):
+                if e not in vecs:
+                    a, b, _, i = e
+                    vecs[e] = [b[j] - a[j] + shifts[i][j] for j in range(k)]
+            w = tuple(x - y for x, y in zip(vecs[hi], vecs[lo]))
+            if any(w):
+                (weak if self(hi)[1:] > self(lo)[1:] else strict).add(w)
+
+        # chain the marked exponents in key order and tie every other one
+        # to its nearest marked neighbours; transitivity does the rest
+        for keys, marked in self.trace:
+            below, loose = None, []
+            for e in sorted(set(keys), key=self):
+                if below is not None:
+                    above(e, below)
+                if marked is None or e in marked:
+                    for u in loose:
+                        above(e, u)
+                    below, loose = e, []
+                else:
+                    loose.append(e)
+        return tuple(sorted(weak - strict)), tuple(sorted(strict))

@@ -106,7 +106,12 @@ def unimodular_rows(draw, k):
     return tuple(tuple(r) for r in rows)
 
 
-COEFFICIENTS = st.sampled_from((-3, -2, -1, 1, 2, 3))
+# the benchmark pool's integers, and rationals so that the completion's
+# scaling to primitive integers meets denominators
+COEFFICIENTS = st.sampled_from(
+    (-3, -2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3),
+     Fraction(-3, 2))
+)
 
 
 def monomials(n, max_deg):

@@ -1,12 +1,31 @@
 from fractions import Fraction
 from itertools import product
+from math import gcd
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dfan import basis as basis_module
-from dfan.basis import _flatten, _term_times_flat, plain_module_basis, reduce_basis
+from dfan.basis import (
+    DEGREE_SLACK,
+    REDUCTION_ROUNDS,
+    STEP_CAP,
+    StandardBasis,
+    TermOrder,
+    _degree,
+    _divides,
+    _exp_quotient,
+    _flatten,
+    _KeyCache,
+    _lcm_exp,
+    _rational,
+    _term_times_flat,
+    _unflatten,
+    plain_module_basis,
+    recheck_basis,
+    reduce_basis,
+)
 from dfan.errors import (
     HomogeneityError,
     ResourceBoundExceeded,
@@ -458,3 +477,326 @@ def test_looping_division_reports_its_degree_cap(monkeypatch):
     monkeypatch.setattr(basis_module, "STEP_CAP", 10)
     with pytest.raises(ResourceBoundExceeded, match="exceeded 10 steps;"):
         b.divide(spair)
+
+
+# the completion and division on Fraction flats, as they were before the
+# integer kernel: the reference for elements, exponents, order decisions,
+# quotients, remainders, recheck verdicts and caps
+
+
+def fraction_divide_flat(g, basis_flats, exps, lcs, keyf, emit_t, bd):
+    """(quotient term dicts, remainder dict) of the Fraction division."""
+    import heapq
+
+    quots = [dict() for _ in basis_flats]
+    rem = {}
+    tail = dict(g)
+    heap = [(tuple(-x for x in keyf(key)), key) for key in tail]
+    heapq.heapify(heap)
+    entered = list(tail) if keyf.trace is not None else None
+    reduced = []
+
+    def push(key):
+        heapq.heappush(heap, (tuple(-x for x in keyf(key)), key))
+        if entered is not None:
+            entered.append(key)
+
+    cap = _degree(g) + bd + DEGREE_SLACK
+    steps = 0
+    while True:
+        while heap and heap[0][1] not in tail:
+            heapq.heappop(heap)
+        if not heap:
+            break
+        tau = heapq.heappop(heap)[1]
+        steps += 1
+        if steps > STEP_CAP:
+            raise ResourceBoundExceeded(
+                "steps", cap="STEP_CAP", limit=STEP_CAP, observed=steps
+            )
+        degree = sum(tau[0]) + sum(tau[1]) + tau[2]
+        if degree > cap:
+            raise ResourceBoundExceeded(
+                "degree", cap="DEGREE_SLACK", limit=cap, observed=degree
+            )
+        coef = tail[tau]
+        for m, exp in enumerate(exps):
+            if _divides(exp, tau):
+                mu = _exp_quotient(tau, exp)
+                cq = coef / lcs[m]
+                if entered is not None:
+                    reduced.append(tau)
+                quots[m][mu] = quots[m].get(mu, 0) + cq
+                if not quots[m][mu]:
+                    del quots[m][mu]
+                _term_times_flat(mu, -cq, basis_flats[m], emit_t, tail, push)
+                break
+        else:
+            rem[tau] = coef
+            del tail[tau]
+    if reduced:
+        keyf.ranked(entered, reduced)
+    return quots, rem
+
+
+def fraction_spair(fi, fj, ei, ej, emit_t):
+    lcm = _lcm_exp(ei, ej)
+    s = {}
+    _term_times_flat(_exp_quotient(lcm, ei), Fraction(1), fi, emit_t, s)
+    _term_times_flat(_exp_quotient(lcm, ej), Fraction(-1), fj, emit_t, s)
+    return s
+
+
+def fraction_monic(flat, keyf):
+    top = keyf.leader(flat)
+    lc = flat[top]
+    if lc == 1:
+        return flat, top
+    return {k: v / lc for k, v in flat.items()}, top
+
+
+def fraction_buchberger(flats, keyf, emit_t):
+    import heapq
+
+    monic = [fraction_monic(dict(f), keyf) for f in flats if f]
+    basis = [f for f, _ in monic]
+    exps = [e for _, e in monic]
+    bd = max(map(_degree, basis), default=0)
+    heap = []
+    pending = set()
+    lcms = []
+
+    def add_pair(i, j):
+        pending.add((i, j))
+        lcms.append(_lcm_exp(exps[i], exps[j]))
+        heapq.heappush(heap, (keyf(lcms[-1]), (i, j)))
+
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            if exps[i][3] == exps[j][3]:
+                add_pair(i, j)
+
+    def chain_skippable(i, j, lcm_ij):
+        for m in range(len(basis)):
+            if m in (i, j) or exps[m][3] != lcm_ij[3]:
+                continue
+            if not _divides(exps[m], lcm_ij):
+                continue
+            pim = (min(i, m), max(i, m))
+            pjm = (min(j, m), max(j, m))
+            if pim not in pending and pjm not in pending:
+                return True
+        return False
+
+    while heap:
+        _, sel = heapq.heappop(heap)
+        pending.discard(sel)
+        i, j = sel
+        if chain_skippable(i, j, _lcm_exp(exps[i], exps[j])):
+            continue
+        s = fraction_spair(basis[i], basis[j], exps[i], exps[j], emit_t)
+        if not s:
+            continue
+        _, rem = fraction_divide_flat(
+            s, basis, exps, [Fraction(1)] * len(basis), keyf, emit_t, bd
+        )
+        if rem:
+            rem, top = fraction_monic(rem, keyf)
+            new = len(basis)
+            basis.append(rem)
+            exps.append(top)
+            bd = max(bd, _degree(rem))
+            for m in range(new):
+                if exps[m][3] == exps[new][3]:
+                    add_pair(m, new)
+    keyf.ranked(lcms)
+    return fraction_autoreduce(basis, exps, keyf, emit_t)
+
+
+def fraction_autoreduce(basis, exps, keyf, emit_t):
+    keyf.ranked(exps)
+    order_idx = sorted(range(len(basis)), key=lambda m: (keyf(exps[m]), m))
+    dedup, seen = [], set()
+    for m in order_idx:
+        if exps[m] not in seen:
+            seen.add(exps[m])
+            dedup.append(m)
+    kept = [
+        m for m in dedup if not any(mm != m and _divides(exps[mm], exps[m]) for mm in dedup)
+    ]
+    mini = [basis[m] for m in kept]
+    mexp = [exps[m] for m in kept]
+    for _ in range(REDUCTION_ROUNDS):
+        changed = False
+        for idx in range(len(mini)):
+            if mini[idx] is None:
+                continue
+            live = [m for m in range(len(mini)) if m != idx and mini[m] is not None]
+            _, rem = fraction_divide_flat(
+                mini[idx],
+                [mini[m] for m in live],
+                [mexp[m] for m in live],
+                [Fraction(1)] * len(live),
+                keyf,
+                emit_t,
+                max((_degree(mini[m]) for m in live), default=0),
+            )
+            if not rem:
+                mini[idx] = None
+                changed = True
+                continue
+            rem, top = fraction_monic(rem, keyf)
+            if rem != mini[idx]:
+                mini[idx], mexp[idx] = rem, top
+                changed = True
+        if not changed:
+            break
+    else:
+        raise ResourceBoundExceeded(
+            "rounds", cap="REDUCTION_ROUNDS", limit=REDUCTION_ROUNDS, observed=0
+        )
+    canon = TermOrder()
+    pairs = sorted(
+        ((e, f) for e, f in zip(mexp, mini) if f is not None),
+        key=lambda p: (canon.key(p[0][:3], p[0][3], None), p[0]),
+    )
+    return [f for _, f in pairs]
+
+
+def fraction_reduce_basis(generators, L):
+    """(elements, exponents, order cone) of the Fraction completion."""
+    ring = generators[0].ring
+    keyf = _KeyCache(TermOrder().refine(L), ring.shifts, trace=True)
+    done = fraction_buchberger(
+        [_flatten(homogenize_vec(g)) for g in generators], keyf, True
+    )
+    exps = tuple(max(f, key=keyf) for f in done)
+    return tuple(_unflatten(f, ring, True) for f in done), exps, keyf.cone()
+
+
+def fraction_divide(basis, G):
+    """(quotients, remainder) of the Fraction division by ``basis``."""
+    flats = [_flatten(h) for h in basis.elements]
+    keyf = _KeyCache(basis.order, basis.ring.shifts)
+    exps = [max(f, key=keyf) for f in flats]
+    quots, rem = fraction_divide_flat(
+        _flatten(G), flats, exps, [f[e] for f, e in zip(flats, exps)], keyf, True,
+        max(map(_degree, flats)),
+    )
+    return [DtOp(basis.ring, q) for q in quots], _unflatten(rem, basis.ring, True)
+
+
+def fraction_recheck(basis, L):
+    """Whether the Fraction recheck certifies ``basis`` at ``L``."""
+    flats = [_flatten(h) for h in basis.elements]
+    keyf = _KeyCache(TermOrder().refine(L), basis.ring.shifts)
+    exps = [max(f, key=keyf) for f in flats]
+    if tuple(exps) != basis.exponents:
+        return False
+    lcs, bd = [f[e] for f, e in zip(flats, exps)], max(map(_degree, flats))
+    try:
+        for j in range(len(flats)):
+            for i in range(j):
+                if exps[i][3] != exps[j][3]:
+                    continue
+                s = fraction_spair(flats[i], flats[j], exps[i], exps[j], True)
+                if s and fraction_divide_flat(s, flats, exps, lcs, keyf, True, bd)[1]:
+                    return False
+    except ResourceBoundExceeded:
+        return False
+    return True
+
+
+def capped(f, *args):
+    """f(*args), or the name of the cap it tripped."""
+    try:
+        return f(*args)
+    except ResourceBoundExceeded as exc:
+        return exc.cap
+
+
+def integer_completion(generators, L):
+    b = reduce_basis(generators, L)
+    return b.elements, b.exponents, b.order_cone
+
+
+def integer_divide(basis, G):
+    res = basis.divide(G)
+    return res.quotients, res.remainder
+
+
+SCALES = st.sampled_from((1, -1, 2, Fraction(-2, 3), Fraction(3, 2), Fraction(-1, 4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_integer_completion_matches_the_fraction_reference(data):
+    generators = data.draw(fan_modules())
+    ring = generators[0].ring
+    k = ring.k
+    L = LinearForm(data.draw(st.tuples(*[st.integers(0, 4)] * k)))
+    divide_flat = basis_module._divide_flat
+
+    def checked(g, basis_flats, exps, lcs, *args):
+        # the completion divides by primitive flats with positive leaders
+        for f, e, p in zip(basis_flats, exps, lcs):
+            assert f[e] == p > 0 and gcd(*f.values()) == 1
+        return divide_flat(g, basis_flats, exps, lcs, *args)
+
+    with mock.patch.object(basis_module, "_divide_flat", checked):
+        got = capped(integer_completion, generators, L)
+    assert got == capped(fraction_reduce_basis, generators, L)
+    if isinstance(got, str):
+        return
+    b = reduce_basis(generators, L)
+    # the completion's own integer flats: primitive, with positive leaders,
+    # each its monic element times the leader
+    for h, u, f, e in zip(b.elements, *b._ints, b._exps):
+        assert f[e] > 0 and gcd(*f.values()) == 1 and u == Fraction(1, f[e])
+        assert _rational(f, u) == _flatten(h)
+    # divide by the basis and by a rescaled copy (negative and non-unit
+    # leaders, rational contents), in both orders of the same weight
+    scaled = StandardBasis(
+        ring, [h.scale(data.draw(SCALES)) for h in b.elements], b.order, (L,)
+    )
+    for G in map(homogenize_vec, data.draw(fan_modules().filter(
+        lambda gs: gs[0].ring == ring
+    ))):
+        for basis in (b, scaled):
+            assert capped(integer_divide, basis, G) == capped(fraction_divide, basis, G)
+            # the integer remainder is a positive multiple of the rational one
+            try:
+                _, _, scale, steps = basis._reduce(_flatten(G), True)
+            except ResourceBoundExceeded:
+                continue
+            assert scale > 0 and all(s > 0 for *_, s in steps)
+    L2 = LinearForm(data.draw(st.tuples(*[st.integers(0, 4)] * k)))
+    assert (recheck_basis(b, L2) is not None) == fraction_recheck(b, L2)
+
+
+def integer_normal_form(generators, G):
+    plain = plain_module_basis(generators)
+    return plain.elements, plain.normal_form(G)
+
+
+def fraction_normal_form(generators, G):
+    ring = generators[0].ring
+    keyf = _KeyCache(TermOrder(), ring.shifts)
+    flats = fraction_buchberger([_flatten(g) for g in generators], keyf, False)
+    exps = [max(f, key=keyf) for f in flats]
+    _, rem = fraction_divide_flat(
+        _flatten(G), flats, exps, [Fraction(1)] * len(flats), keyf, False,
+        max(map(_degree, flats)),
+    )
+    return tuple(_unflatten(f, ring, False) for f in flats), _unflatten(rem, ring, False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_plain_normal_form_matches_the_fraction_reference(data):
+    generators = data.draw(fan_modules())
+    ring = generators[0].ring
+    G = data.draw(fan_modules().filter(lambda gs: gs[0].ring == ring))[0]
+    assert capped(integer_normal_form, generators, G) == capped(
+        fraction_normal_form, generators, G
+    )

@@ -1,7 +1,9 @@
 """The benchmark's report digests as a tier-1 check.
 
 The first pass of each benchmark pool for seed 1 (certify 11, fan 90 and
-quick 200 operations) is replayed through ``perfbench/run.py``: its
+quick 200 operations), and of the fan pool for seeds 2 and 3 as well (the
+seed draws the coefficients that the completion's integer arithmetic
+scales), is replayed through ``perfbench/run.py``: its
 ``Workdir`` writes the pool, ``run_pass`` sends every command through
 ``dfan.cli.run``, and ``Checker.failures`` checks each report against the
 corpus verdicts and the recorded sha256 digests of ``perfbench/hashes.json``.
@@ -39,15 +41,24 @@ def runner():
             del sys.modules[name]
 
 
-@pytest.mark.parametrize("workload", ["certify", "fan", "quick"])
-def test_first_pass_keeps_every_report(runner, workload):
-    checker = runner.Checker(workload, 1)
-    work = runner.Workdir(workload, 1)
+def replay(runner, workload, seed):
+    checker = runner.Checker(workload, seed)
+    work = runner.Workdir(workload, seed)
     try:
         tally, _ = runner.run_pass(cli, checker, work)
     finally:
         work.close()
     assert len(tally) == len(work.pool) == runner.W.POOL_SIZE[workload]
-    assert checker.blocks, f"no digests recorded for {workload} seed 1"
+    assert checker.blocks, f"no digests recorded for {workload} seed {seed}"
     failed = [(idx, " ".join(op.argv), why) for idx, op, why in checker.failures(tally)]
     assert failed == []
+
+
+@pytest.mark.parametrize("workload", ["certify", "fan", "quick"])
+def test_first_pass_keeps_every_report(runner, workload):
+    replay(runner, workload, 1)
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_first_fan_pass_of_more_seeds_keeps_every_report(runner, seed):
+    replay(runner, "fan", seed)

@@ -1,9 +1,10 @@
 import functools
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dfan.fan
 from dfan._linalg import cone_interior_point, to_primitive_int
@@ -420,10 +421,12 @@ def reference_fan(generators, max_normals=64, max_cells=4096):
         if pattern in cell_map:
             continue
         basis, strata, ceqs, csts, _ = data_at(sample)
-        members = [
-            c for c in cells if c[0] not in cell_map and inside(c[3], ceqs, csts)
-        ]
-        if all(data_at(c[3])[:2] == (basis, strata) for c in members):
+        held = [c for c in cells if inside(c[3], ceqs, csts)]
+        members = [c for c in held if c[0] not in cell_map]
+        # a region that holds a cell of an earlier cone would overlap it
+        if len(members) == len(held) and all(
+            data_at(c[3])[:2] == (basis, strata) for c in members
+        ):
             rep = min(members, key=lambda c: (c[0].count(0), c[0]))
             rbasis, rstrata, ceqs, csts, _ = data_at(rep[3])
             cone = FanCone(ceqs, csts, to_primitive_int(rep[3]), rbasis, rstrata)
@@ -672,22 +675,45 @@ def test_merge_fallback_emits_member_cells(monkeypatch):
     fan = standard_fan(gens)
     assert patched
     cells = lp_cells(_quadrant_faces(unit_vectors(2)), sorted(fan.normals), 2)
-    # one cone per member cell: the first three on their own cells'
-    # constraints, the tampered open cell alone in its (whole) region
+    # one cone per cell, each on its own cell's constraints: the first
+    # three because their region holds the tampered cell, the tampered open
+    # cell because its region, the whole quadrant, holds the first three
     assert len(fan.cones) == len(cells) == 4
     for idx, ((pattern, eqs, sts, sample), cone) in enumerate(zip(cells, fan.cones)):
         assert fan._cell_map[pattern] == idx
-        if idx < 3:
-            assert cone.equalities == tuple(sorted(eqs))
-            assert cone.stricts == tuple(sorted(sts))
-        else:
-            assert (cone.equalities, cone.stricts) == ((), ())
+        assert cone.equalities == tuple(sorted(eqs))
+        assert cone.stricts == tuple(sorted(sts))
         assert cone.sample == to_primitive_int(sample)
         assert cone.basis.elements == reduce_basis(gens, LinearForm(sample)).elements
     for p in range(4):
         for q in range(4):
             L = LinearForm((p, q))
             assert fan.cone_of_weight(L).contains(L)
+
+
+@settings(max_examples=40, deadline=None)
+@given(fan_modules())
+@example([parse_vec("-x1 x2", R2), parse_vec("3 x1 x2 + 3 x2", R2)])
+@example([parse_vec("1/2 x1 x2", R2), parse_vec("-1/2 x1 x2 + 2 x2", R2)])
+def test_cones_are_disjoint(generators):
+    # the partition is a fan: each cell's LP sample, and each point of a
+    # small grid, lies in exactly one cone, the sample in its cell's; the
+    # two examples once gave a constraint-free cone holding another cone
+    try:
+        fan = standard_fan(generators)
+    except ResourceBoundExceeded:
+        return
+    k = generators[0].ring.k
+    for pattern, _, _, sample in reference_cells(
+        sorted(fan.normals), set(unit_vectors(k)), k, dfan.fan.MAX_CELLS
+    ):
+        L = LinearForm(sample)
+        assert [i for i, c in enumerate(fan.cones) if c.contains(L)] == [
+            fan._cell_map[pattern]
+        ]
+    for point in product(range(4), repeat=k):
+        L = LinearForm(point)
+        assert sum(c.contains(L) for c in fan.cones) == 1
 
 
 def ref_closure_contains(cone, rows):

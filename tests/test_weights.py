@@ -16,7 +16,6 @@ from dfan.weights import (
     principal_symbol,
     privileged_exponent,
     symbol_L,
-    usual_order_form,
 )
 from dfan.weyl import RingDescriptor, WeylOp
 from conftest import random_nonzero_op
@@ -47,7 +46,7 @@ def test_ord_general_lifted_form():
 
 
 def test_ord_usual_filtration_is_operator_order(rng):
-    F = usual_order_form(2)
+    F = GeneralForm((0,) * 2, (1,) * 2)  # e = 0, f = 1: the usual order
     for _ in range(20):
         P = random_nonzero_op(rng, R2)
         assert ord_general(P, F) == P.order()
