@@ -19,7 +19,7 @@ from .flatness import (
 from .grammar import format_op, format_vec, parse_op, parse_vec
 from .problem import ProblemFile, format_problem, parse_problem
 from .rees import ReesElement, fiber_V_zero_test, from_A, rees_mul, to_A
-from .toric import BasicCone, make_basic_cone, refine_to_basic
+from .toric import BasicCone, refine_to_basic
 from .weights import GeneralForm, LinearForm, TermOrder, privileged_exponent
 from .weyl import (
     DtOp,
@@ -63,7 +63,6 @@ __all__ = [
     "in_V_s",
     "intersection_oracle",
     "kernel_normalize",
-    "make_basic_cone",
     "monomial_filtration",
     "multi_weight",
     "newton_diagram",

@@ -25,13 +25,8 @@ from math import gcd
 from operator import ge, sub
 
 from ._linalg import primitive_part
-from .errors import (
-    DfanError,
-    ResourceBoundExceeded,
-    WeightError,
-    ZeroInputError,
-)
-from .weights import LinearForm, TermOrder, _KeyCache, ord_L_vec, symbol_L
+from .errors import DfanError, ResourceBoundExceeded, ZeroInputError
+from .weights import LinearForm, TermOrder, _KeyCache, ord_L_vec
 from .weyl import (
     DtOp,
     DtVec,
@@ -41,7 +36,6 @@ from .weyl import (
     accumulate,
     homogenize_vec,
     require_f_homogeneous,
-    t_power_times,
 )
 
 
@@ -267,14 +261,14 @@ class DivisionResult:
 
 class StandardBasis(_Divisors):
     """A monic, inter-autoreduced, S-pair-complete generating family of a
-    homogenized submodule of D[t]^r, valid for the weight forms in
-    ``context`` (an interior sample first, then any cone rays)."""
+    homogenized submodule of D[t]^r under ``order``: a standard basis for
+    the weight forms that refine it (``reduce_basis`` refines by one
+    interior sample of its cone)."""
 
-    def __init__(self, ring: RingDescriptor, elements, order: TermOrder, context):
+    def __init__(self, ring: RingDescriptor, elements, order: TermOrder):
         super().__init__(ring, elements, order)
         if not self.elements or any(h.is_zero() for h in self.elements):
             raise ZeroInputError("zero divisor element in a standard basis")
-        self.context = tuple(context)
         # the order decisions of the completion that made this basis, if
         # any: see order_cone
         self._trace = None
@@ -306,9 +300,10 @@ class StandardBasis(_Divisors):
     def __hash__(self):
         return hash(self.elements)
 
-    def divide(self, G: DtVec, *, verify: bool = True) -> DivisionResult:
-        """Division with full postcondition checks; the integer steps fold
-        into Fraction quotients here."""
+    def divide(self, G: DtVec, forms=()) -> DivisionResult:
+        """Division with full postcondition checks, among them the L-order
+        bound for each weight of the order and each of ``forms``; the
+        integer steps fold into Fraction quotients here."""
         require_f_homogeneous(G)
         flat = _flatten(G)
         c, rem, scale, steps = self._reduce(flat, True)
@@ -319,19 +314,18 @@ class StandardBasis(_Divisors):
             accumulate(quots[m], ((mu, Fraction(r.numerator * b, r.denominator * s)),))
         qops = [DtOp(self.ring, q) for q in quots]
         rem = _rational(rem, c / scale)
-        res = DivisionResult(qops, _unflatten(rem, self.ring, True), G, self)
-        if verify:
-            self._verify_division(G, qops, rem, flat)
-        return res
+        self._verify_division(G, qops, rem, flat, self.order.weights + tuple(forms))
+        return DivisionResult(qops, _unflatten(rem, self.ring, True), G, self)
 
-    def _verify_division(self, G, qops, rem, flat):
+    def _verify_division(self, G, qops, rem, flat, forms):
         acc = dict(rem)
         prods = []
         for a, u, hf in zip(qops, *self._ints):
             prod = {}
             for mu, c in a.terms.items():
                 _term_times_flat(mu, c * u, hf, True, prod)
-            prods.append(prod)
+            if prod:
+                prods.append(prod)
             accumulate(acc, prod.items())
         if acc != flat:
             raise DfanError("division recomposition failed")
@@ -341,74 +335,34 @@ class StandardBasis(_Divisors):
         if flat:
             gexp = self._keyf(max(flat, key=self._keyf))
             for prod in prods:
-                if prod and self._keyf(max(prod, key=self._keyf)) > gexp:
+                if self._keyf(max(prod, key=self._keyf)) > gexp:
                     raise DfanError("quotient product exceeds exp of the input")
         for a in qops:
             if not a.is_zero():
                 require_f_homogeneous(a)
-        for L in self.context:
+        for L in forms:
             bound = ord_L_vec(G, L)
-            for a, h in zip(qops, self.elements):
-                if a.is_zero():
-                    continue
-                w = ord_L_vec(h.left_mul(a), L)
-                if w > bound:
-                    raise DfanError(
-                        f"L-order bound violated for context form {L}"
-                    )
-
-    def member_h(self, G: DtVec) -> bool:
-        """Membership of an F-homogeneous element in the homogenized
-        module spanned by this basis."""
-        return self.divide(G, verify=False).remainder.is_zero()
+            offs = [L.of(n) for n in self.ring.shifts]
+            for prod in prods:
+                if max(L.weight(a, b) + offs[i] for a, b, _, i in prod) > bound:
+                    raise DfanError(f"L-order bound violated for form {L}")
 
     def member(self, Q: WeylVec, l_max: int | None = None):
         """Bounded t-power membership search for Q in the dehomogenized
         module: yes(l) for the least l <= l_max with t^l h(Q) in the span,
-        else an explicitly inconclusive verdict."""
+        else an explicitly inconclusive verdict.  Each power is decided by
+        the integer division's remainder alone."""
         if Q.is_zero():
             raise ZeroInputError("membership of the zero vector is trivial")
         if l_max is None:
             gen_deg = max(h.total_degree() for h in self.elements)
             l_max = 2 * (gen_deg + Q.total_degree())
-        hq = homogenize_vec(Q)
+        flat = _flatten(homogenize_vec(Q))
         for l in range(l_max + 1):
-            if self.member_h(t_power_times(hq, l)):
+            shifted = {(a, b, t + l, i): c for (a, b, t, i), c in flat.items()}
+            if not self._reduce(shifted, True)[1]:
                 return MembershipResult(True, l, l_max)
         return MembershipResult(False, None, l_max)
-
-    def gr_generators(self, L: LinearForm):
-        """Principal symbols and weights of the basis elements: generators
-        of the graded module at L; requires L in the context cone."""
-        if not self._context_contains(L):
-            raise WeightError(f"{L} is outside the basis context")
-        out = []
-        for h in self.elements:
-            d = ord_L_vec(h, L)
-            out.append((symbol_L(h, L, d), d))
-        return out
-
-    def _context_contains(self, L: LinearForm) -> bool:
-        if any(L == form for form in self.context):
-            return True
-        # nonnegative combination of the context forms
-        from ._linalg import _phase1_simplex
-
-        k = self.ring.k
-        cols = [form.coeffs for form in self.context]
-        if not cols:
-            return False
-        rows = []
-        b = []
-        for idx in range(k):
-            row = [Fraction(c[idx]) for c in cols]
-            rhs = Fraction(L.coeffs[idx])
-            if rhs < 0:
-                row = [-x for x in row]
-                rhs = -rhs
-            rows.append(row)
-            b.append(rhs)
-        return _phase1_simplex(rows, b) is not None
 
 
 @dataclass
@@ -566,12 +520,12 @@ def _autoreduce(basis, exps, keyf, emit_t):
     )
 
 
-def _completed(cls, ring, done, dt, *args):
+def _completed(cls, ring, done, dt, order):
     """A ``cls`` basis of the completion's elements made monic."""
     flats, exps = zip(*done)
     units = [Fraction(1, f[e]) for f, e in done]
     elements = [_unflatten(_rational(f, u), ring, dt) for f, u in zip(flats, units)]
-    out = cls(ring, elements, *args)
+    out = cls(ring, elements, order)
     out._ints, out._exps = (units, flats), list(exps)
     return out
 
@@ -587,9 +541,7 @@ def reduce_basis(generators, sample: LinearForm) -> StandardBasis:
     order = TermOrder().refine(sample)
     keyf = _KeyCache(order, ring.shifts, trace=True)
     flats = [primitive_part(_flatten(homogenize_vec(g)))[2] for g in gens]
-    out = _completed(
-        StandardBasis, ring, _buchberger(flats, keyf, True), True, order, (sample,)
-    )
+    out = _completed(StandardBasis, ring, _buchberger(flats, keyf, True), True, order)
     out._trace = keyf
     return out
 
@@ -602,7 +554,7 @@ def recheck_basis(basis: StandardBasis, sample: LinearForm) -> StandardBasis | N
     divides to zero under the new order (Buchberger's criterion).  A cap
     tripped on the way gives None."""
     order = TermOrder().refine(sample)
-    out = StandardBasis(basis.ring, basis.elements, order, (sample,))
+    out = StandardBasis(basis.ring, basis.elements, order)
     out._ints = basis._ints
     if out.exponents != basis.exponents:
         return None
@@ -641,4 +593,4 @@ class PlainBasis(_Divisors):
         return _unflatten(_rational(rem, c / scale), self.ring, False)
 
     def member(self, G: WeylVec) -> bool:
-        return self.normal_form(G).is_zero()
+        return not self._reduce(_flatten(G), False)[1]

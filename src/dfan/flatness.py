@@ -51,6 +51,9 @@ from .weyl import (
     t_power_times,
 )
 
+# Most steps of one monomial_filtration chain.
+MAX_CHAIN_STEPS = 10_000
+
 # ---------------------------------------------------------------------------
 # monomial ideals of Q[W]
 
@@ -178,18 +181,21 @@ def monomial_filtration(H: MonomialIdeal) -> FiltrationChain:
     generator-degree box) whose colon is a coordinate ideal.  Capping at
     the box loses nothing: colons are constant beyond it.  Raises
     ResourceBoundExceeded before a step whose box holds more than
-    MAX_BOX_POINTS points."""
+    MAX_BOX_POINTS points, and before step MAX_CHAIN_STEPS + 1."""
     if H.is_unit():
         return FiltrationChain(H, ())
     steps = []
     h = H
     from itertools import product
 
-    guard = 0
     while not h.is_unit():
-        guard += 1
-        if guard > 10_000:
-            raise DfanError("runaway filtration chain")
+        if len(steps) >= MAX_CHAIN_STEPS:
+            raise ResourceBoundExceeded(
+                f"the filtration chain exceeded {MAX_CHAIN_STEPS} steps",
+                cap="MAX_CHAIN_STEPS",
+                limit=MAX_CHAIN_STEPS,
+                observed=len(steps) + 1,
+            )
         box = tuple(
             max((g[i] for g in h.gens), default=0) for i in range(h.k)
         )
@@ -511,8 +517,9 @@ def flat_decompose(
     ``parts`` is the given decomposition Q = sum Q_i with each Q_i in the
     cone filtration at s - C_i (frame order, ideal coordinates first);
     ``basis`` is a simultaneous standard basis valid on a fan cone whose
-    closure contains the cone.  When ``fan_cone`` is supplied, that
-    hypothesis is checked up front."""
+    closure contains the cone; its division checks the L-order bound for
+    its order's weight and for every row form of the cone.  When
+    ``fan_cone`` is supplied, that hypothesis is checked up front."""
     ring = Q.ring
     if Q.is_zero():
         raise ZeroInputError("nothing to decompose")
@@ -539,21 +546,14 @@ def flat_decompose(
         raise CertificateError(
             f"module membership of the input is inconclusive up to t^{mem.l_max}"
         )
-    # extend the division context with the cone rows so the L-order bounds
-    # are machine-checked for every ray
+    # the L-order bounds of the division are machine-checked for every ray
     row_forms = [LinearForm(r) for r in frame.rows]
-    work_basis = StandardBasis(
-        ring,
-        basis.elements,
-        basis.order,
-        tuple(basis.context) + tuple(row_forms),
-    )
     dq = Q.order()
     degs = [part.order() for part in parts if not part.is_zero()]
     big = max([dq + mem.l, *degs]) if degs else dq + mem.l
     ell = big - dq
     G = t_power_times(homogenize_vec(Q), ell)
-    division = work_basis.divide(G)
+    division = basis.divide(G, row_forms)
     if not division.remainder.is_zero():
         raise CertificateError(
             "division leaves a remainder: the basis does not span the module"
@@ -564,7 +564,7 @@ def flat_decompose(
         raise CertificateError("input exceeds the stated filtration degree")
     splits = []
     r_pieces = [DtVec.zero(ring) for _ in range(p)]
-    for m, (a_m, h_m) in enumerate(zip(division.quotients, work_basis.elements)):
+    for m, (a_m, h_m) in enumerate(zip(division.quotients, basis.elements)):
         if a_m.is_zero():
             continue
         d1m = ord_L_vec(h_m, L1)
@@ -574,7 +574,7 @@ def flat_decompose(
             raise CertificateError(f"quotient {m} breaks the order bound: {exc}")
         if top.is_zero():
             continue
-        exp = work_basis.exponents[m]
+        exp = basis.exponents[m]
         w_m = multi_weight((exp[0], exp[1], exp[2]), exp[3], ring.shifts, ring.k)
         for key, coef in sorted(top.terms.items()):
             delta = tuple(

@@ -43,22 +43,6 @@ class ProblemFile:
     l_max: int | None = None
     order_name: str | None = None
 
-    def __eq__(self, other):
-        if not isinstance(other, ProblemFile):
-            return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.generators == other.generators
-            and self.target == other.target
-            and self.cone == other.cone
-            and self.weight == other.weight
-            and self.ideal == other.ideal
-            and self.s == other.s
-            and self.degree_bound == other.degree_bound
-            and self.l_max == other.l_max
-            and self.order_name == other.order_name
-        )
-
 
 _ROW = r"\[[^\[\]]*\]"
 _MATRIX = re.compile(rf"\[\s*{_ROW}(?:\s*,\s*{_ROW})*\s*\]")

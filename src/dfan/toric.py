@@ -84,11 +84,6 @@ class BasicCone:
         return f"BasicCone({list(map(list, self.rows))})"
 
 
-def make_basic_cone(rows) -> BasicCone:
-    """Validate and orient k integer forms into a basic cone."""
-    return BasicCone(rows)
-
-
 def orthant_cone(k: int) -> BasicCone:
     return BasicCone(tuple(tuple(1 if j == i else 0 for j in range(k)) for i in range(k)))
 
@@ -155,7 +150,7 @@ def refine_to_basic(rays) -> tuple[BasicCone, ...]:
     if d == 0:
         raise ConeError("rays are linearly dependent")
     if d == 1:
-        return (BasicCone(_orient(rays)),)
+        return (BasicCone(rays),)
     # candidate subdivision points: nonzero lattice points of the half-open
     # fundamental parallelepiped, lexicographically smallest primitive first
     candidates = set()
@@ -199,10 +194,3 @@ def refine_to_basic(rays) -> tuple[BasicCone, ...]:
                 out.extend(refine_to_basic(sub))
             return tuple(out)
     raise ConeError("stellar refinement failed to reduce the determinant")
-
-
-def _orient(rays):
-    rows = tuple(tuple(r) for r in rays)
-    if _det(rows) == -1 and len(rows) >= 2:
-        rows = rows[:-2] + (rows[-1], rows[-2])
-    return rows

@@ -357,7 +357,6 @@ def test_criterion_9_main_theorem_certifier():
         ring,
         reduce_basis([parse_vec("d1 d2", ring)], LinearForm((1, 1))).elements,
         cone.basis.order,
-        cone.basis.context,
     )
     for elt, parts in zip(oracle.elements, oracle.part_assignments):
         with pytest.raises(DfanError):

@@ -27,13 +27,13 @@ from dfan.basis import (
     reduce_basis,
 )
 from dfan.errors import (
+    DfanError,
     HomogeneityError,
     ResourceBoundExceeded,
-    WeightError,
     ZeroInputError,
 )
 from dfan.grammar import format_vec, parse_dt_op, parse_dt_vec, parse_op, parse_vec
-from dfan.weights import LinearForm, ord_L_vec
+from dfan.weights import LinearForm, ord_L_vec, symbol_L
 from dfan.weyl import (
     DtOp,
     DtVec,
@@ -42,8 +42,16 @@ from dfan.weyl import (
     WeylVec,
     dehomogenize,
     homogenize_vec,
+    t_power_times,
 )
-from conftest import fan_modules, random_nonzero_op, random_vec, ref_mul_terms
+from conftest import (
+    COEFFICIENTS,
+    fan_modules,
+    monomials,
+    random_nonzero_op,
+    random_vec,
+    ref_mul_terms,
+)
 
 R2 = RingDescriptor(2, 2, 1)
 RV = RingDescriptor(2, 2, 2, [[0, 0], [1, 0]])
@@ -150,7 +158,7 @@ def test_zero_divisor_rejected_at_construction():
 
     L = LinearForm((1, 1))
     with pytest.raises(ZeroInputError):
-        StandardBasis(R2, [DtVec.zero(R2)], TermOrder().refine(L), (L,))
+        StandardBasis(R2, [DtVec.zero(R2)], TermOrder().refine(L))
 
 
 def test_member_rejects_zero_query():
@@ -220,7 +228,7 @@ def test_generators_reduce_to_zero():
     gens = [parse_vec("d1 + x1 d2^2", R2), parse_vec("d2", R2)]
     b = reduce_basis(gens, LinearForm((1, 1)))
     for g in gens:
-        assert b.member_h(homogenize_vec(g))
+        assert b.divide(homogenize_vec(g)).remainder.is_zero()
 
 
 def test_autoreduced_staircase():
@@ -252,15 +260,15 @@ def test_permutation_independence(rng):
     assert b1.elements == b2.elements
 
 
-def test_member_h_examples():
+def test_homogenized_division_examples():
     gens = [parse_vec("d1 + x1 d2^2", R2), parse_vec("d2", R2)]
     b = reduce_basis(gens, LinearForm((1, 1)))
     H1 = b.elements[0]
-    assert b.member_h(H1)
+    assert b.divide(H1).remainder.is_zero()
     x1 = parse_dt_op("x1", R2)
-    assert b.member_h(type(H1)(R2, tuple(x1 * c for c in H1.components)))
+    assert b.divide(type(H1)(R2, tuple(x1 * c for c in H1.components))).remainder.is_zero()
     b2 = basis_of(["d1"])
-    assert not b2.member_h(parse_dt_vec("1", R2))
+    assert not b2.divide(parse_dt_vec("1", R2)).remainder.is_zero()
 
 
 def test_member_examples():
@@ -283,7 +291,7 @@ def test_member_needs_positive_t_power():
     Q = parse_vec("x1^2 d1", R2)
     res = b.member(Q)
     assert res.is_member and res.l == 1
-    assert not b.member_h(homogenize_vec(Q))
+    assert not b.divide(homogenize_vec(Q)).remainder.is_zero()
 
 
 def test_divide_by_non_monic_basis():
@@ -292,33 +300,45 @@ def test_divide_by_non_monic_basis():
 
     L = LinearForm((1, 1))
     scaled = homogenize_vec(parse_vec("2 x1 d1 + 2 x2 d2", R2))
-    basis = StandardBasis(R2, [scaled], TermOrder().refine(L), (L,))
+    basis = StandardBasis(R2, [scaled], TermOrder().refine(L))
     G = homogenize_vec(parse_vec("x1 d1 + x2 d2", R2))
     res = basis.divide(G)
     assert res.remainder.is_zero()
     assert res.quotients[0] == parse_dt_op("1/2", R2)
 
 
+def test_divide_checks_the_order_bound_of_passed_forms():
+    # d1 t divides by h = d1 t + d2^2 with quotient 1 and remainder -d2^2:
+    # under (0, 1) the product 1 * h has order 2, above the input's 0
+    b = basis_of(["d1 + d2^2"], (1, 0))
+    G = parse_dt_vec("d1 t", R2)
+    assert b.divide(G).quotients[0] == parse_dt_op("1", R2)
+    assert b.divide(G, [LinearForm((2, 1))]).remainder == parse_dt_vec("-d2^2", R2)
+    with pytest.raises(DfanError, match="L-order bound violated"):
+        b.divide(G, [LinearForm((0, 1))])
+
+
 def test_gr_generators():
+    # the principal symbols of the basis elements at the order's weight
+    # generate the graded module
     b = basis_of(["x1 d1 + x2 d2"])
-    [(sigma, d)] = b.gr_generators(LinearForm((1, 1)))
-    assert d == 0
-    assert sigma == b.elements[0]
+    [h] = b.elements
+    assert ord_L_vec(h, LinearForm((1, 1))) == 0
+    assert symbol_L(h, LinearForm((1, 1)), 0) == h
 
     b2 = basis_of(["d1 + x1 d2^2"], (1, 0))
-    [(sigma2, d2)] = b2.gr_generators(LinearForm((1, 0)))
-    assert d2 == 1
+    [h2] = b2.elements
+    assert ord_L_vec(h2, LinearForm((1, 0))) == 1
+    sigma2 = symbol_L(h2, LinearForm((1, 0)), 1)
     assert dehomogenize(sigma2) == parse_vec("d1", R2)
-    assert not sigma2.is_zero()
-    with pytest.raises(WeightError):
-        b2.gr_generators(LinearForm((0, 1)))
 
 
 def test_gr_generators_dehomogenize_to_module_generators():
     # setting t = 1 in the symbols gives generators of the graded module
+    L = LinearForm((2, 1))
     b = basis_of(["d1 + x1 d2^2"], (2, 1))
-    for sigma, d in b.gr_generators(LinearForm((2, 1))):
-        assert not dehomogenize(sigma).is_zero()
+    for h in b.elements:
+        assert not dehomogenize(symbol_L(h, L, ord_L_vec(h, L))).is_zero()
 
 
 def test_plain_module_basis_membership():
@@ -757,7 +777,7 @@ def test_integer_completion_matches_the_fraction_reference(data):
     # divide by the basis and by a rescaled copy (negative and non-unit
     # leaders, rational contents), in both orders of the same weight
     scaled = StandardBasis(
-        ring, [h.scale(data.draw(SCALES)) for h in b.elements], b.order, (L,)
+        ring, [h.scale(data.draw(SCALES)) for h in b.elements], b.order
     )
     for G in map(homogenize_vec, data.draw(fan_modules().filter(
         lambda gs: gs[0].ring == ring
@@ -800,3 +820,45 @@ def test_plain_normal_form_matches_the_fraction_reference(data):
     assert capped(integer_normal_form, generators, G) == capped(
         fraction_normal_form, generators, G
     )
+
+
+def reference_member(basis, Q, l_max):
+    """The least l <= l_max at which t^l h(Q) divides to a zero remainder
+    through the Fraction quotients of ``divide``."""
+    hq = homogenize_vec(Q)
+    for l in range(l_max + 1):
+        if basis.divide(t_power_times(hq, l)).remainder.is_zero():
+            return True, l
+    return False, None
+
+
+def integer_member(basis, Q, l_max):
+    res = basis.member(Q, l_max)
+    return res.is_member, res.l
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_member_matches_the_division_and_normal_form_routes(data):
+    generators = data.draw(fan_modules())
+    ring = generators[0].ring
+    g = generators[0]
+    mult = WeylOp(ring, data.draw(st.dictionaries(
+        monomials(ring.n, 2), COEFFICIENTS.map(Fraction), min_size=1, max_size=2
+    )))
+    queries = [g, WeylVec(ring, tuple(mult * c for c in g.components))]
+    queries += data.draw(fan_modules().filter(lambda gs: gs[0].ring == ring))
+    L = LinearForm(data.draw(st.tuples(*[st.integers(0, 4)] * ring.k)))
+    l_max = data.draw(st.integers(0, 3))
+    b = capped(reduce_basis, generators, L)
+    if not isinstance(b, str):
+        for Q in queries:
+            assert capped(integer_member, b, Q, l_max) == capped(
+                reference_member, b, Q, l_max
+            )
+    plain = capped(plain_module_basis, generators)
+    if not isinstance(plain, str):
+        for Q in queries:
+            assert capped(plain.member, Q) == capped(
+                lambda G: plain.normal_form(G).is_zero(), Q
+            )

@@ -301,11 +301,14 @@ def test_degree_slack_sets_the_cap_a_looping_division_reports(tmp_path, monkeypa
         (flatness, "MAX_BOX_POINTS", 100,
          ["monomial-chain", "--ideal", "W1^20 W2^20 W3^20", "--k", "3"], 100, 21**3),
         (weyl, "MAX_MULTIPLIERS", 10, ["flat-cert", "euler.txt"], 10, 210),
+        # the chain of W1^3, W2^3 takes 9 steps
+        (flatness, "MAX_CHAIN_STEPS", 2,
+         ["monomial-chain", "--ideal", "W1^3, W2^3", "--k", "2"], 2, 3),
     ],
     ids=[
         "STEP_CAP", "REDUCTION_ROUNDS", "DEGREE_SLACK", "MAX_K", "MAX_NORMALS",
         "MAX_CELLS", "toric.MAX_BOX_POINTS", "flatness.MAX_BOX_POINTS",
-        "MAX_MULTIPLIERS",
+        "MAX_MULTIPLIERS", "MAX_CHAIN_STEPS",
     ],
 )
 def test_cap_error_carries_its_cap_limit_and_observed_value(

@@ -22,7 +22,7 @@ from dfan.fan import (
     standard_fan,
 )
 from dfan.grammar import parse_vec
-from dfan.weights import LinearForm, TermOrder
+from dfan.weights import LinearForm, TermOrder, ord_L_vec, symbol_L
 from dfan.weyl import RingDescriptor, homogenize_vec
 from conftest import fan_modules
 
@@ -152,8 +152,8 @@ def test_grid_oracle_small():
 
 def test_simultaneity_of_cone_basis(three_cone_fan):
     # a basis stored on a cone stays a standard basis for every interior
-    # weight: same privileged exponents, and the graded-symbol supports of
-    # gr_generators agree (the weights themselves vary linearly in L)
+    # weight: same privileged exponents, and the principal symbols of its
+    # elements agree (their weights themselves vary linearly in L)
     gens = list(three_cone_fan.generators)
     rng = random.Random(17)
     for cone in three_cone_fan.cones:
@@ -166,14 +166,8 @@ def test_simultaneity_of_cone_basis(three_cone_fan):
         for L in samples:
             b = reduce_basis(gens, L)
             assert b.exponents == cone.basis.exponents
-            ctx_basis = type(cone.basis)(
-                cone.basis.ring,
-                cone.basis.elements,
-                cone.basis.order,
-                (L,),
-            )
             sigmas = tuple(
-                sigma for sigma, _ in ctx_basis.gr_generators(L)
+                symbol_L(h, L, ord_L_vec(h, L)) for h in cone.basis.elements
             )
             if reference is None:
                 reference = sigmas
@@ -449,7 +443,7 @@ def fan_summary(normals, cones, cell_map):
         [
             (
                 c.equalities, c.stricts, c.sample, c.basis.elements,
-                c.basis.order, c.basis.context, c.strata,
+                c.basis.order, c.strata,
             )
             for c in cones
         ],
@@ -546,7 +540,7 @@ def test_order_cone_of_a_tie_break():
     # a basis not made by a completion has no trace
     L = LinearForm((1, 1))
     h = homogenize_vec(gens[0])
-    assert StandardBasis(R2, [h], TermOrder().refine(L), (L,)).order_cone is None
+    assert StandardBasis(R2, [h], TermOrder().refine(L)).order_cone is None
 
 
 @pytest.mark.parametrize(
@@ -612,9 +606,7 @@ def test_recheck_basis_certifies_within_a_cone(three_cone_fan):
         L = LinearForm(cone.sample)
         fresh = reduce_basis(gens, L)
         again = recheck_basis(cone.basis, L)
-        assert (again.elements, again.order, again.context) == (
-            fresh.elements, fresh.order, fresh.context,
-        )
+        assert (again.elements, again.order) == (fresh.elements, fresh.order)
 
 
 def test_recheck_basis_rejects_adjacent_cones(three_cone_fan):
@@ -641,7 +633,7 @@ def test_recheck_basis_rejects_non_standard_generators():
     L = LinearForm((1, 1))
     order = TermOrder().refine(L)
     elements = [homogenize_vec(parse_vec(t, R2)) for t in ("x1", "d1")]
-    basis = StandardBasis(R2, elements, order, (L,))
+    basis = StandardBasis(R2, elements, order)
     assert recheck_basis(basis, L) is None
 
 

@@ -15,7 +15,7 @@ from dfan.filtration import (
     normalize_rays,
 )
 from dfan.grammar import parse_dt_vec, parse_op, parse_vec
-from dfan.toric import make_basic_cone
+from dfan.toric import BasicCone
 from dfan.weights import LinearForm
 from dfan.weyl import RingDescriptor, WeylVec
 from conftest import random_nonzero_op, random_vec, unimodular_rows
@@ -82,7 +82,7 @@ def membership_cases(draw):
     k = draw(st.integers(1, 3))
     vec = lambda lo, hi: st.tuples(*[st.integers(lo, hi)] * k)
     rays = st.lists(vec(0, 3).filter(any), min_size=1, max_size=3)
-    gamma = draw(unimodular_rows(k).map(make_basic_cone) | rays)
+    gamma = draw(unimodular_rows(k).map(BasicCone) | rays)
     return k, gamma, draw(vec(-3, 3)), draw(vec(0, 1)), draw(st.integers(0, 2**32))
 
 

@@ -21,7 +21,7 @@ from dfan.rees import (
     to_A,
     _witness_search,
 )
-from dfan.toric import make_basic_cone, orthant_cone
+from dfan.toric import BasicCone, orthant_cone
 from dfan.weyl import RingDescriptor, WeylOp, WeylVec, monomial_multiples
 from conftest import (
     random_nonzero_op,
@@ -39,7 +39,7 @@ def test_rees_element_validates_filtration():
     with pytest.raises(GradingError):
         ReesElement(parse_op("x1^2 d1", R1), (-2,))
     # cone context admits more
-    gamma = make_basic_cone([(1, 0), (1, 1)])
+    gamma = BasicCone([(1, 0), (1, 1)])
     ReesElement(parse_op("x1 d2", R2), (0, 0), gamma)
     with pytest.raises(GradingError):
         ReesElement(parse_op("d2", R2), (0, 0), gamma)
@@ -166,7 +166,7 @@ def test_fiber_with_cone_refinement():
     # the cone-coarsened filtration admits a witness the plain one cannot
     gens = [parse_vec("1 + x2^2 d1", R2)]
     assert fiber_V_zero_test(gens, bound=4).verdict == "inconclusive"
-    gamma = make_basic_cone([(1, 1), (0, 1)])
+    gamma = BasicCone([(1, 1), (0, 1)])
     res = fiber_V_zero_test(gens, gamma=gamma)
     assert res.verdict == "zero"
     assert res.witnesses[0][1] == gens[0]
@@ -206,7 +206,7 @@ def test_gamma_fiber_reduce_negative_degree():
 
 
 def test_gamma_fiber_reduce_mixed():
-    gamma = make_basic_cone([(1, 0), (1, 1)])
+    gamma = BasicCone([(1, 0), (1, 1)])
     # W-exponent of a term at degree s: L(s - delta) rowwise
     e = ReesElement(parse_op("x1 d2 + d1 d2", R2), (1, 1), gamma)
     out = gamma_fiber_reduce(e)
@@ -324,7 +324,7 @@ def outcome(f, *args):
 @given(fiber_cases())
 def test_witness_search_matches_the_two_branch_reference(case):
     ring, rows, gens = case
-    gamma = make_basic_cone(rows)
+    gamma = BasicCone(rows)
     for unit in range(ring.r):
         assert _witness_search(gens, unit, 2, gamma) == ref_witness_search(
             gens, unit, 2, gamma
@@ -340,7 +340,7 @@ def test_witness_search_keeps_its_witness_under_the_reference_enumerator(case, b
     # the witness is the particular solution over the product columns in
     # their enumeration order, so any change of order or of product shows
     ring, rows, gens = case
-    gamma = make_basic_cone(rows)
+    gamma = BasicCone(rows)
     for unit in range(ring.r):
         got = _witness_search(gens, unit, bound, gamma)
         with mock.patch.object(rees, "monomial_multiples", uncapped_monomial_multiples):
@@ -365,7 +365,7 @@ def test_plain_fiber_test_is_the_orthant_case(case):
 @given(fiber_cases(), st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
 def test_gamma_fiber_reduce_matches_the_row_product(case, s):
     ring, rows, gens = case
-    gamma = make_basic_cone(rows)
+    gamma = BasicCone(rows)
     s = s[: ring.k]
     for g in gens:
         if in_V_gamma(g, s, gamma):

@@ -11,7 +11,6 @@ from dfan.toric import (
     _inverse_unimodular,
     _solve_membership,
     dual_membership,
-    make_basic_cone,
     orthant_cone,
     refine_to_basic,
     u_to_w,
@@ -27,49 +26,49 @@ def test_orthant_is_identity():
 
 
 def test_two_by_two_inverse():
-    c = make_basic_cone([(1, 0), (1, 1)])
+    c = BasicCone([(1, 0), (1, 1)])
     assert c.inverse == ((1, 0), (-1, 1))
     assert c.columns == ((1, -1), (0, 1))
 
 
 def test_det_one_after_reordering():
-    c = make_basic_cone([(1, 1), (1, 0)])  # det -1 as given
+    c = BasicCone([(1, 1), (1, 0)])  # det -1 as given
     assert c.rows == ((1, 0), (1, 1))
 
 
 def test_second_example():
-    c = make_basic_cone([(1, 2), (1, 3)])
+    c = BasicCone([(1, 2), (1, 3)])
     assert c.columns == ((3, -1), (-2, 1))
 
 
 def test_not_basic_rejected():
     with pytest.raises(ConeError, match="not basic"):
-        make_basic_cone([(1, 0), (1, 2)])
+        BasicCone([(1, 0), (1, 2)])
     with pytest.raises(ConeError):
-        make_basic_cone([(1, -1), (0, 1)])
+        BasicCone([(1, -1), (0, 1)])
 
 
 def test_dual_membership_examples():
     orth = orthant_cone(2)
     assert dual_membership((0, 0), orth)
     assert not dual_membership((1, -1), orth)
-    c = make_basic_cone([(1, 0), (1, 1)])
+    c = BasicCone([(1, 0), (1, 1)])
     assert dual_membership((1, -1), c)
 
 
 def test_w_u_maps():
     orth = orthant_cone(2)
     assert w_to_u((3, 5), orth) == (3, 5)
-    c = make_basic_cone([(1, 0), (1, 1)])
+    c = BasicCone([(1, 0), (1, 1)])
     assert w_to_u((1, 0), c) == (1, -1)
 
 
 def test_w_u_inverse(rng):
     cones = [
         orthant_cone(2),
-        make_basic_cone([(1, 0), (1, 1)]),
-        make_basic_cone([(1, 2), (1, 3)]),
-        make_basic_cone([(2, 1), (1, 1)]),
+        BasicCone([(1, 0), (1, 1)]),
+        BasicCone([(1, 2), (1, 3)]),
+        BasicCone([(2, 1), (1, 1)]),
     ]
     for c in cones:
         for _ in range(20):
@@ -90,21 +89,21 @@ def in_monoid(a, columns, bound=41):
 
 def test_dual_monoid_generated_by_columns():
     for rows in [[(1, 0), (0, 1)], [(1, 0), (1, 1)], [(1, 2), (1, 3)]]:
-        c = make_basic_cone(rows)
+        c = BasicCone(rows)
         for a in product(range(-5, 6), repeat=2):
             assert dual_membership(a, c) == in_monoid(a, c.columns)
 
 
 def test_dual_cone_strictly_convex():
     for rows in [[(1, 0), (0, 1)], [(1, 2), (1, 3)], [(2, 1), (1, 1)]]:
-        c = make_basic_cone(rows)
+        c = BasicCone(rows)
         for col in c.columns:
             neg = tuple(-x for x in col)
             assert not (dual_membership(col, c) and dual_membership(neg, c))
 
 
 def test_nonzero_dual_points_have_positive_form():
-    c = make_basic_cone([(1, 2), (1, 3)])
+    c = BasicCone([(1, 2), (1, 3)])
     for a in product(range(-5, 6), repeat=2):
         if a == (0, 0) or not dual_membership(a, c):
             continue

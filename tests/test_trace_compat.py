@@ -24,6 +24,14 @@ COMMANDS = [
     ["normalize-syzygy", "--input", str(PROBLEMS / "syzygy1.txt")],
     ["flat-cert", "--input", str(PROBLEMS / "euler.txt"), "--degree-bound", "2"],
     ["fan", "--input", str(PROBLEMS / "threecone.txt")],
+    # an explicit target: greedy parts, flat_decompose and member
+    ["flat-cert", "--input", str(PROBLEMS / "euler_target.txt")],
+]
+# a subcommand's first run is named by it, a later one by its problem too
+IDS = [
+    argv[0] if all(a[0] != argv[0] for a in COMMANDS[:i])
+    else f"{argv[0]}-{Path(argv[2]).stem}"
+    for i, argv in enumerate(COMMANDS)
 ]
 
 
@@ -42,7 +50,7 @@ def invoke(argv):
     return code, out.getvalue()
 
 
-@pytest.mark.parametrize("argv", COMMANDS, ids=[argv[0] for argv in COMMANDS])
+@pytest.mark.parametrize("argv", COMMANDS, ids=IDS)
 def test_traced_run_matches_plain_run(argv):
     plain = invoke(argv)
     tracer = load_tracer()
