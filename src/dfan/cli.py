@@ -19,7 +19,7 @@ import sys
 from . import __version__
 from .basis import reduce_basis
 from .errors import DfanError, ResourceBoundExceeded, SemanticError, SyntaxErrorWithPos
-from .fan import standard_fan
+from .fan import check_fan_k, standard_fan
 from .flatness import (
     MonomialIdeal,
     flat_decompose,
@@ -296,9 +296,22 @@ def _cmd_flat_cert(args):
     )
     l_max = args.l_max if args.l_max is not None else problem.l_max
     bounds = {"degree_bound": bound, "l_max": l_max}
-    fan = standard_fan(list(problem.generators))
+    check_fan_k(ring.k)
     interior = LinearForm(tuple(sum(col) for col in zip(*gamma.rows)))
-    fan_cone = fan.cone_of_weight(interior)
+
+    def certify(elements, part_assignments):
+        """One certificate per element, each dividing by the basis of the
+        standard fan's cone at the interior of Γ.  Only the verdicts that
+        carry certificates call this, so no other verdict builds the fan."""
+        fan_cone = standard_fan(list(problem.generators)).cone_of_weight(interior)
+        return [
+            flat_decompose(
+                elt, s, gamma, J, fan_cone.basis, parts,
+                fan_cone=fan_cone, l_max=l_max,
+            ).to_report()
+            for elt, parts in zip(elements, part_assignments)
+        ]
+
     if problem.target is not None:
         parts = greedy_parts(problem.target, s, gamma, J)
         if parts is None:
@@ -308,11 +321,7 @@ def _cmd_flat_cert(args):
                 {"reason": "a term of the target fits no ideal region"},
                 bounds,
             )
-        cert = flat_decompose(
-            problem.target, s, gamma, J, fan_cone.basis, parts,
-            fan_cone=fan_cone, l_max=l_max,
-        )
-        data = {"certificates": [cert.to_report()]}
+        data = {"certificates": certify([problem.target], [parts])}
         return _report("flat-cert", "certified", data, bounds)
     oracle = intersection_oracle(list(problem.generators), gamma, J, s, bound)
     if not oracle.equal:
@@ -322,12 +331,7 @@ def _cmd_flat_cert(args):
             "rhs_dim": oracle.rhs_dim,
         }
         return _report("flat-cert", "counterexample", data, bounds)
-    certs = []
-    for elt, parts in zip(oracle.elements, oracle.part_assignments):
-        cert = flat_decompose(
-            elt, s, gamma, J, fan_cone.basis, parts, fan_cone=fan_cone, l_max=l_max
-        )
-        certs.append(cert.to_report())
+    certs = certify(oracle.elements, oracle.part_assignments) if oracle.elements else []
     data = {
         "oracle": {
             "equal": True,

@@ -317,12 +317,8 @@ class _Regions:
         return self._cells[gens]
 
 
-def standard_fan(generators) -> Fan:
-    """Compute the partition of the closed quadrant for the module spanned
-    by ``generators``.  Raises ResourceBoundExceeded past k = MAX_K
-    filtered coordinates, MAX_NORMALS wall normals or MAX_CELLS cells."""
-    ring = generators[0].ring
-    k = ring.k
+def check_fan_k(k: int) -> None:
+    """Raise ResourceBoundExceeded past k = MAX_K filtered coordinates."""
     if k > MAX_K:
         raise ResourceBoundExceeded(
             f"fan construction is capped at k = {MAX_K} filtered coordinates "
@@ -331,6 +327,15 @@ def standard_fan(generators) -> Fan:
             limit=MAX_K,
             observed=k,
         )
+
+
+def standard_fan(generators) -> Fan:
+    """Compute the partition of the closed quadrant for the module spanned
+    by ``generators``.  Raises ResourceBoundExceeded past k = MAX_K
+    filtered coordinates, MAX_NORMALS wall normals or MAX_CELLS cells."""
+    ring = generators[0].ring
+    k = ring.k
+    check_fan_k(k)
     coord = tuple(
         tuple(1 if j == i else 0 for j in range(k)) for i in range(k)
     )

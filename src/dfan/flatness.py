@@ -691,14 +691,9 @@ def intersection_oracle(
         for g in generators
         for mult in monomial_multiples(g, prod_bound - g.total_degree())
     ]
-    keys = sorted(
-        {key + (i,) for col in columns for key, i, _ in col.iter_terms()}
-    )
+    keys = sorted({key for col in columns for key in col})
     key_index = {key: idx for idx, key in enumerate(keys)}
-    rows = [
-        {key_index[key + (i,)]: c for key, i, c in col.iter_terms()}
-        for col in columns
-    ]
+    rows = [{key_index[key]: c for key, c in col.items()} for col in columns]
 
     # per key, the regions it lies in; none when over the bound
     fits = [

@@ -189,27 +189,28 @@ def _witness_search(generators, unit: int, bound: int, gamma: BasicCone):
 
     for B in range(bound + 1):
         columns = [prod for g in generators for prod in monomial_multiples(g, B)]
-        col_vecs = [
-            {key + (i,): c for key, i, c in prod.iter_terms()} for prod in columns
-        ]
         keys = sorted(
-            {key for vec in col_vecs for key in vec if constrained(key)}
+            {key for col in columns for key in col if constrained(key)}
             | {unit_key}
         )
         key_index = {key: idx for idx, key in enumerate(keys)}
         rows = [{} for _ in keys]
-        for cidx, vec in enumerate(col_vecs):
-            for key, c in vec.items():
+        for cidx, col in enumerate(columns):
+            for key, c in col.items():
                 ridx = key_index.get(key)
                 if ridx is not None:
                     rows[ridx][cidx] = c
         rhs = [int(key == unit_key) for key in keys]
         sol = solve_affine(rows, rhs, len(columns))
         if sol is not None:
-            total = WeylVec.zero(ring)
-            for cidx, x in sorted(sol.items()):
-                total = total + columns[cidx].scale(x)
-            return total
+            total = accumulate({}, (
+                (key, x * c)
+                for cidx, x in sorted(sol.items())
+                for key, c in columns[cidx].items()
+            ))
+            return WeylVec.from_terms(
+                ring, ((key[:2], key[2], c) for key, c in total.items())
+            )
     return None
 
 

@@ -101,6 +101,9 @@ class LinearForm:
     def __repr__(self):
         return f"LinearForm({list(self.coeffs)})"
 
+    def __str__(self):
+        return f"[{', '.join(map(str, self.coeffs))}]"
+
 
 def ones_form(k: int) -> LinearForm:
     return LinearForm((1,) * k)

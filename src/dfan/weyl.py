@@ -398,8 +398,9 @@ def _d_times(terms: dict, e: tuple) -> dict:
 def monomial_multiples(g: WeylVec, room: int):
     """Yield the nonzero x^a d^b g with |a| + |b| <= room, (a, b) in
     ``itertools.product`` order, from d^b g = d_i (d^(b - e_i) g) built
-    once per b.  Raises ResourceBoundExceeded before the first product
-    when there are more than MAX_MULTIPLIERS exponent tuples."""
+    once per b.  Each product is a flat dict (alpha, beta, i) -> coef,
+    component-major.  Raises ResourceBoundExceeded before the first
+    product when there are more than MAX_MULTIPLIERS exponent tuples."""
     n = g.ring.n
     count = comb(room + 2 * n, 2 * n) if room >= 0 else 0
     if count > MAX_MULTIPLIERS:
@@ -417,10 +418,11 @@ def monomial_multiples(g: WeylVec, room: int):
                 i = max(j for j in range(n) if b[j])
                 e = tuple(int(j == i) for j in range(n))
                 d_powers[b] = [_d_times(t, e) for t in d_powers[tuple(map(sub, b, e))]]
-            yield WeylVec(g.ring, tuple(
-                WeylOp(g.ring, {(tuple(map(add, x, a)), y): c for (x, y), c in t.items()})
-                for t in d_powers[b]
-            ))
+            yield {
+                (tuple(map(add, x, a)), y, comp): c
+                for comp, t in enumerate(d_powers[b])
+                for (x, y), c in t.items()
+            }
 
 
 def homogenize(P: WeylOp) -> DtOp:

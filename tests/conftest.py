@@ -175,6 +175,12 @@ def ref_mul_terms(t1, c1, t2, c2, emit_t):
             yield (alpha, beta), c * mult
 
 
+def flat(v):
+    """The terms of a WeylVec as one dict (alpha, beta, i) -> coef, the
+    form in which monomial_multiples yields its products."""
+    return {key + (i,): c for key, i, c in v.iter_terms()}
+
+
 def uncapped_monomial_multiples(g, room):
     """Reference: monomial_multiples as it was before its size check, one
     full Weyl product per tuple of the filtered (room + 1)^(2n) box."""

@@ -314,8 +314,9 @@ def test_divide_checks_the_order_bound_of_passed_forms():
     G = parse_dt_vec("d1 t", R2)
     assert b.divide(G).quotients[0] == parse_dt_op("1", R2)
     assert b.divide(G, [LinearForm((2, 1))]).remainder == parse_dt_vec("-d2^2", R2)
-    with pytest.raises(DfanError, match="L-order bound violated"):
+    with pytest.raises(DfanError) as got:
         b.divide(G, [LinearForm((0, 1))])
+    assert str(got.value) == "L-order bound violated for form [0, 1]"
 
 
 def test_gr_generators():

@@ -151,6 +151,82 @@ def test_flat_cert_target_outside_ideal_piece(tmp_path):
     assert "not-in-ideal" in out
 
 
+COUNTEREXAMPLE_PROBLEM = """ring n=2 k=2 r=1
+gen: x1 d2 + d1
+cone = [[1, 1], [0, 1]]
+ideal = W1, W2
+s = [0, 1]
+degree_bound = 2
+"""
+
+
+@pytest.fixture
+def fan_builds(monkeypatch):
+    """The generators of every standard fan that flat-cert builds."""
+    builds = []
+
+    def spy(generators):
+        builds.append(generators)
+        return fan.standard_fan(generators)
+
+    monkeypatch.setattr(cli, "standard_fan", spy)
+    return builds
+
+
+@pytest.mark.parametrize(
+    "problem, flags, verdict, builds",
+    [
+        ("euler.txt", ["--degree-bound", "2"], "certified", 0),
+        ("counterexample.txt", [], "counterexample", 0),
+        ("euler.txt", [], "certified", 1),
+        ("euler_target.txt", [], "certified", 1),
+    ],
+    ids=["empty-intersection", "counterexample", "oracle", "target"],
+)
+def test_flat_cert_builds_the_fan_only_for_a_certificate(
+    tmp_path, fan_builds, problem, flags, verdict, builds
+):
+    (tmp_path / "counterexample.txt").write_text(COUNTEREXAMPLE_PROBLEM)
+    folder = tmp_path if problem == "counterexample.txt" else PROBLEMS
+    code, out, err = invoke(
+        ["flat-cert", "--input", str(folder / problem), "--json", *flags]
+    )
+    assert code == (1 if verdict == "counterexample" else 0), err
+    report = json.loads(out)
+    assert report["verdict"] == verdict
+    assert bool(report["data"].get("certificates")) == bool(builds)
+    assert len(fan_builds) == builds
+
+
+def test_flat_cert_meets_the_fan_caps_only_when_it_certifies(monkeypatch):
+    # the empty intersection at degree bound 2 reads no fan; the default
+    # run certifies, so its fan trips the cell cap
+    monkeypatch.setattr(fan, "MAX_CELLS", 1)
+    euler = ["flat-cert", "--input", str(PROBLEMS / "euler.txt")]
+    code, out, err = invoke(euler + ["--degree-bound", "2"])
+    assert code == 0, err
+    assert "lhs_dim: 0" in out
+    assert "exceeded 1 cells" in inconclusive_line(euler)
+
+
+def test_flat_cert_checks_the_fan_dimension_before_the_oracle(tmp_path, monkeypatch):
+    def oracle(*args):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(cli, "intersection_oracle", oracle)
+    problem = tmp_path / "k4.txt"
+    problem.write_text(
+        "ring n=4 k=4 r=1\ngen: x1 d1 + x4 d4\n"
+        "cone = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]\n"
+        "ideal = W1, W2\ns = [0, 0, 0, 0]\n"
+    )
+    err = inconclusive_line(["flat-cert", "--input", str(problem)])
+    assert err == (
+        "dfan: inconclusive: fan construction is capped at k = 3 filtered "
+        "coordinates (got 4)\n"
+    )
+
+
 def test_usage_error_on_missing_input():
     code, _, err = invoke(["gb"])
     assert code == 3

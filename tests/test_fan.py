@@ -11,6 +11,7 @@ from dfan._linalg import cone_interior_point, to_primitive_int
 from dfan.basis import StandardBasis, recheck_basis, reduce_basis
 from dfan.errors import ResourceBoundExceeded, WeightError
 from dfan.fan import (
+    Fan,
     FanCone,
     _basis_data,
     _canon,
@@ -76,6 +77,16 @@ def test_negative_weight_rejected(euler_fan):
 
     with pytest.raises(WeightError):
         euler_fan.cone_of_weight(Fake())
+
+
+def test_missing_cell_names_the_weight(euler_fan):
+    # an incomplete sign-pattern index: the message prints the form's
+    # coefficients, not its repr
+    f = euler_fan
+    hollow = Fan(f.ring, f.generators, f.normals, f.cones, {})
+    with pytest.raises(WeightError) as got:
+        hollow.cone_of_weight(LinearForm((Fraction(1, 2), 1)))
+    assert str(got.value) == "no cell for weight [1/2, 1] (fan incomplete)"
 
 
 def random_rational_weight(rng):

@@ -22,8 +22,9 @@ from dfan.rees import (
     _witness_search,
 )
 from dfan.toric import BasicCone, orthant_cone
-from dfan.weyl import RingDescriptor, WeylOp, WeylVec, monomial_multiples
+from dfan.weyl import RingDescriptor, WeylOp, WeylVec
 from conftest import (
+    flat,
     random_nonzero_op,
     random_vec,
     uncapped_monomial_multiples,
@@ -248,10 +249,10 @@ def ref_witness_search(generators, unit, bound, gamma=None):
         return all(dr == 0 for dr in drops)  # top stratum otherwise free
 
     for B in range(bound + 1):
-        columns = [prod for g in generators for prod in monomial_multiples(g, B)]
-        col_vecs = [
-            {key + (i,): c for key, i, c in prod.iter_terms()} for prod in columns
+        columns = [
+            prod for g in generators for prod in uncapped_monomial_multiples(g, B)
         ]
+        col_vecs = [flat(prod) for prod in columns]
         keys = sorted(
             {key for vec in col_vecs for key in vec if constrained(key)}
             | {unit_key}
@@ -334,6 +335,12 @@ def test_witness_search_matches_the_two_branch_reference(case):
         ) == ref_witness_search(gens, unit, 2)
 
 
+def flat_uncapped(g, room):
+    """The reference enumerator's Weyl products as the flat dicts that
+    monomial_multiples yields."""
+    return map(flat, uncapped_monomial_multiples(g, room))
+
+
 @settings(max_examples=30, deadline=None)
 @given(fiber_cases(), st.integers(0, 3))
 def test_witness_search_keeps_its_witness_under_the_reference_enumerator(case, bound):
@@ -343,7 +350,7 @@ def test_witness_search_keeps_its_witness_under_the_reference_enumerator(case, b
     gamma = BasicCone(rows)
     for unit in range(ring.r):
         got = _witness_search(gens, unit, bound, gamma)
-        with mock.patch.object(rees, "monomial_multiples", uncapped_monomial_multiples):
+        with mock.patch.object(rees, "monomial_multiples", flat_uncapped):
             assert _witness_search(gens, unit, bound, gamma) == got
 
 

@@ -38,6 +38,12 @@ def test_linear_form_nonnegative():
         LinearForm((-1, 0))
 
 
+def test_linear_form_prints_its_coefficients():
+    assert str(LinearForm((0, 1))) == "[0, 1]"
+    assert str(LinearForm((Fraction(1, 2), 2))) == "[1/2, 2]"
+    assert repr(LinearForm((0, 1))) == "LinearForm([Fraction(0, 1), Fraction(1, 1)])"
+
+
 def test_ord_general_lifted_form():
     L = LinearForm((1, 0))
     assert ord_general(parse_op("x1^2 d1", R2), L.lift(2)) == -1
