@@ -8,7 +8,10 @@ reduces the maximal remaining term against the first element of its
 component whose privileged exponent divides it (the least-index partition
 of the staircase), which pins the output uniquely.  Fractions remain at
 the edges: monic output, quotients folded from the integer steps, and
-remainders scaled back.  Polynomial coefficients replace convergent
+remainders scaled back.  The postconditions of a division read those
+Fraction quotients and remainder, not the steps, and check the identity
+on integers over one common denominator (the lcm of their denominators,
+with each element's content).  Polynomial coefficients replace convergent
 series at this scale; division by pathological bases whose tails climb in
 degree forever is cut off by the module constants STEP_CAP and
 DEGREE_SLACK, and an autoreduction that does not settle by
@@ -21,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import gcd
-from operator import ge, sub
+from math import gcd, lcm
+from operator import ge, mul, sub
 
 from ._linalg import primitive_part
 from .errors import DfanError, ResourceBoundExceeded, ZeroInputError
@@ -318,16 +321,32 @@ class StandardBasis(_Divisors):
         return DivisionResult(qops, _unflatten(rem, self.ring, True), G, self)
 
     def _verify_division(self, G, qops, rem, flat, forms):
-        acc = dict(rem)
+        """The postconditions of ``divide`` on the Fraction quotients and
+        remainder it returns, checked on integers: with D the lcm of the
+        denominators of each quotient coefficient times its element's
+        content and of the remainder, D G = D R + sum (D c u) mu h over
+        the primitive integer flats h."""
+        quots = [
+            [(mu, c * u) for mu, c in a.terms.items()]
+            for a, u in zip(qops, self._ints[0])
+        ]
+        D = lcm(
+            *(c.denominator for terms in quots for _, c in terms),
+            *(c.denominator for c in rem.values()),
+        )
+        acc = {key: c.numerator * (D // c.denominator) for key, c in rem.items()}
         prods = []
-        for a, u, hf in zip(qops, *self._ints):
+        for terms, hf in zip(quots, self._ints[1]):
             prod = {}
-            for mu, c in a.terms.items():
-                _term_times_flat(mu, c * u, hf, True, prod)
+            for mu, c in terms:
+                _term_times_flat(mu, c.numerator * (D // c.denominator), hf, True, prod)
             if prod:
                 prods.append(prod)
             accumulate(acc, prod.items())
-        if acc != flat:
+        # D G must be integral and equal to D R plus the products
+        if any(D % c.denominator for c in flat.values()) or acc != {
+            key: c.numerator * (D // c.denominator) for key, c in flat.items()
+        }:
             raise DfanError("division recomposition failed")
         for key in rem:
             if any(_divides(e, key) for e in self._exps):
@@ -341,10 +360,16 @@ class StandardBasis(_Divisors):
             if not a.is_zero():
                 require_f_homogeneous(a)
         for L in forms:
-            bound = ord_L_vec(G, L)
-            offs = [L.of(n) for n in self.ring.shifts]
+            # den * L-weights of flat keys, against den * the bound
+            bound = ord_L_vec(G, L) * L.den
+            ints = L.ints
+            offs = [sum(map(mul, ints, n)) for n in self.ring.shifts]
             for prod in prods:
-                if max(L.weight(a, b) + offs[i] for a, b, _, i in prod) > bound:
+                top = max(
+                    sum(map(mul, ints, b)) - sum(map(mul, ints, a)) + offs[i]
+                    for a, b, _, i in prod
+                )
+                if top > bound:
                     raise DfanError(f"L-order bound violated for form {L}")
 
     def member(self, Q: WeylVec, l_max: int | None = None):

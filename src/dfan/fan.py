@@ -89,7 +89,7 @@ def _basis_data(basis: StandardBasis, sample: LinearForm):
     normals = set()
     for h in basis.elements:
         wvs = _weight_vectors(h, k)
-        vals = {w: sample.of(w) for w in wvs}
+        vals = {w: sample.dot(w) for w in wvs}  # den * L(w)
         top = max(vals.values())
         stratum_ws = sorted(w for w, v in vals.items() if v == top)
         rest_ws = sorted(w for w, v in vals.items() if v != top)

@@ -4,11 +4,13 @@ A basic cone is given by k integer row forms L_1, ..., L_k with
 nonnegative entries and determinant 1 after reordering; the columns
 C_1, ..., C_k of the inverse matrix span the dual-cone monoid freely, and
 W_i = U^(C_i) are the toric coordinates.  Non-basic simplicial cones are
-refined into basic subcones by stellar subdivision."""
+refined into basic subcones by stellar subdivision, at points found by
+an integer scan through the signed adjugate and |det|."""
 
 from __future__ import annotations
 
-from fractions import Fraction
+from itertools import product
+from operator import mul
 
 from ._linalg import primitive
 from .errors import ConeError, ResourceBoundExceeded
@@ -28,12 +30,13 @@ def _det(rows):
     return total
 
 
-def _inverse_unimodular(rows):
-    """Exact inverse of a nonsingular integer matrix: integer entries when
-    the determinant is +-1, exact Fractions otherwise."""
+def _adjugate(rows):
+    """(A, |det M|) for a square integer matrix M, A the adjugate times the
+    sign of the determinant: M^-1 = A / |det M| when M is nonsingular."""
     k = len(rows)
     d = _det(rows)
-    inv = [[0] * k for _ in range(k)]
+    sign = 1 if d > 0 else -1
+    adj = [[0] * k for _ in range(k)]
     for i in range(k):
         for j in range(k):
             minor = [
@@ -41,9 +44,14 @@ def _inverse_unimodular(rows):
                 for a in range(k)
                 if a != j
             ]
-            cof = (-1) ** (i + j) * (_det(minor) if minor else 1)
-            inv[i][j] = cof // d if d in (1, -1) else Fraction(cof, d)
-    return tuple(tuple(r) for r in inv)
+            adj[i][j] = sign * (-1) ** (i + j) * (_det(minor) if minor else 1)
+    return tuple(tuple(r) for r in adj), abs(d)
+
+
+def _inverse_unimodular(rows):
+    """Exact inverse of an integer matrix with determinant +-1: its signed
+    adjugate."""
+    return _adjugate(rows)[0]
 
 
 class BasicCone:
@@ -125,36 +133,24 @@ def normalize_rays(rays):
     return tuple(out)
 
 
-def _solve_membership(inv, v):
-    """Barycentric coordinates of v in the simplicial cone whose rays (rows
-    as points) form the matrix with inverse ``inv``, or None if v is
-    outside: the solution of lambda . rays = v is v . inv."""
-    k = len(inv)
-    lam = [sum(v[j] * inv[j][i] for j in range(k)) for i in range(k)]
+def _solve_membership(adj, v):
+    """|det| times the barycentric coordinates of v in the simplicial cone
+    whose rays (rows as points) form the matrix M with M^-1 = adj / |det|
+    (``_adjugate``), or None if v is outside: the solution of
+    lambda . rays = v is v . M^-1."""
+    lam = [sum(map(mul, v, col)) for col in zip(*adj)]
     if any(l < 0 for l in lam):
         return None
     return lam
 
 
-def refine_to_basic(rays) -> tuple[BasicCone, ...]:
-    """Refine a full-dimensional simplicial cone (given by its ray forms)
-    into basic subcones by iterated stellar subdivision at the
-    lexicographically smallest primitive vector reducing the determinant.
-    Raises ResourceBoundExceeded before a step whose box of candidate
-    points holds more than MAX_BOX_POINTS."""
-    rays = [tuple(r) for r in normalize_rays(rays)]
+def _candidates(rays, adj, d):
+    """The primitive vectors on the lines of the nonzero lattice points of
+    the half-open fundamental parallelepiped of the rays, smallest first:
+    the points p of the box with 0 <= p . adj_i < d for each column adj_i
+    of the signed adjugate, d = |det|.  Raises ResourceBoundExceeded when
+    the box holds more than MAX_BOX_POINTS points."""
     k = len(rays)
-    if any(len(r) != k for r in rays):
-        raise ConeError("refinement needs a full-dimensional simplicial cone")
-    d = abs(_det(tuple(rays)))
-    if d == 0:
-        raise ConeError("rays are linearly dependent")
-    if d == 1:
-        return (BasicCone(rays),)
-    # candidate subdivision points: nonzero lattice points of the half-open
-    # fundamental parallelepiped, lexicographically smallest primitive first
-    candidates = set()
-    inv = _inverse_unimodular(tuple(rays))
     bound = max(abs(c) for r in rays for c in r) * k
     if (bound + 1) ** k > MAX_BOX_POINTS:
         raise ResourceBoundExceeded(
@@ -164,17 +160,33 @@ def refine_to_basic(rays) -> tuple[BasicCone, ...]:
             limit=MAX_BOX_POINTS,
             observed=(bound + 1) ** k,
         )
-    from itertools import product
+    cols = tuple(zip(*adj))
+    return sorted(
+        {
+            primitive(p)
+            for p in product(range(bound + 1), repeat=k)
+            if any(p) and all(0 <= sum(map(mul, p, c)) < d for c in cols)
+        }
+    )
 
-    for point in product(range(bound + 1), repeat=k):
-        if all(c == 0 for c in point):
-            continue
-        lam = _solve_membership(inv, point)
-        if lam is None or any(l >= 1 for l in lam):
-            continue
-        candidates.add(primitive(point))
-    for v in sorted(candidates):
-        lam = _solve_membership(inv, v)
+
+def refine_to_basic(rays) -> tuple[BasicCone, ...]:
+    """Refine a full-dimensional simplicial cone (given by its ray forms)
+    into basic subcones by iterated stellar subdivision at the
+    lexicographically smallest primitive vector reducing the determinant
+    (``_candidates``).  Raises ResourceBoundExceeded before a step whose
+    box of candidate points holds more than MAX_BOX_POINTS."""
+    rays = [tuple(r) for r in normalize_rays(rays)]
+    k = len(rays)
+    if any(len(r) != k for r in rays):
+        raise ConeError("refinement needs a full-dimensional simplicial cone")
+    adj, d = _adjugate(tuple(rays))
+    if d == 0:
+        raise ConeError("rays are linearly dependent")
+    if d == 1:
+        return (BasicCone(rays),)
+    for v in _candidates(rays, adj, d):
+        lam = _solve_membership(adj, v)
         if lam is None:
             continue
         pieces = []

@@ -6,6 +6,8 @@ Two kinds of forms act on exponents (alpha, beta):
   sum e_i alpha_i + f_i beta_i;
 * ``LinearForm`` L with nonnegative rational coefficients on the first k
   coordinates, lifted to L(beta) - L(alpha).  t-exponents never weigh.
+  It evaluates on integers, as an integer vector over one positive
+  denominator; a value becomes a Fraction only where it is read.
 
 ``TermOrder`` is the fixed well-order behind privileged exponents: an
 optional tuple of linear-form weights (the L-context refinement), then
@@ -17,6 +19,7 @@ then component index ascending.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 from ._linalg import to_primitive_int
@@ -61,27 +64,33 @@ class GeneralForm:
 
 
 class LinearForm:
-    """L in the nonnegative dual quadrant of Q^k."""
+    """L in the nonnegative dual quadrant of Q^k.  Besides the public
+    ``coeffs`` it keeps the integer vector ``ints`` and the positive
+    integer ``den`` with coeffs = ints / den, on which it evaluates."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "ints", "den")
 
     def __init__(self, coeffs):
         self.coeffs = tuple(Fraction(c) for c in coeffs)
         if any(c < 0 for c in self.coeffs):
             raise WeightError("linear form coefficients must be >= 0")
+        self.den = lcm(*(c.denominator for c in self.coeffs))
+        self.ints = tuple(c.numerator * (self.den // c.denominator) for c in self.coeffs)
 
     @property
     def k(self) -> int:
         return len(self.coeffs)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.ints)
+
+    def dot(self, v) -> int:
+        """den * L on the first k entries of an integer vector."""
+        return sum(map(mul, self.ints, v))
 
     def of(self, v) -> Fraction:
         """Evaluate on the first k entries of an integer vector."""
-        return sum(
-            (c * x for c, x in zip(self.coeffs, v)), Fraction(0)
-        )
+        return Fraction(self.dot(v), self.den)
 
     def lift(self, n: int) -> GeneralForm:
         """The form (alpha, beta) -> L(beta) - L(alpha) on 2n exponents."""
@@ -90,7 +99,7 @@ class LinearForm:
         return GeneralForm(e, f)
 
     def weight(self, alpha, beta) -> Fraction:
-        return self.of(beta) - self.of(alpha)
+        return Fraction(self.dot(beta) - self.dot(alpha), self.den)
 
     def __eq__(self, other):
         return isinstance(other, LinearForm) and self.coeffs == other.coeffs
@@ -115,33 +124,36 @@ def ord_general(P, form: GeneralForm):
     return max((form(key[0], key[1]) for key in P.terms), default=NEG_INF)
 
 
+def _scaled_weights(B, L: LinearForm):
+    """Yield (den * shifted L-weight, term) for each term (key, i, c) of
+    an operand, on integers."""
+    ints = L.ints
+    offs = [sum(map(mul, ints, n)) for n in B.shifts]
+    for t in B.iter_terms():
+        key = t[0]
+        yield sum(map(mul, ints, key[1])) - sum(map(mul, ints, key[0])) + offs[t[1]], t
+
+
 def ord_L_vec(B, L: LinearForm):
     """Shifted L-order of an operand: max over its terms in component i of
     L(beta - alpha) + L(n^(i)), with n the operand's shifts (one zero
     column for a scalar); -inf for zero.  t-exponents weigh nothing."""
-    offs = [L.of(n) for n in B.shifts]
-    return max(
-        (L.weight(key[0], key[1]) + offs[i] for key, i, _ in B.iter_terms()),
-        default=NEG_INF,
-    )
+    top = max((w for w, _ in _scaled_weights(B, L)), default=None)
+    return NEG_INF if top is None else Fraction(top, L.den)
 
 
 def symbol_L(B, L: LinearForm, d):
     """The terms of exact shifted L-weight d: the canonical representative
     of the symbol of order d.  Requires ord <= d; returns 0 when every
     term lies strictly below."""
-    w0 = ord_L_vec(B, L)
-    if w0 is not NEG_INF and w0 > d:
-        raise WeightError(f"ord {w0} exceeds requested symbol degree {d}")
-    offs = [L.of(n) for n in B.shifts]
-    return type(B).from_terms(
-        B.ring,
-        (
-            (key, i, c)
-            for key, i, c in B.iter_terms()
-            if L.weight(key[0], key[1]) + offs[i] == d
-        ),
-    )
+    weighted = list(_scaled_weights(B, L))
+    top = d * L.den
+    w0 = max((w for w, _ in weighted), default=None)
+    if w0 is not None and w0 > top:
+        raise WeightError(
+            f"ord {Fraction(w0, L.den)} exceeds requested symbol degree {d}"
+        )
+    return type(B).from_terms(B.ring, (t for w, t in weighted if w == top))
 
 
 def principal_symbol(B, L: LinearForm):

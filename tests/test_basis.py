@@ -319,6 +319,48 @@ def test_divide_checks_the_order_bound_of_passed_forms():
     assert str(got.value) == "L-order bound violated for form [0, 1]"
 
 
+def audit_case():
+    """A division with denominators: h = d1 t + d2^2 leads with d1 t under
+    (1, 0), so G = 1/2 d1 t + 2/3 x2 d2^2 has quotient 1/2 and remainder
+    2/3 x2 d2^2 - 1/2 d2^2.  Returns the basis and the arguments of its
+    audit."""
+    b = basis_of(["d1 + d2^2"], (1, 0))
+    G = parse_dt_vec("1/2 d1 t + 2/3 x2 d2^2", R2)
+    res = b.divide(G)
+    assert res.quotients[0] == parse_dt_op("1/2", R2)
+    assert res.remainder == parse_dt_vec("2/3 x2 d2^2 - 1/2 d2^2", R2)
+    return b, G, list(res.quotients), _flatten(res.remainder), _flatten(G)
+
+
+def test_audit_reads_the_returned_quotients():
+    b, G, qops, rem, flat = audit_case()
+    b._verify_division(G, qops, rem, flat, ())
+    qops[0] = qops[0] + parse_dt_op("1/7", R2)
+    with pytest.raises(DfanError, match="^division recomposition failed$"):
+        b._verify_division(G, qops, rem, flat, ())
+
+
+def test_audit_reads_the_returned_remainder():
+    b, G, qops, rem, flat = audit_case()
+    # x2 d2^2 keeps its place: only its coefficient tells
+    rem[((0, 1), (0, 2), 0, 0)] += Fraction(1, 7)
+    with pytest.raises(DfanError, match="^division recomposition failed$"):
+        b._verify_division(G, qops, rem, flat, ())
+
+
+def test_audit_bounds_forms_with_denominators():
+    # d1 t and d2^2 both weigh 1/2 under [1/2, 1/4] and x2 d2^2 less;
+    # under [1/2, 1/3] the product 1/2 h reaches 2/3, above G's order 1/2
+    b, G, qops, rem, flat = audit_case()
+    b._verify_division(G, qops, rem, flat, (LinearForm((Fraction(1, 2), Fraction(1, 4))),))
+    L = LinearForm((Fraction(1, 2), Fraction(1, 3)))
+    with pytest.raises(DfanError) as got:
+        b._verify_division(G, qops, rem, flat, (L,))
+    assert str(got.value) == "L-order bound violated for form [1/2, 1/3]"
+    with pytest.raises(DfanError, match=r"form \[1/2, 1/3\]$"):
+        b.divide(G, [L])
+
+
 def test_gr_generators():
     # the principal symbols of the basis elements at the order's weight
     # generate the graded module

@@ -1,11 +1,11 @@
 """The benchmark's report digests as a tier-1 check.
 
-The first pass of each benchmark pool for seed 1 (certify 11, fan 90 and
-quick 200 operations) is replayed, and so are the fan and certify pools
-for seeds 2 and 3.  In the fan pool the seed draws the coefficients that
-the completion's integer arithmetic scales; in the certify pool one
-operation per seed builds certificates, and with them the fan.  The
-replay goes through ``perfbench/run.py``: its
+The first pass of each benchmark pool (certify 11, fan 90 and quick 200
+operations) is replayed for seeds 1, 2 and 3.  In the fan pool the seed
+draws the coefficients that the completion's integer arithmetic scales;
+in the certify pool one operation per seed builds certificates, and with
+them the fan; in the quick pool it draws the operands, weights and cones
+of all eight subcommands.  The replay goes through ``perfbench/run.py``: its
 ``Workdir`` writes the pool, ``run_pass`` sends every command through
 ``dfan.cli.run``, and ``Checker.failures`` checks each report against the
 corpus verdicts and the recorded sha256 digests of ``perfbench/hashes.json``.
@@ -69,3 +69,8 @@ def test_first_fan_pass_of_more_seeds_keeps_every_report(runner, seed):
 @pytest.mark.parametrize("seed", [2, 3])
 def test_first_certify_pass_of_more_seeds_keeps_every_report(runner, seed):
     replay(runner, "certify", seed)
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_first_quick_pass_of_more_seeds_keeps_every_report(runner, seed):
+    replay(runner, "quick", seed)

@@ -1,16 +1,21 @@
 from fractions import Fraction
 from itertools import product
+from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dfan.errors import ConeError
+from dfan.errors import ConeError, ResourceBoundExceeded
 from dfan.toric import (
+    MAX_BOX_POINTS,
     BasicCone,
+    _adjugate,
+    _candidates,
     _det,
-    _inverse_unimodular,
     _solve_membership,
     dual_membership,
+    normalize_rays,
     orthant_cone,
     refine_to_basic,
     u_to_w,
@@ -116,7 +121,7 @@ def test_refine_to_basic():
     assert all(isinstance(p, BasicCone) for p in pieces)
     # the pieces cover the original cone: check on a sample of rays
     def in_cone(rays, v):
-        return _solve_membership(_inverse_unimodular(tuple(rays)), v) is not None
+        return _solve_membership(_adjugate(tuple(rays))[0], v) is not None
 
     for v in [(1, 0), (1, 1), (1, 2), (2, 1), (3, 4)]:
         if in_cone([(1, 0), (1, 2)], v):
@@ -156,6 +161,98 @@ def eliminate_membership(rays, v):
 def test_solve_membership_matches_elimination(case):
     rays, points = case
     assume(_det(tuple(rays)) != 0)
-    inv = _inverse_unimodular(tuple(rays))
+    adj, d = _adjugate(tuple(rays))
     for v in points:
-        assert _solve_membership(inv, v) == eliminate_membership(rays, v)
+        lam = _solve_membership(adj, v)
+        lam = None if lam is None else [Fraction(l, d) for l in lam]
+        assert lam == eliminate_membership(rays, v)
+
+
+def ref_inverse(rows):
+    """Reference: the Fraction inverse that the integer scan replaced."""
+    k = len(rows)
+    d = _det(rows)
+
+    def cofactor(i, j):
+        minor = [tuple(r[b] for b in range(k) if b != i) for a, r in enumerate(rows) if a != j]
+        return (-1) ** (i + j) * _det(minor)
+
+    return [[Fraction(cofactor(i, j), d) for j in range(k)] for i in range(k)]
+
+
+def ref_solve(inv, v):
+    k = len(inv)
+    lam = [sum(v[j] * inv[j][i] for j in range(k)) for i in range(k)]
+    return None if any(l < 0 for l in lam) else lam
+
+
+def ref_candidates(rays):
+    """Reference: the box scan through the Fraction inverse, each point
+    kept when its barycentric coordinates lie in [0, 1)."""
+    k = len(rays)
+    cols = list(zip(*ref_inverse(tuple(rays))))
+    bound = max(abs(c) for r in rays for c in r) * k
+    if (bound + 1) ** k > MAX_BOX_POINTS:
+        n = (bound + 1) ** k
+        raise ResourceBoundExceeded("box", cap="MAX_BOX_POINTS", limit=MAX_BOX_POINTS, observed=n)
+    return sorted({
+        tuple(x // gcd(*p) for x in p)
+        for p in product(range(bound + 1), repeat=k)
+        if any(p) and all(0 <= sum(map(mul, p, c)) < 1 for c in cols)
+    })
+
+
+def ref_refine(rays):
+    """Reference: stellar refinement on the Fraction scan."""
+    rays = [tuple(r) for r in normalize_rays(rays)]
+    k = len(rays)
+    d = abs(_det(tuple(rays)))
+    if d == 0:
+        raise ConeError("rays are linearly dependent")
+    if d == 1:
+        return (BasicCone(rays),)
+    inv = ref_inverse(tuple(rays))
+    for v in ref_candidates(rays):
+        lam = ref_solve(inv, v)
+        pieces = []
+        for i in range(k):
+            if lam[i] == 0:
+                continue
+            sub = rays[:i] + [v] + rays[i + 1 :]
+            if not 0 < abs(_det(tuple(sub))) < d:
+                break
+            pieces.append(sub)
+        else:
+            if pieces:
+                return tuple(c for sub in pieces for c in ref_refine(sub))
+    raise ConeError("stellar refinement failed to reduce the determinant")
+
+
+def outcome(f, rays):
+    """The result of f(rays), or the type of its error with the box size
+    for a tripped cap and the message otherwise."""
+    try:
+        return f(rays)
+    except (ConeError, ResourceBoundExceeded) as exc:
+        return type(exc), getattr(exc, "observed", str(exc))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda k: st.lists(
+    st.tuples(*[st.integers(0, 5)] * k), min_size=k, max_size=k
+)))
+def test_integer_scan_matches_the_fraction_scan(rays):
+    assume(all(any(r) for r in rays) and _det(tuple(rays)) != 0)
+    rays = [tuple(r) for r in normalize_rays(rays)]
+    adj, d = _adjugate(tuple(rays))
+    assert d == abs(_det(tuple(rays)))
+    assert outcome(lambda r: _candidates(r, adj, d), rays) == outcome(ref_candidates, rays)
+    assert outcome(refine_to_basic, rays) == outcome(ref_refine, rays)
+
+
+def test_integer_scan_covers_both_signs_of_the_determinant():
+    for rays in ([(1, 0), (1, 2)], [(1, 2), (1, 0)]):
+        assert _det(tuple(rays)) in (2, -2)
+        adj, d = _adjugate(tuple(rays))
+        assert _candidates(rays, adj, d) == ref_candidates(rays) == [(1, 1)]
+        assert refine_to_basic(rays) == ref_refine(rays)

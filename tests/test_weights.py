@@ -17,8 +17,8 @@ from dfan.weights import (
     privileged_exponent,
     symbol_L,
 )
-from dfan.weyl import RingDescriptor, WeylOp
-from conftest import random_nonzero_op
+from dfan.weyl import DtVec, RingDescriptor, WeylOp, WeylVec
+from conftest import COEFFICIENTS, random_nonzero_op
 
 R1 = RingDescriptor(1, 1, 1)
 R2 = RingDescriptor(2, 2, 1)
@@ -246,3 +246,93 @@ def test_flat_integer_key_matches_reference_order(case):
     assert (ku == kv) == (ru == rv)
     # a key without l is the key of l = 0
     assert order.key(u[:2], i, shifts) == order.key(u[:2] + (0,), i, shifts)
+
+
+def ref_of(coeffs, v):
+    """The Fraction sum that the integer forms replaced."""
+    return sum((c * x for c, x in zip(coeffs, v)), Fraction(0))
+
+
+def ref_weight(coeffs, alpha, beta):
+    return ref_of(coeffs, beta) - ref_of(coeffs, alpha)
+
+
+def ref_ord_L_vec(B, coeffs):
+    offs = [ref_of(coeffs, n) for n in B.shifts]
+    return max(
+        (ref_weight(coeffs, key[0], key[1]) + offs[i] for key, i, _ in B.iter_terms()),
+        default=NEG_INF,
+    )
+
+
+def ref_symbol_L(B, coeffs, d):
+    offs = [ref_of(coeffs, n) for n in B.shifts]
+    return type(B).from_terms(
+        B.ring,
+        (
+            (key, i, c)
+            for key, i, c in B.iter_terms()
+            if ref_weight(coeffs, key[0], key[1]) + offs[i] == d
+        ),
+    )
+
+
+@st.composite
+def forms_on_operands(draw):
+    """Coefficients with denominators 1-6 (zeros included), an operand of
+    a shifted ring (a scalar, a vector or a t-vector, possibly zero), and
+    integer vectors to evaluate on."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, n))
+    r = draw(st.integers(1, 2))
+    coeffs = draw(st.lists(
+        st.builds(Fraction, st.integers(0, 6), st.integers(1, 6)), min_size=k, max_size=k
+    ))
+    column = st.lists(st.integers(-3, 3), min_size=k, max_size=k)
+    ring = RingDescriptor(n, k, r, draw(st.lists(column, min_size=r, max_size=r)))
+    exps = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple)
+    dt = draw(st.booleans())
+    keys = st.tuples(exps, exps, st.integers(0, 2)) if dt else st.tuples(exps, exps)
+    terms = draw(st.lists(st.tuples(keys, st.integers(0, r - 1), COEFFICIENTS), max_size=5))
+    B = (DtVec if dt else WeylVec).from_terms(ring, terms)
+    if r == 1 and draw(st.booleans()):
+        B = B.components[0]
+    vecs = st.lists(st.integers(-4, 4), min_size=k, max_size=n).map(tuple)
+    return coeffs, B, draw(vecs), draw(exps), draw(exps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(forms_on_operands())
+def test_integer_forms_match_the_fraction_reference(case):
+    coeffs, B, v, alpha, beta = case
+    L = LinearForm(coeffs)
+    assert L.coeffs == tuple(coeffs)
+    assert all(type(c) is Fraction for c in L.coeffs)
+    assert str(L) == "[" + ", ".join(map(str, coeffs)) + "]"
+    assert hash(L) == hash(tuple(coeffs))
+    assert all(type(c) is int for c in L.ints) and L.den >= 1
+    assert tuple(Fraction(c, L.den) for c in L.ints) == L.coeffs
+    for got, want in [
+        (L.of(v), ref_of(coeffs, v)),
+        (L.weight(alpha, beta), ref_weight(coeffs, alpha, beta)),
+        (ord_L_vec(B, L), ref_ord_L_vec(B, coeffs)),
+    ]:
+        assert got == want and type(got) is type(want)
+    top = ord_L_vec(B, L)
+    if top is NEG_INF:
+        assert B.is_zero()
+        assert symbol_L(B, L, 0).is_zero()
+        return
+    degrees = {top, top + Fraction(1, 7), top + 1}
+    degrees.update(
+        ref_weight(coeffs, key[0], key[1]) + ref_of(coeffs, B.shifts[i])
+        for key, i, _ in B.iter_terms()
+    )
+    for d in sorted(degrees):
+        if d < top:
+            with pytest.raises(WeightError):
+                symbol_L(B, L, d)
+        else:
+            assert symbol_L(B, L, d) == ref_symbol_L(B, coeffs, d)
+    assert principal_symbol(B, L) == ref_symbol_L(B, coeffs, top)
+    assert not principal_symbol(B, L).is_zero()
