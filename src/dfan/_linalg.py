@@ -4,11 +4,15 @@ to find relative-interior points of rational cones.  Everything is
 deterministic (Bland's rule, fixed tie-breaks).
 
 A row or vector is a dict from column index to a nonzero int or Fraction;
-absent columns are zero; results are Fractions.  Every solver runs on one
-elimination kernel, ``_echelon``; it and the simplex tableau keep integer
-rows, after Bareiss ("Sylvester's identity and multistep integer-preserving
-Gaussian elimination", 1968).  A solver that needs a different pivot
-preference renumbers the columns first."""
+absent columns are zero.  Results are Fractions, except the integer rows
+of ``vanishing_part``.  Every solver runs on one elimination kernel,
+``_echelon``; it and the simplex tableau keep integer rows, after Bareiss
+("Sylvester's identity and multistep integer-preserving Gaussian
+elimination", 1968).  ``_echelon`` takes in a primitive integer copy of
+each row, so no caller's dict is changed or kept.  A solver that needs a
+different pivot preference renumbers the columns first; the intersection
+oracle builds its integer product rows in that numbering, bad columns
+first, and hands them to ``vanishing_part`` directly."""
 
 from __future__ import annotations
 
@@ -60,12 +64,19 @@ def primitive_part(w):
 
 def _echelon(rows):
     """Integer echelon form of the row space: a map from leading column to
-    a primitive integer row that is zero left of that column.  A new row
-    is reduced only at its leading column, by the fraction-free update
-    pv * w - w[c] * prow made primitive, until that column is new."""
+    a primitive integer row that is zero left of that column.  Each row is
+    taken in as a primitive integer copy with its zeros dropped (an
+    all-int row needs only its gcd), then reduced only at its leading
+    column, by the fraction-free update pv * w - w[c] * prow made
+    primitive, until that column is new."""
     basis = {}
     for row in rows:
-        w = primitive_part(row)[2]
+        try:
+            g = gcd(*row.values())
+        except TypeError:  # a Fraction entry
+            w = primitive_part(row)[2]
+        else:  # an all-zero row has g = 0 and keeps no entry to divide
+            w = {c: x // g for c, x in row.items() if x}
         while w:
             c = min(w)
             if basis.setdefault(c, w) is w:  # c was no pivot yet
@@ -100,24 +111,34 @@ def rref(rows):
     return red[::-1], pivots
 
 
+def vanishing_part(rows, nbad, names):
+    """Basis of the part of the row space of ``rows`` that vanishes on the
+    columns 0..nbad-1, for rows numbered bad-first, as primitive integer
+    rows over the columns ``names[c]``.
+
+    A row of an echelon form whose pivot is good is zero left of it, hence
+    on every bad column.  A combination that uses a bad-pivot row is
+    nonzero at the smallest pivot it uses, which is bad.  So the
+    good-pivot rows are the basis."""
+    basis = _echelon(rows)
+    return [
+        {names[c]: x for c, x in basis[pc].items()} for pc in sorted(basis) if pc >= nbad
+    ]
+
+
 def vanishing_rows(rows, bad_cols):
     """Basis of the part of the row space of ``rows`` that vanishes on
-    every column in ``bad_cols``, as rows over the original columns.
-
-    An echelon form with the bad columns ordered first suffices.  A row
-    whose pivot is good is zero left of it, hence on every bad column.  A
-    combination that uses a bad-pivot row is nonzero at the smallest pivot
-    it uses, which is bad.  So the good-pivot rows are the basis."""
+    every column in ``bad_cols``, as rows over the original columns: the
+    columns renumbered bad-first, then ``vanishing_part``."""
     bad = set(bad_cols)
     used = {c for row in rows for c in row}
     first = sorted(used & bad)
     order = first + sorted(used - bad)
     pos = {c: i for i, c in enumerate(order)}
-    basis = _echelon([{pos[c]: x for c, x in row.items()} for row in rows])
+    rows = [{pos[c]: x for c, x in row.items()} for row in rows]
     return [
-        {order[c]: Fraction(x) for c, x in basis[pc].items()}
-        for pc in sorted(basis)
-        if pc >= len(first)
+        {c: Fraction(x) for c, x in row.items()}
+        for row in vanishing_part(rows, len(first), order)
     ]
 
 
@@ -235,7 +256,7 @@ def cone_interior_point(eqs, stricts, k):
     """A rational point L in Q^k with L.v = 0 for v in eqs and L.w >= 1
     for w in stricts (hence > 0; the region is a cone so scaling is free).
     Returns None when the relatively open cone is empty."""
-    ns = nullspace([dict(enumerate(v)) for v in eqs], k)
+    ns = nullspace([{i: x for i, x in enumerate(v) if x} for v in eqs], k)
     if not ns:
         if stricts:
             return None

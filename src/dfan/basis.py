@@ -253,14 +253,6 @@ class DivisionResult:
     input: object
     basis: object
 
-    def recompose(self):
-        total = self.remainder
-        for a, h in zip(self.quotients, self.basis.elements):
-            if a.is_zero():
-                continue
-            total = total + h.left_mul(a)
-        return total
-
 
 class StandardBasis(_Divisors):
     """A monic, inter-autoreduced, S-pair-complete generating family of a

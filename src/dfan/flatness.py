@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from ._linalg import in_row_space, rref, vanishing_rows
+from ._linalg import in_row_space, rref, vanishing_part, vanishing_rows
 from .basis import StandardBasis
 from .errors import (
     CertificateError,
@@ -45,6 +45,7 @@ from .weyl import (
     DtVec,
     WeylVec,
     accumulate,
+    content_free,
     dehomogenize,
     homogenize_vec,
     monomial_multiples,
@@ -663,14 +664,15 @@ def intersection_oracle(
     algebra over the generators; independent of every standard-basis
     route.
 
-    The module is spanned by the products x^a d^b g, one sparse row each.
-    A term is bad for the left-hand side when it is over the bound or in
-    no region, and bad for region j when it is over the bound or outside
-    region j.  One elimination of the product rows (``vanishing_rows``)
-    gives the left-hand side.  A term bad for the left-hand side is bad
-    for every region, so each right-hand piece is cut from the small
-    left-hand result.  Both sides end in RREF over the original columns,
-    which is unique, so the elements do not depend on the route.
+    The module is spanned by the products x^a d^b g of the content-free
+    generators, one integer row each.  A term is bad for the left-hand
+    side when it is over the bound or in no region, and bad for region j
+    when it is over the bound or outside region j.  One elimination with
+    the bad keys numbered first (``vanishing_part``) gives the left-hand
+    side.  A term bad for it is bad for every region, so each right-hand
+    piece is cut from that small result.  Both sides end in RREF over the
+    key order, which is unique, so neither the route nor a positive scale
+    of a generator moves the elements.
 
     Both verdicts are relative to the recorded truncation (``bound`` on
     element degree, ``slack`` of extra multiplier room when spanning the
@@ -685,15 +687,13 @@ def intersection_oracle(
     p = len(frame.degrees)
     slack = max(g.total_degree() for g in generators) + 2
     prod_bound = degree_bound + slack
-    # columns: products (monomial * generator) up to the padded bound
-    columns = [
+    # integer products (monomial * generator) up to the padded bound
+    products = [
         mult
-        for g in generators
+        for g in map(content_free, generators)
         for mult in monomial_multiples(g, prod_bound - g.total_degree())
     ]
-    keys = sorted({key for col in columns for key in col})
-    key_index = {key: idx for idx, key in enumerate(keys)}
-    rows = [{key_index[key]: c for key, c in col.items()} for col in columns]
+    keys = sorted({key for prod in products for key in prod})
 
     # per key, the regions it lies in; none when over the bound
     fits = [
@@ -704,23 +704,22 @@ def intersection_oracle(
     ]
     bad_any = [idx for idx, f in enumerate(fits) if not any(f)]
     bad_per_j = [[idx for idx, f in enumerate(fits) if not f[j]] for j in range(p)]
-    lhs = vanishing_rows(rows, bad_any)
-    rhs_rows = []
-    for j in range(p):
-        rhs_rows.extend(vanishing_rows(lhs, bad_per_j[j]))
-    rhs, rhs_piv = rref(rhs_rows)
-    lhs_red, lhs_piv = rref(lhs)
+    # one column numbering, bad-first: key index order[c] sits at column c
+    order = bad_any + [idx for idx, f in enumerate(fits) if any(f)]
+    column = {keys[idx]: c for c, idx in enumerate(order)}
+    rows = [{column[key]: x for key, x in prod.items()} for prod in products]
+    lhs = vanishing_part(rows, len(bad_any), order)
+    rhs, rhs_piv = rref([row for bad in bad_per_j for row in vanishing_rows(lhs, bad)])
+    lhs_red, _ = rref(lhs)
 
     def to_vec(row) -> WeylVec:
         return WeylVec.from_terms(
             ring, ((keys[idx][:2], keys[idx][2], c) for idx, c in sorted(row.items()))
         )
 
-    counterexample = None
-    for vec in lhs_red:
-        if not in_row_space(rhs, rhs_piv, vec):
-            counterexample = to_vec(vec)
-            break
+    counterexample = next(
+        (to_vec(v) for v in lhs_red if not in_row_space(rhs, rhs_piv, v)), None
+    )
     elements = [to_vec(vec) for vec in lhs_red]
     assignments = [_assign_parts(w, frame) for w in elements]
     return OracleResult(

@@ -32,6 +32,7 @@ from .weyl import (
     WeylVec,
     _mul_terms,
     accumulate,
+    content_free,
     dehomogenize,
     monomial_multiples,
 )
@@ -176,7 +177,10 @@ def _witness_search(generators, unit: int, bound: int, gamma: BasicCone):
     """Find F = e_unit + (strictly smaller filtration terms) inside the
     module, by exact linear algebra over multiplier monomials of degree
     <= bound.  The lower stratum is the cone ideal's span: terms whose
-    cone drops are nonnegative and not all zero."""
+    cone drops are nonnegative and not all zero.  The products are those
+    of the content-free generators: a positive scale of a column moves no
+    pivot and scales its solution entry inversely, so the witness is the
+    one of the given generators."""
     ring = generators[0].ring
     s = ring.shifts[unit]
     unit_key = ((0,) * ring.n, (0,) * ring.n, unit)
@@ -187,6 +191,7 @@ def _witness_search(generators, unit: int, bound: int, gamma: BasicCone):
         drops = cone_drops(gamma.rows, s, multi_weight(key, key[2], ring.shifts, ring.k))
         return min(drops) < 0 or not any(drops)
 
+    generators = [content_free(g) for g in generators]
     for B in range(bound + 1):
         columns = [prod for g in generators for prod in monomial_multiples(g, B)]
         keys = sorted(

@@ -22,6 +22,7 @@ from fractions import Fraction
 from math import comb, perm
 from operator import add, mul, sub
 
+from ._linalg import primitive_part
 from .errors import (
     HomogeneityError,
     ResourceBoundExceeded,
@@ -395,6 +396,14 @@ def _d_times(terms: dict, e: tuple) -> dict:
     ))
 
 
+def content_free(g: WeylVec) -> WeylVec:
+    """g divided by its positive content: the same vector up to a positive
+    scale, with coprime integer coefficients, so that its products x^a d^b
+    are integer too.  The zero vector stays zero."""
+    v = primitive_part({(i, key): c for key, i, c in g.iter_terms()})[2]
+    return type(g).from_terms(g.ring, ((key, i, c) for (i, key), c in v.items()))
+
+
 def monomial_multiples(g: WeylVec, room: int):
     """Yield the nonzero x^a d^b g with |a| + |b| <= room, (a, b) in
     ``itertools.product`` order, from d^b g = d_i (d^(b - e_i) g) built
@@ -409,11 +418,12 @@ def monomial_multiples(g: WeylVec, room: int):
             f"exceed the cap of {MAX_MULTIPLIERS}",
             cap="MAX_MULTIPLIERS", limit=MAX_MULTIPLIERS, observed=count,
         )
-    if g.is_zero():
+    if g.is_zero() or room < 0:
         return  # D is a domain: the multiples of a nonzero g are nonzero
     d_powers = {(0,) * n: [comp.terms for comp in g.components]}
-    for a in _compositions(n, room):
-        for b in _compositions(n, room - sum(a)):
+    tails = {m: _compositions(n, m) for m in range(room + 1)}
+    for a in tails[room]:
+        for b in tails[room - sum(a)]:
             if b not in d_powers:  # i is b's last nonzero entry: b - e_i came first
                 i = max(j for j in range(n) if b[j])
                 e = tuple(int(j == i) for j in range(n))

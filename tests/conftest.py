@@ -175,6 +175,16 @@ def ref_mul_terms(t1, c1, t2, c2, emit_t):
             yield (alpha, beta), c * mult
 
 
+def recompose(res):
+    """Reference for the division identity: R + sum A_m H_m of a
+    ``DivisionResult``, with one Weyl product per nonzero quotient."""
+    total = res.remainder
+    for a, h in zip(res.quotients, res.basis.elements):
+        if not a.is_zero():
+            total = total + h.left_mul(a)
+    return total
+
+
 def flat(v):
     """The terms of a WeylVec as one dict (alpha, beta, i) -> coef, the
     form in which monomial_multiples yields its products."""

@@ -33,6 +33,7 @@ from dfan.weyl import (
     WeylVec,
     homogenize_vec,
 )
+from conftest import recompose
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
@@ -171,7 +172,7 @@ def test_criterion_4_division_contract():
             G = DtVec(ring, (junk,)) + basis.elements[0]
         count += 1
         res = basis.divide(G)  # runs all postcondition checks internally
-        assert res.recompose() == G
+        assert recompose(res) == G
         bound = ord_L_vec(G, L)
         for a, h in zip(res.quotients, basis.elements):
             if not a.is_zero():

@@ -10,12 +10,15 @@ phase-1 simplex is checked against the dense-update Fraction tableau it
 replaced: its integer rows are positive multiples of that tableau's rows,
 so the pivot sequence is the same and the two must return the same point.
 ``vanishing_rows`` is checked against the nullspace route the intersection
-oracle used before it: both span one space, so their RREFs agree."""
+oracle used before it: both span one space, so their RREFs agree.  No
+solver changes or hands back the caller's rows, whether they hold ints or
+Fractions, with or without explicit zeros."""
 
 from fractions import Fraction
 from math import gcd, lcm
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dfan import _linalg
@@ -196,22 +199,48 @@ def test_integer_echelon_rref_matches_both_references(m):
     assert [dense(r, ncols) for r in red] == ref_red
 
 
+def check_rows_left_alone(rows, ncols, bad, b):
+    """rref, nullspace, vanishing_rows and solve_affine neither change
+    ``rows`` or ``b`` nor hand back one of the caller's dicts: emptying
+    every returned row leaves the input as it was."""
+    before = [dict(r) for r in rows]
+    b_before = list(b)
+    red, _ = rref(rows)
+    ns = nullspace(rows, ncols)
+    got = vanishing_rows(rows, bad)
+    sol = solve_affine(rows, b, ncols)
+    assert rows == before and b == b_before
+    for out in (red, ns, got):
+        check_sparse(out)
+    # echelon rows: one leading column each
+    assert len({min(r) for r in got}) == len(got)
+    for out in (*red, *ns, *got, sol or {}):
+        out.clear()
+    assert rows == before
+
+
 @settings(max_examples=200, deadline=None)
 @given(integer_heavy_matrices(), st.data())
 def test_solvers_leave_their_input_rows_alone(m, data):
     rows, ncols = m
-    before = [dict(r) for r in rows]
-    rref(rows)
-    assert rows == before
     bad = data.draw(st.sets(st.integers(0, ncols - 1)))
-    got = vanishing_rows(rows, bad)
-    assert rows == before
-    # echelon rows: one leading column each
-    assert len({min(r) for r in got}) == len(got)
     b = data.draw(st.lists(BIG, min_size=len(rows), max_size=len(rows)))
-    b_before = list(b)
-    solve_affine(rows, b, ncols)
-    assert rows == before and b == b_before
+    check_rows_left_alone(rows, ncols, bad, b)
+
+
+# the second row of each case meets the first at its leading column, so
+# the elimination updates it: an intake that kept the caller's dict would
+# change it, one that kept a zero could take a zero entry as a pivot
+@pytest.mark.parametrize("rows", [
+    [{0: 2, 1: 4}, {0: 1, 1: 3}],
+    [{0: 0, 1: 3, 2: 0}, {0: 0, 1: 6, 2: 1}, {0: 0, 1: 0}],
+    [{0: Fraction(1, 2), 1: Fraction(3)}, {0: Fraction(1), 2: Fraction(2, 3)}],
+    [{0: Fraction(0), 1: Fraction(2, 3)}, {1: Fraction(1), 2: Fraction(0)}],
+    [{0: 5, 1: Fraction(5, 2)}, {0: 0, 1: 1, 2: 7}, {0: 3, 2: 0}],
+])
+def test_solvers_leave_int_and_fraction_rows_alone(rows):
+    check_rows_left_alone(rows, 3, {0}, [1] * len(rows))
+    check_rows_left_alone(rows, 3, {1, 2}, [0] * len(rows))
 
 
 def nullspace_vanishing_rows(rows, bad_cols):

@@ -335,6 +335,24 @@ def test_witness_search_matches_the_two_branch_reference(case):
         ) == ref_witness_search(gens, unit, 2)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    fiber_cases(),
+    st.lists(st.fractions(min_value=Fraction(1, 6), max_value=6, max_denominator=6),
+             min_size=2, max_size=2),
+)
+def test_witness_search_ignores_positive_scales_of_the_generators(case, scales):
+    # the search runs on the content-free generators: a positive scale of
+    # a product column moves no pivot, so the witness does not move
+    ring, rows, gens = case
+    gamma = BasicCone(rows)
+    scaled = [g.scale(c) for g, c in zip(gens, scales)]
+    for unit in range(ring.r):
+        got = _witness_search(scaled, unit, 2, gamma)
+        assert got == _witness_search(gens, unit, 2, gamma)
+        assert got == ref_witness_search(scaled, unit, 2, gamma)
+
+
 def flat_uncapped(g, room):
     """The reference enumerator's Weyl products as the flat dicts that
     monomial_multiples yields."""
