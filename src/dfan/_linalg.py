@@ -122,7 +122,9 @@ def vanishing_part(rows, nbad, names):
     good-pivot rows are the basis."""
     basis = _echelon(rows)
     return [
-        {names[c]: x for c, x in basis[pc].items()} for pc in sorted(basis) if pc >= nbad
+        {names[c]: x for c, x in basis[pc].items()}
+        for pc in sorted(basis)
+        if pc >= nbad
     ]
 
 

@@ -1,7 +1,9 @@
 """Exact arithmetic in the Weyl algebra D, in D^r, and in the homogenized
 ring D[t], over the rationals.
 
-Operators are sparse maps from exponent keys to nonzero Fractions:
+Operators are sparse maps from exponent keys to nonzero Fractions (or
+ints: ``content_free`` makes the coefficients integer, and the products of
+integer operands stay integer):
 
     scalar D      key (alpha, beta)        x^alpha d^beta
     scalar D[t]   key (alpha, beta, l)     x^alpha d^beta t^l
