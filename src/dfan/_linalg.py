@@ -257,23 +257,38 @@ def _primitive_row(row):
 def cone_interior_point(eqs, stricts, k):
     """A rational point L in Q^k with L.v = 0 for v in eqs and L.w >= 1
     for w in stricts (hence > 0; the region is a cone so scaling is free).
-    Returns None when the relatively open cone is empty."""
-    ns = nullspace([{i: x for i, x in enumerate(v) if x} for v in eqs], k)
-    if not ns:
-        if stricts:
-            return None
-        return [Fraction(0)] * k
-    m = len(ns)
+    Returns None when the relatively open cone is empty.
+
+    L = sum y_j v_j over a basis v_j of the nullspace of eqs, and a
+    phase-1 simplex finds y with G y >= 1, G the matrix of the w.v_j.
+    Without a nonzero equality the basis is the unit one and G is the
+    stricts themselves; otherwise each v_j enters scaled to a primitive
+    integer vector, so G is integer for integer stricts.  Scaling v_j by
+    c_j > 0 scales column j of G (and its twin for -y_j) by c_j: every
+    tableau the simplex meets has that column times c_j and each row
+    times a positive factor, so no reduced cost changes sign, and every
+    ratio of the ratio test is divided by the entering column's c_j,
+    which keeps its winner and its ties.  Bland's rule therefore takes
+    the same pivots, y_j comes out divided by c_j, and L is the same."""
+    eqs = [{i: x for i, x in enumerate(v) if x} for v in eqs]
+    if any(eqs):
+        ns = [primitive_part(v)[2] for v in nullspace(eqs, k)]
+        g = [[sum(w[i] * x for i, x in v.items()) for v in ns] for w in stricts]
+    else:
+        ns = [{i: 1} for i in range(k)]
+        g = [list(w) for w in stricts]
     if not stricts:
         return [Fraction(0)] * k
-    g = [[sum(Fraction(w[i]) * x for i, x in v.items()) for v in ns] for w in stricts]
+    if not ns:
+        return None
+    m = len(ns)
     # G y >= 1 with free y: y = u - v, slack s: G u - G v - s = 1
     rows = []
-    for gr in g:
-        rows.append(gr + [-c for c in gr] + [Fraction(0)] * len(stricts))
-    for i in range(len(stricts)):
-        rows[i][2 * m + i] = Fraction(-1)
-    sol = _phase1_simplex(rows, [Fraction(1)] * len(stricts))
+    for i, gr in enumerate(g):
+        row = gr + [-c for c in gr] + [0] * len(stricts)
+        row[2 * m + i] = -1
+        rows.append(row)
+    sol = _phase1_simplex(rows, [1] * len(stricts))
     if sol is None:
         return None
     point = [Fraction(0)] * k

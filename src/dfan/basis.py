@@ -6,26 +6,29 @@ and scaled to primitive integers (content removal, as in Arnold, "Modular
 algorithms for computing Groebner bases", 2003).  Division, fraction free,
 reduces the maximal remaining term against the first element of its
 component whose privileged exponent divides it (the least-index partition
-of the staircase), which pins the output uniquely.  Fractions remain at
-the edges: monic output, quotients folded from the integer steps, and
-remainders scaled back.  The postconditions of a division read those
-Fraction quotients and remainder, not the steps, and check the identity
-on integers over one common denominator (the lcm of their denominators,
-with each element's content).  Polynomial coefficients replace convergent
-series at this scale; division by pathological bases whose tails climb in
-degree forever is cut off by the module constants STEP_CAP and
-DEGREE_SLACK, and an autoreduction that does not settle by
-REDUCTION_ROUNDS; each raises ResourceBoundExceeded, never a silently
-truncated result.
+of the staircase), which pins the output uniquely.  The per-component
+divisor lists that this scans are built once per basis and grown by the
+completion as it adds elements; the chain criterion reads the same lists.
+Fractions remain at the edges: monic output, quotients folded from the
+integer steps, and remainders scaled back.  The postconditions of a
+division read those Fraction quotients and remainder, not the steps, and
+check the identity on integers over one common denominator (the lcm of
+their denominators, with each element's content).  Polynomial
+coefficients replace convergent series at this scale; division by
+pathological bases whose tails climb in degree forever is cut off by the
+module constants STEP_CAP and DEGREE_SLACK, and an autoreduction that
+does not settle by REDUCTION_ROUNDS; each raises ResourceBoundExceeded,
+never a silently truncated result.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
-from operator import ge, mul, sub
+from operator import add, ge, mul, sub
 
 from ._linalg import primitive_part
 from .errors import DfanError, ResourceBoundExceeded, ZeroInputError
@@ -87,19 +90,28 @@ def _divides(exp, key) -> bool:
 
 
 def _term_times_flat(mu, coef, flat: dict, emit_t: bool, acc: dict, on_new=None):
-    """acc += coef * (x^a d^b t^l) * flat; ``on_new`` as in ``accumulate``."""
-    if emit_t:
+    """acc += coef * (x^a d^b t^l) * flat; ``on_new`` as in ``accumulate``.
+    A multiplier x^a t^l without d-part commutes with every term, so its
+    product only adds exponents."""
+    a, b, l = mu
+    if not any(b):
+        if not emit_t:
+            l = 0
+        products = (
+            ((tuple(map(add, a, a2)), b2, l2 + l, i), coef * c2)
+            for (a2, b2, l2, i), c2 in flat.items()
+        )
+    elif emit_t:
         products = (
             (key + (i,), cc)
             for (a2, b2, l2, i), c2 in flat.items()
             for key, cc in _mul_terms(mu, coef, (a2, b2, l2), c2, True)
         )
     else:
-        ab = mu[:2]
         products = (
             ((na, nb, 0, i), cc)
             for (a2, b2, _, i), c2 in flat.items()
-            for (na, nb), cc in _mul_terms(ab, coef, (a2, b2), c2, False)
+            for (na, nb), cc in _mul_terms((a, b), coef, (a2, b2), c2, False)
         )
     accumulate(acc, products, on_new)
 
@@ -113,11 +125,28 @@ def _exp_quotient(key, exp):
     )
 
 
-def _divide_flat(g, basis_flats, exps, lcs, keyf, emit_t, bd):
+def _entry(m, exp):
+    """Element m in a divisor list: m, the parts (alpha, beta, l) of its
+    exponent ``exp`` as one tuple, and ``exp``."""
+    return m, exp[0] + exp[1] + (exp[2],), exp
+
+
+def _divisor_lists(indexed):
+    """The divisor lists of the (m, exp) pairs ``indexed``: per component,
+    the ``_entry`` of each element, in the order given."""
+    lists = {}
+    for m, exp in indexed:
+        lists.setdefault(exp[3], []).append(_entry(m, exp))
+    return lists
+
+
+def _divide_flat(g, basis_flats, lcs, lists, keyf, emit_t, bd):
     """Core division loop of the integer flat g by integer flats h_m with
-    leading coefficients ``lcs``; returns (remainder, scale, steps).  A
-    term c is reduced by h_m fraction free, a = lcs[m] / h > 0 and b = c / h
-    for h = +-gcd(c, lcs[m]): tail <- a tail - b mu h_m, the remainder
+    leading coefficients ``lcs`` and divisor lists ``lists`` (see
+    ``_divisor_lists``); returns (remainder, scale, steps).  A term c is
+    reduced by the first h_m in its component's list whose exponent
+    divides it, fraction free, a = lcs[m] / h > 0 and b = c / h for
+    h = +-gcd(c, lcs[m]): tail <- a tail - b mu h_m, the remainder
     scaled by a too, so both stay positive multiples of the rational
     division's.  A step is (m, mu, b, scale after it), and scale * g =
     sum of b (scale / s) mu h_m over the steps + remainder.
@@ -128,16 +157,12 @@ def _divide_flat(g, basis_flats, exps, lcs, keyf, emit_t, bd):
     max-heap (entries whose key has left the tail are discarded on pop),
     so pathological inputs hit the step cap in time proportional to the
     cap, not to the square of the tail size."""
-    import heapq
-
-    by_comp = {}
-    for m, exp in enumerate(exps):
-        by_comp.setdefault(exp[3], []).append((m, exp))
+    neg = keyf.neg
     rem = {}
     scale = 1
     out = []
     tail = dict(g)
-    heap = [(tuple(-x for x in keyf(key)), key) for key in tail]
+    heap = [(neg(key), key) for key in tail]
     heapq.heapify(heap)
     # every term that enters the tail competes for the top, but only the
     # reduced ones change the tail: the run repeats wherever each reduced
@@ -146,7 +171,7 @@ def _divide_flat(g, basis_flats, exps, lcs, keyf, emit_t, bd):
     reduced = []
 
     def push(key):
-        heapq.heappush(heap, (tuple(-x for x in keyf(key)), key))
+        heapq.heappush(heap, (neg(key), key))
         if entered is not None:
             entered.append(key)
 
@@ -157,8 +182,7 @@ def _divide_flat(g, basis_flats, exps, lcs, keyf, emit_t, bd):
             heapq.heappop(heap)
         if not heap:
             break
-        tau = heap[0][1]
-        heapq.heappop(heap)
+        tau = heapq.heappop(heap)[1]
         steps += 1
         if steps > STEP_CAP:
             raise ResourceBoundExceeded(
@@ -168,7 +192,8 @@ def _divide_flat(g, basis_flats, exps, lcs, keyf, emit_t, bd):
                 limit=STEP_CAP,
                 observed=steps,
             )
-        degree = sum(tau[0]) + sum(tau[1]) + tau[2]
+        ta, tb, tl, ti = tau
+        degree = sum(ta) + sum(tb) + tl
         if degree > cap:
             raise ResourceBoundExceeded(
                 f"division exceeded total degree {cap}; the basis tails climb "
@@ -178,8 +203,9 @@ def _divide_flat(g, basis_flats, exps, lcs, keyf, emit_t, bd):
                 observed=degree,
             )
         coef = tail[tau]
-        for m, exp in by_comp.get(tau[3], ()):
-            if _divides(exp, tau):
+        parts = ta + tb + (tl,)
+        for m, eparts, exp in lists.get(ti, ()):
+            if all(map(ge, parts, eparts)):
                 mu = _exp_quotient(tau, exp)
                 p = lcs[m]
                 h = gcd(coef, p)
@@ -234,12 +260,20 @@ class _Divisors:
     def _bd(self):
         return max(map(_degree, self._ints[1]))
 
+    @cached_property
+    def _lcs(self):
+        return [f[e] for f, e in zip(self._ints[1], self._exps)]
+
+    @cached_property
+    def _lists(self):
+        return _divisor_lists(enumerate(self._exps))
+
     def _reduce(self, flat, emit_t):
         """(c, remainder, scale, steps) of dividing flat = c * g, g primitive."""
         n, d, g = primitive_part(flat)
-        fs, es = self._ints[1], self._exps
-        lcs = [f[e] for f, e in zip(fs, es)]
-        out = _divide_flat(g, fs, es, lcs, self._keyf, emit_t, self._bd)
+        out = _divide_flat(
+            g, self._ints[1], self._lcs, self._lists, self._keyf, emit_t, self._bd
+        )
         return (Fraction(n, d),) + out
 
 
@@ -414,10 +448,8 @@ def _leading(flat, keyf):
 def _buchberger(flats, keyf, emit_t):
     """The reduced basis of the nonzero integer ``flats`` in canonical
     order, as (primitive flat with a positive leader, exp) pairs."""
-    import heapq
-
     basis, exps, lcs = [], [], []  # lcs: the leading coefficients
-    comps = {}  # component -> indices of its elements, in order
+    lists = {}  # the divisor lists of the basis, grown by add
     heap = []
     pending = set()
     lcms = []
@@ -431,22 +463,25 @@ def _buchberger(flats, keyf, emit_t):
         exps.append(top)
         lcs.append(flat[top])
         bd = max(bd, _degree(flat))
-        for m in comps.setdefault(top[3], []):
-            lcm = _lcm_exp(exps[m], top)
+        same = lists.setdefault(top[3], [])
+        for m, _, exp in same:
+            lcm = _lcm_exp(exp, top)
             pending.add((m, new))
             lcms.append(lcm)
             heapq.heappush(heap, (keyf(lcm), (m, new), lcm))
-        comps[top[3]].append(new)
+        same.append(_entry(new, top))
 
     def chain_skippable(i, j, lcm_ij):
-        # Buchberger's second criterion: valid if both mediating pairs are
-        # treated already (no longer pending); sound in this setting since
-        # the leading-term structure is commutative
-        for m in comps[lcm_ij[3]]:
-            if m in (i, j) or not _divides(exps[m], lcm_ij):
+        # Buchberger's second criterion: valid if some m divides the lcm
+        # and both mediating pairs are treated already (no longer
+        # pending); sound in this setting since the leading-term structure
+        # is commutative
+        parts = lcm_ij[0] + lcm_ij[1] + (lcm_ij[2],)
+        for m, eparts, _ in lists[lcm_ij[3]]:
+            if m == i or m == j or not all(map(ge, parts, eparts)):
                 continue
-            pim = (min(i, m), max(i, m))
-            pjm = (min(j, m), max(j, m))
+            pim = (i, m) if i < m else (m, i)
+            pjm = (j, m) if j < m else (m, j)
             if pim not in pending and pjm not in pending:
                 return True
         return False
@@ -461,7 +496,7 @@ def _buchberger(flats, keyf, emit_t):
             continue
         s = _spair(basis[i], basis[j], exps[i], exps[j], lcm_ij, emit_t)
         if s:
-            rem = _divide_flat(s, basis, exps, lcs, keyf, emit_t, bd)[0]
+            rem = _divide_flat(s, basis, lcs, lists, keyf, emit_t, bd)[0]
             if rem:
                 add(rem)
     keyf.ranked(lcms)
@@ -506,8 +541,8 @@ def _autoreduce(basis, exps, keyf, emit_t):
                 continue
             live = [m for m in range(len(mini)) if m != idx and mini[m] is not None]
             rem = _divide_flat(
-                mini[idx], [mini[m] for m in live], [mexp[m] for m in live],
-                [mini[m][mexp[m]] for m in live], keyf, emit_t,
+                mini[idx], mini, {m: mini[m][mexp[m]] for m in live},
+                _divisor_lists((m, mexp[m]) for m in live), keyf, emit_t,
                 max((degs[m] for m in live), default=0),
             )[0]
             if not rem:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import mul, sub
 
 from ._linalg import to_primitive_int
 from .errors import WeightError, ZeroInputError
@@ -228,16 +228,18 @@ def privileged_exponent(G, order: TermOrder):
 
 
 class _KeyCache:
-    """Memoised order keys of flat exponents (alpha, beta, l, i).  A
-    tracing cache also records the order decisions taken through ``leader``
-    and ``ranked``, from which ``cone`` derives where they come out the same."""
+    """Memoised order keys of flat exponents (alpha, beta, l, i), and
+    their negations for min-heaps.  A tracing cache also records the
+    order decisions taken through ``leader`` and ``ranked``, from which
+    ``cone`` derives where they come out the same."""
 
-    __slots__ = ("order", "shifts", "cache", "trace")
+    __slots__ = ("order", "shifts", "cache", "negs", "trace")
 
     def __init__(self, order: TermOrder, shifts, trace: bool = False):
         self.order = order
         self.shifts = shifts
         self.cache = {}
+        self.negs = {}
         self.trace = [] if trace else None
 
     def __call__(self, key4):
@@ -246,6 +248,13 @@ class _KeyCache:
             a, b, l, i = key4
             k = self.order.key((a, b, l), i, self.shifts)
             self.cache[key4] = k
+        return k
+
+    def neg(self, key4):
+        """The key of ``key4`` with every entry negated."""
+        k = self.negs.get(key4)
+        if k is None:
+            k = self.negs[key4] = tuple(-x for x in self(key4))
         return k
 
     def leader(self, flat):
@@ -265,32 +274,35 @@ class _KeyCache:
         the same, as integer forms (weak, strict): L.w >= 0 for w in weak,
         L.w > 0 for w in strict.  The order must be a base order refined
         by one weight, so a key is L applied to beta - alpha plus the
-        component's shift, then the base order's key."""
-        k = self.order.weights[0].k
-        shifts = self.shifts
-        vecs = {}
-        weak, strict = set(), set()
-
-        def above(hi, lo):
-            for e in (hi, lo):
-                if e not in vecs:
-                    a, b, _, i = e
-                    vecs[e] = [b[j] - a[j] + shifts[i][j] for j in range(k)]
-            w = tuple(x - y for x, y in zip(vecs[hi], vecs[lo]))
-            if any(w):
-                (weak if self(hi)[1:] > self(lo)[1:] else strict).add(w)
-
+        component's shift, then the base order's key (its tail)."""
         # chain the marked exponents in key order and tie every other one
-        # to its nearest marked neighbours; transitivity does the rest
+        # to its nearest marked neighbours; transitivity does the rest.
+        # Exponents are numbered as first met, so a decision is a pair of
+        # numbers (hi, lo), and one met again is skipped.
+        num = {}
+        pairs = set()
         for keys, marked in self.trace:
             below, loose = None, []
             for e in sorted(set(keys), key=self):
+                n = num.setdefault(e, len(num))
                 if below is not None:
-                    above(e, below)
+                    pairs.add((n, below))
                 if marked is None or e in marked:
-                    for u in loose:
-                        above(e, u)
-                    below, loose = e, []
+                    pairs.update((n, u) for u in loose)
+                    below, loose = n, []
                 else:
-                    loose.append(e)
+                    loose.append(n)
+        # each exponent's L-weight vector and base-order key, once
+        k = self.order.weights[0].k
+        parts = []
+        for e in num:
+            a, b, _, i = e
+            s = self.shifts[i]
+            parts.append(([b[j] - a[j] + s[j] for j in range(k)], self(e)[1:]))
+        weak, strict = set(), set()
+        for hi, lo in pairs:
+            (vh, th), (vl, tl) = parts[hi], parts[lo]
+            w = tuple(map(sub, vh, vl))
+            if any(w):
+                (weak if th > tl else strict).add(w)
         return tuple(sorted(weak - strict)), tuple(sorted(strict))

@@ -1,3 +1,4 @@
+import heapq
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dfan import basis as basis_module
+from dfan._linalg import primitive_part
 from dfan.basis import (
     DEGREE_SLACK,
     REDUCTION_ROUNDS,
@@ -19,6 +21,7 @@ from dfan.basis import (
     _flatten,
     _KeyCache,
     _lcm_exp,
+    _leading,
     _rational,
     _term_times_flat,
     _unflatten,
@@ -42,6 +45,7 @@ from dfan.weyl import (
     WeylVec,
     dehomogenize,
     homogenize_vec,
+    accumulate,
     t_power_times,
 )
 from conftest import (
@@ -425,8 +429,32 @@ def test_term_times_flat_matches_operator_product(emit_t, data):
     assert acc == _flatten(g + h.left_mul(scalar(RV, {key: coef})))
 
 
-# the completion on the exponent helpers and term kernel it had before
-# their shortcuts: same elements, same order decisions
+@settings(max_examples=150, deadline=None)
+@given(st.booleans(), st.booleans(), st.data())
+def test_term_times_flat_matches_the_reference_expansion(emit_t, d_free, data):
+    # the direct path of a multiplier x^a t^l adds the same terms, in the
+    # same order of first insertion, as the term-by-term expansion
+    comps = st.dictionaries(term_keys(True), st.integers(-3, 3), max_size=4)
+    flat = {
+        (a, b, l if emit_t else 0, i): c
+        for i in range(2)
+        for (a, b, l), c in data.draw(comps).items()
+    }
+    a, b, l = data.draw(term_keys(True))
+    mu = (a, (0, 0) if d_free else b, l)
+    coef = data.draw(st.integers(-3, 3).filter(bool))
+    start = {key: c for key, c in flat.items() if c}
+    acc, ref = dict(start), dict(start)
+    got, want = [], []
+    _term_times_flat(mu, coef, flat, emit_t, acc, got.append)
+    ref_term_times_flat(mu, coef, flat, emit_t, ref, want.append)
+    assert acc == ref and got == want
+
+
+# the completion on the kernels it had before its shortcuts (exponent
+# helpers, a product term by term, divisor lists rebuilt by every
+# division, negated heap keys built on every push): the same elements,
+# exponents, order decisions and cap messages
 
 
 def ref_divides(exp, key):
@@ -456,8 +484,208 @@ def ref_lcm_exp(ei, ej):
     )
 
 
+def ref_term_times_flat(mu, coef, flat, emit_t, acc, on_new=None):
+    if emit_t:
+        products = (
+            (key + (i,), cc)
+            for (a2, b2, l2, i), c2 in flat.items()
+            for key, cc in ref_mul_terms(mu, coef, (a2, b2, l2), c2, True)
+        )
+    else:
+        products = (
+            ((na, nb, 0, i), cc)
+            for (a2, b2, _, i), c2 in flat.items()
+            for (na, nb), cc in ref_mul_terms(mu[:2], coef, (a2, b2), c2, False)
+        )
+    accumulate(acc, products, on_new)
+
+
+def ref_divide_flat(g, basis_flats, exps, lcs, keyf, emit_t, bd):
+    """``_divide_flat`` as it was: the divisor lists built on every call,
+    each divisibility test a call, each heap key negated on every push."""
+    by_comp = {}
+    for m, exp in enumerate(exps):
+        by_comp.setdefault(exp[3], []).append((m, exp))
+    rem = {}
+    scale = 1
+    out = []
+    tail = dict(g)
+    heap = [(tuple(-x for x in keyf(key)), key) for key in tail]
+    heapq.heapify(heap)
+    entered = list(tail) if keyf.trace is not None else None
+    reduced = []
+
+    def push(key):
+        heapq.heappush(heap, (tuple(-x for x in keyf(key)), key))
+        if entered is not None:
+            entered.append(key)
+
+    cap = _degree(g) + bd + DEGREE_SLACK
+    steps = 0
+    while True:
+        while heap and heap[0][1] not in tail:
+            heapq.heappop(heap)
+        if not heap:
+            break
+        tau = heapq.heappop(heap)[1]
+        steps += 1
+        if steps > STEP_CAP:
+            raise ResourceBoundExceeded(
+                f"division exceeded {STEP_CAP} steps; inspect the basis for "
+                "non-terminating tails",
+                cap="STEP_CAP",
+                limit=STEP_CAP,
+                observed=steps,
+            )
+        degree = sum(tau[0]) + sum(tau[1]) + tau[2]
+        if degree > cap:
+            raise ResourceBoundExceeded(
+                f"division exceeded total degree {cap}; the basis tails climb "
+                "in degree (an analytic-closure artifact at polynomial scale)",
+                cap="DEGREE_SLACK",
+                limit=cap,
+                observed=degree,
+            )
+        coef = tail[tau]
+        for m, exp in by_comp.get(tau[3], ()):
+            if ref_divides(exp, tau):
+                mu = ref_exp_quotient(tau, exp)
+                p = lcs[m]
+                h = gcd(coef, p)
+                a, b = p // h, coef // h
+                if a < 0:
+                    a, b = -a, -b
+                if a != 1:
+                    scale *= a
+                    for key in tail:
+                        tail[key] *= a
+                    for key in rem:
+                        rem[key] *= a
+                if entered is not None:
+                    reduced.append(tau)
+                out.append((m, mu, b, scale))
+                ref_term_times_flat(mu, -b, basis_flats[m], emit_t, tail, push)
+                break
+        else:
+            rem[tau] = coef
+            del tail[tau]
+    if reduced:
+        keyf.ranked(entered, reduced)
+    return rem, scale, out
+
+
+def ref_spair(fi, fj, ei, ej, lcm, emit_t):
+    pi, pj = fi[ei], fj[ej]
+    g = gcd(pi, pj)
+    s = {}
+    ref_term_times_flat(ref_exp_quotient(lcm, ei), pj // g, fi, emit_t, s)
+    ref_term_times_flat(ref_exp_quotient(lcm, ej), -(pi // g), fj, emit_t, s)
+    return s
+
+
+def ref_buchberger(flats, keyf, emit_t):
+    """``_buchberger`` as it was, with the chain criterion scanning the
+    component's indices through ``ref_divides``."""
+    basis, exps, lcs = [], [], []
+    comps = {}
+    heap = []
+    pending = set()
+    lcms = []
+    bd = 0
+
+    def add(flat):
+        nonlocal bd
+        flat, top = _leading(flat, keyf)
+        new = len(basis)
+        basis.append(flat)
+        exps.append(top)
+        lcs.append(flat[top])
+        bd = max(bd, _degree(flat))
+        for m in comps.setdefault(top[3], []):
+            lcm = ref_lcm_exp(exps[m], top)
+            pending.add((m, new))
+            lcms.append(lcm)
+            heapq.heappush(heap, (keyf(lcm), (m, new), lcm))
+        comps[top[3]].append(new)
+
+    def chain_skippable(i, j, lcm_ij):
+        for m in comps[lcm_ij[3]]:
+            if m in (i, j) or not ref_divides(exps[m], lcm_ij):
+                continue
+            pim = (min(i, m), max(i, m))
+            pjm = (min(j, m), max(j, m))
+            if pim not in pending and pjm not in pending:
+                return True
+        return False
+
+    for f in flats:
+        add(f)
+    while heap:
+        _, sel, lcm_ij = heapq.heappop(heap)
+        pending.discard(sel)
+        i, j = sel
+        if chain_skippable(i, j, lcm_ij):
+            continue
+        s = ref_spair(basis[i], basis[j], exps[i], exps[j], lcm_ij, emit_t)
+        if s:
+            rem = ref_divide_flat(s, basis, exps, lcs, keyf, emit_t, bd)[0]
+            if rem:
+                add(rem)
+    keyf.ranked(lcms)
+    return ref_autoreduce(basis, exps, keyf, emit_t)
+
+
+def ref_autoreduce(basis, exps, keyf, emit_t):
+    keyf.ranked(exps)
+    order_idx = sorted(range(len(basis)), key=lambda m: (keyf(exps[m]), m))
+    dedup, seen = [], set()
+    for m in order_idx:
+        if exps[m] not in seen:
+            seen.add(exps[m])
+            dedup.append(m)
+    kept = [
+        m for m in dedup if not any(mm != m and ref_divides(exps[mm], exps[m]) for mm in dedup)
+    ]
+    mini = [basis[m] for m in kept]
+    mexp = [exps[m] for m in kept]
+    for _ in range(REDUCTION_ROUNDS):
+        changed = False
+        for idx in range(len(mini)):
+            if mini[idx] is None:
+                continue
+            live = [m for m in range(len(mini)) if m != idx and mini[m] is not None]
+            rem = ref_divide_flat(
+                mini[idx], [mini[m] for m in live], [mexp[m] for m in live],
+                [mini[m][mexp[m]] for m in live], keyf, emit_t,
+                max((_degree(mini[m]) for m in live), default=0),
+            )[0]
+            if not rem:
+                mini[idx] = None
+                changed = True
+                continue
+            rem, top = _leading(rem, keyf)
+            if rem != mini[idx]:
+                mini[idx], mexp[idx] = rem, top
+                changed = True
+        if not changed:
+            break
+    else:
+        raise ResourceBoundExceeded(
+            f"autoreduction did not stabilize within {REDUCTION_ROUNDS} rounds",
+            cap="REDUCTION_ROUNDS",
+            limit=REDUCTION_ROUNDS,
+            observed=REDUCTION_ROUNDS + 1,
+        )
+    canon = TermOrder()
+    return sorted(
+        ((f, e) for f, e in zip(mini, mexp) if f is not None),
+        key=lambda p: (canon.key(p[1][:3], p[1][3], None), p[1]),
+    )
+
+
 def completion(generators, L):
-    """(elements, order cone) of reduce_basis, or the cap message."""
+    """(elements, exponents, order decisions, order cone) of reduce_basis,
+    or the cap message."""
     try:
         b = reduce_basis(generators, L)
     except ResourceBoundExceeded as exc:
@@ -465,7 +693,23 @@ def completion(generators, L):
     assert all(
         type(c) is Fraction for h in b.elements for _, _, c in h.iter_terms()
     )
-    return b.elements, b.order_cone
+    trace = b._trace.trace
+    return b.elements, b.exponents, trace, b.order_cone
+
+
+def ref_completion(generators, L):
+    """``completion`` on the reference kernels."""
+    ring = generators[0].ring
+    keyf = _KeyCache(TermOrder().refine(L), ring.shifts, trace=True)
+    flats = [primitive_part(_flatten(homogenize_vec(g)))[2] for g in generators]
+    try:
+        done = ref_buchberger(flats, keyf, True)
+    except ResourceBoundExceeded as exc:
+        return str(exc)
+    elements = tuple(
+        _unflatten(_rational(f, Fraction(1, f[e])), ring, True) for f, e in done
+    )
+    return elements, tuple(e for _, e in done), keyf.trace, keyf.cone()
 
 
 @settings(max_examples=50, deadline=None)
@@ -474,15 +718,7 @@ def test_reduce_basis_matches_the_reference_kernels(data):
     generators = data.draw(fan_modules())
     k = generators[0].ring.k
     L = LinearForm(data.draw(st.tuples(*[st.integers(0, 4)] * k)))
-    got = completion(generators, L)
-    with mock.patch.multiple(
-        basis_module,
-        _mul_terms=ref_mul_terms,
-        _divides=ref_divides,
-        _exp_quotient=ref_exp_quotient,
-        _lcm_exp=ref_lcm_exp,
-    ):
-        assert got == completion(generators, L)
+    assert completion(generators, L) == ref_completion(generators, L)
 
 
 def ref_bd(basis_flats):
@@ -494,22 +730,27 @@ def ref_bd(basis_flats):
     )
 
 
+def divisors_of(basis_flats, lists):
+    """The flats that a division by ``lists`` may use, in list order."""
+    return [basis_flats[m] for lst in lists.values() for m, _, _ in lst]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_passed_basis_degree_equals_the_recomputed_one(data):
     # the running max of the completion, the per-element degrees of the
     # autoreduction and the lazy degree of a finished basis all equal the
-    # full walk over the basis that each division used to make
+    # full walk over the divisors of each division
     generators = data.draw(fan_modules())
     k = generators[0].ring.k
     L = LinearForm(data.draw(st.tuples(*[st.integers(0, 4)] * k)))
     divide_flat = basis_module._divide_flat
     seen = []
 
-    def checked(g, basis_flats, exps, lcs, keyf, emit_t, bd):
-        assert bd == ref_bd(basis_flats)
+    def checked(g, basis_flats, lcs, lists, keyf, emit_t, bd):
+        assert bd == ref_bd(divisors_of(basis_flats, lists))
         seen.append(bd)
-        return divide_flat(g, basis_flats, exps, lcs, keyf, emit_t, bd)
+        return divide_flat(g, basis_flats, lcs, lists, keyf, emit_t, bd)
 
     with mock.patch.object(basis_module, "_divide_flat", checked):
         try:
@@ -550,8 +791,6 @@ def test_looping_division_reports_its_degree_cap(monkeypatch):
 
 def fraction_divide_flat(g, basis_flats, exps, lcs, keyf, emit_t, bd):
     """(quotient term dicts, remainder dict) of the Fraction division."""
-    import heapq
-
     quots = [dict() for _ in basis_flats]
     rem = {}
     tail = dict(g)
@@ -620,8 +859,6 @@ def fraction_monic(flat, keyf):
 
 
 def fraction_buchberger(flats, keyf, emit_t):
-    import heapq
-
     monic = [fraction_monic(dict(f), keyf) for f in flats if f]
     basis = [f for f, _ in monic]
     exps = [e for _, e in monic]
@@ -801,11 +1038,15 @@ def test_integer_completion_matches_the_fraction_reference(data):
     L = LinearForm(data.draw(st.tuples(*[st.integers(0, 4)] * k)))
     divide_flat = basis_module._divide_flat
 
-    def checked(g, basis_flats, exps, lcs, *args):
-        # the completion divides by primitive flats with positive leaders
-        for f, e, p in zip(basis_flats, exps, lcs):
-            assert f[e] == p > 0 and gcd(*f.values()) == 1
-        return divide_flat(g, basis_flats, exps, lcs, *args)
+    def checked(g, basis_flats, lcs, lists, *args):
+        # the completion divides by primitive flats with positive leaders,
+        # listed under their component with their exponent's parts
+        for i, lst in lists.items():
+            for m, parts, e in lst:
+                f = basis_flats[m]
+                assert e[3] == i and parts == e[0] + e[1] + (e[2],)
+                assert f[e] == lcs[m] > 0 and gcd(*f.values()) == 1
+        return divide_flat(g, basis_flats, lcs, lists, *args)
 
     with mock.patch.object(basis_module, "_divide_flat", checked):
         got = capped(integer_completion, generators, L)

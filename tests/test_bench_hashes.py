@@ -2,7 +2,7 @@
 
 The first pass of each benchmark pool (certify 11, fan 90 and quick 200
 operations) is replayed for seeds 1, 2 and 3, and that of the certify
-pool also for seeds 4 and 5.  In the fan pool the seed
+and fan pools also for seeds 4 and 5.  In the fan pool the seed
 draws the coefficients that the completion's integer arithmetic scales;
 in the certify pool one operation per seed builds certificates, and with
 them the fan; in the quick pool it draws the operands, weights and cones
@@ -62,7 +62,7 @@ def test_first_pass_keeps_every_report(runner, workload):
     replay(runner, workload, 1)
 
 
-@pytest.mark.parametrize("seed", [2, 3])
+@pytest.mark.parametrize("seed", [2, 3, 4, 5])
 def test_first_fan_pass_of_more_seeds_keeps_every_report(runner, seed):
     replay(runner, "fan", seed)
 

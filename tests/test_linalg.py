@@ -9,6 +9,10 @@ Fraction Gauss-Jordan kernel it replaced, on entries up to 10^6.  The
 phase-1 simplex is checked against the dense-update Fraction tableau it
 replaced: its integer rows are positive multiples of that tableau's rows,
 so the pivot sequence is the same and the two must return the same point.
+``cone_interior_point`` is checked against ``fraction_cone_interior_point``,
+its route through a Fraction nullspace basis and Fraction dot products:
+its integer rows scale the columns of that route's rows by positive
+factors, so the pivots and the point are the same.
 ``vanishing_rows`` is checked against the nullspace route the intersection
 oracle used before it: both span one space, so their RREFs agree.  No
 solver changes or hands back the caller's rows, whether they hold ints or
@@ -482,14 +486,82 @@ def cones(draw):
 @settings(max_examples=200, deadline=None)
 @given(cones())
 def test_cone_interior_point_matches_dense_updates(case):
+    # the tableau arrives as ints, for the unit basis and for the scaled
+    # nullspace basis alike, and the dense Fraction tableau on the same
+    # rows takes the same pivots
     k, eqs, stricts = case
-    point = cone_interior_point(eqs, stricts, k)
+    seen = []
+
+    def recorded(a, b):
+        seen.append((a, b))
+        return _phase1_simplex(a, b)
+
+    with mock.patch.object(_linalg, "_phase1_simplex", recorded):
+        point = cone_interior_point(eqs, stricts, k)
+    assert all(type(x) is int for a, b in seen for row in a + [b] for x in row)
     with mock.patch.object(_linalg, "_phase1_simplex", dense_phase1_simplex):
         assert cone_interior_point(eqs, stricts, k) == point
     if point is not None:
         assert len(point) == k
         assert all(sum(c * x for c, x in zip(v, point)) == 0 for v in eqs)
         assert all(sum(c * x for c, x in zip(w, point)) >= 1 for w in stricts)
+
+
+def fraction_cone_interior_point(eqs, stricts, k):
+    """Reference: ``cone_interior_point`` on the Fraction nullspace basis
+    and Fraction dot products, as it was before its integer route."""
+    ns = nullspace([{i: x for i, x in enumerate(v) if x} for v in eqs], k)
+    if not ns:
+        if stricts:
+            return None
+        return [Fraction(0)] * k
+    m = len(ns)
+    if not stricts:
+        return [Fraction(0)] * k
+    g = [[sum(Fraction(w[i]) * x for i, x in v.items()) for v in ns] for w in stricts]
+    rows = []
+    for gr in g:
+        rows.append(gr + [-c for c in gr] + [Fraction(0)] * len(stricts))
+    for i in range(len(stricts)):
+        rows[i][2 * m + i] = Fraction(-1)
+    sol = _phase1_simplex(rows, [Fraction(1)] * len(stricts))
+    if sol is None:
+        return None
+    point = [Fraction(0)] * k
+    for j, v in enumerate(ns):
+        y = sol[j] - sol[m + j]
+        for i, x in v.items():
+            point[i] += y * x
+    return point
+
+
+@st.composite
+def scaled_cones(draw):
+    """``cones`` with some equalities and stricts repeated times a
+    positive integer, and some systems made infeasible by a strict and
+    its negation."""
+    k, eqs, stricts = draw(cones())
+    scale = st.integers(1, 6)
+    eqs += [[draw(scale) * x for x in v] for v in eqs if draw(st.booleans())]
+    stricts += [[draw(scale) * x for x in w] for w in stricts if draw(st.booleans())]
+    if stricts and draw(st.booleans()):
+        stricts.append([-draw(scale) * x for x in stricts[0]])
+    return k, eqs, stricts
+
+
+@settings(max_examples=300, deadline=None)
+@given(scaled_cones())
+@example((2, [], [[1, -1], [-2, 2]]))
+@example((3, [[1, 1, 0], [2, 2, 0]], [[0, 0, 1], [1, 0, 0]]))
+@example((3, [[0, 0, 0]], [[1, 2, 3]]))
+@example((3, [[2, 1, 0]], [[0, 1, 1], [1, 0, 0]]))  # nullspace scale 2
+def test_cone_interior_point_matches_the_fraction_route(case):
+    k, eqs, stricts = case
+    point = cone_interior_point(eqs, stricts, k)
+    assert point == fraction_cone_interior_point(eqs, stricts, k)
+    # the nullspace basis is read off the rref, which a positive scale of
+    # an equality leaves alone
+    assert cone_interior_point([[3 * x for x in v] for v in eqs], stricts, k) == point
 
 
 # the one primitive-vector helper against the gcd loops it replaced
