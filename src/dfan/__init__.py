@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .basis import DivisionResult, StandardBasis, reduce_basis
 from .fan import Fan, FanCone, standard_fan
-from .filtration import in_V_gamma, in_V_s, multi_weight, newton_diagram
+from .filtration import in_V_gamma, multi_weight
 from .flatness import (
     FlatCertificate,
     MonomialIdeal,
@@ -17,10 +17,10 @@ from .flatness import (
     offsets,
 )
 from .grammar import format_op, format_vec, parse_op, parse_vec
-from .problem import ProblemFile, format_problem, parse_problem
-from .rees import ReesElement, fiber_V_zero_test, from_A, rees_mul, to_A
+from .problem import ProblemFile, parse_problem
+from .rees import fiber_V_zero_test
 from .toric import BasicCone, refine_to_basic
-from .weights import GeneralForm, LinearForm, TermOrder, privileged_exponent
+from .weights import LinearForm, TermOrder
 from .weyl import (
     DtOp,
     DtVec,
@@ -28,7 +28,6 @@ from .weyl import (
     WeylOp,
     WeylVec,
     dehomogenize,
-    homogenize,
     homogenize_vec,
 )
 
@@ -40,11 +39,9 @@ __all__ = [
     "Fan",
     "FanCone",
     "FlatCertificate",
-    "GeneralForm",
     "LinearForm",
     "MonomialIdeal",
     "ProblemFile",
-    "ReesElement",
     "RingDescriptor",
     "StandardBasis",
     "TermOrder",
@@ -54,27 +51,19 @@ __all__ = [
     "fiber_V_zero_test",
     "flat_decompose",
     "format_op",
-    "format_problem",
     "format_vec",
-    "from_A",
-    "homogenize",
     "homogenize_vec",
     "in_V_gamma",
-    "in_V_s",
     "intersection_oracle",
     "kernel_normalize",
     "monomial_filtration",
     "multi_weight",
-    "newton_diagram",
     "offsets",
     "parse_op",
     "parse_problem",
     "parse_vec",
-    "privileged_exponent",
     "reduce_basis",
-    "rees_mul",
     "refine_to_basic",
     "standard_fan",
-    "to_A",
     "__version__",
 ]

@@ -5,11 +5,12 @@ deterministic (Bland's rule, fixed tie-breaks).
 
 A row or vector is a dict from column index to a nonzero int or Fraction;
 absent columns are zero.  Results are Fractions, except the integer rows
-of ``vanishing_part``.  Every solver runs on one elimination kernel,
-``_echelon``; it and the simplex tableau keep integer rows, after Bareiss
-("Sylvester's identity and multistep integer-preserving Gaussian
-elimination", 1968).  ``_echelon`` takes in a primitive integer copy of
-each row, so no caller's dict is changed or kept.  A solver that needs a
+of ``vanishing_part`` and ``vanishing_rows``.  Every solver runs on one
+elimination kernel, ``_echelon``; it and the simplex tableau keep
+integer rows, after Bareiss ("Sylvester's identity and multistep
+integer-preserving Gaussian elimination", 1968).  ``_echelon`` takes in
+a primitive integer copy of each row, so no caller's dict is changed or
+kept.  A solver that needs a
 different pivot preference renumbers the columns first; the intersection
 oracle builds its integer product rows in that numbering, bad columns
 first, and hands them to ``vanishing_part`` directly."""
@@ -130,18 +131,16 @@ def vanishing_part(rows, nbad, names):
 
 def vanishing_rows(rows, bad_cols):
     """Basis of the part of the row space of ``rows`` that vanishes on
-    every column in ``bad_cols``, as rows over the original columns: the
-    columns renumbered bad-first, then ``vanishing_part``."""
+    every column in ``bad_cols``, as primitive integer rows over the
+    original columns: the columns renumbered bad-first, then
+    ``vanishing_part``."""
     bad = set(bad_cols)
     used = {c for row in rows for c in row}
     first = sorted(used & bad)
     order = first + sorted(used - bad)
     pos = {c: i for i, c in enumerate(order)}
     rows = [{pos[c]: x for c, x in row.items()} for row in rows]
-    return [
-        {c: Fraction(x) for c, x in row.items()}
-        for row in vanishing_part(rows, len(first), order)
-    ]
+    return vanishing_part(rows, len(first), order)
 
 
 def solve_affine(a_rows, b, ncols):

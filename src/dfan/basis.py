@@ -16,9 +16,10 @@ check the identity on integers over one common denominator (the lcm of
 their denominators, with each element's content).  Polynomial
 coefficients replace convergent series at this scale; division by
 pathological bases whose tails climb in degree forever is cut off by the
-module constants STEP_CAP and DEGREE_SLACK, and an autoreduction that
-does not settle by REDUCTION_ROUNDS; each raises ResourceBoundExceeded,
-never a silently truncated result.
+module constants STEP_CAP and DEGREE_SLACK, a completion that grows past
+MAX_BASIS_ELEMENTS, and an autoreduction that does not settle by
+REDUCTION_ROUNDS; each raises ResourceBoundExceeded, never a silently
+truncated result.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .weyl import (
 # above their inputs; the caps are generous for those while tripping fast
 # on tails that feed themselves.
 STEP_CAP = 20_000  # steps of one division
+MAX_BASIS_ELEMENTS = 256  # elements of one completion, before autoreduction
 REDUCTION_ROUNDS = 64  # inter-reduction rounds of one autoreduction
 DEGREE_SLACK = 16  # total degree above the input's plus the basis's
 
@@ -457,8 +459,16 @@ def _buchberger(flats, keyf, emit_t):
 
     def add(flat):
         nonlocal bd
-        flat, top = _leading(flat, keyf)
         new = len(basis)
+        if new == MAX_BASIS_ELEMENTS:
+            raise ResourceBoundExceeded(
+                f"completion exceeded {MAX_BASIS_ELEMENTS} basis elements; "
+                "its S-pairs keep leaving remainders",
+                cap="MAX_BASIS_ELEMENTS",
+                limit=MAX_BASIS_ELEMENTS,
+                observed=new + 1,
+            )
+        flat, top = _leading(flat, keyf)
         basis.append(flat)
         exps.append(top)
         lcs.append(flat[top])
@@ -639,10 +649,6 @@ def plain_module_basis(generators):
 
 class PlainBasis(_Divisors):
     """Groebner basis of a plain D^r-submodule under a degree well-order."""
-
-    def normal_form(self, G: WeylVec) -> WeylVec:
-        c, rem, scale, _ = self._reduce(_flatten(G), False)
-        return _unflatten(_rational(rem, c / scale), self.ring, False)
 
     def member(self, G: WeylVec) -> bool:
         return not self._reduce(_flatten(G), False)[1]

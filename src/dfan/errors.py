@@ -39,10 +39,6 @@ class ResourceBoundExceeded(DfanError):
         self.observed = observed
 
 
-class GradingError(DfanError):
-    """A graded element violates its degree constraint."""
-
-
 class CertificateError(DfanError):
     """A flatness certificate could not be produced or verified."""
 

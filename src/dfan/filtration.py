@@ -1,4 +1,4 @@
-"""Multiweights, V-multifiltration membership and V-Newton diagrams.
+"""Multiweights and V-multifiltration membership.
 
 The multiweight of a term x^alpha d^beta in component i is
 (beta - alpha)[:k] + n^(i), with n^(i) the i-th shift column.  A vector
@@ -11,7 +11,7 @@ of rank one with a zero shift."""
 
 from __future__ import annotations
 
-from .toric import BasicCone, cone_drops, normalize_rays, orthant_cone
+from .toric import BasicCone, cone_drops, normalize_rays
 
 
 def multi_weight(key, comp: int, shifts, k: int):
@@ -37,13 +37,3 @@ def in_V_gamma(B, s, gamma) -> bool:
         for delta in _iter_weighted_terms(B, len(s))
     )
 
-
-def in_V_s(B, s) -> bool:
-    """Membership in V[n_]_s: V^Gamma_s for the orthant cone."""
-    return in_V_gamma(B, s, orthant_cone(len(s)))
-
-
-def newton_diagram(B) -> frozenset:
-    """The V-Newton diagram: the set of shifted weight vectors of the
-    support.  t-exponents are ignored."""
-    return frozenset(_iter_weighted_terms(B, B.ring.k))

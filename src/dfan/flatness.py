@@ -104,16 +104,6 @@ class MonomialIdeal:
             js.append(g.index(1) + 1)
         return tuple(sorted(js))
 
-    def graded_dimension(self, d: int) -> int:
-        """Number of degree-d monomials inside the ideal."""
-        from itertools import product
-
-        count = 0
-        for e in product(range(d + 1), repeat=self.k):
-            if sum(e) == d and self.contains(e):
-                count += 1
-        return count
-
     def __eq__(self, other):
         return (
             isinstance(other, MonomialIdeal)
@@ -133,12 +123,6 @@ class MonomialIdeal:
         return "(" + format_w_monomials(self.gens) + ")"
 
 
-def coordinate_ideal(k: int, J) -> MonomialIdeal:
-    return MonomialIdeal(
-        k, (tuple(1 if i == j - 1 else 0 for i in range(k)) for j in J)
-    )
-
-
 @dataclass(frozen=True)
 class ChainStep:
     monomial: tuple
@@ -152,14 +136,6 @@ class FiltrationChain:
 
     start: MonomialIdeal
     steps: tuple
-
-    def ideals(self):
-        out = [self.start]
-        h = self.start
-        for st in self.steps:
-            h = h.plus_monomial(st.monomial)
-            out.append(h)
-        return out
 
     def verify(self) -> None:
         h = self.start

@@ -10,7 +10,6 @@ Each format has its own table of letters, in print order:
     x d t e   operators of D and D[t] and their vectors    (OPERATOR)
     x d w     syzygy operators in the toric coordinates    (SYZYGY)
     W w       monomials of Q[W], unsigned; w reads as W    (W_MONOMIAL)
-    X D U     the graded algebra                           (GRADED)
 
 Examples: ``3/2 x1^2 d1 e1 - d2 e1``, ``x1 d1 w2``, ``W1^2 W2``.  ``t``
 carries no index; ``e<i>`` marks a vector component, is required for
@@ -51,7 +50,6 @@ class Letters:
 OPERATOR = Letters("xdte", unindexed="t")
 SYZYGY = Letters("xdw")
 W_MONOMIAL = Letters("Ww")
-GRADED = Letters("XDU")
 
 
 def tokenize(text: str, table: Letters) -> list:

@@ -13,17 +13,18 @@
     l_max = 8                  (optional)
     order = deg-revlex-pot     (optional; the only supported name)
 
-Printing a parsed problem and reparsing yields an equal value."""
+The round-trip tests print a parsed problem with a printer of their own
+and parse it back to an equal value."""
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SemanticError, SyntaxErrorWithPos
 from .flatness import parse_w_op
-from .grammar import format_vec, format_w_monomials, parse_vec, parse_w_monomials
+from .grammar import parse_vec, parse_w_monomials
 from .weights import LinearForm, TermOrder
 from .weyl import RingDescriptor, WeylVec
 
@@ -197,34 +198,6 @@ def parse_problem(text: str) -> ProblemFile:
         key, (_, lineno) = sorted(fields.items())[0]
         raise SyntaxErrorWithPos(f"unknown field {key!r}", lineno, 1)
     return out
-
-
-def format_problem(p: ProblemFile) -> str:
-    lines = [f"ring n={p.ring.n} k={p.ring.k} r={p.ring.r}"]
-    lines.append(
-        "shifts = [" + ", ".join("[" + ", ".join(map(str, col)) + "]" for col in p.ring.shifts) + "]"
-    )
-    if p.order_name:
-        lines.append(f"order = {p.order_name}")
-    for g in p.generators:
-        lines.append(f"gen: {format_vec(g)}")
-    if p.target is not None:
-        lines.append(f"target: {format_vec(p.target)}")
-    if p.cone is not None:
-        lines.append(
-            "cone = [" + ", ".join("[" + ", ".join(map(str, row)) + "]" for row in p.cone) + "]"
-        )
-    if p.weight is not None:
-        lines.append("weight = [" + ", ".join(str(c) for c in p.weight.coeffs) + "]")
-    if p.ideal is not None:
-        lines.append(f"ideal = {format_w_monomials(p.ideal)}")
-    if p.s is not None:
-        lines.append("s = [" + ", ".join(map(str, p.s)) + "]")
-    if p.degree_bound is not None:
-        lines.append(f"degree_bound = {p.degree_bound}")
-    if p.l_max is not None:
-        lines.append(f"l_max = {p.l_max}")
-    return "\n".join(lines) + "\n"
 
 
 @dataclass

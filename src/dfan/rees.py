@@ -1,11 +1,5 @@
-"""Graded Rees elements P u^s, the graded algebra isomorphic to the plain
-Rees ring, and fibers at zero.
-
-An element of the Rees ring of the V-multifiltration is a pair (P, s)
-with P in V_s; the graded isomorphism sends x^alpha d^beta u^s to
-X^alpha Delta^beta U^sigma with sigma = s + alpha - beta on the first k
-coordinates.  At polynomial scale the target algebra is Q[X][Delta, U]
-with Delta_i X_i = X_i Delta_i + 1 and U central.
+"""Fibers at zero of the Rees module of the V-multifiltration, plain and
+cone-refined.
 
 The fiber-at-zero test decides whether the classes of the unit vectors
 die in the quotient by the submodule plus the ideal of positive u-degrees:
@@ -21,145 +15,11 @@ from fractions import Fraction
 
 from ._linalg import solve_affine
 from .basis import plain_module_basis, reduce_basis
-from .errors import ConeError, GradingError, RingMismatchError, ZeroInputError
-from .filtration import in_V_gamma, multi_weight
-from .grammar import GRADED, format_factors, format_sum
+from .errors import ConeError, ZeroInputError
+from .filtration import multi_weight
 from .toric import BasicCone, cone_drops, orthant_cone
 from .weights import LinearForm, ord_L_vec, symbol_L
-from .weyl import (
-    RingDescriptor,
-    WeylOp,
-    WeylVec,
-    _mul_terms,
-    accumulate,
-    content_free,
-    dehomogenize,
-    monomial_multiples,
-)
-
-
-class ReesElement:
-    """P u^s for P in V_s (plain context) or in V^Gamma_s (cone context).
-
-    ``op`` is a scalar WeylOp (ring elements) or a WeylVec (module
-    elements, filtered through the ring's shift matrix)."""
-
-    __slots__ = ("op", "s", "cone")
-
-    def __init__(self, op, s, cone: BasicCone | None = None):
-        self.op = op
-        self.s = tuple(int(c) for c in s)
-        self.cone = cone
-        k = op.ring.k
-        if len(self.s) != k:
-            raise GradingError(f"degree must live in Z^{k}")
-        if not in_V_gamma(op, self.s, cone or orthant_cone(k)):
-            raise GradingError(f"operator is not in the filtration at s = {self.s}")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ReesElement)
-            and self.op == other.op
-            and self.s == other.s
-            and self.cone == other.cone
-        )
-
-    def __repr__(self):
-        return f"ReesElement({self.op!r}, s={self.s})"
-
-
-def rees_mul(e1: ReesElement, e2: ReesElement) -> ReesElement:
-    """(P1 u^s1)(P2 u^s2) = (P1 P2) u^(s1+s2); the u variables are central."""
-    if e1.cone != e2.cone:
-        raise RingMismatchError("Rees elements in different contexts")
-    if isinstance(e1.op, WeylVec):
-        raise TypeError("left factor must be a scalar ring element")
-    if isinstance(e2.op, WeylVec):
-        prod = e2.op.left_mul(e1.op)
-    else:
-        prod = e1.op * e2.op
-    s = tuple(a + b for a, b in zip(e1.s, e2.s))
-    return ReesElement(prod, s, e1.cone)
-
-
-class AElement:
-    """Graded image of a scalar Rees element: terms X^alpha Delta^beta
-    U^sigma with sigma in N^k, all of one degree (sigma + beta - alpha)."""
-
-    __slots__ = ("ring", "terms")
-
-    def __init__(self, ring: RingDescriptor, terms):
-        self.ring = ring
-        if isinstance(terms, dict):
-            self.terms = {k: v for k, v in terms.items() if v}
-        else:
-            self.terms = accumulate({}, terms)
-        for (a, b, sig) in self.terms:
-            if any(c < 0 for c in sig):
-                raise GradingError("negative U-exponent")
-
-    def degree(self):
-        degs = {
-            tuple(sig[i] + b[i] - a[i] for i in range(self.ring.k))
-            for (a, b, sig) in self.terms
-        }
-        if len(degs) > 1:
-            raise GradingError("inhomogeneous element of the graded algebra")
-        return degs.pop() if degs else None
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AElement)
-            and self.ring == other.ring
-            and self.terms == other.terms
-        )
-
-    def __mul__(self, other: "AElement") -> "AElement":
-        if self.ring != other.ring:
-            raise RingMismatchError("A-elements over different rings")
-        acc = {}
-        for (a1, b1, s1), c1 in self.terms.items():
-            for (a2, b2, s2), c2 in other.terms.items():
-                sig = tuple(x + y for x, y in zip(s1, s2))
-                accumulate(acc, (
-                    ((na, nb, sig), cc)
-                    for (na, nb), cc in _mul_terms((a1, b1), c1, (a2, b2), c2, False)
-                ))
-        return AElement(self.ring, acc)
-
-    def __repr__(self):
-        return f"AElement({self.format()!r})"
-
-    def format(self) -> str:
-        return format_sum(
-            (self.terms[key], format_factors(GRADED, key)) for key in sorted(self.terms)
-        )
-
-
-def to_A(e: ReesElement) -> AElement:
-    """The graded isomorphism on homogeneous elements (plain context)."""
-    if e.cone is not None:
-        raise GradingError("the graded isomorphism needs the plain context")
-    if not isinstance(e.op, WeylOp):
-        raise TypeError("the graded isomorphism acts on scalar elements")
-    k = e.op.ring.k
-    terms = {}
-    for (a, b), c in e.op.terms.items():
-        sig = tuple(e.s[i] + a[i] - b[i] for i in range(k))
-        terms[(a, b, sig)] = c
-    return AElement(e.op.ring, terms)
-
-
-def from_A(a: AElement) -> ReesElement:
-    """Inverse of the graded isomorphism; needs a homogeneous element."""
-    s = a.degree()
-    if s is None:
-        raise ZeroInputError("the zero element has no homogeneous degree")
-    op = WeylOp(a.ring, {(al, b): c for (al, b, _), c in a.terms.items()})
-    return ReesElement(op, s)
+from .weyl import WeylVec, accumulate, content_free, dehomogenize, monomial_multiples
 
 
 @dataclass
@@ -258,30 +118,3 @@ def fiber_V_zero_test(
         witnesses.append((i, w))
     return FiberResult("zero", witnesses, None, bound)
 
-
-def gamma_fiber_reduce(e: ReesElement):
-    """Rewrite a cone-context element in (X, Delta, W) coordinates and
-    drop every term with a nonzero W-exponent: reduction modulo the
-    maximal graded ideal of the toric ring.  Returns the surviving
-    operator in the X/Delta Weyl algebra.
-
-    This is the fiber at zero of the paper's Rees ring of the cone
-    filtration, which the graded isomorphism makes the X/Delta Weyl
-    algebra over the toric ring; the adaptedness the paper proves is
-    flatness over that ring, read on this fiber.  The tests check it term
-    by term: a positive W-exponent dies, W-exponent zero survives."""
-    if e.cone is None:
-        raise ConeError("reduction needs a basic cone context")
-    op = e.op
-    shifts = op.shifts
-
-    def survives(key, comp):
-        """The W-exponent of the term is its cone drops."""
-        wexp = cone_drops(e.cone.rows, e.s, multi_weight(key, comp, shifts, e.cone.k))
-        if min(wexp) < 0:
-            raise GradingError("term escapes the cone filtration")
-        return not any(wexp)
-
-    return type(op).from_terms(
-        op.ring, (t for t in op.iter_terms() if survives(t[0], t[1]))
-    )

@@ -103,21 +103,6 @@ def cone_drops(rows, s, delta):
     return tuple(sum(r * (x - d) for r, x, d in zip(row, s, delta)) for row in rows)
 
 
-def dual_membership(a, gamma: BasicCone) -> bool:
-    """a in the dual cone iff L_i(a) >= 0 for every row."""
-    return min(cone_drops(gamma.rows, a, (0,) * gamma.k)) >= 0
-
-
-def w_to_u(a, gamma: BasicCone):
-    """Exponent of u representing W^a: the matrix product L' a."""
-    return cone_drops(gamma.inverse, a, (0,) * gamma.k)
-
-
-def u_to_w(sigma, gamma: BasicCone):
-    """Exponent of W representing u^sigma: the matrix product L sigma."""
-    return cone_drops(gamma.rows, sigma, (0,) * gamma.k)
-
-
 def normalize_rays(rays):
     """Primitive integer ray forms in the nonnegative quadrant."""
     out = []

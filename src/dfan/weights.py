@@ -1,13 +1,10 @@
 """Weight forms, orders and symbols.
 
-Two kinds of forms act on exponents (alpha, beta):
-
-* ``GeneralForm`` (e, f) with e_i <= 0 and e_i + f_i >= 0, evaluated as
-  sum e_i alpha_i + f_i beta_i;
-* ``LinearForm`` L with nonnegative rational coefficients on the first k
-  coordinates, lifted to L(beta) - L(alpha).  t-exponents never weigh.
-  It evaluates on integers, as an integer vector over one positive
-  denominator; a value becomes a Fraction only where it is read.
+A ``LinearForm`` L has nonnegative rational coefficients on the first k
+coordinates and weighs an exponent (alpha, beta) by L(beta) - L(alpha);
+t-exponents never weigh.  It evaluates on integers, as an integer vector
+over one positive denominator; a value becomes a Fraction only where it
+is read.
 
 ``TermOrder`` is the fixed well-order behind privileged exponents: an
 optional tuple of linear-form weights (the L-context refinement), then
@@ -23,44 +20,9 @@ from math import lcm
 from operator import mul, sub
 
 from ._linalg import to_primitive_int
-from .errors import WeightError, ZeroInputError
+from .errors import WeightError
 
 NEG_INF = float("-inf")
-
-
-class GeneralForm:
-    """A form Lambda = (e, f) in the admissible set (e <= 0, e + f >= 0)."""
-
-    __slots__ = ("e", "f")
-
-    def __init__(self, e, f):
-        self.e = tuple(Fraction(c) for c in e)
-        self.f = tuple(Fraction(c) for c in f)
-        if len(self.e) != len(self.f):
-            raise WeightError("e and f must have the same length")
-        for ei, fi in zip(self.e, self.f):
-            if ei > 0:
-                raise WeightError(f"e-coefficient {ei} must be <= 0")
-            if ei + fi < 0:
-                raise WeightError(f"e + f coefficient {ei + fi} must be >= 0")
-
-    def __call__(self, alpha, beta) -> Fraction:
-        return sum(
-            (e * a for e, a in zip(self.e, alpha)), Fraction(0)
-        ) + sum((f * b for f, b in zip(self.f, beta)), Fraction(0))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GeneralForm)
-            and self.e == other.e
-            and self.f == other.f
-        )
-
-    def __hash__(self):
-        return hash((self.e, self.f))
-
-    def __repr__(self):
-        return f"GeneralForm(e={list(self.e)}, f={list(self.f)})"
 
 
 class LinearForm:
@@ -92,15 +54,6 @@ class LinearForm:
         """Evaluate on the first k entries of an integer vector."""
         return Fraction(self.dot(v), self.den)
 
-    def lift(self, n: int) -> GeneralForm:
-        """The form (alpha, beta) -> L(beta) - L(alpha) on 2n exponents."""
-        e = tuple(-c for c in self.coeffs) + (Fraction(0),) * (n - self.k)
-        f = self.coeffs + (Fraction(0),) * (n - self.k)
-        return GeneralForm(e, f)
-
-    def weight(self, alpha, beta) -> Fraction:
-        return Fraction(self.dot(beta) - self.dot(alpha), self.den)
-
     def __eq__(self, other):
         return isinstance(other, LinearForm) and self.coeffs == other.coeffs
 
@@ -116,12 +69,6 @@ class LinearForm:
 
 def ones_form(k: int) -> LinearForm:
     return LinearForm((1,) * k)
-
-
-def ord_general(P, form: GeneralForm):
-    """Max of form(alpha, beta) over the support of a scalar operator;
-    -inf for zero."""
-    return max((form(key[0], key[1]) for key in P.terms), default=NEG_INF)
 
 
 def _scaled_weights(B, L: LinearForm):
@@ -154,13 +101,6 @@ def symbol_L(B, L: LinearForm, d):
             f"ord {Fraction(w0, L.den)} exceeds requested symbol degree {d}"
         )
     return type(B).from_terms(B.ring, (t for w, t in weighted if w == top))
-
-
-def principal_symbol(B, L: LinearForm):
-    """sigma^L at d = ord^L; zero input gives zero."""
-    if B.is_zero():
-        return B
-    return symbol_L(B, L, ord_L_vec(B, L))
 
 
 class TermOrder:
@@ -215,16 +155,6 @@ class TermOrder:
 
     def __repr__(self):
         return f"TermOrder(weights={list(self.weights)})"
-
-
-def privileged_exponent(G, order: TermOrder):
-    """The maximal (alpha, beta, l, i) in the support of G under the
-    order, with G's own shifts; deterministic, fails on zero."""
-    if G.is_zero():
-        raise ZeroInputError("zero operand has no privileged exponent")
-    shifts = G.shifts
-    key, i, _ = max(G.iter_terms(), key=lambda t: order.key(t[0], t[1], shifts))
-    return key + (i,) if len(key) == 3 else key + (0, i)
 
 
 class _KeyCache:

@@ -437,16 +437,6 @@ def monomial_multiples(g: WeylVec, room: int):
             }
 
 
-def homogenize(P: WeylOp) -> DtOp:
-    """h(P) = sum p_b(x) d^b t^(d-|b|) with d the usual order of P."""
-    if P.is_zero():
-        raise ZeroInputError("cannot homogenize the zero operator")
-    d = P.order()
-    return DtOp(
-        P.ring, {(a, b, d - sum(b)): c for (a, b), c in P.terms.items()}
-    )
-
-
 def homogenize_vec(B: WeylVec) -> DtVec:
     """Componentwise t^(d-d_i) h(P_i) where d = max of the usual orders.
 

@@ -185,6 +185,23 @@ def recompose(res):
     return total
 
 
+def graded_dimension(ideal, d):
+    """Reference for the chain tests: the number of degree-d monomials
+    inside a monomial ideal, by scanning the box."""
+    return sum(
+        1 for e in product(range(d + 1), repeat=ideal.k)
+        if sum(e) == d and ideal.contains(e)
+    )
+
+
+def chain_ideals(chain):
+    """H_0 < H_1 < ... < H_len of a ``FiltrationChain``."""
+    out = [chain.start]
+    for st in chain.steps:
+        out.append(out[-1].plus_monomial(st.monomial))
+    return out
+
+
 def flat(v):
     """The terms of a WeylVec as one dict (alpha, beta, i) -> coef, the
     form in which monomial_multiples yields its products."""

@@ -1,0 +1,78 @@
+"""Static guard on the public API of ``src/dfan``.
+
+Every top-level function and class must be reachable from the command
+line: named, through any chain of names, from ``cli.run`` or ``cli.main``
+or from module-level code outside a definition.  A definition that only
+dead definitions name is dead too, and ``__init__.py`` names nothing on
+behalf of the package.  The grammar entry points that build test inputs
+are the only exemptions.  Every name in ``dfan.__all__`` must resolve."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "dfan"
+ENTRY_POINTS = {"run", "main"}
+EXEMPT = {"parse_op", "parse_dt_op", "parse_dt_vec"}
+
+
+def _names(node):
+    """Every name and attribute name read anywhere inside ``node``."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+    return out
+
+
+def _definitions_and_roots():
+    """({top-level def or class name: (module, names its body reads)},
+    names read by module-level code outside every definition)."""
+    defs, roots = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                module, names = defs.get(node.name, (path.name, set()))
+                defs[node.name] = (module, names | _names(node))
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                roots |= _names(node)
+    return defs, roots
+
+
+def unreached():
+    """(module, name) of each top-level definition no command reaches."""
+    defs, roots = _definitions_and_roots()
+    reached, todo = set(), list(ENTRY_POINTS | roots)
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        if name in defs:
+            todo.extend(defs[name][1] - reached)
+    return sorted(
+        (module, name)
+        for name, (module, _) in defs.items()
+        if name not in reached and name not in EXEMPT
+    )
+
+
+def test_every_definition_is_reached_from_the_command_line():
+    assert unreached() == []
+
+
+def test_the_exemptions_are_still_defined():
+    defs, _ = _definitions_and_roots()
+    assert EXEMPT <= set(defs)
+
+
+def test_every_exported_name_resolves():
+    namespace = {}
+    exec("from dfan import *", namespace)
+    import dfan
+
+    assert all(name in namespace for name in dfan.__all__)
+    assert len(set(dfan.__all__)) == len(dfan.__all__)

@@ -367,6 +367,8 @@ def test_degree_slack_sets_the_cap_a_looping_division_reports(tmp_path, monkeypa
     [
         (basis, "STEP_CAP", 1, ["divide", "vector2.txt"], 1, 2),
         (basis, "REDUCTION_ROUNDS", 1, ["fan", "vector2.txt"], 1, 2),
+        # the completion of vector2 adds a third element before autoreduction
+        (basis, "MAX_BASIS_ELEMENTS", 2, ["gb", "vector2.txt"], 2, 3),
         # the degree cap is 3 + 2 + DEGREE_SLACK for the looping division
         (basis, "DEGREE_SLACK", 2, ["divide", "loop.txt"], 7, 8),
         (fan, "MAX_K", 1, ["fan", "euler.txt"], 1, 2),
@@ -382,7 +384,8 @@ def test_degree_slack_sets_the_cap_a_looping_division_reports(tmp_path, monkeypa
          ["monomial-chain", "--ideal", "W1^3, W2^3", "--k", "2"], 2, 3),
     ],
     ids=[
-        "STEP_CAP", "REDUCTION_ROUNDS", "DEGREE_SLACK", "MAX_K", "MAX_NORMALS",
+        "STEP_CAP", "REDUCTION_ROUNDS", "MAX_BASIS_ELEMENTS", "DEGREE_SLACK", "MAX_K",
+        "MAX_NORMALS",
         "MAX_CELLS", "toric.MAX_BOX_POINTS", "flatness.MAX_BOX_POINTS",
         "MAX_MULTIPLIERS", "MAX_CHAIN_STEPS",
     ],

@@ -9,20 +9,17 @@ from dfan.filtration import (
     _iter_weighted_terms,
     cone_drops,
     in_V_gamma,
-    in_V_s,
     multi_weight,
-    newton_diagram,
     normalize_rays,
 )
-from dfan.grammar import parse_dt_vec, parse_op, parse_vec
-from dfan.toric import BasicCone
+from dfan.grammar import parse_vec
+from dfan.toric import BasicCone, orthant_cone
 from dfan.weights import LinearForm
-from dfan.weyl import RingDescriptor, WeylVec
+from dfan.weyl import RingDescriptor
 from conftest import random_nonzero_op, random_vec, unimodular_rows
 
-R1 = RingDescriptor(1, 1, 1)
 R2 = RingDescriptor(2, 2, 1)
-RS = RingDescriptor(2, 2, 2, [[0, 0], [1, 3]])
+ORTH2 = orthant_cone(2)  # V_s is V^Gamma_s for the orthant cone
 
 
 def test_multi_weight_examples():
@@ -34,12 +31,12 @@ def test_multi_weight_examples():
 
 def test_in_V_s_examples():
     B = parse_vec("x1^2 d1", R2)
-    assert in_V_s(B, (-1, 0))
-    assert not in_V_s(B, (-2, 0))
-    assert in_V_s(parse_vec("x1", R2) - parse_vec("x1", R2), (-5, -5))
+    assert in_V_gamma(B, (-1, 0), ORTH2)
+    assert not in_V_gamma(B, (-2, 0), ORTH2)
+    assert in_V_gamma(parse_vec("x1", R2) - parse_vec("x1", R2), (-5, -5), ORTH2)
     C = parse_vec("d1 + x1", R2)
-    assert in_V_s(C, (1, 0))
-    assert not in_V_s(C, (0, 0))
+    assert in_V_gamma(C, (1, 0), ORTH2)
+    assert not in_V_gamma(C, (0, 0), ORTH2)
 
 
 def ref_in_V_s(B, s):
@@ -68,13 +65,24 @@ def test_in_V_gamma_orthant_equals_in_V_s(rng):
     for _ in range(30):
         B = random_vec(rng, R2)
         for s in product(range(-2, 3), repeat=2):
-            assert in_V_gamma(B, s, orthant) == ref_in_V_s(B, s) == in_V_s(B, s)
+            assert (
+                in_V_gamma(B, s, orthant) == ref_in_V_s(B, s)
+                == in_V_gamma(B, s, ORTH2)
+            )
 
 
 def test_cone_drops_examples():
     assert cone_drops(((1, 0), (1, 1)), (2, 1), (0, 0)) == (2, 3)
     assert cone_drops(((2, 1),), (0, 0), (1, -2)) == (0,)
     assert cone_drops(((1, 2), (0, 1)), (1, 1), (1, 1)) == (0, 0)
+    # x1 d2 + d1 d2 at s = (1, 1): x1 d2 lies strictly below the top
+    # stratum (it dies on the fiber at zero), d1 d2 is on it
+    shifts = R2.shifts
+    drops = [
+        cone_drops(((1, 0), (1, 1)), (1, 1), multi_weight(key, i, shifts, 2))
+        for key, i, _ in parse_vec("x1 d2 + d1 d2", R2).iter_terms()
+    ]
+    assert sorted(drops) == [(0, 0), (2, 2)]
 
 
 @st.composite
@@ -93,7 +101,7 @@ def test_in_V_gamma_matches_the_fraction_reference(case):
     ring = RingDescriptor(k, k, 2, [[0] * k, list(shift)])
     B = random_vec(random.Random(seed), ring)
     assert in_V_gamma(B, s, gamma) == ref_in_V_gamma(B, s, gamma)
-    assert in_V_s(B, s) == ref_in_V_s(B, s)
+    assert in_V_gamma(B, s, orthant_cone(k)) == ref_in_V_s(B, s)
 
 
 def test_in_V_gamma_examples():
@@ -157,9 +165,9 @@ def test_filtration_compatible_with_product(rng):
         Q = random_nonzero_op(rng, R2, max_degree=3)
         for s_p in [(1, 0), (0, 0)]:
             for s_q in [(0, 1), (-1, 0)]:
-                if in_V_s(P, s_p) and in_V_s(Q, s_q):
+                if in_V_gamma(P, s_p, ORTH2) and in_V_gamma(Q, s_q, ORTH2):
                     s_sum = tuple(a + b for a, b in zip(s_p, s_q))
-                    assert in_V_s(P * Q, s_sum)
+                    assert in_V_gamma(P * Q, s_sum, ORTH2)
                 if in_V_gamma(P, s_p, rays) and in_V_gamma(Q, s_q, rays):
                     s_sum = tuple(a + b for a, b in zip(s_p, s_q))
                     assert in_V_gamma(P * Q, s_sum, rays)
@@ -170,28 +178,5 @@ def test_V_s_included_in_V_gamma(rng):
     for _ in range(20):
         B = random_vec(rng, R2)
         for s in [(0, 0), (1, 1), (-1, 0)]:
-            if in_V_s(B, s):
+            if in_V_gamma(B, s, ORTH2):
                 assert in_V_gamma(B, s, rays)
-
-
-def test_newton_diagram_examples():
-    assert newton_diagram(parse_vec("x1^2 d1 + 1", R1)) == frozenset({(-1,), (0,)})
-    zero = parse_vec("x1", R1) - parse_vec("x1", R1)
-    assert newton_diagram(zero) == frozenset()
-    assert newton_diagram(parse_dt_vec("x1 t", R1)) == newton_diagram(
-        parse_dt_vec("x1", R1)
-    )
-    assert newton_diagram(parse_vec("d2 e2", RS)) == frozenset({(1, 4)})
-
-
-def test_newton_diagram_minkowski(rng):
-    for _ in range(20):
-        P = random_nonzero_op(rng, R2, max_degree=3)
-        B = random_vec(rng, R2, max_degree=3)
-        PB = WeylVec(R2, tuple(P * c for c in B.components))
-        if PB.is_zero():
-            continue
-        nd_p = newton_diagram(P)
-        nd_b = newton_diagram(B)
-        mink = {tuple(a + b for a, b in zip(u, v)) for u in nd_p for v in nd_b}
-        assert newton_diagram(PB) <= mink

@@ -16,7 +16,6 @@ from dfan.flatness import (
     WOp,
     _assign_parts,
     _Frame,
-    coordinate_ideal,
     flat_decompose,
     format_w_op,
     greedy_parts,
@@ -30,7 +29,7 @@ from dfan.grammar import format_vec, parse_op, parse_vec
 from dfan.toric import BasicCone, _det, _inverse_unimodular, orthant_cone
 from dfan.weights import LinearForm
 from dfan.weyl import RingDescriptor, WeylOp, WeylVec, monomial_multiples
-from conftest import monomials, random_vec, unimodular_rows
+from conftest import chain_ideals, graded_dimension, monomials, random_vec, unimodular_rows
 
 R2 = RingDescriptor(2, 2, 1)
 
@@ -51,7 +50,7 @@ def test_colon_examples():
 
 
 def test_coordinate_set():
-    assert coordinate_ideal(3, (1, 3)).coordinate_set() == (1, 3)
+    assert MonomialIdeal(3, [(1, 0, 0), (0, 0, 1)]).coordinate_set() == (1, 3)
     assert MonomialIdeal(2, [(1, 1)]).coordinate_set() is None
     assert MonomialIdeal(2, []).coordinate_set() == ()
 
@@ -102,12 +101,12 @@ def test_chain_graded_dimensions(rng):
             continue
         chain = monomial_filtration(H)
         chain.verify()
-        ideals = chain.ideals()
+        ideals = chain_ideals(chain)
         for i, step in enumerate(chain.steps):
             before, after = ideals[i], ideals[i + 1]
             mdeg = sum(step.monomial)
             for d in range(7):
-                lhs = after.graded_dimension(d) - before.graded_dimension(d)
+                lhs = graded_dimension(after, d) - graded_dimension(before, d)
                 rhs = (
                     graded_dim_quotient_coordinate(k, step.J, d - mdeg)
                     if d >= mdeg

@@ -16,7 +16,6 @@ from dfan.grammar import (
     parse_vec,
     parse_w_monomials,
 )
-from dfan.rees import AElement
 from dfan.weyl import DtOp, DtVec, RingDescriptor, WeylOp, WeylVec
 from conftest import random_dt_op, random_nonzero_op, random_vec
 
@@ -373,30 +372,6 @@ def ref_format_w_op(q):
     return " ".join(chunks)
 
 
-def ref_format_a(terms):
-    if not terms:
-        return "0"
-    parts = []
-    for (a, b, sig) in sorted(terms):
-        coef = terms[(a, b, sig)]
-        factors = []
-        for i, e in enumerate(a):
-            if e:
-                factors.append(f"X{i + 1}" + (f"^{e}" if e > 1 else ""))
-        for i, e in enumerate(b):
-            if e:
-                factors.append(f"D{i + 1}" + (f"^{e}" if e > 1 else ""))
-        for i, e in enumerate(sig):
-            if e:
-                factors.append(f"U{i + 1}" + (f"^{e}" if e > 1 else ""))
-        body = " ".join(factors) if factors else "1"
-        if abs(coef) != 1 or not factors:
-            body = f"{abs(coef)} {body}" if factors else str(abs(coef))
-        parts.append(("- " if coef < 0 else "+ ") + body)
-    out = " ".join(parts)
-    return out[2:] if out.startswith("+ ") else "-" + out[2:]
-
-
 _REF_WMON = re.compile(r"W(\d+)(?:\^(\d+))?\s*", re.IGNORECASE)
 
 
@@ -478,14 +453,6 @@ def test_syzygy_operators_print_as_the_reference(n, k, data):
     key = st.tuples(exponents(n), exponents(n), exponents(k))
     q = WOp(n, k, data.draw(term_dicts(key)))
     assert format_w_op(q) == ref_format_w_op(q)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 2), st.data())
-def test_graded_elements_print_as_the_reference(n, data):
-    key = st.tuples(exponents(n), exponents(n), exponents(n))
-    terms = data.draw(term_dicts(key))
-    assert AElement(RingDescriptor(n, n, 1), terms).format() == ref_format_a(terms)
 
 
 @settings(max_examples=200, deadline=None)

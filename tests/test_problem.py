@@ -1,8 +1,38 @@
 import pytest
 
 from dfan.errors import SemanticError, SyntaxErrorWithPos
-from dfan.grammar import format_w_monomials, parse_w_monomials
-from dfan.problem import format_problem, parse_problem, parse_syzygy
+from dfan.grammar import format_vec, format_w_monomials, parse_w_monomials
+from dfan.problem import parse_problem, parse_syzygy
+
+
+def format_problem(p):
+    """Print a parsed problem; parsing the text gives back an equal value."""
+    lines = [f"ring n={p.ring.n} k={p.ring.k} r={p.ring.r}"]
+    lines.append(
+        "shifts = [" + ", ".join("[" + ", ".join(map(str, col)) + "]" for col in p.ring.shifts) + "]"
+    )
+    if p.order_name:
+        lines.append(f"order = {p.order_name}")
+    for g in p.generators:
+        lines.append(f"gen: {format_vec(g)}")
+    if p.target is not None:
+        lines.append(f"target: {format_vec(p.target)}")
+    if p.cone is not None:
+        lines.append(
+            "cone = [" + ", ".join("[" + ", ".join(map(str, row)) + "]" for row in p.cone) + "]"
+        )
+    if p.weight is not None:
+        lines.append("weight = [" + ", ".join(str(c) for c in p.weight.coeffs) + "]")
+    if p.ideal is not None:
+        lines.append(f"ideal = {format_w_monomials(p.ideal)}")
+    if p.s is not None:
+        lines.append("s = [" + ", ".join(map(str, p.s)) + "]")
+    if p.degree_bound is not None:
+        lines.append(f"degree_bound = {p.degree_bound}")
+    if p.l_max is not None:
+        lines.append(f"l_max = {p.l_max}")
+    return "\n".join(lines) + "\n"
+
 
 EULER = """\
 ring n=2 k=2 r=1

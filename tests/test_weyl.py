@@ -11,10 +11,10 @@ from dfan.weyl import (
     DtOp,
     RingDescriptor,
     WeylOp,
+    WeylVec,
     _mul_terms,
     accumulate,
     dehomogenize,
-    homogenize,
     homogenize_vec,
     monomial_multiples,
     require_f_homogeneous,
@@ -152,17 +152,22 @@ def test_f_homogeneity_closure(rng):
 # homogenization
 
 
+def homogenize(P):
+    """h(P) of a scalar operator, as a vector of rank one."""
+    return homogenize_vec(WeylVec(P.ring, (P,)))
+
+
 def test_homogenize_first_order():
-    assert homogenize(op("d1 + x1", R1)) == dt("d1 + x1 t", R1)
+    assert homogenize(op("d1 + x1", R1)) == parse_dt_vec("d1 + x1 t", R1)
 
 
 def test_homogenize_order_zero():
-    assert homogenize(op("x1", R1)) == dt("x1", R1)
+    assert homogenize(op("x1", R1)) == parse_dt_vec("x1", R1)
 
 
 def test_homogenize_paper_operator():
     h = homogenize(op("1 + x1^2 d1", R1))
-    assert h == dt("t + x1^2 d1", R1)
+    assert h == parse_dt_vec("t + x1^2 d1", R1)
     assert require_f_homogeneous(h) == 1
 
 
@@ -194,7 +199,7 @@ def test_dehomogenize_examples():
 def test_dehomogenize_section(rng):
     for _ in range(25):
         P = random_nonzero_op(rng, R2)
-        assert dehomogenize(homogenize(P)) == P
+        assert dehomogenize(homogenize(P)) == WeylVec(R2, (P,))
 
 
 @settings(max_examples=200, deadline=None)
