@@ -25,6 +25,7 @@ truncated result.
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -542,19 +543,25 @@ def _autoreduce(basis, exps, keyf, emit_t):
     ]
     mini = [basis[m] for m in kept]
     mexp = [exps[m] for m in kept]
+    # one divisor entry, leading coefficient and degree per element, kept
+    # up to date as elements change or drop out (a dropped one weighs 0)
+    entries = [_entry(m, e) for m, e in enumerate(mexp)]
+    lcs = [f[e] for f, e in zip(mini, mexp)]
     degs = [_degree(f) for f in mini]
+    lists = {}
+    for entry in entries:  # in index order: the first divisor wins
+        lists.setdefault(entry[2][3], []).append(entry)
     # inter-reduce tails against the other elements until stable
     for _ in range(REDUCTION_ROUNDS):
         changed = False
         for idx in range(len(mini)):
             if mini[idx] is None:
                 continue
-            live = [m for m in range(len(mini)) if m != idx and mini[m] is not None]
-            rem = _divide_flat(
-                mini[idx], mini, {m: mini[m][mexp[m]] for m in live},
-                _divisor_lists((m, mexp[m]) for m in live), keyf, emit_t,
-                max((degs[m] for m in live), default=0),
-            )[0]
+            # divide by the others: take idx out of its list and degree
+            entry, deg = entries[idx], degs[idx]
+            lists[entry[2][3]].remove(entry)
+            degs[idx] = 0
+            rem = _divide_flat(mini[idx], mini, lcs, lists, keyf, emit_t, max(degs))[0]
             if not rem:
                 mini[idx] = None
                 changed = True
@@ -563,8 +570,12 @@ def _autoreduce(basis, exps, keyf, emit_t):
             if rem != mini[idx]:
                 mini[idx] = rem
                 mexp[idx] = top
-                degs[idx] = _degree(rem)
+                entry = entries[idx] = _entry(idx, top)
+                lcs[idx] = rem[top]
+                deg = _degree(rem)
                 changed = True
+            degs[idx] = deg
+            insort(lists.setdefault(entry[2][3], []), entry)
         if not changed:
             break
     else:

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 
 from ._linalg import cone_interior_point, primitive, to_primitive_int
 from .basis import StandardBasis, recheck_basis, reduce_basis
@@ -60,7 +61,7 @@ def _canon(v):
 
 
 def _dot(L, v):
-    return sum(a * b for a, b in zip(L, v))
+    return sum(map(mul, L, v))
 
 
 def _sign(x):
@@ -250,15 +251,22 @@ def _inside(gens, eqs, stricts, weak=()):
     generator meets the equalities, no generator is negative on a strict
     or weak form, and each strict form is positive on the generators'
     sum."""
-    if any(_dot(v, g) for v in eqs for g in gens):
-        return False
-    if any(_dot(u, g) < 0 for u in weak for g in gens):
-        return False
+    for v in eqs:
+        for g in gens:
+            if sum(map(mul, v, g)):
+                return False
+    for u in weak:
+        for g in gens:
+            if sum(map(mul, u, g)) < 0:
+                return False
     total = [sum(c) for c in zip(*gens)]
-    return all(
-        all(_dot(w, g) >= 0 for g in gens) and _dot(w, total) > 0
-        for w in stricts
-    )
+    for w in stricts:
+        for g in gens:
+            if sum(map(mul, w, g)) < 0:
+                return False
+        if sum(map(mul, w, total)) <= 0:
+            return False
+    return True
 
 
 class _Regions:

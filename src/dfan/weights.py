@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import mul, sub
+from operator import mul, neg, sub
 
 from ._linalg import to_primitive_int
 from .errors import WeightError
@@ -134,18 +134,15 @@ class TermOrder:
             a, b, l = key
         else:
             (a, b), l = key, 0
-        out = []
-        for c in self._scaled:
-            w = sum(map(mul, c, b)) - sum(map(mul, c, a))
-            if shifts is not None:
-                w += sum(map(mul, c, shifts[comp]))
-            out.append(w)
-        out.append(sum(a) + sum(b) + l)
-        out.append(-l)
-        out.extend(-e for e in reversed(a))
-        out.extend(-e for e in reversed(b))
-        out.append(-comp)
-        return tuple(out)
+        s = () if shifts is None else shifts[comp]
+        weights = [
+            sum(map(mul, c, b)) - sum(map(mul, c, a)) + sum(map(mul, c, s))
+            for c in self._scaled
+        ]
+        return (
+            *weights, sum(a) + sum(b) + l, -l,
+            *map(neg, a[::-1]), *map(neg, b[::-1]), -comp,
+        )
 
     def __eq__(self, other):
         return isinstance(other, TermOrder) and self.weights == other.weights
@@ -204,16 +201,24 @@ class _KeyCache:
         the same, as integer forms (weak, strict): L.w >= 0 for w in weak,
         L.w > 0 for w in strict.  The order must be a base order refined
         by one weight, so a key is L applied to beta - alpha plus the
-        component's shift, then the base order's key (its tail)."""
+        component's shift, then the base order's key (its tail).
+
+        Keys are read from the cache alone: every traced exponent was
+        keyed where its decision was taken.  ``leader`` takes the max
+        under this cache, the division heap keys each term that enters
+        it through ``neg``, the S-pair heap keys each lcm when it is
+        pushed, and ``_autoreduce`` sorts the exponents it ranks by this
+        cache.  A missing key raises KeyError; none is computed here."""
         # chain the marked exponents in key order and tie every other one
         # to its nearest marked neighbours; transitivity does the rest.
         # Exponents are numbered as first met, so a decision is a pair of
         # numbers (hi, lo), and one met again is skipped.
+        key = self.cache.__getitem__
         num = {}
         pairs = set()
         for keys, marked in self.trace:
             below, loose = None, []
-            for e in sorted(set(keys), key=self):
+            for e in sorted(set(keys), key=key):
                 n = num.setdefault(e, len(num))
                 if below is not None:
                     pairs.add((n, below))
@@ -228,7 +233,7 @@ class _KeyCache:
         for e in num:
             a, b, _, i = e
             s = self.shifts[i]
-            parts.append(([b[j] - a[j] + s[j] for j in range(k)], self(e)[1:]))
+            parts.append(([b[j] - a[j] + s[j] for j in range(k)], key(e)[1:]))
         weak, strict = set(), set()
         for hi, lo in pairs:
             (vh, th), (vl, tl) = parts[hi], parts[lo]

@@ -377,6 +377,48 @@ def test_generator_sum_is_relatively_interior(arrangement):
                 assert _inside(gens, eqs, sts) == (other == pattern)
 
 
+def ref_inside(gens, eqs, stricts, weak=()):
+    """``_inside`` as it was: generator expressions under ``any``/``all``."""
+
+    def dot(L, v):
+        return sum(a * b for a, b in zip(L, v))
+
+    if any(dot(v, g) for v in eqs for g in gens):
+        return False
+    if any(dot(u, g) < 0 for u in weak for g in gens):
+        return False
+    total = [sum(c) for c in zip(*gens)]
+    return all(
+        all(dot(w, g) >= 0 for g in gens) and dot(w, total) > 0
+        for w in stricts
+    )
+
+
+@st.composite
+def inside_cases(draw):
+    """Small integer generators (none at all, or one Fraction point as
+    ``FanCone.contains`` passes) and eq, strict and weak form lists, each
+    possibly empty."""
+    k = draw(st.integers(1, 3))
+    vec = st.lists(st.integers(-2, 2), min_size=k, max_size=k).map(tuple)
+    point = st.lists(
+        st.fractions(min_value=0, max_value=2, max_denominator=3),
+        min_size=k,
+        max_size=k,
+    ).map(lambda v: [tuple(v)])
+    gens = draw(st.one_of(st.lists(vec, max_size=4), point))
+    forms = st.lists(vec, max_size=3)
+    return gens, draw(forms), draw(forms), draw(forms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(inside_cases())
+def test_inside_matches_the_reference(case):
+    gens, eqs, stricts, weak = case
+    assert _inside(gens, eqs, stricts, weak) == ref_inside(gens, eqs, stricts, weak)
+    assert _inside(gens, eqs, stricts) == ref_inside(gens, eqs, stricts)
+
+
 # --- region reuse against fresh completions --------------------------------
 
 
@@ -592,7 +634,11 @@ def order_cones(generators, L):
         basis = reduce_basis(generators, L)
     except ResourceBoundExceeded:
         return None
-    return basis._trace.cone(), ref_order_cone(basis._trace)
+    keyf = basis._trace
+    # cone() reads keys from the cache alone: every traced exponent must
+    # have been keyed before it runs
+    assert all(e in keyf.cache for keys, _ in keyf.trace for e in keys)
+    return keyf.cone(), ref_order_cone(keyf)
 
 
 @settings(max_examples=80, deadline=None)

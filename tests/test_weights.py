@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -165,6 +166,26 @@ def reference_key(order, key, comp=0, shifts=None):
     return (tuple(wpart), deg, revlex, -comp)
 
 
+def ref_key_tuple(order, key, comp=0, shifts=None):
+    """``TermOrder.key`` as it was: a list grown in a loop, then copied."""
+    if len(key) == 3:
+        a, b, l = key
+    else:
+        (a, b), l = key, 0
+    out = []
+    for c in order._scaled:
+        w = sum(map(mul, c, b)) - sum(map(mul, c, a))
+        if shifts is not None:
+            w += sum(map(mul, c, shifts[comp]))
+        out.append(w)
+    out.append(sum(a) + sum(b) + l)
+    out.append(-l)
+    out.extend(-e for e in reversed(a))
+    out.extend(-e for e in reversed(b))
+    out.append(-comp)
+    return tuple(out)
+
+
 @st.composite
 def keyed_orders(draw):
     """An order of 0-2 forms with non-primitive rational coefficients
@@ -210,6 +231,16 @@ def test_flat_integer_key_matches_reference_order(case):
     assert (ku == kv) == (ru == rv)
     # a key without l is the key of l = 0
     assert order.key(u[:2], i, shifts) == order.key(u[:2] + (0,), i, shifts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(keyed_orders())
+def test_key_matches_the_reference_tuple(case):
+    # 2- and 3-part keys, with and without shifts, under 0-2 forms
+    order, shifts, (u, i), _ = case
+    for key in (u, u[:2]):
+        assert order.key(key, i, shifts) == ref_key_tuple(order, key, i, shifts)
+        assert order.key(key, i) == ref_key_tuple(order, key, i)
 
 
 def ref_of(coeffs, v):
