@@ -17,7 +17,8 @@ their denominators, with each element's content).  Polynomial
 coefficients replace convergent series at this scale; division by
 pathological bases whose tails climb in degree forever is cut off by the
 module constants STEP_CAP and DEGREE_SLACK, a completion that grows past
-MAX_BASIS_ELEMENTS, and an autoreduction that does not settle by
+MAX_BASIS_ELEMENTS or admits an element with a coefficient over
+MAX_COEFF_BITS bits, and an autoreduction that does not settle by
 REDUCTION_ROUNDS; each raises ResourceBoundExceeded, never a silently
 truncated result.
 """
@@ -53,6 +54,7 @@ from .weyl import (
 # on tails that feed themselves.
 STEP_CAP = 20_000  # steps of one division
 MAX_BASIS_ELEMENTS = 256  # elements of one completion, before autoreduction
+MAX_COEFF_BITS = 4096  # bits of a primitive basis element's coefficients
 REDUCTION_ROUNDS = 64  # inter-reduction rounds of one autoreduction
 DEGREE_SLACK = 16  # total degree above the input's plus the basis's
 
@@ -440,12 +442,26 @@ def _spair(fi, fj, ei, ej, lcm, emit_t):
 
 
 def _leading(flat, keyf):
-    """(integer flat over its content, leader made positive; leader's exp)."""
+    """(integer flat over its content, leader made positive; leader's exp).
+    Every element enters a basis through here, so here its coefficients
+    are held to MAX_COEFF_BITS."""
     top = keyf.leader(flat)
     g = gcd(*flat.values())
     if flat[top] < 0:
         g = -g
-    return (flat if g == 1 else {k: v // g for k, v in flat.items()}), top
+    if g != 1:
+        flat = {k: v // g for k, v in flat.items()}
+    bits = max(map(abs, flat.values())).bit_length()
+    if bits > MAX_COEFF_BITS:
+        raise ResourceBoundExceeded(
+            f"a basis element has a {bits}-bit coefficient, over "
+            f"MAX_COEFF_BITS = {MAX_COEFF_BITS}; the completion's coefficients "
+            "keep growing",
+            cap="MAX_COEFF_BITS",
+            limit=MAX_COEFF_BITS,
+            observed=bits,
+        )
+    return flat, top
 
 
 def _buchberger(flats, keyf, emit_t):

@@ -24,7 +24,7 @@ from .flatness import (
     MonomialIdeal,
     flat_decompose,
     format_w_op,
-    greedy_parts,
+    in_ideal_piece,
     intersection_oracle,
     kernel_normalize,
     monomial_filtration,
@@ -50,7 +50,12 @@ class UsageError(DfanError):
     pass
 
 
-def _report(command: str, verdict: str, data: dict, bounds: dict) -> dict:
+def _report(
+    command: str,
+    verdict: str,
+    data: dict,
+    bounds: dict = {"degree_bound": None, "l_max": None},
+) -> dict:
     return {
         "tool": "dfan",
         "version": __version__,
@@ -180,7 +185,7 @@ def _cmd_gb(args):
             for e in basis.exponents
         ],
     }
-    return _report("gb", "ok", data, {"degree_bound": None, "l_max": None})
+    return _report("gb", "ok", data)
 
 
 def _cmd_divide(args):
@@ -197,7 +202,7 @@ def _cmd_divide(args):
         "remainder": format_vec(res.remainder),
         "remainder_zero": res.remainder.is_zero(),
     }
-    return _report("divide", "ok", data, {"degree_bound": None, "l_max": None})
+    return _report("divide", "ok", data)
 
 
 def _cmd_fan(args):
@@ -216,7 +221,7 @@ def _cmd_fan(args):
             }
         )
     data = {"count": len(fan), "cones": cones}
-    return _report("fan", "ok", data, {"degree_bound": None, "l_max": None})
+    return _report("fan", "ok", data)
 
 
 def _cmd_cones(args):
@@ -232,15 +237,13 @@ def _cmd_cones(args):
             "input_rows": [list(r) for r in rows],
             "subcones": [[list(r) for r in c.rows] for c in subcones],
         }
-        return _report(
-            "cones", "refined", data, {"degree_bound": None, "l_max": None}
-        )
+        return _report("cones", "refined", data)
     data = {
         "rows": [list(r) for r in cone.rows],
         "inverse": [list(r) for r in cone.inverse],
         "columns": [list(c) for c in cone.columns],
     }
-    return _report("cones", "basic", data, {"degree_bound": None, "l_max": None})
+    return _report("cones", "basic", data)
 
 
 def _cmd_fiber(args):
@@ -299,29 +302,25 @@ def _cmd_flat_cert(args):
     check_fan_k(ring.k)
     interior = LinearForm(tuple(sum(col) for col in zip(*gamma.rows)))
 
-    def certify(elements, part_assignments):
+    def certify(elements):
         """One certificate per element, each dividing by the basis of the
         standard fan's cone at the interior of Γ.  Only the verdicts that
         carry certificates call this, so no other verdict builds the fan."""
         fan_cone = standard_fan(list(problem.generators)).cone_of_weight(interior)
         return [
-            flat_decompose(
-                elt, s, gamma, J, fan_cone.basis, parts,
-                fan_cone=fan_cone, l_max=l_max,
-            ).to_report()
-            for elt, parts in zip(elements, part_assignments)
+            flat_decompose(elt, s, gamma, J, fan_cone, l_max=l_max).to_report()
+            for elt in elements
         ]
 
     if problem.target is not None:
-        parts = greedy_parts(problem.target, s, gamma, J)
-        if parts is None:
+        if not in_ideal_piece(problem.target, s, gamma, J):
             return _report(
                 "flat-cert",
                 "not-in-ideal",
                 {"reason": "a term of the target fits no ideal region"},
                 bounds,
             )
-        data = {"certificates": certify([problem.target], [parts])}
+        data = {"certificates": certify([problem.target])}
         return _report("flat-cert", "certified", data, bounds)
     oracle = intersection_oracle(list(problem.generators), gamma, J, s, bound)
     if not oracle.equal:
@@ -331,7 +330,7 @@ def _cmd_flat_cert(args):
             "rhs_dim": oracle.rhs_dim,
         }
         return _report("flat-cert", "counterexample", data, bounds)
-    certs = certify(oracle.elements, oracle.part_assignments) if oracle.elements else []
+    certs = certify(oracle.elements) if oracle.elements else []
     data = {
         "oracle": {
             "equal": True,
@@ -360,9 +359,7 @@ def _cmd_normalize_syzygy(args):
             }
         )
     data = {"a": [list(row) for row in syz.a], "matrix": entries}
-    return _report(
-        "normalize-syzygy", "normalized", data, {"degree_bound": None, "l_max": None}
-    )
+    return _report("normalize-syzygy", "normalized", data)
 
 
 def _cmd_monomial_chain(args):
@@ -391,9 +388,7 @@ def _cmd_monomial_chain(args):
             for st in chain.steps
         ],
     }
-    return _report(
-        "monomial-chain", "ok", data, {"degree_bound": None, "l_max": None}
-    )
+    return _report("monomial-chain", "ok", data)
 
 
 _HANDLERS = {

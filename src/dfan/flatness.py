@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import prod
 
 from ._linalg import in_row_space, rref, vanishing_part, vanishing_rows
-from .basis import StandardBasis
+from .fan import FanCone
 from .errors import (
     CertificateError,
     ConeError,
@@ -374,23 +374,22 @@ def kernel_normalize(a_list, q_list) -> SyzygyNormalization:
 
 
 class _Frame:
-    """The regions of the coordinate ideal W_J in the cone Gamma at degree
-    s.  The rows are Gamma's with the ideal coordinates first; the inverse
-    of a row-permuted matrix is the inverse with its columns permuted
-    alike, so the columns C_j of the ideal coordinates are Gamma's.  Region
-    j is V^Gamma at s - C_j.  An empty J is the unit ideal: one region, at
-    s."""
+    """The regions of the coordinate ideal W_J (J nonempty) in the cone
+    Gamma at degree s.  The rows are Gamma's with the ideal coordinates
+    first; the inverse of a row-permuted matrix is the inverse with its
+    columns permuted alike, so the columns C_j of the ideal coordinates are
+    Gamma's.  Region j is V^Gamma at s - C_j."""
 
     __slots__ = ("rows", "columns", "degrees")
 
     def __init__(self, gamma: BasicCone, J, s):
         J = tuple(sorted(set(J)))
         k = gamma.k
-        if any(not 1 <= j <= k for j in J):
+        if not J or any(not 1 <= j <= k for j in J):
             raise ConeError(f"ideal coordinates {J} out of range")
         order = [j - 1 for j in J] + [j for j in range(k) if j + 1 not in J]
         self.rows = tuple(gamma.rows[j] for j in order)
-        self.columns = tuple(gamma.columns[j - 1] for j in J) or ((0,) * k,)
+        self.columns = tuple(gamma.columns[j - 1] for j in J)
         self.degrees = tuple(
             tuple(x - c for x, c in zip(s, col)) for col in self.columns
         )
@@ -399,12 +398,20 @@ class _Frame:
         """For each region, whether a term of multiweight delta lies in it."""
         return [min(cone_drops(self.rows, d, delta)) >= 0 for d in self.degrees]
 
+    def admits(self, Q: WeylVec) -> bool:
+        """Whether every term of Q lies in some region."""
+        ring = Q.ring
+        return all(
+            any(self.fits(multi_weight(key, i, ring.shifts, ring.k)))
+            for key, i, _ in Q.iter_terms()
+        )
 
-def _ideal_frame(gamma: BasicCone, J, s) -> _Frame:
-    """The frame of a certificate, whose ideal is never the unit ideal."""
-    if not J:
-        raise ConeError("ideal coordinates () out of range")
-    return _Frame(gamma, J, s)
+
+def in_ideal_piece(Q: WeylVec, s, gamma: BasicCone, J) -> bool:
+    """Whether Q lies in the graded piece at s of W_J times the free
+    module, which is decided term by term: every term of Q in some region
+    of the frame."""
+    return _Frame(gamma, J, s).admits(Q)
 
 
 @dataclass
@@ -417,13 +424,12 @@ class FlatCertificate:
     s: tuple
     gamma: BasicCone
     J: tuple
-    parts: tuple
     pieces: tuple  # aligned with J's frame order
     t_power: int
     quotients: tuple
     split: tuple  # ((m, key, coef, j) ...) audit of the stratum split
     member_powers: tuple
-    basis: StandardBasis
+    fan_cone: FanCone  # its basis divides every piece
     l_max: int | None = None  # the membership search bound
 
     def verify(self) -> tuple:
@@ -445,7 +451,7 @@ class FlatCertificate:
                 raise CertificateError(
                     f"piece {j + 1} leaves the cone filtration"
                 )
-            check = self.basis.member(piece, self.l_max)
+            check = self.fan_cone.basis.member(piece, self.l_max)
             if not check.is_member:
                 raise CertificateError(
                     f"piece {j + 1} has inconclusive module membership"
@@ -455,8 +461,7 @@ class FlatCertificate:
 
     def replay(self) -> "FlatCertificate":
         return flat_decompose(
-            self.Q, self.s, self.gamma, self.J, self.basis, self.parts,
-            l_max=self.l_max,
+            self.Q, self.s, self.gamma, self.J, self.fan_cone, l_max=self.l_max
         )
 
     def to_report(self) -> dict:
@@ -484,40 +489,28 @@ def flat_decompose(
     s,
     gamma: BasicCone,
     J,
-    basis: StandardBasis,
-    parts,
-    fan_cone=None,
+    fan_cone: FanCone,
     l_max: int | None = None,
 ) -> FlatCertificate:
     """Execute the decomposition pipeline for the coordinate ideal W_J.
 
-    ``parts`` is the given decomposition Q = sum Q_i with each Q_i in the
-    cone filtration at s - C_i (frame order, ideal coordinates first);
-    ``basis`` is a simultaneous standard basis valid on a fan cone whose
-    closure contains the cone; its division checks the L-order bound for
-    its order's weight and for every row form of the cone.  When
-    ``fan_cone`` is supplied, that hypothesis is checked up front."""
+    Q must lie in the graded piece at s of W_J times the free module
+    (``in_ideal_piece``).  The closure of ``fan_cone`` must contain the
+    cone; its basis is then a simultaneous standard basis valid on the
+    cone, whose division checks the L-order bound for its order's weight
+    and for every row form of the cone.  Both hypotheses are checked up
+    front."""
     ring = Q.ring
     if Q.is_zero():
         raise ZeroInputError("nothing to decompose")
     s = tuple(int(c) for c in s)
-    frame = _ideal_frame(gamma, J, s)
+    frame = _Frame(gamma, J, s)
     p = len(frame.degrees)
-    if fan_cone is not None and not fan_cone.closure_contains(frame.rows):
+    if not fan_cone.closure_contains(frame.rows):
         raise CertificateError("cone is not included in the closure of the fan cone")
-    parts = tuple(parts)
-    if len(parts) != p:
-        raise CertificateError(f"need {p} decomposition parts, got {len(parts)}")
-    total = WeylVec.zero(ring)
-    for part in parts:
-        total = total + part
-    if total != Q:
-        raise CertificateError("decomposition parts do not sum to the input")
-    for j, (part, degree) in enumerate(zip(parts, frame.degrees)):
-        if not in_V_gamma(part, degree, gamma):
-            raise CertificateError(
-                f"part {j + 1} is not in the cone filtration at {degree}"
-            )
+    if not frame.admits(Q):
+        raise CertificateError("a term of the input fits no ideal region")
+    basis = fan_cone.basis
     mem = basis.member(Q, l_max)
     if not mem.is_member:
         raise CertificateError(
@@ -525,10 +518,7 @@ def flat_decompose(
         )
     # the L-order bounds of the division are machine-checked for every ray
     row_forms = [LinearForm(r) for r in frame.rows]
-    dq = Q.order()
-    degs = [part.order() for part in parts if not part.is_zero()]
-    big = max([dq + mem.l, *degs]) if degs else dq + mem.l
-    ell = big - dq
+    ell = mem.l
     G = t_power_times(homogenize_vec(Q), ell)
     division = basis.divide(G, row_forms)
     if not division.remainder.is_zero():
@@ -576,39 +566,16 @@ def flat_decompose(
         s=s,
         gamma=gamma,
         J=tuple(sorted(set(J))),
-        parts=parts,
         pieces=tuple(pieces),
         t_power=ell,
         quotients=tuple(division.quotients),
         split=tuple(splits),
         member_powers=(),
-        basis=basis,
+        fan_cone=fan_cone,
         l_max=l_max,
     )
     cert.member_powers = cert.verify()
     return cert
-
-
-def _assign_parts(Q: WeylVec, frame: _Frame):
-    """Each term of Q in the first region of ``frame`` that admits it, as
-    one vector per region; None when some term fits no region."""
-    ring = Q.ring
-    parts = [[] for _ in frame.degrees]
-    for key, i, c in Q.iter_terms():
-        fits = frame.fits(multi_weight(key, i, ring.shifts, ring.k))
-        if not any(fits):
-            return None
-        parts[fits.index(True)].append((key, i, c))
-    return tuple(WeylVec.from_terms(ring, terms) for terms in parts)
-
-
-def greedy_parts(Q: WeylVec, s, gamma: BasicCone, J):
-    """Assign each term of Q to the first admissible ideal region,
-    producing the decomposition flat_decompose needs.  Returns None when
-    some term fits no region (Q is then outside the graded piece of the
-    ideal times the free module)."""
-    s = tuple(int(c) for c in s)
-    return _assign_parts(Q, _ideal_frame(gamma, J, s))
 
 
 # ---------------------------------------------------------------------------
@@ -622,8 +589,6 @@ class OracleResult:
     rhs_dim: int
     counterexample: WeylVec | None
     elements: tuple  # basis of the intersection, as module vectors
-    part_assignments: tuple  # per element: list of p parts
-    bound: int
     slack: int
 
 
@@ -650,13 +615,9 @@ def intersection_oracle(
     key order, which is unique, so neither the route nor a positive scale
     of a generator moves the elements.
 
-    Both verdicts are relative to the recorded truncation (``bound`` on
-    element degree, ``slack`` of extra multiplier room when spanning the
-    module, two above the largest generator degree).
-
-    An empty ``J`` encodes the unit ideal, for which both sides are the
-    graded piece of the module itself and equality is trivial (the
-    enumeration is still useful)."""
+    Both verdicts are relative to the truncation (``degree_bound`` on
+    element degree, and the recorded ``slack`` of extra multiplier room
+    when spanning the module, two above the largest generator degree)."""
     ring = generators[0].ring
     s = tuple(int(c) for c in s)
     frame = _Frame(gamma, J, s)
@@ -696,15 +657,11 @@ def intersection_oracle(
     counterexample = next(
         (to_vec(v) for v in lhs_red if not in_row_space(rhs, rhs_piv, v)), None
     )
-    elements = [to_vec(vec) for vec in lhs_red]
-    assignments = [_assign_parts(w, frame) for w in elements]
     return OracleResult(
         equal=counterexample is None,
         lhs_dim=len(lhs_red),
         rhs_dim=len(rhs),
         counterexample=counterexample,
-        elements=tuple(elements),
-        part_assignments=tuple(assignments),
-        bound=degree_bound,
+        elements=tuple(map(to_vec, lhs_red)),
         slack=slack,
     )

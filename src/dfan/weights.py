@@ -181,7 +181,7 @@ class _KeyCache:
         """The key of ``key4`` with every entry negated."""
         k = self.negs.get(key4)
         if k is None:
-            k = self.negs[key4] = tuple(-x for x in self(key4))
+            k = self.negs[key4] = tuple(map(neg, self(key4)))
         return k
 
     def leader(self, flat):

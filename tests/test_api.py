@@ -8,9 +8,12 @@ behalf of the package.  The grammar entry points that build test inputs
 are the only exemptions.  Every name in ``dfan.__all__`` must resolve."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "dfan"
+README = SRC.parents[1] / "README.md"
 ENTRY_POINTS = {"run", "main"}
 EXEMPT = {"parse_op", "parse_dt_op", "parse_dt_vec"}
 
@@ -76,3 +79,18 @@ def test_every_exported_name_resolves():
 
     assert all(name in namespace for name in dfan.__all__)
     assert len(set(dfan.__all__)) == len(dfan.__all__)
+
+
+def test_the_readme_cap_table_lists_every_cap():
+    # each row: | `NAME` | `dfan.module` | value | what it limits |
+    rows = re.findall(
+        r"^ *\| `(\w+)` \| `(dfan\.\w+)` \| ([\d,]+) \|", README.read_text(), re.M
+    )
+    raised = {
+        name
+        for path in SRC.rglob("*.py")
+        for name in re.findall(r'cap="(\w+)"', path.read_text())
+    }
+    assert sorted(name for name, _, _ in rows) == sorted(raised)
+    for name, module, value in rows:
+        assert getattr(importlib.import_module(module), name) == int(value.replace(",", ""))

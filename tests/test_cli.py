@@ -340,8 +340,10 @@ def inconclusive_line(argv):
         (fan, "MAX_K", 1, ["fan", "euler.txt"], "capped at k = 1 "),
         (fan, "MAX_NORMALS", 2, ["fan", "threecone.txt"], "more than 2 wall normals"),
         (fan, "MAX_CELLS", 4, ["fan", "threecone.txt"], "exceeded 4 cells"),
+        (basis, "MAX_COEFF_BITS", 0, ["gb", "vector2.txt"], "over MAX_COEFF_BITS = 0;"),
     ],
-    ids=["STEP_CAP", "REDUCTION_ROUNDS", "MAX_K", "MAX_NORMALS", "MAX_CELLS"],
+    ids=["STEP_CAP", "REDUCTION_ROUNDS", "MAX_K", "MAX_NORMALS", "MAX_CELLS",
+         "MAX_COEFF_BITS"],
 )
 def test_each_cap_exits_two_naming_its_limit(module, name, value, argv, message, monkeypatch):
     argv = [argv[0], "--input", str(PROBLEMS / argv[1])]
@@ -349,6 +351,21 @@ def test_each_cap_exits_two_naming_its_limit(module, name, value, argv, message,
     assert code == 0, err
     monkeypatch.setattr(module, name, value)
     assert message in inconclusive_line(argv)
+
+
+def test_growing_coefficients_exit_two_naming_their_cap(tmp_path):
+    # the completion at the zero weight adds elements of bounded degree
+    # whose coefficients grow without end; no degree or size cap trips
+    problem = tmp_path / "growth.txt"
+    problem.write_text(
+        "ring n=2 k=2 r=1\n"
+        "gen: -2 x1 d1^2 - x2^2 d1 - x1 x2 d2\n"
+        "gen: 3 x2 d1 + 3 x2 d2 - 3 x1^2\n"
+    )
+    start = time.perf_counter()
+    err = inconclusive_line(["fan", "--input", str(problem)])
+    assert time.perf_counter() - start < 10.0
+    assert "MAX_COEFF_BITS = 4096;" in err
 
 
 def test_degree_slack_sets_the_cap_a_looping_division_reports(tmp_path, monkeypatch):
@@ -371,6 +388,8 @@ def test_degree_slack_sets_the_cap_a_looping_division_reports(tmp_path, monkeypa
         (basis, "MAX_BASIS_ELEMENTS", 2, ["gb", "vector2.txt"], 2, 3),
         # the degree cap is 3 + 2 + DEGREE_SLACK for the looping division
         (basis, "DEGREE_SLACK", 2, ["divide", "loop.txt"], 7, 8),
+        # -2 x1 d1 - x2 enters the basis with a 2-bit coefficient
+        (basis, "MAX_COEFF_BITS", 1, ["gb", "loop.txt"], 1, 2),
         (fan, "MAX_K", 1, ["fan", "euler.txt"], 1, 2),
         (fan, "MAX_NORMALS", 2, ["fan", "threecone.txt"], 2, 3),
         (fan, "MAX_CELLS", 4, ["fan", "threecone.txt"], 4, 6),
@@ -384,7 +403,8 @@ def test_degree_slack_sets_the_cap_a_looping_division_reports(tmp_path, monkeypa
          ["monomial-chain", "--ideal", "W1^3, W2^3", "--k", "2"], 2, 3),
     ],
     ids=[
-        "STEP_CAP", "REDUCTION_ROUNDS", "MAX_BASIS_ELEMENTS", "DEGREE_SLACK", "MAX_K",
+        "STEP_CAP", "REDUCTION_ROUNDS", "MAX_BASIS_ELEMENTS", "DEGREE_SLACK",
+        "MAX_COEFF_BITS", "MAX_K",
         "MAX_NORMALS",
         "MAX_CELLS", "toric.MAX_BOX_POINTS", "flatness.MAX_BOX_POINTS",
         "MAX_MULTIPLIERS", "MAX_CHAIN_STEPS",

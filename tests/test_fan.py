@@ -1,5 +1,6 @@
 import functools
 import random
+import signal
 from fractions import Fraction
 from itertools import product
 
@@ -24,8 +25,8 @@ from dfan.fan import (
 )
 from dfan.grammar import parse_vec
 from dfan.weights import LinearForm, TermOrder, ord_L_vec, symbol_L
-from dfan.weyl import RingDescriptor, homogenize_vec
-from conftest import fan_modules
+from dfan.weyl import RingDescriptor, WeylVec, homogenize_vec
+from conftest import fan_modules, random_weyl_op
 
 R2 = RingDescriptor(2, 2, 1)
 
@@ -820,6 +821,47 @@ def test_cones_are_disjoint(generators):
     for point in product(range(4), repeat=k):
         L = LinearForm(point)
         assert sum(c.contains(L) for c in fan.cones) == 1
+
+
+class Overtime(Exception):
+    pass
+
+
+def overtime(signum, frame):
+    raise Overtime
+
+
+def two_to_three_terms(rng):
+    """An n = 2 generator of 2-3 terms of degree <= 3."""
+    while True:
+        op = random_weyl_op(rng, R2, max_degree=3, max_terms=3)
+        if len(op.terms) >= 2:
+            return WeylVec(R2, (op,))
+
+
+def test_wider_two_generator_modules_end_or_exit_on_a_cap():
+    # two generators of the shape of the pool's one-generator family, wider
+    # than any pool or strategy draws; some completions here grew their
+    # coefficients without end, under every degree and size cap
+    wall = 15  # seconds per module; the slowest takes about 4 s
+    rng = random.Random(11)
+    caps = []
+    previous = signal.signal(signal.SIGALRM, overtime)
+    try:
+        for i in range(20):
+            generators = [two_to_three_terms(rng) for _ in range(2)]
+            signal.setitimer(signal.ITIMER_REAL, wall)
+            try:
+                standard_fan(generators)
+            except ResourceBoundExceeded as exc:
+                caps.append(exc.cap)
+            except Overtime:
+                pytest.fail(f"module {i} ran past {wall} s: {generators}")
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert "MAX_COEFF_BITS" in caps
 
 
 def ref_closure_contains(cone, rows):

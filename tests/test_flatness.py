@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -14,11 +15,10 @@ from dfan.flatness import (
     FiltrationChain,
     MonomialIdeal,
     WOp,
-    _assign_parts,
     _Frame,
     flat_decompose,
     format_w_op,
-    greedy_parts,
+    in_ideal_piece,
     intersection_oracle,
     kernel_normalize,
     monomial_filtration,
@@ -193,9 +193,8 @@ def test_trivial_certificate(euler_setup):
     gens, fan, cone = euler_setup
     gamma = orthant_cone(2)
     Q = parse_op("x1", R2) * gens[0]
-    parts = greedy_parts(Q, (0, 0), gamma, (1, 2))
-    assert parts is not None and parts[1].is_zero()
-    cert = flat_decompose(Q, (0, 0), gamma, (1, 2), cone.basis, parts, fan_cone=cone)
+    assert in_ideal_piece(Q, (0, 0), gamma, (1, 2))
+    cert = flat_decompose(Q, (0, 0), gamma, (1, 2), cone)
     assert cert.pieces[0] == Q and cert.pieces[1].is_zero()
 
 
@@ -206,7 +205,7 @@ def test_splitting_certificate(euler_setup):
     Q1 = parse_op("x1", R2) * E
     Q2 = parse_op("x2", R2) * E
     Q = Q1 + Q2
-    cert = flat_decompose(Q, (0, 0), gamma, (1, 2), cone.basis, [Q1, Q2], fan_cone=cone)
+    cert = flat_decompose(Q, (0, 0), gamma, (1, 2), cone)
     assert cert.pieces[0] + cert.pieces[1] == Q
     assert cert.pieces == (Q1, Q2)
     assert cert.replay().to_report() == cert.to_report()
@@ -227,9 +226,7 @@ def test_certificate_divides_each_piece_once(euler_setup, monkeypatch):
         return member(self, Q, l_max)
 
     monkeypatch.setattr(StandardBasis, "member", counting)
-    cert = flat_decompose(
-        Q1 + Q2, (0, 0), gamma, (1, 2), cone.basis, [Q1, Q2], fan_cone=cone, l_max=3
-    )
+    cert = flat_decompose(Q1 + Q2, (0, 0), gamma, (1, 2), cone, l_max=3)
     assert calls == [(Q1 + Q2, 3), (Q1, 3), (Q2, 3)]
     assert cert.member_powers == tuple(
         member(cone.basis, piece, 3).l for piece in cert.pieces
@@ -242,22 +239,24 @@ def test_certificate_divides_each_piece_once(euler_setup, monkeypatch):
     assert {l_max for _, l_max in calls} == {3}
 
 
-def test_certificate_rejects_bad_parts(euler_setup):
+def test_certificate_rejects_a_term_in_no_region(euler_setup):
+    # d1 x1 E sits at multiweight (0, 0): in the orthant at s = (0, 0)
+    # neither region, at s - e1 or s - e2, admits it
     gens, fan, cone = euler_setup
     gamma = orthant_cone(2)
-    E = gens[0]
-    Q = parse_op("x1", R2) * E
-    with pytest.raises(CertificateError):
-        flat_decompose(Q, (0, 0), gamma, (1, 2), cone.basis, [Q, Q], fan_cone=cone)
+    Q = parse_op("x1 d1", R2) * gens[0]
+    assert not in_ideal_piece(Q, (0, 0), gamma, (1, 2))
+    with pytest.raises(CertificateError, match="fits no ideal region"):
+        flat_decompose(Q, (0, 0), gamma, (1, 2), cone)
 
 
 def test_certificate_rejects_nonmember(euler_setup):
     gens, fan, cone = euler_setup
     gamma = orthant_cone(2)
     Q = parse_vec("x1^2 d1", R2)  # not in the module
-    parts = greedy_parts(Q, (0, 0), gamma, (1, 2))
-    with pytest.raises(CertificateError):
-        flat_decompose(Q, (0, 0), gamma, (1, 2), cone.basis, parts, fan_cone=cone)
+    assert in_ideal_piece(Q, (0, 0), gamma, (1, 2))
+    with pytest.raises(CertificateError, match="membership"):
+        flat_decompose(Q, (0, 0), gamma, (1, 2), cone)
 
 
 def test_oracle_euler_equal(euler_setup):
@@ -266,19 +265,6 @@ def test_oracle_euler_equal(euler_setup):
     res = intersection_oracle(gens, gamma, (1, 2), (0, 0), 4)
     assert res.equal
     assert res.lhs_dim == res.rhs_dim > 0
-
-
-def test_oracle_unit_ideal_trivially_equal(euler_setup):
-    gens, fan, cone = euler_setup
-    gamma = orthant_cone(2)
-    res = intersection_oracle(gens, gamma, (), (0, 0), 3)
-    assert res.equal
-    assert res.lhs_dim == res.rhs_dim
-    # every enumerated element is a module element inside the filtration
-    from dfan.filtration import in_V_gamma
-
-    for elt in res.elements:
-        assert in_V_gamma(elt, (0, 0), gamma)
 
 
 def test_oracle_unit_like_single_coordinate(euler_setup):
@@ -292,8 +278,8 @@ def test_all_oracle_elements_certify(euler_setup):
     gens, fan, cone = euler_setup
     gamma = orthant_cone(2)
     res = intersection_oracle(gens, gamma, (1, 2), (0, 0), 3)
-    for elt, parts in zip(res.elements, res.part_assignments):
-        cert = flat_decompose(elt, (0, 0), gamma, (1, 2), cone.basis, parts, fan_cone=cone)
+    for elt in res.elements:
+        cert = flat_decompose(elt, (0, 0), gamma, (1, 2), cone)
         total = WeylVec.zero(R2)
         for piece in cert.pieces:
             total = total + piece
@@ -310,10 +296,11 @@ def test_corrupted_basis_is_caught(euler_setup):
         [reduce_basis([parse_vec("d1 d2", R2)], LinearForm((1, 1))).elements[0]],
         cone.basis.order,
     )
+    corrupted = dataclasses.replace(cone, basis=corrupted)
     caught = 0
-    for elt, parts in zip(res.elements, res.part_assignments):
+    for elt in res.elements:
         try:
-            flat_decompose(elt, (0, 0), gamma, (1, 2), corrupted, parts, fan_cone=cone)
+            flat_decompose(elt, (0, 0), gamma, (1, 2), corrupted)
         except DfanError:
             caught += 1
     assert caught == len(res.elements)
@@ -326,9 +313,8 @@ def test_gamma_not_in_fan_cone_rejected():
     gamma = orthant_cone(2)  # spans the whole quadrant: not included
     E = gens[0]
     Q = parse_op("x1", R2) * E
-    parts = greedy_parts(Q, (2, 2), gamma, (1, 2))
     with pytest.raises(CertificateError, match="closure"):
-        flat_decompose(Q, (2, 2), gamma, (1, 2), cone.basis, parts or (Q, Q), fan_cone=cone)
+        flat_decompose(Q, (2, 2), gamma, (1, 2), cone)
 
 
 def test_single_coordinate_ideal():
@@ -338,9 +324,8 @@ def test_single_coordinate_ideal():
     gamma = orthant_cone(2)
     res = intersection_oracle(gens, gamma, (1,), (0, 0), 3)
     assert res.equal
-    for elt, parts in zip(res.elements, res.part_assignments):
-        assert len(parts) == 1
-        cert = flat_decompose(elt, (0, 0), gamma, (1,), cone.basis, parts, fan_cone=cone)
+    for elt in res.elements:
+        cert = flat_decompose(elt, (0, 0), gamma, (1,), cone)
         assert cert.pieces == (elt,)
 
 
@@ -356,8 +341,8 @@ def test_rank_two_certificates():
     res = intersection_oracle(gens, gamma, (1, 2), (0, 0), 3)
     assert res.equal
     certified = 0
-    for elt, parts in zip(res.elements, res.part_assignments):
-        cert = flat_decompose(elt, (0, 0), gamma, (1, 2), cone.basis, parts, fan_cone=cone)
+    for elt in res.elements:
+        cert = flat_decompose(elt, (0, 0), gamma, (1, 2), cone)
         total = WeylVec.zero(ring)
         for piece in cert.pieces:
             total = total + piece
@@ -374,8 +359,7 @@ def test_certificate_with_positive_t_power():
     gamma = orthant_cone(2)
     cone = fan.cone_of_weight(LinearForm((1, 1)))
     Q = parse_vec("x1^2 d1", R2)
-    parts = greedy_parts(Q, (0, 0), gamma, (1,))
-    cert = flat_decompose(Q, (0, 0), gamma, (1,), cone.basis, parts, fan_cone=cone)
+    cert = flat_decompose(Q, (0, 0), gamma, (1,), cone)
     assert cert.t_power == 1
     assert cert.pieces == (Q,)
     assert cert.replay().to_report() == cert.to_report()
@@ -389,8 +373,8 @@ def test_nonorthant_cone_certificates():
     cone = fan.cone_of_weight(interior)
     res = intersection_oracle(gens, gamma, (1, 2), (0, 0), 3)
     assert res.equal
-    for elt, parts in zip(res.elements, res.part_assignments):
-        cert = flat_decompose(elt, (0, 0), gamma, (1, 2), cone.basis, parts, fan_cone=cone)
+    for elt in res.elements:
+        cert = flat_decompose(elt, (0, 0), gamma, (1, 2), cone)
         assert cert.replay().to_report() == cert.to_report()
 
 
@@ -398,10 +382,14 @@ def test_empty_ideal_set_is_rejected_by_the_certifier(euler_setup):
     gens, fan, cone = euler_setup
     gamma = orthant_cone(2)
     Q = parse_op("x1", R2) * gens[0]
-    with pytest.raises(ConeError, match=r"ideal coordinates \(\) out of range"):
-        greedy_parts(Q, (0, 0), gamma, ())
-    with pytest.raises(ConeError, match=r"ideal coordinates \(\) out of range"):
-        flat_decompose(Q, (0, 0), gamma, (), cone.basis, (Q,), fan_cone=cone)
+    for reject in (
+        lambda: in_ideal_piece(Q, (0, 0), gamma, ()),
+        lambda: flat_decompose(Q, (0, 0), gamma, (), cone),
+        lambda: _Frame(gamma, (), (0, 0)),
+        lambda: intersection_oracle(gens, gamma, (), (0, 0), 3),
+    ):
+        with pytest.raises(ConeError, match=r"ideal coordinates \(\) out of range"):
+            reject()
 
 
 # the one region frame against the two frame classes and the region test
@@ -429,22 +417,10 @@ class RefIdealFrame:
         self.p = len(J)
 
 
-class RefUnitFrame:
-    """Degenerate frame for the unit ideal: one region, no column drop."""
-
-    def __init__(self, gamma):
-        self.rows = gamma.rows
-        self.columns = ((0,) * gamma.k,)
-        self.p = 1
-
-
 def ref_in_region(point, s, frame, j):
     """point in (s - C_j) - dual cone: every row form drops by delta_ij."""
-    unit = isinstance(frame, RefUnitFrame)
     for i, row in enumerate(frame.rows):
-        bound = sum(r * x for r, x in zip(row, s)) - (
-            1 if (i == j and not unit) else 0
-        )
+        bound = sum(r * x for r, x in zip(row, s)) - (1 if i == j else 0)
         if sum(r * x for r, x in zip(row, point)) > bound:
             return False
     return True
@@ -476,10 +452,10 @@ def test_frame_matches_the_reference_frames(case):
     k = gamma.k
     ring = RingDescriptor(k, k, 1)
     Q = random_vec(random.Random(seed), ring)
-    for size in range(k + 1):
+    for size in range(1, k + 1):
         for J in combinations(range(1, k + 1), size):
             frame = _Frame(gamma, J, s)
-            ref = RefIdealFrame(gamma, J) if J else RefUnitFrame(gamma)
+            ref = RefIdealFrame(gamma, J)
             assert frame.rows == ref.rows
             assert frame.columns == ref.columns[: ref.p]
             assert frame.degrees == tuple(
@@ -490,18 +466,12 @@ def test_frame_matches_the_reference_frames(case):
                 assert fits == [ref_in_region(point, s, ref, j) for j in range(ref.p)]
                 first = fits.index(True) if any(fits) else None
                 assert first == ref_region_index(point, s, ref)
-            # the region index each term of a vector is assigned
-            parts = _assign_parts(Q, frame)
+            # a vector is in the ideal's piece iff each term has a region
             indices = [
                 ref_region_index(multi_weight(key, i, ring.shifts, k), s, ref)
                 for key, i, _ in Q.iter_terms()
             ]
-            if None in indices:
-                assert parts is None
-            else:
-                assert [
-                    j for j, part in enumerate(parts) for _ in part.iter_terms()
-                ] == sorted(indices)
+            assert in_ideal_piece(Q, s, gamma, J) == (None not in indices)
 
 
 # the intersection oracle against the route it replaced, kept here as the

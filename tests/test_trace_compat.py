@@ -24,7 +24,7 @@ COMMANDS = [
     ["normalize-syzygy", "--input", str(PROBLEMS / "syzygy1.txt")],
     ["flat-cert", "--input", str(PROBLEMS / "euler.txt"), "--degree-bound", "2"],
     ["fan", "--input", str(PROBLEMS / "threecone.txt")],
-    # an explicit target: greedy parts, flat_decompose and member
+    # an explicit target: the region check, flat_decompose and member
     ["flat-cert", "--input", str(PROBLEMS / "euler_target.txt")],
 ]
 # a subcommand's first run is named by it, a later one by its problem too
