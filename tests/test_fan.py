@@ -843,7 +843,7 @@ def test_wider_two_generator_modules_end_or_exit_on_a_cap():
     # two generators of the shape of the pool's one-generator family, wider
     # than any pool or strategy draws; some completions here grew their
     # coefficients without end, under every degree and size cap
-    wall = 15  # seconds per module; the slowest takes about 4 s
+    wall = 30  # seconds per module; the slowest takes 4-7 s on 2 CPUs
     rng = random.Random(11)
     caps = []
     previous = signal.signal(signal.SIGALRM, overtime)
