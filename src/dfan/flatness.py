@@ -615,20 +615,39 @@ def intersection_oracle(
     key order, which is unique, so neither the route nor a positive scale
     of a generator moves the elements.
 
-    Both verdicts are relative to the truncation (``degree_bound`` on
-    element degree, and the recorded ``slack`` of extra multiplier room
-    when spanning the module, two above the largest generator degree)."""
+    Both verdicts are relative to the truncation: ``degree_bound`` on
+    element degree, and the multiplier room that spans the module.  Two
+    or more generators span with the recorded ``slack`` of extra room,
+    two above the largest generator degree: their symbols have syzygies,
+    so a product of higher degree can cancel down to the bound.  One
+    generator g spans with room ``degree_bound - deg g`` and no padding,
+    and its verdict is exact at ``degree_bound`` whatever ``slack`` reads:
+
+    - under the Bernstein filtration the symbol is multiplicative,
+      sigma(x^a d^b g) = x^a xi^b sigma(g);
+    - for F = sum c_ab x^a d^b g, let M be the largest |a| + |b| with
+      c_ab != 0.  The degree-(M + deg g) part of F is
+      (sum over |a| + |b| = M of c_ab x^a xi^b) sigma(g), which is
+      nonzero because Q[x, xi] is a domain and sigma(g) has a nonzero
+      component;
+    - so an F with no term above ``degree_bound`` uses only multipliers
+      with |a| + |b| <= ``degree_bound - deg g``, and the left-hand space,
+      its RREF, the regions' cuts, the right-hand side and the
+      counterexample are the ones the padded room gives.
+
+    This holds for any rank and shifts, because the bound is read on the
+    unshifted |alpha| + |beta|; a negative room spans nothing."""
     ring = generators[0].ring
     s = tuple(int(c) for c in s)
     frame = _Frame(gamma, J, s)
     p = len(frame.degrees)
     slack = max(g.total_degree() for g in generators) + 2
-    prod_bound = degree_bound + slack
-    # integer products (monomial * generator) up to the padded bound
+    pad = slack if len(generators) > 1 else 0
+    # integer products (monomial * generator) up to the spanning bound
     products = [
         mult
         for g in map(content_free, generators)
-        for mult in monomial_multiples(g, prod_bound - g.total_degree())
+        for mult in monomial_multiples(g, degree_bound + pad - g.total_degree())
     ]
     keys = sorted({key for prod in products for key in prod})
 

@@ -2,6 +2,7 @@
 with its measured runtime (run with -s to see them)."""
 
 import dataclasses
+import hashlib
 import io
 import random
 import time
@@ -374,6 +375,24 @@ def _run_corpus():
         code, out, err = _invoke(argv)
         outputs.append((tuple(argv), code, out, err))
     return outputs
+
+
+# sha256 of `flat-cert --input problems/euler.txt --degree-bound D --json`;
+# the bounds where the oracle's products cover the most ground in a second
+EULER_FLAT_CERT_SHA256 = {
+    8: "97cbc566c2aadfc9693310cf8d6ec1fd826fdf327f983e212583d91473d21ca5",
+    12: "7007f6b8807919289d2ee8592ee2163c0ea3124aabe3621ecbd26be0e8b0e79a",
+}
+
+
+@pytest.mark.parametrize("bound", sorted(EULER_FLAT_CERT_SHA256))
+def test_euler_flat_cert_report_keeps_its_digest(bound):
+    code, out, err = _invoke([
+        "flat-cert", "--input", str(PROBLEMS / "euler.txt"),
+        "--degree-bound", str(bound), "--json",
+    ])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == EULER_FLAT_CERT_SHA256[bound]
 
 
 def test_criterion_10_determinism():

@@ -324,6 +324,14 @@ target: d2 + x1 x2
 weight = [1, 1]
 """
 
+# two generators: the oracle spans them with the padded multiplier room
+TWO_GEN_PROBLEM = """ring n=2 k=2 r=1
+gen: x1 d1 + x2 d2
+gen: x1 d2
+cone = [[1, 0], [0, 1]]
+ideal = W1, W2
+"""
+
 
 def inconclusive_line(argv):
     code, out, err = invoke(argv)
@@ -397,7 +405,10 @@ def test_degree_slack_sets_the_cap_a_looping_division_reports(tmp_path, monkeypa
          100, 141**2),
         (flatness, "MAX_BOX_POINTS", 100,
          ["monomial-chain", "--ideal", "W1^20 W2^20 W3^20", "--k", "3"], 100, 21**3),
-        (weyl, "MAX_MULTIPLIERS", 10, ["flat-cert", "euler.txt"], 10, 210),
+        # one generator of degree 2 spans with room 4 - 2: C(2 + 4, 4)
+        (weyl, "MAX_MULTIPLIERS", 10, ["flat-cert", "euler.txt"], 10, 15),
+        # two generators span with room 4 + slack 4 - 2: C(6 + 4, 4)
+        (weyl, "MAX_MULTIPLIERS", 10, ["flat-cert", "two_gen.txt"], 10, 210),
         # the chain of W1^3, W2^3 takes 9 steps
         (flatness, "MAX_CHAIN_STEPS", 2,
          ["monomial-chain", "--ideal", "W1^3, W2^3", "--k", "2"], 2, 3),
@@ -407,15 +418,16 @@ def test_degree_slack_sets_the_cap_a_looping_division_reports(tmp_path, monkeypa
         "MAX_COEFF_BITS", "MAX_K",
         "MAX_NORMALS",
         "MAX_CELLS", "toric.MAX_BOX_POINTS", "flatness.MAX_BOX_POINTS",
-        "MAX_MULTIPLIERS", "MAX_CHAIN_STEPS",
+        "MAX_MULTIPLIERS", "MAX_MULTIPLIERS-two-generators", "MAX_CHAIN_STEPS",
     ],
 )
 def test_cap_error_carries_its_cap_limit_and_observed_value(
     tmp_path, module, name, value, argv, limit, observed, monkeypatch
 ):
     (tmp_path / "loop.txt").write_text(LOOP_PROBLEM)
+    (tmp_path / "two_gen.txt").write_text(TWO_GEN_PROBLEM)
     if argv[1].endswith(".txt"):
-        folder = tmp_path if argv[1] == "loop.txt" else PROBLEMS
+        folder = tmp_path if (tmp_path / argv[1]).exists() else PROBLEMS
         argv = [argv[0], "--input", str(folder / argv[1])]
     monkeypatch.setattr(module, name, value)
     args = cli._build_parser().parse_args(argv)
@@ -425,6 +437,14 @@ def test_cap_error_carries_its_cap_limit_and_observed_value(
     assert (exc.cap, exc.limit, exc.observed) == (name, limit, observed)
     # the fields add nothing to the one stderr line or the exit code
     assert invoke(argv) == (2, "", f"dfan: inconclusive: {exc}\n")
+
+
+def test_two_generators_certify_under_the_real_multiplier_cap(tmp_path):
+    problem = tmp_path / "two_gen.txt"
+    problem.write_text(TWO_GEN_PROBLEM)
+    code, out, err = invoke(["flat-cert", "--input", str(problem)])
+    assert (code, err) == (0, "")
+    assert "flat-cert: certified" in out and "slack: 4" in out
 
 
 def test_monomial_chain_cap_exit_two():

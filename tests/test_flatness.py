@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dfan._linalg import in_row_space, rref, vanishing_rows
 from dfan.basis import StandardBasis, reduce_basis
@@ -531,24 +531,42 @@ CONTENTS = st.sampled_from(
 
 @st.composite
 def oracle_cases(draw):
-    """One or two generators of degree <= 2 with non-unit rational
-    content, the orthant or another basic cone, J of size 1 or 2, a small
-    s and a degree bound 0-2."""
-    ring = RingDescriptor(2, 2, 1)
+    """One or two generators with non-unit rational content, the orthant
+    or another basic cone, J of size 1 or 2, a small s and a degree bound.
+    Half the draws are rank 1 with degree <= 2 and bound 0-2; the other
+    half have rank 1 or 2, shifts in {-1, 0, 1}, constant terms, degree
+    <= 3 and bound 0-4."""
+    wide = draw(st.booleans())
+    if wide:
+        r = draw(st.integers(1, 2))
+        shifts = draw(st.lists(
+            st.tuples(st.integers(-1, 1), st.integers(-1, 1)), min_size=r, max_size=r
+        ))
+        ring = RingDescriptor(2, 2, r, shifts)
+        supports = st.one_of(st.just(((0, 0), (0, 0))), monomials(2, 3))
+    else:
+        ring, supports = R2, monomials(2, 2)
     gens = []
     for _ in range(draw(st.integers(1, 2))):
-        terms = draw(st.dictionaries(
-            monomials(2, 2), st.integers(-3, 3).filter(bool), min_size=1, max_size=3
-        ))
         content = draw(CONTENTS)
-        op = WeylOp(ring, {m: content * c for m, c in terms.items()})
-        gens.append(WeylVec(ring, (op,)))
+        least = 1 if ring.r == 1 else 0
+        comps = [
+            draw(st.dictionaries(
+                supports, st.integers(-3, 3).filter(bool), min_size=least, max_size=3
+            ))
+            for _ in range(ring.r)
+        ]
+        assume(any(comps))
+        gens.append(WeylVec(ring, tuple(
+            WeylOp(ring, {m: content * c for m, c in terms.items()}) for terms in comps
+        )))
     rows = draw(st.one_of(
         st.just(((1, 0), (0, 1))), st.just(((1, 1), (1, 2))), unimodular_rows(2)
     ))
     J = draw(st.sampled_from([(1,), (2,), (1, 2)]))
-    s = draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
-    return gens, BasicCone(rows), J, s, draw(st.integers(0, 2))
+    low = -1 if wide else 0
+    s = draw(st.tuples(st.integers(low, 2), st.integers(low, 2)))
+    return gens, BasicCone(rows), J, s, draw(st.integers(0, 4 if wide else 2))
 
 
 def scaled_case(content, texts, rows, J, s, bound):
@@ -558,8 +576,9 @@ def scaled_case(content, texts, rows, J, s, bound):
 
 @settings(max_examples=100, deadline=None)
 @given(oracle_cases())
-# random draws rarely give a counterexample: these two do, and the third
-# has an intersection of dimension 9 from two generators
+# random draws rarely give a counterexample: these two do, the third has
+# an intersection of dimension 9 from two generators, and the fourth holds
+# elements of degree 4 = bound that only the top multiplier layer reaches
 @example(scaled_case(
     Fraction(2, 3), ["x1 d2 + d1"], ((1, 1), (0, 1)), (1, 2), (0, 1), 2
 ))
@@ -569,6 +588,9 @@ def scaled_case(content, texts, rows, J, s, bound):
 @example(scaled_case(
     Fraction(3, 4), ["x1 d1 + x2 d2", "2 x1 d2 - 4 x2"], ((1, 1), (1, 2)), (1,), (1, 1),
     2,
+))
+@example(scaled_case(
+    Fraction(7, 6), ["x1 d1 + x2 d2"], ((1, 0), (0, 1)), (1, 2), (0, 0), 4
 ))
 def test_oracle_matches_the_fraction_row_reference(case):
     gens, gamma, J, s, bound = case
