@@ -18,7 +18,7 @@ import sys
 
 from . import __version__
 from .basis import reduce_basis
-from .errors import DfanError, ResourceBoundExceeded, SemanticError, SyntaxErrorWithPos
+from .errors import DfanError, ResourceBoundExceeded
 from .fan import check_fan_k, standard_fan
 from .flatness import (
     MonomialIdeal,
@@ -29,14 +29,8 @@ from .flatness import (
     kernel_normalize,
     monomial_filtration,
 )
-from .grammar import format_op, format_vec, format_w_monomials, parse_w_monomials
-from .problem import (
-    nonnegative_int,
-    parse_int_matrix,
-    parse_problem,
-    parse_rational_vector,
-    parse_syzygy,
-)
+from .grammar import format_op, format_vec, format_w_monomials
+from .problem import nonnegative_int, parse_problem, parse_syzygy, read_field
 from .rees import fiber_V_zero_test
 from .toric import BasicCone, refine_to_basic
 from .weights import LinearForm, ones_form
@@ -123,58 +117,26 @@ def _load_problem(args):
     return parse_problem(_read_input(args))
 
 
-def _flag_value(parse, flag, text):
-    """A flag's value read by the parser of the matching problem-file
-    field; an error names the flag instead of a file position."""
-    try:
-        return parse(text, 0)
-    except SyntaxErrorWithPos as exc:
-        raise UsageError(f"{flag}: {exc.message}") from None
-
-
-def _resolve_weight(args, problem):
-    if getattr(args, "weight", None):
-        form = LinearForm(_flag_value(parse_rational_vector, "--weight", args.weight))
-        if form.k != problem.ring.k:
-            raise UsageError(
-                f"weight has length {form.k}, the ring has k = {problem.ring.k}"
-            )
-        return form
-    if problem.weight is not None:
-        return problem.weight
-    return ones_form(problem.ring.k)
-
-
-def _resolve_cone_rows(args, problem):
-    text = getattr(args, "cone", None)
-    if text:
-        rows = _flag_value(parse_int_matrix, "--cone", text)
-    elif problem is not None and problem.cone is not None:
-        rows = problem.cone
-    else:
-        raise UsageError("a cone is required (--cone or a cone= line)")
-    if problem is not None and any(len(r) != problem.ring.k for r in rows):
-        raise UsageError(
-            f"cone rows must have length k = {problem.ring.k}"
-        )
-    return rows
-
-
-def _resolve_ideal(args, problem, k):
-    text = getattr(args, "ideal", None)
+def _field(args, problem, name, k, required=False):
+    """--name read and checked as the problem-file field of that name,
+    an error naming the flag; else that field of ``problem`` (None when
+    there is no problem or the field is left out)."""
+    text = getattr(args, name)
     if text:
         try:
-            return parse_w_monomials(text, k)
-        except SemanticError as exc:
-            raise UsageError(f"--ideal: {exc}") from None
-    if problem is not None and problem.ideal is not None:
-        return problem.ideal
-    raise UsageError("an ideal is required (--ideal or an ideal= line)")
+            return read_field(name, text, 0, k)
+        except DfanError as exc:
+            raise UsageError(f"--{name}: {exc}") from None
+    value = getattr(problem, name, None)
+    if value is None and required:
+        raise UsageError(f"{name} is required (--{name} or the {name} = line)")
+    return value
 
 
 def _cmd_gb(args):
     problem = _load_problem(args)
-    weight = _resolve_weight(args, problem)
+    k = problem.ring.k
+    weight = _field(args, problem, "weight", k) or ones_form(k)
     basis = reduce_basis(list(problem.generators), weight)
     data = {
         "weight": [str(c) for c in weight.coeffs],
@@ -192,7 +154,8 @@ def _cmd_divide(args):
     problem = _load_problem(args)
     if problem.target is None:
         raise UsageError("divide needs a target: line in the problem file")
-    weight = _resolve_weight(args, problem)
+    k = problem.ring.k
+    weight = _field(args, problem, "weight", k) or ones_form(k)
     basis = reduce_basis(list(problem.generators), weight)
     res = basis.divide(homogenize_vec(problem.target))
     data = {
@@ -228,7 +191,7 @@ def _cmd_cones(args):
     problem = None
     if args.input:
         problem = _load_problem(args)
-    rows = _resolve_cone_rows(args, problem)
+    rows = _field(args, problem, "cone", problem and problem.ring.k, required=True)
     try:
         cone = BasicCone(rows)
     except DfanError:
@@ -250,9 +213,10 @@ def _cmd_fiber(args):
     problem = _load_problem(args)
     bound = args.bound if args.bound is not None else problem.degree_bound
     gamma = None
-    if getattr(args, "cone", None) or problem.cone is not None:
+    rows = _field(args, problem, "cone", problem.ring.k)
+    if rows is not None:
         try:
-            gamma = BasicCone(_resolve_cone_rows(args, problem))
+            gamma = BasicCone(rows)
         except DfanError as exc:
             raise UsageError(f"cone not basic: {exc}")
     res = fiber_V_zero_test(list(problem.generators), bound, gamma)
@@ -270,28 +234,20 @@ def _cmd_fiber(args):
 
 def _cmd_flat_cert(args):
     problem = _load_problem(args)
-    ring = problem.ring
-    rows = _resolve_cone_rows(args, problem)
+    k = problem.ring.k
+    rows = _field(args, problem, "cone", k, required=True)
     try:
         gamma = BasicCone(rows)
     except DfanError as exc:
         raise UsageError(f"cone not basic: {exc}")
-    exps = _resolve_ideal(args, problem, ring.k)
+    exps = _field(args, problem, "ideal", k, required=True)
     J = []
     for e in exps:
         if sum(e) != 1:
             raise UsageError(f"flat-cert needs a coordinate ideal, got {format_w_monomials([e])}")
         J.append(e.index(1) + 1)
     J = tuple(sorted(set(J)))
-    if args.s:
-        svec = _flag_value(parse_rational_vector, "--s", args.s)
-        if len(svec) != ring.k or any(v.denominator != 1 for v in svec):
-            raise UsageError(f"--s must be an integer vector of length {ring.k}")
-        s = tuple(int(v) for v in svec)
-    elif problem.s is not None:
-        s = problem.s
-    else:
-        s = (0,) * ring.k
+    s = _field(args, problem, "s", k) or (0,) * k
     bound = (
         args.degree_bound
         if args.degree_bound is not None
@@ -299,7 +255,7 @@ def _cmd_flat_cert(args):
     )
     l_max = args.l_max if args.l_max is not None else problem.l_max
     bounds = {"degree_bound": bound, "l_max": l_max}
-    check_fan_k(ring.k)
+    check_fan_k(k)
     interior = LinearForm(tuple(sum(col) for col in zip(*gamma.rows)))
 
     def certify(elements):
@@ -373,7 +329,7 @@ def _cmd_monomial_chain(args):
         k = args.k
     else:
         raise UsageError("monomial-chain needs --k or --input")
-    exps = _resolve_ideal(args, problem, k)
+    exps = _field(args, problem, "ideal", k, required=True)
     ideal = MonomialIdeal(k, exps)
     chain = monomial_filtration(ideal)
     data = {

@@ -44,10 +44,13 @@ class CertificateError(DfanError):
 
 
 class SyntaxErrorWithPos(DfanError):
-    """Parse error carrying a line/column position."""
+    """Parse error carrying a line/column position.  Column 0 means only
+    the line is known; line 0 marks a flag's value, whose error carries
+    the bare message."""
 
     def __init__(self, message: str, line: int = 0, column: int = 0):
-        super().__init__(f"{message} (line {line}, column {column})")
+        where = f" (line {line}, column {column})" if column else f" (line {line})"
+        super().__init__(message + where if line else message)
         self.message = message
         self.line = line
         self.column = column

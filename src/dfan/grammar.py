@@ -22,6 +22,7 @@ is deterministic and ``parse(format(v)) == v`` holds bit-exactly.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from functools import cached_property
 
@@ -52,6 +53,14 @@ SYZYGY = Letters("xdw")
 W_MONOMIAL = Letters("Ww")
 
 
+def number_too_long(line: int, column: int = 0) -> SyntaxErrorWithPos:
+    """The error for a literal of more digits than Python converts to an
+    int (``sys.get_int_max_str_digits()``, 4,300 by default)."""
+    return SyntaxErrorWithPos(
+        f"number longer than {sys.get_int_max_str_digits()} digits", line, column
+    )
+
+
 def tokenize(text: str, table: Letters) -> list:
     """``text`` as (kind, value, column) tokens: ("rat", Fraction),
     ("fac", (letter, index, exponent)) with index 0 for an unindexed
@@ -59,29 +68,32 @@ def tokenize(text: str, table: Letters) -> list:
     pos = 0
     out = []
     match = table.token.match
-    while True:
-        m = match(text, pos)
-        if m is None:
-            break
-        tok, num, den, letter, idx, exp = m.groups()
-        col = m.start(1) + 1
-        if num is not None:
-            if den is None:
-                out.append(("rat", Fraction(int(num)), col))
-            elif int(den):
-                out.append(("rat", Fraction(int(num), int(den)), col))
+    try:
+        while True:
+            m = match(text, pos)
+            if m is None:
+                break
+            tok, num, den, letter, idx, exp = m.groups()
+            col = m.start(1) + 1
+            if num is not None:
+                if den is None:
+                    out.append(("rat", Fraction(int(num)), col))
+                elif int(den):
+                    out.append(("rat", Fraction(int(num), int(den)), col))
+                else:
+                    raise SyntaxErrorWithPos(f"zero denominator in {tok!r}", 1, col)
+            elif letter is not None:
+                if letter in table.unindexed:
+                    if idx:
+                        raise SyntaxErrorWithPos(f"bad factor {tok!r}", 1, col)
+                elif not idx:
+                    raise SyntaxErrorWithPos(f"missing index in factor {tok!r}", 1, col)
+                out.append(("fac", (letter, int(idx or 0), int(exp or 1)), col))
             else:
-                raise SyntaxErrorWithPos(f"zero denominator in {tok!r}", 1, col)
-        elif letter is not None:
-            if letter in table.unindexed:
-                if idx:
-                    raise SyntaxErrorWithPos(f"bad factor {tok!r}", 1, col)
-            elif not idx:
-                raise SyntaxErrorWithPos(f"missing index in factor {tok!r}", 1, col)
-            out.append(("fac", (letter, int(idx or 0), int(exp or 1)), col))
-        else:
-            out.append(("sign", -1 if tok == "-" else 1, col))
-        pos = m.end()
+                out.append(("sign", -1 if tok == "-" else 1, col))
+            pos = m.end()
+    except ValueError:  # only int() raises it, on a literal past its limit
+        raise number_too_long(1, col) from None
     rest = text[pos:].strip()
     if rest:
         raise SyntaxErrorWithPos(f"unexpected input {rest[:10]!r}", 1, pos + 1)

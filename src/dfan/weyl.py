@@ -21,7 +21,7 @@ rather than by repeated single steps.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, perm
+from math import comb, perm, prod
 from operator import add, mul, sub
 
 from ._linalg import primitive_part
@@ -165,8 +165,14 @@ class _OpBase:
         return f"{type(self).__name__}({format_op(self)!r})"
 
 
+# Most terms one monomial product x^a1 d^b1 * x^a2 d^b2 may expand into.
+MAX_PRODUCT_TERMS = 4096
+
+
 def _mul_terms(t1, c1, t2, c2, emit_t: bool):
-    """Yield the expansion of (x^a1 d^b1 [t^l1]) * (x^a2 d^b2 [t^l2])."""
+    """Yield the expansion of (x^a1 d^b1 [t^l1]) * (x^a2 d^b2 [t^l2]).
+    Raises ResourceBoundExceeded before the first term when it has more
+    than MAX_PRODUCT_TERMS terms."""
     if emit_t:
         a1, b1, l1 = t1
         a2, b2, l2 = t2
@@ -184,13 +190,20 @@ def _mul_terms(t1, c1, t2, c2, emit_t: bool):
         return
     n = len(a1)
     # iterate over nu <= min(b1, a2) componentwise
-    ranges = [range(min(b1[i], a2[i]) + 1) for i in range(n)]
+    tops = [min(b1[i], a2[i]) + 1 for i in range(n)]
+    count = prod(tops)
+    if count > MAX_PRODUCT_TERMS:
+        raise ResourceBoundExceeded(
+            f"a monomial product of {count} terms exceeds the cap of "
+            f"{MAX_PRODUCT_TERMS}",
+            cap="MAX_PRODUCT_TERMS", limit=MAX_PRODUCT_TERMS, observed=count,
+        )
     stack = [((), 1)]
     for i in range(n):
         nxt = []
-        bi, ai = b1[i], a2[i]
+        bi, ai, nus = b1[i], a2[i], range(tops[i])
         for prefix, mult in stack:
-            for nu in ranges[i]:
+            for nu in nus:
                 m = mult * comb(bi, nu) * perm(ai, nu)
                 if m:
                     nxt.append((prefix + (nu,), m))

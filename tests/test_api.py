@@ -94,3 +94,10 @@ def test_the_readme_cap_table_lists_every_cap():
     assert sorted(name for name, _, _ in rows) == sorted(raised)
     for name, module, value in rows:
         assert getattr(importlib.import_module(module), name) == int(value.replace(",", ""))
+
+
+def test_the_readme_module_table_lists_every_module():
+    # each row: | `dfan.module` | contents |
+    rows = re.findall(r"^\| `dfan\.(\w+)` \|", README.read_text(), re.M)
+    modules = {path.stem for path in SRC.glob("*.py")} - {"__init__", "__main__"}
+    assert sorted(rows) == sorted(modules)

@@ -333,6 +333,10 @@ ideal = W1, W2
 """
 
 
+# d1^30000 x1^30000 expands into 30,001 terms of huge binomial weights
+PRODUCT_PROBLEM = "ring n=1 k=1 r=1\ngen: d1^30000\ngen: x1^30000\n"
+
+
 def inconclusive_line(argv):
     code, out, err = invoke(argv)
     assert code == 2 and out == ""
@@ -412,6 +416,8 @@ def test_degree_slack_sets_the_cap_a_looping_division_reports(tmp_path, monkeypa
         # the chain of W1^3, W2^3 takes 9 steps
         (flatness, "MAX_CHAIN_STEPS", 2,
          ["monomial-chain", "--ideal", "W1^3, W2^3", "--k", "2"], 2, 3),
+        # nu = 0..30000 in d1^30000 * x1^30000
+        (weyl, "MAX_PRODUCT_TERMS", 4096, ["gb", "product.txt"], 4096, 30001),
     ],
     ids=[
         "STEP_CAP", "REDUCTION_ROUNDS", "MAX_BASIS_ELEMENTS", "DEGREE_SLACK",
@@ -419,6 +425,7 @@ def test_degree_slack_sets_the_cap_a_looping_division_reports(tmp_path, monkeypa
         "MAX_NORMALS",
         "MAX_CELLS", "toric.MAX_BOX_POINTS", "flatness.MAX_BOX_POINTS",
         "MAX_MULTIPLIERS", "MAX_MULTIPLIERS-two-generators", "MAX_CHAIN_STEPS",
+        "MAX_PRODUCT_TERMS",
     ],
 )
 def test_cap_error_carries_its_cap_limit_and_observed_value(
@@ -426,6 +433,7 @@ def test_cap_error_carries_its_cap_limit_and_observed_value(
 ):
     (tmp_path / "loop.txt").write_text(LOOP_PROBLEM)
     (tmp_path / "two_gen.txt").write_text(TWO_GEN_PROBLEM)
+    (tmp_path / "product.txt").write_text(PRODUCT_PROBLEM)
     if argv[1].endswith(".txt"):
         folder = tmp_path if (tmp_path / argv[1]).exists() else PROBLEMS
         argv = [argv[0], "--input", str(folder / argv[1])]
@@ -437,6 +445,15 @@ def test_cap_error_carries_its_cap_limit_and_observed_value(
     assert (exc.cap, exc.limit, exc.observed) == (name, limit, observed)
     # the fields add nothing to the one stderr line or the exit code
     assert invoke(argv) == (2, "", f"dfan: inconclusive: {exc}\n")
+
+
+def test_a_huge_monomial_product_exits_two_naming_its_cap(tmp_path):
+    problem = tmp_path / "product.txt"
+    problem.write_text(PRODUCT_PROBLEM)
+    start = time.perf_counter()
+    err = inconclusive_line(["gb", "--input", str(problem)])
+    assert time.perf_counter() - start < 10.0
+    assert "exceeds the cap of 4096" in err
 
 
 def test_two_generators_certify_under_the_real_multiplier_cap(tmp_path):
@@ -502,6 +519,87 @@ def test_malformed_input_is_an_error_not_a_bug(tmp_path, text, argv):
 def test_flag_values_use_the_field_parsers_and_name_the_flag(argv, message):
     code, out, err = invoke([*argv, "--input", str(PROBLEMS / "euler.txt")])
     assert (code, out, err) == (3, "", f"dfan: error: {message}\n")
+
+
+# one digit more than Python converts to an int by default
+LONG = "1" + "0" * 4300
+EULER = (PROBLEMS / "euler.txt").read_text()
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        (f"ring n=2 k=2 r=1\ngen: {LONG} x1\n", ["gb"]),
+        (f"ring n=2 k=2 r=1\ngen: 1/{LONG} x1\n", ["gb"]),
+        (f"ring n=2 k=2 r=1\ngen: x{LONG}\n", ["gb"]),
+        (f"ring n=2 k=2 r=1\ngen: x1^{LONG}\n", ["gb"]),
+        (f"ring n={LONG} k=2 r=1\ngen: x1\n", ["gb"]),
+        (f"ring n=2 k=2 r=1\nshifts = [[0, {LONG}]]\ngen: x1\n", ["gb"]),
+        (f"ring n=2 k=2 r=1\ngen: x1\ncone = [[{LONG}, 0], [0, 1]]\n", ["cones"]),
+        (f"ring n=2 k=2 r=1\ngen: x1\nweight = [1/{LONG}, 1]\n", ["gb"]),
+        (f"ring n=2 k=2 r=1\ngen: x1\nideal = W{LONG}\n", ["monomial-chain"]),
+        (f"ring n=2 k=2 r=1\ngen: x1\ndegree_bound = {LONG}\n", ["gb"]),
+        (SYZYGY.replace("n=2", f"n={LONG}"), ["normalize-syzygy"]),
+        (SYZYGY.replace("[1, 0]", f"[{LONG}, 0]"), ["normalize-syzygy"]),
+        (SYZYGY.replace("q: x1 d1 w2", f"q: {LONG} x1 d1 w2"), ["normalize-syzygy"]),
+        (EULER, ["gb", f"--weight=[{LONG}, 1]"]),
+        (EULER, ["flat-cert", f"--s=[0, -{LONG}]"]),
+        (EULER, ["flat-cert", f"--cone=[[1, 0], [{LONG}, 1]]"]),
+        (EULER, ["monomial-chain", f"--ideal=W1^{LONG}"]),
+    ],
+    ids=["coefficient", "denominator", "index", "exponent", "ring", "shifts",
+         "cone", "weight", "ideal", "degree_bound", "syzygy", "syzygy-a",
+         "syzygy-q", "--weight", "--s", "--cone", "--ideal"],
+)
+def test_a_number_past_the_int_conversion_limit_is_an_error(tmp_path, text, argv):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    code, out, err = invoke([*argv, "--input", str(path)])
+    assert code == 3 and out == ""
+    assert err.startswith("dfan: error:") and err.count("\n") == 1, err[:200]
+
+
+# The command that reads each field, and the lines it needs besides.
+FIELD_COMMANDS = {
+    "weight": ("gb", ""),
+    "cone": ("cones", ""),
+    "ideal": ("monomial-chain", ""),
+    "s": ("flat-cert", "cone = [[1, 0], [0, 1]]\nideal = W1\n"),
+}
+
+
+@st.composite
+def field_texts(draw):
+    """Values, well-formed or not, for a vector, matrix or ideal field."""
+    small = st.integers(-2, 3).map(str) | st.sampled_from(["1/2", "2/3", "1/0", "1.5", "x"])
+    vector = st.lists(small, max_size=3).map(lambda v: "[" + ", ".join(v) + "]")
+    matrix = st.lists(vector, min_size=1, max_size=3).map(lambda m: "[" + ",".join(m) + "]")
+    ideal = st.lists(
+        st.sampled_from(["W1", "W2", "W3", "W1^2", "w2", "1", "Q", "W0", ""]), max_size=3
+    ).map(", ".join)
+    noise = st.text(" 0123456789-/,[]Ww^x.", max_size=12)
+    return draw(st.one_of(vector, matrix, ideal, noise).filter(bool))
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.sampled_from(sorted(FIELD_COMMANDS)), field_texts())
+def test_a_field_reads_the_same_from_a_file_line_and_a_flag(tmp_path, name, text):
+    command, rest = FIELD_COMMANDS[name]
+    head = "ring n=2 k=2 r=1\ngen: x1 d1 + x2 d2\n"
+    (tmp_path / "line.txt").write_text(f"{head}{name} = {text}\n{rest}")
+    (tmp_path / "flag.txt").write_text(head + rest)
+    from_line = invoke([command, "--input", str(tmp_path / "line.txt")])
+    from_flag = invoke([command, "--input", str(tmp_path / "flag.txt"), f"--{name}={text}"])
+    if from_line != from_flag:
+        code, out, err = from_flag
+        prefix = f"dfan: error: --{name}: "
+        assert code == 3 and out == "" and err.startswith(prefix), (from_line, from_flag)
+        message = err[len(prefix):-1]
+        assert from_line == (3, "", f"dfan: error: {message} (line 3)\n")
 
 
 def test_q_line_error_carries_its_line(tmp_path):
@@ -713,6 +811,7 @@ FUZZ_TOKENS = (
     *"0123456789 +-/^,[]=:\n",
     "x1", "x2", "x3", "d1", "d2", "d3", "e1", "e2", "t", "W1", "W2",
     "gen:", "target:", "ring", "n=", "k=", "r=", "shifts", "cone", "ideal",
+    "9" * 4301,  # one digit past Python's limit on int conversion
 )
 
 

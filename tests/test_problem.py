@@ -11,8 +11,8 @@ def format_problem(p):
     lines.append(
         "shifts = [" + ", ".join("[" + ", ".join(map(str, col)) + "]" for col in p.ring.shifts) + "]"
     )
-    if p.order_name:
-        lines.append(f"order = {p.order_name}")
+    if p.order:
+        lines.append(f"order = {p.order}")
     for g in p.generators:
         lines.append(f"gen: {format_vec(g)}")
     if p.target is not None:
