@@ -107,8 +107,10 @@ def _read_input(args) -> str:
     if not args.input:
         raise UsageError("--input is required")
     try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            return fh.read()
+        # decoded whole, without a text-mode wrapper: the readers split
+        # lines with str.splitlines, which takes every newline convention
+        with open(args.input, "rb") as fh:
+            return fh.read().decode("utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read {args.input}: {exc}")
 
@@ -359,6 +361,10 @@ _HANDLERS = {
 }
 
 
+# the sub-parser of each command, filled in by ``_build_parser``
+_SUBPARSERS: dict = {}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """Built on first use and shared by every later ``run`` call:
@@ -370,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _HANDLERS:
-        p = sub.add_parser(name)
+        p = _SUBPARSERS[name] = sub.add_parser(name)
         p.add_argument("--input", help="problem file")
         p.add_argument("--weight", help="weight form, e.g. \"[1,0]\"")
         p.add_argument("--cone", help="cone rows, e.g. \"[[1,0],[0,1]]\"")
@@ -389,9 +395,15 @@ def run(argv, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     parser = _build_parser()
+    # a command's arguments go straight to its own sub-parser; no argv,
+    # --help or an unknown command go to the full parser
+    sub = _SUBPARSERS.get(argv[0]) if argv else None
     try:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            args = parser.parse_args(argv)
+            if sub is None:
+                args = parser.parse_args(argv)
+            else:
+                args = sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
     except SystemExit as exc:
         return 3 if exc.code not in (0, None) else 0
     try:

@@ -61,74 +61,64 @@ def number_too_long(line: int, column: int = 0) -> SyntaxErrorWithPos:
     )
 
 
-def tokenize(text: str, table: Letters) -> list:
-    """``text`` as (kind, value, column) tokens: ("rat", Fraction),
-    ("fac", (letter, index, exponent)) with index 0 for an unindexed
-    letter, or ("sign", +1 or -1)."""
+_UNITS = {1: Fraction(1), -1: Fraction(-1)}  # the coefficient of a bare term
+
+
+def parse_sum(text: str, table: Letters) -> list:
+    """The terms of a signed sum as (coefficient, factors) pairs, each
+    factor a (letter, index, exponent) triple with index 0 for an
+    unindexed letter, read in one walk over ``text``.  A bad token raises
+    where the walk meets it; a token out of place is reported once the
+    walk is over, so that a bad token anywhere comes first."""
+    terms = []
+    fault = sign = None  # sign: of the term being read, None before the first
     pos = 0
-    out = []
     match = table.token.match
     try:
         while True:
             m = match(text, pos)
-            if m is None:
-                break
-            tok, num, den, letter, idx, exp = m.groups()
+            tok, num, den, letter, idx, exp = m.groups() if m else (None,) * 6
+            if num is None and letter is None:  # a sign or the end ends a term
+                if sign is not None and coef is None and not factors:
+                    fault = fault or SyntaxErrorWithPos("empty term", 1, start)
+                elif sign is not None:
+                    terms.append((_UNITS[sign] if coef is None else coef, factors))
+                if m is None:
+                    break
+                sign, coef, factors = -1 if tok == "-" else 1, None, []
+                start, pos = m.start(1) + 1, m.end()
+                continue
             col = m.start(1) + 1
-            if num is not None:
-                if den is None:
-                    out.append(("rat", Fraction(int(num)), col))
-                elif int(den):
-                    out.append(("rat", Fraction(int(num), int(den)), col))
-                else:
-                    raise SyntaxErrorWithPos(f"zero denominator in {tok!r}", 1, col)
-            elif letter is not None:
+            pos = m.end()
+            if sign is None:
+                sign, coef, factors, start = 1, None, [], col
+            if letter is not None:
                 if letter in table.unindexed:
                     if idx:
                         raise SyntaxErrorWithPos(f"bad factor {tok!r}", 1, col)
                 elif not idx:
                     raise SyntaxErrorWithPos(f"missing index in factor {tok!r}", 1, col)
-                out.append(("fac", (letter, int(idx or 0), int(exp or 1)), col))
+                factors.append((letter, int(idx or 0), int(exp or 1)))
+                continue
+            if den is None:
+                value = Fraction(int(num))
+            elif int(den):
+                value = Fraction(int(num), int(den))
             else:
-                out.append(("sign", -1 if tok == "-" else 1, col))
-            pos = m.end()
+                raise SyntaxErrorWithPos(f"zero denominator in {tok!r}", 1, col)
+            if coef is None and not factors:
+                coef = sign * value
+            else:
+                fault = fault or SyntaxErrorWithPos("expected + or - between terms", 1, col)
     except ValueError:  # only int() raises it, on a literal past its limit
         raise number_too_long(1, col) from None
     rest = text[pos:].strip()
     if rest:
         raise SyntaxErrorWithPos(f"unexpected input {rest[:10]!r}", 1, pos + 1)
-    return out
-
-
-def parse_sum(text: str, table: Letters) -> list:
-    """The terms of a signed sum as (coefficient, factors) pairs, each
-    factor a (letter, index, exponent) triple from ``tokenize``."""
-    toks = tokenize(text, table)
-    if not toks:
+    if sign is None:
         raise SyntaxErrorWithPos("empty operator", 1, 1)
-    terms = []
-    i, end = 0, len(toks)
-    while i < end:
-        kind, sign, col = toks[i]
-        if kind == "sign":
-            i += 1
-        elif terms:
-            raise SyntaxErrorWithPos("expected + or - between terms", 1, col)
-        else:
-            sign = 1
-        coef = None
-        if i < end and toks[i][0] == "rat":
-            coef = sign * toks[i][1]
-            i += 1
-        factors = []
-        while i < end and toks[i][0] == "fac":
-            factors.append(toks[i][1])
-            i += 1
-        if coef is None:
-            if not factors:
-                raise SyntaxErrorWithPos("empty term", 1, col)
-            coef = Fraction(sign)
-        terms.append((coef, factors))
+    if fault:
+        raise fault
     return terms
 
 
@@ -269,14 +259,16 @@ def parse_w_monomials(text: str, k: int) -> tuple:
             if chunk == "1":
                 out.append((0,) * k)
             continue
-        try:
-            toks = tokenize(chunk, W_MONOMIAL)
-        except SyntaxErrorWithPos:
-            toks = None
-        if not toks or any(kind != "fac" for kind, _, _ in toks):
+        terms = ()  # a monomial: one term of factors only, so a letter first
+        if chunk[0] in W_MONOMIAL.letters:
+            try:
+                terms = parse_sum(chunk, W_MONOMIAL)
+            except SyntaxErrorWithPos:
+                pass
+        if len(terms) != 1:
             raise SemanticError(f"bad W-monomial {chunk!r}")
         exp = [0] * k
-        for _, (_, idx, e), _ in toks:
+        for _, idx, e in terms[0][1]:
             if not 1 <= idx <= k:
                 raise SemanticError(f"W{idx} out of range (k = {k})")
             exp[idx - 1] += e

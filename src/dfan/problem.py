@@ -53,6 +53,10 @@ class ProblemFile:
 
 _ROW = r"\[[^\[\]]*\]"
 _MATRIX = re.compile(rf"\[\s*{_ROW}(?:\s*,\s*{_ROW})*\s*\]")
+_ROW_BODY = re.compile(r"\[([^\]]*)\]")
+_INT = re.compile(r"-?\d+")
+_RATIONAL = re.compile(r"(-?\d+)(?:/(\d+))?")
+_DIGITS = re.compile(r"\d+")
 
 
 def parse_int_matrix(text: str, line: int) -> tuple:
@@ -65,11 +69,11 @@ def parse_int_matrix(text: str, line: int) -> tuple:
     if not _MATRIX.fullmatch(text):
         raise SyntaxErrorWithPos("expected a comma-separated list of rows", line)
     rows = []
-    for chunk in re.findall(r"\[([^\]]*)\]", text[1:-1]):
+    for chunk in _ROW_BODY.findall(text, 1, len(text) - 1):
         row = []
         for piece in chunk.split(","):
             piece = piece.strip()
-            if not re.fullmatch(r"-?\d+", piece):
+            if not _INT.fullmatch(piece):
                 raise SyntaxErrorWithPos(f"bad integer {piece!r}", line)
             try:
                 row.append(int(piece))
@@ -86,22 +90,22 @@ def parse_rational_vector(text: str, line: int) -> tuple:
     out = []
     for piece in text[1:-1].split(","):
         piece = piece.strip()
-        m = re.fullmatch(r"(-?\d+)(?:/(\d+))?", piece)
+        m = _RATIONAL.fullmatch(piece)
         if not m:
             raise SyntaxErrorWithPos(f"bad rational {piece!r}", line)
         try:
-            num, den = int(m.group(1)), int(m.group(2) or 1)
+            num, den = int(m[1]), int(m[2] or 1)
         except ValueError:
             raise number_too_long(line) from None
         if not den:
             raise SyntaxErrorWithPos(f"zero denominator in {piece!r}", line)
-        out.append(Fraction(num, den))
+        out.append(Fraction(num) if den == 1 else Fraction(num, den))
     return tuple(out)
 
 
 def nonnegative_int(text: str) -> int:
     """A count written as decimal digits only: no sign, no spaces."""
-    if not re.fullmatch(r"\d+", text):
+    if not _DIGITS.fullmatch(text):
         raise ValueError(f"must be a nonnegative integer, got {text!r}")
     try:
         return int(text)
@@ -151,9 +155,9 @@ def read_field(name: str, text: str, line: int, k: int | None):
 
 def split_lines(text: str, word: str, header: re.Pattern, tags: tuple, keys: tuple):
     """The lines of a problem or syzygy file, comments and blank lines
-    skipped: the numbers of the header line (a line starting with ``word``
-    must match ``header``), the (text, line) pairs of the lines starting
-    with each of ``tags`` in file order, and the (value, line) pair of
+    skipped: the numbers of the one header line (a line starting with
+    ``word`` must match ``header``), the (text, line) pairs of the lines
+    starting with each of ``tags`` in file order, and the (value, line) pair of
     each ``key = value`` field, ``key`` one of ``keys``."""
     numbers = None
     tagged = {tag: [] for tag in tags}
@@ -166,6 +170,8 @@ def split_lines(text: str, word: str, header: re.Pattern, tags: tuple, keys: tup
             m = header.match(line)
             if not m:
                 raise SyntaxErrorWithPos(f"bad {word} line", lineno, 1)
+            if numbers is not None:
+                raise SyntaxErrorWithPos(f"duplicate {word} line", lineno, 1)
             try:
                 numbers = tuple(map(int, m.groups()))
             except ValueError:
@@ -193,6 +199,8 @@ def parse_problem(text: str) -> ProblemFile:
     ring, lines, fields = split_lines(text, "ring", _RING, ("gen:", "target:"), _FIELDS)
     if ring is None:
         raise SyntaxErrorWithPos("missing ring line", 1, 1)
+    if len(lines["target:"]) > 1:
+        raise SyntaxErrorWithPos("duplicate target line", lines["target:"][1][1], 1)
     n, k, r = ring
     if not 1 <= k <= n:
         raise SemanticError(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -212,6 +220,8 @@ def parse_problem(text: str) -> ProblemFile:
             return parse_vec(vtext, ring_desc)
         except SyntaxErrorWithPos as exc:
             raise SyntaxErrorWithPos(exc.message, lineno, exc.column) from None
+        except SemanticError as exc:
+            raise SemanticError(f"{exc} (line {lineno})") from None
 
     generators = []
     for gtext, lineno in lines["gen:"]:
@@ -222,7 +232,7 @@ def parse_problem(text: str) -> ProblemFile:
     if not generators:
         raise SemanticError("problem has no generators")
     targets = lines["target:"]
-    target = parse_line(*targets[-1]) if targets else None
+    target = parse_line(*targets[0]) if targets else None
     return ProblemFile(ring_desc, tuple(generators), target, **values)
 
 

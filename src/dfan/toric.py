@@ -19,39 +19,45 @@ from .errors import ConeError, ResourceBoundExceeded
 MAX_BOX_POINTS = 20_000
 
 
-def _det(rows):
+def _bareiss(rows):
+    """(det M, adj M) for a square integer matrix M, adj M None when M is
+    singular: fraction-free Gauss-Jordan elimination of [M | I] (Bareiss),
+    every division exact, leaves [D I | D M^-1] with D = det M up to the
+    sign of the row swaps."""
     k = len(rows)
-    if k == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(k):
-        minor = [r[:j] + r[j + 1 :] for r in [list(x) for x in rows[1:]]]
-        total += (-1) ** j * rows[0][j] * _det([tuple(m) for m in minor])
-    return total
+    a = [[*r, *[0] * i, 1, *[0] * (k - i - 1)] for i, r in enumerate(rows)]
+    sign = prev = 1
+    for c in range(k):
+        p = c
+        while not a[p][c]:
+            p += 1
+            if p == k:
+                return 0, None
+        if p != c:
+            a[c], a[p], sign = a[p], a[c], -sign
+        top = a[c]
+        piv = top[c]
+        for i, row in enumerate(a):
+            f = row[c]
+            if i != c and (f or piv != prev):  # else the row stays as it is
+                a[i] = [(piv * x - f * y) // prev for x, y in zip(row, top)]
+        prev = piv
+    return sign * prev, [[sign * x for x in row[k:]] for row in a]
+
+
+def _det(rows):
+    return _bareiss(rows)[0]
 
 
 def _adjugate(rows):
     """(A, |det M|) for a square integer matrix M, A the adjugate times the
-    sign of the determinant: M^-1 = A / |det M| when M is nonsingular."""
-    k = len(rows)
-    d = _det(rows)
+    sign of the determinant: M^-1 = A / |det M|; A is None when M is
+    singular."""
+    d, adj = _bareiss(rows)
+    if adj is None:
+        return None, 0
     sign = 1 if d > 0 else -1
-    adj = [[0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            minor = [
-                tuple(rows[a][b] for b in range(k) if b != i)
-                for a in range(k)
-                if a != j
-            ]
-            adj[i][j] = sign * (-1) ** (i + j) * (_det(minor) if minor else 1)
-    return tuple(tuple(r) for r in adj), abs(d)
-
-
-def _inverse_unimodular(rows):
-    """Exact inverse of an integer matrix with determinant +-1: its signed
-    adjugate."""
-    return _adjugate(rows)[0]
+    return tuple(tuple(sign * x for x in row) for row in adj), abs(d)
 
 
 class BasicCone:
@@ -60,23 +66,21 @@ class BasicCone:
     __slots__ = ("rows", "inverse", "columns")
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(c) for c in r) for r in rows)
+        rows = tuple(tuple(map(int, r)) for r in rows)
         k = len(rows)
         if any(len(r) != k for r in rows):
             raise ConeError("need k forms on Q^k")
         if any(c < 0 for r in rows for c in r):
             raise ConeError("cone rays must have nonnegative entries")
-        d = _det(rows)
-        if d == -1:
-            rows = rows[:-2] + (rows[-1], rows[-2]) if k >= 2 else rows
-            d = _det(rows)
+        d, adj = _bareiss(rows)
+        if d == -1:  # k >= 2, as the entries are nonnegative
+            rows = rows[:-2] + (rows[-1], rows[-2])
+            d, adj = _bareiss(rows)
         if d != 1:
             raise ConeError(f"not basic: determinant {d} != 1")
         self.rows = rows
-        self.inverse = _inverse_unimodular(rows)
-        self.columns = tuple(
-            tuple(self.inverse[i][j] for i in range(k)) for j in range(k)
-        )
+        self.inverse = tuple(map(tuple, adj))
+        self.columns = tuple(zip(*adj))
 
     @property
     def k(self) -> int:

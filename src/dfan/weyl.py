@@ -50,7 +50,7 @@ class RingDescriptor:
         if shifts is None:
             shifts = tuple((0,) * k for _ in range(r))
         else:
-            shifts = tuple(tuple(int(c) for c in col) for col in shifts)
+            shifts = tuple(tuple(map(int, col)) for col in shifts)
             if len(shifts) != r or any(len(col) != k for col in shifts):
                 raise ValueError("shift matrix must have r columns in Z^k")
         self.n = n
@@ -59,7 +59,7 @@ class RingDescriptor:
         self.shifts = shifts
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, RingDescriptor)
             and (self.n, self.k, self.r, self.shifts)
             == (other.n, other.k, other.r, other.shifts)

@@ -218,3 +218,25 @@ def uncapped_monomial_multiples(g, room):
         prod = g.left_mul(WeylOp(g.ring, {(exps[:n], exps[n:]): Fraction(1)}))
         if not prod.is_zero():
             yield prod
+
+
+# Pieces of the problem grammar a mutation may splice into a problem file.
+FUZZ_TOKENS = (
+    *"0123456789 +-/^,[]=:\n",
+    "x1", "x2", "x3", "d1", "d2", "d3", "e1", "e2", "t", "W1", "W2",
+    "gen:", "target:", "ring", "n=", "k=", "r=", "shifts", "cone", "ideal",
+    "9" * 4301,  # one digit past Python's limit on int conversion
+)
+
+
+@st.composite
+def field_texts(draw):
+    """Values, well-formed or not, for a vector, matrix or ideal field."""
+    small = st.integers(-2, 3).map(str) | st.sampled_from(["1/2", "2/3", "1/0", "1.5", "x"])
+    vector = st.lists(small, max_size=3).map(lambda v: "[" + ", ".join(v) + "]")
+    matrix = st.lists(vector, min_size=1, max_size=3).map(lambda m: "[" + ",".join(m) + "]")
+    ideal = st.lists(
+        st.sampled_from(["W1", "W2", "W3", "W1^2", "w2", "1", "Q", "W0", ""]), max_size=3
+    ).map(", ".join)
+    noise = st.text(" 0123456789-/,[]Ww^x.", max_size=12)
+    return draw(st.one_of(vector, matrix, ideal, noise).filter(bool))

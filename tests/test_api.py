@@ -101,3 +101,54 @@ def test_the_readme_module_table_lists_every_module():
     rows = re.findall(r"^\| `dfan\.(\w+)` \|", README.read_text(), re.M)
     modules = {path.stem for path in SRC.glob("*.py")} - {"__init__", "__main__"}
     assert sorted(rows) == sorted(modules)
+
+
+# The functions of ``re`` that take a pattern and look it up in the regex
+# module's cache on every call.
+RE_PATTERN_CALLS = {"match", "fullmatch", "search", "findall", "finditer", "sub", "subn", "split"}
+
+
+def pattern_calls(source):
+    """(line, name) of each call of a pattern function of ``re`` in
+    ``source``, through ``re.<name>(...)`` or a name imported from ``re``."""
+    tree = ast.parse(source)
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "re"
+        for alias in node.names
+        if alias.name in RE_PATTERN_CALLS
+    }
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if (
+            isinstance(f, ast.Attribute)
+            and isinstance(f.value, ast.Name)
+            and f.value.id == "re"
+            and f.attr in RE_PATTERN_CALLS
+        ):
+            out.append((node.lineno, f.attr))
+        elif isinstance(f, ast.Name) and f.id in imported:
+            out.append((node.lineno, f.id))
+    return out
+
+
+def test_the_guard_finds_pattern_calls():
+    source = (
+        "import re\nfrom re import findall as fa\n_P = re.compile('x')\n"
+        "def f(t):\n    _P.fullmatch(t)\n    re.fullmatch(r'\\d+', t)\n    return fa('x', t)\n"
+    )
+    assert pattern_calls(source) == [(6, "fullmatch"), (7, "fa")]
+
+
+def test_no_module_matches_through_a_pattern_string():
+    # patterns are compiled once at module level, so no command pays the
+    # regex cache lookup of re.fullmatch(pattern, text) per piece it reads
+    found = {
+        path.name: pattern_calls(path.read_text())
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: calls for name, calls in found.items() if calls} == {}

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -13,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from dfan import basis, cli, fan, flatness, toric, weyl
 from dfan.errors import ResourceBoundExceeded
 from dfan.cli import NEGATIVE_VERDICTS, run
+from conftest import FUZZ_TOKENS, field_texts
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "docs" / "report-schema.json"
@@ -568,19 +570,6 @@ FIELD_COMMANDS = {
 }
 
 
-@st.composite
-def field_texts(draw):
-    """Values, well-formed or not, for a vector, matrix or ideal field."""
-    small = st.integers(-2, 3).map(str) | st.sampled_from(["1/2", "2/3", "1/0", "1.5", "x"])
-    vector = st.lists(small, max_size=3).map(lambda v: "[" + ", ".join(v) + "]")
-    matrix = st.lists(vector, min_size=1, max_size=3).map(lambda m: "[" + ",".join(m) + "]")
-    ideal = st.lists(
-        st.sampled_from(["W1", "W2", "W3", "W1^2", "w2", "1", "Q", "W0", ""]), max_size=3
-    ).map(", ".join)
-    noise = st.text(" 0123456789-/,[]Ww^x.", max_size=12)
-    return draw(st.one_of(vector, matrix, ideal, noise).filter(bool))
-
-
 @settings(
     max_examples=150,
     deadline=None,
@@ -732,6 +721,76 @@ def test_help_reaches_run_stdout(capsys):
     assert capsys.readouterr().out == ""
 
 
+EULER_PATH = str(PROBLEMS / "euler.txt")
+
+# The argv of the usage tests in this file, with the forms argparse
+# accepts or refuses around them: no command, abbreviations, --flag=value,
+# a missing value and stray arguments.
+USAGE_ARGVS = [
+    [], ["--help"], ["-h"], ["bogus"], ["fla"], ["--json", "gb"], ["gb"],
+    ["gb", "--bogus"], ["gb", "--no-such-flag"], ["gb", "--help"], ["gb", "-h"],
+    ["monomial-chain", "--ideal", "W1", "--k", "0"],
+    ["monomial-chain", "--ideal", "W1", "--k", "-2"],
+    ["flat-cert", "--input", EULER_PATH, "--degree-bound", "-1"],
+    ["flat-cert", "--input", EULER_PATH, "--l-max", "-1"],
+    ["fiber", "--input", EULER_PATH, "--bound", "-2"],
+    ["flat-cert", "--input", EULER_PATH, "--deg", "3", "--l", "2"],
+    ["flat-cert", f"--input={EULER_PATH}", "--degree-bound=5"],
+    ["gb", "--weight=[1, 0]", "--input", EULER_PATH],
+    ["gb", "--weight", "[1.5, 1]", "--input", EULER_PATH],
+    ["flat-cert", "--s", "[1/0,0]", "--input", EULER_PATH],
+    ["flat-cert", "--cone", "[[1,0],[0,x]]", "--input", EULER_PATH],
+    ["gb", "--input", EULER_PATH, "--expect", "no"],
+    ["gb", "--input", EULER_PATH, "stray"],
+    ["gb", "--input"], ["divide", "--i", "x"], ["gb", "--", "x"],
+    ["cones", "--cone", "[[1,0],[0,1]]", "--json", "--json"],
+]
+
+
+def full_parser_outcome(argv):
+    """(exit code, vars of the namespace) from the full parser, the
+    subcommand read from argv[0] and its arguments handed on."""
+    parser = cli._build_parser()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return 0, vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        return (3 if exc.code not in (0, None) else 0), None
+
+
+def test_each_command_parses_as_under_the_full_parser(monkeypatch):
+    from test_acceptance import CORPUS
+
+    seen = []
+
+    def record(args):
+        seen.append(vars(args))
+        return cli._report("recorded", args.expect or "ok", {})
+
+    for name in cli._HANDLERS:
+        monkeypatch.setitem(cli._HANDLERS, name, record)
+    corpus = [
+        [str(PROBLEMS / a) if a.endswith(".txt") else a for a in argv] for argv in CORPUS
+    ]
+    for argv in corpus + USAGE_ARGVS:
+        seen.clear()
+        code = invoke(argv)[0]
+        assert (code, seen[0] if seen else None) == full_parser_outcome(argv), argv
+
+
+@pytest.mark.parametrize("command", sorted(cli._HANDLERS))
+def test_each_command_prints_its_own_help(command):
+    code, out, err = invoke([command, "--help"])
+    assert (code, err) == (0, "") and out.startswith(f"usage: dfan {command} ")
+
+
+def test_no_command_help_and_an_unknown_command_keep_their_exit_codes():
+    assert [invoke(argv)[0] for argv in ([], ["--help"], ["bogus"])] == [3, 0, 3]
+    code, out, err = invoke(["gb", "--bogus"])
+    assert (code, out) == (3, "") and err.startswith("usage: dfan gb [-h]")
+    assert err.endswith("dfan gb: error: unrecognized arguments: --bogus\n")
+
+
 def test_internal_error_exit_three(monkeypatch):
     def broken(args):
         raise ValueError("bad\nstate")
@@ -804,15 +863,6 @@ def test_reports_are_deterministic():
     _, first, _ = invoke(argv)
     _, second, _ = invoke(argv)
     assert first == second
-
-
-# Pieces of the problem grammar a mutation may splice into a problem file.
-FUZZ_TOKENS = (
-    *"0123456789 +-/^,[]=:\n",
-    "x1", "x2", "x3", "d1", "d2", "d3", "e1", "e2", "t", "W1", "W2",
-    "gen:", "target:", "ring", "n=", "k=", "r=", "shifts", "cone", "ideal",
-    "9" * 4301,  # one digit past Python's limit on int conversion
-)
 
 
 @st.composite

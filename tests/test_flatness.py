@@ -26,7 +26,7 @@ from dfan.flatness import (
     parse_w_op,
 )
 from dfan.grammar import format_vec, parse_op, parse_vec
-from dfan.toric import BasicCone, _det, _inverse_unimodular, orthant_cone
+from dfan.toric import BasicCone, _adjugate, _det, orthant_cone
 from dfan.weights import LinearForm
 from dfan.weyl import RingDescriptor, WeylOp, WeylVec, monomial_multiples
 from conftest import chain_ideals, graded_dimension, monomials, random_vec, unimodular_rows
@@ -410,7 +410,7 @@ class RefIdealFrame:
         if _det(rows) not in (1, -1):
             raise ConeError("frame is not unimodular")
         self.rows = rows
-        inverse = _inverse_unimodular(rows)
+        inverse = _adjugate(rows)[0]
         self.columns = tuple(
             tuple(inverse[i][j] for i in range(k)) for j in range(k)
         )

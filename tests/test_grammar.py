@@ -7,17 +7,22 @@ from hypothesis import given, settings, strategies as st
 from dfan.errors import DfanError, SemanticError, SyntaxErrorWithPos
 from dfan.flatness import WOp, format_w_op, parse_w_op
 from dfan.grammar import (
+    OPERATOR,
+    SYZYGY,
+    W_MONOMIAL,
     format_op,
     format_vec,
     format_w_monomials,
+    number_too_long,
     parse_dt_op,
     parse_dt_vec,
     parse_op,
+    parse_sum,
     parse_vec,
     parse_w_monomials,
 )
 from dfan.weyl import DtOp, DtVec, RingDescriptor, WeylOp, WeylVec
-from conftest import random_dt_op, random_nonzero_op, random_vec
+from conftest import FUZZ_TOKENS, random_dt_op, random_nonzero_op, random_vec
 
 R2 = RingDescriptor(2, 2, 1)
 RV = RingDescriptor(2, 2, 2, [[0, 0], [1, 3]])
@@ -551,3 +556,137 @@ def test_zero_denominator_is_a_positioned_syntax_error():
     assert exc.value.column == 6
     with pytest.raises(SemanticError, match="zero denominator"):
         parse_w_op("1/0 x1 w2", 2, 2)
+
+
+# ---------------------------------------------------------------------------
+# The one-walk sum reader against the token list and the walk over it that
+# it replaced, kept here verbatim as references.
+
+
+def two_walk_tokenize(text, table):
+    pos = 0
+    out = []
+    match = table.token.match
+    try:
+        while True:
+            m = match(text, pos)
+            if m is None:
+                break
+            tok, num, den, letter, idx, exp = m.groups()
+            col = m.start(1) + 1
+            if num is not None:
+                if den is None:
+                    out.append(("rat", Fraction(int(num)), col))
+                elif int(den):
+                    out.append(("rat", Fraction(int(num), int(den)), col))
+                else:
+                    raise SyntaxErrorWithPos(f"zero denominator in {tok!r}", 1, col)
+            elif letter is not None:
+                if letter in table.unindexed:
+                    if idx:
+                        raise SyntaxErrorWithPos(f"bad factor {tok!r}", 1, col)
+                elif not idx:
+                    raise SyntaxErrorWithPos(f"missing index in factor {tok!r}", 1, col)
+                out.append(("fac", (letter, int(idx or 0), int(exp or 1)), col))
+            else:
+                out.append(("sign", -1 if tok == "-" else 1, col))
+            pos = m.end()
+    except ValueError:
+        raise number_too_long(1, col) from None
+    rest = text[pos:].strip()
+    if rest:
+        raise SyntaxErrorWithPos(f"unexpected input {rest[:10]!r}", 1, pos + 1)
+    return out
+
+
+def two_walk_parse_sum(text, table):
+    toks = two_walk_tokenize(text, table)
+    if not toks:
+        raise SyntaxErrorWithPos("empty operator", 1, 1)
+    terms = []
+    i, end = 0, len(toks)
+    while i < end:
+        kind, sign, col = toks[i]
+        if kind == "sign":
+            i += 1
+        elif terms:
+            raise SyntaxErrorWithPos("expected + or - between terms", 1, col)
+        else:
+            sign = 1
+        coef = None
+        if i < end and toks[i][0] == "rat":
+            coef = sign * toks[i][1]
+            i += 1
+        factors = []
+        while i < end and toks[i][0] == "fac":
+            factors.append(toks[i][1])
+            i += 1
+        if coef is None:
+            if not factors:
+                raise SyntaxErrorWithPos("empty term", 1, col)
+            coef = Fraction(sign)
+        terms.append((coef, factors))
+    return terms
+
+
+def two_walk_parse_w_monomials(text, k):
+    out = []
+    for chunk in text.split(","):
+        chunk = chunk.strip()
+        if chunk in ("1", ""):
+            if chunk == "1":
+                out.append((0,) * k)
+            continue
+        try:
+            toks = two_walk_tokenize(chunk, W_MONOMIAL)
+        except SyntaxErrorWithPos:
+            toks = None
+        if not toks or any(kind != "fac" for kind, _, _ in toks):
+            raise SemanticError(f"bad W-monomial {chunk!r}")
+        exp = [0] * k
+        for _, (_, idx, e), _ in toks:
+            if not 1 <= idx <= k:
+                raise SemanticError(f"W{idx} out of range (k = {k})")
+            exp[idx - 1] += e
+        out.append(tuple(exp))
+    if not out:
+        raise SemanticError("empty ideal")
+    return tuple(out)
+
+
+def exact_outcome(f, *args):
+    """("ok", value), or the class, message and position of the error."""
+    try:
+        return "ok", f(*args)
+    except DfanError as exc:
+        return type(exc), str(exc)
+
+
+generator_texts = (
+    texts
+    | st.lists(st.sampled_from(FUZZ_TOKENS + tuple(PIECES)), max_size=8).map("".join)
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(generator_texts)
+def test_one_walk_sums_read_as_the_two_walk_reference(text):
+    for table in (OPERATOR, SYZYGY, W_MONOMIAL):
+        assert exact_outcome(parse_sum, text, table) == exact_outcome(
+            two_walk_parse_sum, text, table
+        )
+    for k in (1, 2):
+        assert exact_outcome(parse_w_monomials, text, k) == exact_outcome(
+            two_walk_parse_w_monomials, text, k
+        )
+
+
+def test_a_misplaced_token_is_reported_after_a_bad_one():
+    # the two-walk reader tokenized the whole text before it looked at the
+    # order of the tokens, so the bad token later in the text wins
+    with pytest.raises(SyntaxErrorWithPos, match=r"unexpected input '\$'"):
+        parse_sum("x1 3 + - d1 $", OPERATOR)
+    with pytest.raises(SyntaxErrorWithPos, match="expected \\+ or - between terms"):
+        parse_sum("x1 3 + - d1", OPERATOR)
+    with pytest.raises(SyntaxErrorWithPos, match="empty term"):
+        parse_sum("x1 + - d1 3", OPERATOR)

@@ -1,8 +1,24 @@
+import re
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dfan.errors import SemanticError, SyntaxErrorWithPos
-from dfan.grammar import format_vec, format_w_monomials, parse_w_monomials
-from dfan.problem import parse_problem, parse_syzygy
+from dfan.grammar import (
+    format_vec,
+    format_w_monomials,
+    number_too_long,
+    parse_w_monomials,
+)
+from dfan.problem import (
+    nonnegative_int,
+    parse_int_matrix,
+    parse_problem,
+    parse_rational_vector,
+    parse_syzygy,
+)
+from conftest import FUZZ_TOKENS, field_texts
 
 
 def format_problem(p):
@@ -175,3 +191,123 @@ def test_parse_syzygy():
     assert len(syz.qs) == 2
     with pytest.raises(SemanticError):
         parse_syzygy("syzygy n=2 k=2\na = [[1, 0]]\nq: x1\nq: x2\n")
+
+
+def test_generator_and_target_errors_carry_their_line():
+    with pytest.raises(SemanticError) as info:
+        parse_problem("ring n=2 k=2 r=1\ngen: x3 d1\n")
+    assert str(info.value) == "x3 out of range (n = 2) (line 2)"
+    with pytest.raises(SemanticError) as info:
+        parse_problem("ring n=2 k=2 r=1\ngen: x1\n\ntarget: x1 t\n")
+    assert str(info.value) == "t factor outside D[t] (line 4)"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("ring n=2 k=2 r=1\ngen: x1\ntarget: x2\nring n=2 k=2 r=1\ntarget: d1 x1\n",
+         "duplicate ring line (line 4, column 1)"),
+        ("ring n=2 k=2 r=1\ngen: x1\ntarget: x2\ntarget: d1 x1\n",
+         "duplicate target line (line 4, column 1)"),
+    ],
+    ids=["ring", "target"],
+)
+def test_a_second_header_or_target_is_an_error(text, message):
+    with pytest.raises(SyntaxErrorWithPos) as info:
+        parse_problem(text)
+    assert str(info.value) == message
+
+
+def test_a_second_syzygy_header_is_an_error():
+    text = "syzygy n=2 k=2\na = [[1, 0]]\nsyzygy n=2 k=2\nq: x1\n"
+    with pytest.raises(SyntaxErrorWithPos) as info:
+        parse_syzygy(text)
+    assert str(info.value) == "duplicate syzygy line (line 3, column 1)"
+
+
+# ---------------------------------------------------------------------------
+# The field readers against the ones that matched each piece through the
+# regex module's pattern cache, kept here verbatim as references.
+
+_REF_ROW = r"\[[^\[\]]*\]"
+_REF_MATRIX = re.compile(rf"\[\s*{_REF_ROW}(?:\s*,\s*{_REF_ROW})*\s*\]")
+
+
+def ref_parse_int_matrix(text: str, line: int) -> tuple:
+    text = text.strip()
+    if not (text.startswith("[") and text.endswith("]")):
+        raise SyntaxErrorWithPos("expected a bracketed list of rows", line)
+    if not text[1:-1].strip():
+        raise SyntaxErrorWithPos("empty matrix", line)
+    if not _REF_MATRIX.fullmatch(text):
+        raise SyntaxErrorWithPos("expected a comma-separated list of rows", line)
+    rows = []
+    for chunk in re.findall(r"\[([^\]]*)\]", text[1:-1]):
+        row = []
+        for piece in chunk.split(","):
+            piece = piece.strip()
+            if not re.fullmatch(r"-?\d+", piece):
+                raise SyntaxErrorWithPos(f"bad integer {piece!r}", line)
+            try:
+                row.append(int(piece))
+            except ValueError:
+                raise number_too_long(line) from None
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def ref_parse_rational_vector(text: str, line: int) -> tuple:
+    text = text.strip()
+    if not (text.startswith("[") and text.endswith("]")):
+        raise SyntaxErrorWithPos("expected a bracketed vector", line)
+    out = []
+    for piece in text[1:-1].split(","):
+        piece = piece.strip()
+        m = re.fullmatch(r"(-?\d+)(?:/(\d+))?", piece)
+        if not m:
+            raise SyntaxErrorWithPos(f"bad rational {piece!r}", line)
+        try:
+            num, den = int(m.group(1)), int(m.group(2) or 1)
+        except ValueError:
+            raise number_too_long(line) from None
+        if not den:
+            raise SyntaxErrorWithPos(f"zero denominator in {piece!r}", line)
+        out.append(Fraction(num, den))
+    return tuple(out)
+
+
+def ref_nonnegative_int(text: str) -> int:
+    if not re.fullmatch(r"\d+", text):
+        raise ValueError(f"must be a nonnegative integer, got {text!r}")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(number_too_long(0).message) from None
+
+
+def outcome(f, *args):
+    """("ok", value), or the class and message of the error raised."""
+    try:
+        return "ok", f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+reader_texts = (
+    field_texts()
+    | st.lists(st.sampled_from(FUZZ_TOKENS), max_size=8).map("".join)
+    | st.text(" \t0123456789-+/,[]\u00a0\u0663", max_size=16)
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(reader_texts, st.sampled_from([0, 3]))
+def test_field_readers_read_as_the_references(text, line):
+    for new, ref in (
+        (parse_int_matrix, ref_parse_int_matrix),
+        (parse_rational_vector, ref_parse_rational_vector),
+    ):
+        assert outcome(new, text, line) == outcome(ref, text, line)
+        assert outcome(new, f"[{text}]", line) == outcome(ref, f"[{text}]", line)
+    assert outcome(nonnegative_int, text) == outcome(ref_nonnegative_int, text)
+    assert outcome(nonnegative_int, text.strip()) == outcome(ref_nonnegative_int, text.strip())

@@ -238,3 +238,79 @@ def test_integer_scan_covers_both_signs_of_the_determinant():
         adj, d = _adjugate(tuple(rays))
         assert _candidates(rays, adj, d) == ref_candidates(rays) == [(1, 1)]
         assert refine_to_basic(rays) == ref_refine(rays)
+
+
+# ---------------------------------------------------------------------------
+# Determinant, adjugate and basic cone against the cofactor expansion that
+# built a list of minors for every entry, kept here verbatim as references.
+
+
+def ref_det(rows):
+    k = len(rows)
+    if k == 1:
+        return rows[0][0]
+    total = 0
+    for j in range(k):
+        minor = [r[:j] + r[j + 1 :] for r in [list(x) for x in rows[1:]]]
+        total += (-1) ** j * rows[0][j] * ref_det([tuple(m) for m in minor])
+    return total
+
+
+def ref_adjugate(rows):
+    k = len(rows)
+    d = ref_det(rows)
+    sign = 1 if d > 0 else -1
+    adj = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(k):
+            minor = [
+                tuple(rows[a][b] for b in range(k) if b != i)
+                for a in range(k)
+                if a != j
+            ]
+            adj[i][j] = sign * (-1) ** (i + j) * (ref_det(minor) if minor else 1)
+    return tuple(tuple(r) for r in adj), abs(d)
+
+
+def ref_basic_cone(rows):
+    """(rows, inverse, columns) of the cone, or its error message."""
+    rows = tuple(tuple(int(c) for c in r) for r in rows)
+    k = len(rows)
+    if any(len(r) != k for r in rows):
+        return "need k forms on Q^k"
+    if any(c < 0 for r in rows for c in r):
+        return "cone rays must have nonnegative entries"
+    d = ref_det(rows)
+    if d == -1:
+        rows = rows[:-2] + (rows[-1], rows[-2]) if k >= 2 else rows
+        d = ref_det(rows)
+    if d != 1:
+        return f"not basic: determinant {d} != 1"
+    inverse = ref_adjugate(rows)[0]
+    return rows, inverse, tuple(tuple(inverse[i][j] for i in range(k)) for j in range(k))
+
+
+def square_matrices(entries):
+    return st.integers(1, 3).flatmap(
+        lambda k: st.lists(st.tuples(*[entries] * k), min_size=k, max_size=k)
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(square_matrices(st.integers(-6, 6)))
+def test_det_and_adjugate_match_the_cofactor_expansion(rows):
+    rows = tuple(rows)
+    d = ref_det(rows)
+    assert _det(rows) == d
+    assert _adjugate(rows) == (ref_adjugate(rows) if d else (None, 0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(square_matrices(st.integers(-1, 4)) | square_matrices(st.sampled_from([0, 1])))
+def test_basic_cone_matches_the_cofactor_expansion(rows):
+    try:
+        cone = BasicCone(rows)
+    except ConeError as exc:
+        assert str(exc) == ref_basic_cone(rows)
+    else:
+        assert (cone.rows, cone.inverse, cone.columns) == ref_basic_cone(rows)
