@@ -284,13 +284,11 @@ class _Divisors:
 
 @dataclass
 class DivisionResult:
-    """G = sum A_m H_m + R with the support conditions of the division
-    theorem; carries the data needed to audit the identity."""
+    """The quotients A_m and remainder R of G = sum A_m H_m + R, with the
+    support conditions of the division theorem."""
 
     quotients: list
     remainder: object
-    input: object
-    basis: object
 
 
 class StandardBasis(_Divisors):
@@ -349,7 +347,7 @@ class StandardBasis(_Divisors):
         qops = [DtOp(self.ring, q) for q in quots]
         rem = _rational(rem, c / scale)
         self._verify_division(G, qops, rem, flat, self.order.weights + tuple(forms))
-        return DivisionResult(qops, _unflatten(rem, self.ring, True), G, self)
+        return DivisionResult(qops, _unflatten(rem, self.ring, True))
 
     def _verify_division(self, G, qops, rem, flat, forms):
         """The postconditions of ``divide`` on the Fraction quotients and

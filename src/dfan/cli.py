@@ -28,6 +28,7 @@ from .flatness import (
     intersection_oracle,
     kernel_normalize,
     monomial_filtration,
+    offsets,
 )
 from .grammar import format_op, format_vec, format_w_monomials
 from .problem import nonnegative_int, parse_problem, parse_syzygy, read_field
@@ -111,7 +112,7 @@ def _read_input(args) -> str:
         # lines with str.splitlines, which takes every newline convention
         with open(args.input, "rb") as fh:
             return fh.read().decode("utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {args.input}: {exc}")
 
 
@@ -306,7 +307,7 @@ def _cmd_normalize_syzygy(args):
     norm = kernel_normalize(syz.a, syz.qs)
     entries = []
     for (i, p), rop in sorted(norm.matrix.items()):
-        v, w = norm.offsets[(i, p)]
+        v, w = offsets(norm.a[i], norm.a[p])
         entries.append(
             {
                 "i": i + 1,

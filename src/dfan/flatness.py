@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from operator import add
 
 from ._linalg import in_row_space, rref, vanishing_part, vanishing_rows
 from .fan import FanCone
@@ -80,9 +81,6 @@ class MonomialIdeal:
 
     def is_unit(self) -> bool:
         return self.gens == ((0,) * self.k,)
-
-    def is_zero(self) -> bool:
-        return not self.gens
 
     def colon(self, m) -> "MonomialIdeal":
         """(H : W^m) by componentwise exponent arithmetic."""
@@ -213,60 +211,24 @@ def offsets(a_i, a_p):
 
 
 # ---------------------------------------------------------------------------
-# operators in the (X, Delta, W) coordinates of a cone context
+# operators in the (X, Delta, W) coordinates of a cone context, held as
+# term dicts (alpha, beta, ell) -> coef with ell in N^k
 
 
-class WOp:
-    """Finite sum of terms X^alpha Delta^beta W^ell with ell in N^k; only
-    the W-monomial action is needed here (W is central)."""
-
-    __slots__ = ("n", "k", "terms")
-
-    def __init__(self, n: int, k: int, terms=None):
-        self.n = n
-        self.k = k
-        if terms is None:
-            self.terms = {}
-        elif isinstance(terms, dict):
-            self.terms = {key: c for key, c in terms.items() if c}
-        else:
-            self.terms = accumulate({}, terms)
-
-    def is_zero(self):
-        return not self.terms
-
-    def w_shift(self, v) -> "WOp":
-        """Multiply by W^v (v may have negative entries if every term
-        stays in N^k)."""
-        out = {}
-        for (a, b, l), c in self.terms.items():
-            nl = tuple(x + y for x, y in zip(l, v))
-            if any(x < 0 for x in nl):
-                raise SemanticError("W-shift leaves the polynomial range")
-            out[(a, b, nl)] = c
-        return WOp(self.n, self.k, out)
-
-    def __add__(self, other):
-        return WOp(self.n, self.k, accumulate(dict(self.terms), other.terms.items()))
-
-    def __neg__(self):
-        return WOp(self.n, self.k, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WOp)
-            and (self.n, self.k) == (other.n, other.k)
-            and self.terms == other.terms
-        )
-
-    def __repr__(self):
-        return f"WOp({format_w_op(self)!r})"
+def w_shift(terms: dict, v) -> dict:
+    """The terms of W^v times the operator; W is central, so only the ell
+    of each key moves (v may have negative entries if every term stays in
+    N^k)."""
+    out = {}
+    for (a, b, l), c in terms.items():
+        nl = tuple(map(add, l, v))
+        if any(x < 0 for x in nl):
+            raise SemanticError("W-shift leaves the polynomial range")
+        out[(a, b, nl)] = c
+    return out
 
 
-def parse_w_op(text: str, n: int, k: int) -> WOp:
+def parse_w_op(text: str, n: int, k: int) -> dict:
     """Parse the x/d/w grammar for cone-coordinate operators."""
     try:
         terms = parse_sum(text, SYZYGY)
@@ -282,45 +244,38 @@ def parse_w_op(text: str, n: int, k: int) -> WOp:
                 raise SemanticError(f"{head}{idx} out of range")
             exps[idx - 1] += e
         out.append(((tuple(alpha), tuple(beta), tuple(ell)), coef))
-    return WOp(n, k, out)
+    return accumulate({}, out)
 
 
-def format_w_op(q: WOp) -> str:
+def format_w_op(terms: dict) -> str:
     return format_sum(
-        (q.terms[key], format_factors(SYZYGY, key))
-        for key in sorted(q.terms, key=lambda key: (sum(map(sum, key)), key))
+        (terms[key], format_factors(SYZYGY, key))
+        for key in sorted(terms, key=lambda key: (sum(map(sum, key)), key))
     )
 
 
 @dataclass
 class SyzygyNormalization:
-    """The per-region rewrite of a W-monomial syzygy: operators R[i][p]
-    with Q_i = sum_p W^(v_ip) R_ip and, for each region p, the exact
-    cancellation sum_(i>=p) W^(w_ip) R_ip = 0."""
+    """The per-region rewrite of a W-monomial syzygy: operators R[i][p],
+    p <= i, with Q_i = sum_p W^(v_ip) R_ip and, for each region p, the
+    exact cancellation sum_(i>=p) W^(w_ip) R_ip = 0, where
+    (v_ip, w_ip) = offsets(a_i, a_p)."""
 
     a: tuple
-    matrix: dict  # (i, p) -> WOp
-    offsets: dict  # (i, p) -> (v, w)
+    matrix: dict  # (i, p) -> terms of R_ip
 
     def verify(self, q_list) -> None:
-        r = len(self.a)
-        for i, q in enumerate(q_list):
-            total = WOp(q.n, q.k)
-            for p in range(i + 1):
-                rip = self.matrix.get((i, p))
-                if rip is None:
-                    continue
-                total = total + rip.w_shift(self.offsets[(i, p)][0])
-            if total != q:
+        rows = [{} for _ in q_list]
+        regions = [{} for _ in self.a]
+        for (i, p), rip in self.matrix.items():
+            v, w = offsets(self.a[i], self.a[p])
+            accumulate(rows[i], w_shift(rip, v).items())
+            accumulate(regions[p], w_shift(rip, w).items())
+        for i, (row, q) in enumerate(zip(rows, q_list)):
+            if row != q:
                 raise DfanError(f"row {i}: sum of region parts differs from Q_i")
-        for p in range(r):
-            total = WOp(q_list[0].n, q_list[0].k)
-            for i in range(p, r):
-                rip = self.matrix.get((i, p))
-                if rip is None:
-                    continue
-                total = total + rip.w_shift(self.offsets[(i, p)][1])
-            if not total.is_zero():
+        for p, region in enumerate(regions):
+            if region:
                 raise DfanError(f"region {p}: cancellation identity fails")
 
 
@@ -334,13 +289,11 @@ def kernel_normalize(a_list, q_list) -> SyzygyNormalization:
     if r != len(q_list) or r == 0:
         raise SemanticError("need matching nonempty exponent/operator lists")
     a_list = tuple(tuple(int(c) for c in a) for a in a_list)
-    k = len(a_list[0])
-    n = q_list[0].n
     # the defining relation must hold exactly
-    total = WOp(n, k)
+    total = {}
     for a, q in zip(a_list, q_list):
-        total = total + q.w_shift(a)
-    if not total.is_zero():
+        accumulate(total, w_shift(q, a).items())
+    if total:
         raise SemanticError("the syzygy relation does not hold")
 
     def region(point):
@@ -350,21 +303,18 @@ def kernel_normalize(a_list, q_list) -> SyzygyNormalization:
         raise DfanError("lattice point outside every region")
 
     matrix = {}
-    offs = {}
     for i, q in enumerate(q_list):
         buckets: dict = {}
-        for key, c in q.terms.items():
+        for key, c in q.items():
             point = tuple(x + y for x, y in zip(key[2], a_list[i]))
             p = region(point)
             if p > i:
                 raise DfanError("region index exceeds the row index")
             buckets.setdefault(p, {})[key] = c
         for p, terms in sorted(buckets.items()):
-            v, w = offsets(a_list[i], a_list[p])
-            offs[(i, p)] = (v, w)
-            qip = WOp(n, k, terms)
-            matrix[(i, p)] = qip.w_shift(tuple(-x for x in v))
-    out = SyzygyNormalization(a_list, matrix, offs)
+            v, _ = offsets(a_list[i], a_list[p])
+            matrix[(i, p)] = w_shift(terms, tuple(-x for x in v))
+    out = SyzygyNormalization(a_list, matrix)
     out.verify(q_list)
     return out
 

@@ -241,7 +241,7 @@ class SyzygyFile:
     n: int
     k: int
     a: tuple
-    qs: tuple  # one WOp per q: line
+    qs: tuple  # one term dict (alpha, beta, ell) -> coef per q: line
 
 
 def parse_syzygy(text: str) -> SyzygyFile:

@@ -43,9 +43,6 @@ class LinearForm:
     def k(self) -> int:
         return len(self.coeffs)
 
-    def is_zero(self) -> bool:
-        return not any(self.ints)
-
     def dot(self, v) -> int:
         """den * L on the first k entries of an integer vector."""
         return sum(map(mul, self.ints, v))

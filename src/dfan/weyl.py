@@ -20,7 +20,6 @@ rather than by repeated single steps.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, perm, prod
 from operator import add, mul, sub
 
@@ -152,12 +151,6 @@ class _OpBase:
 
     def __sub__(self, other):
         return self + (-other)
-
-    def scale(self, c):
-        c = Fraction(c)
-        if not c:
-            return type(self)(self.ring)
-        return type(self)(self.ring, {k: c * v for k, v in self.terms.items()})
 
     def __repr__(self):
         from .grammar import format_op
@@ -337,9 +330,6 @@ class _VecBase:
 
     def __sub__(self, other):
         return self + (-other)
-
-    def scale(self, c):
-        return type(self)(self.ring, tuple(p.scale(c) for p in self.components))
 
     def left_mul(self, P):
         """The product P * self with a scalar P of the same type and ring."""

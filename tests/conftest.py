@@ -58,6 +58,14 @@ def random_vec(rng, ring, max_degree=3, max_terms=3) -> WeylVec:
             return v
 
 
+def scaled(v, c):
+    """The vector c v, for a vector of D^r or D[t]^r and a rational c."""
+    c = Fraction(c)
+    return type(v)(v.ring, tuple(
+        type(p)(p.ring, {key: c * x for key, x in p.terms.items()}) for p in v.components
+    ))
+
+
 def apply_op(P: WeylOp, poly: dict) -> dict:
     """Brute-force action of an operator on a polynomial given as a dict
     gamma -> coefficient; the independent oracle for products."""
@@ -175,11 +183,12 @@ def ref_mul_terms(t1, c1, t2, c2, emit_t):
             yield (alpha, beta), c * mult
 
 
-def recompose(res):
+def recompose(res, basis):
     """Reference for the division identity: R + sum A_m H_m of a
-    ``DivisionResult``, with one Weyl product per nonzero quotient."""
+    ``DivisionResult`` by ``basis``, with one Weyl product per nonzero
+    quotient."""
     total = res.remainder
-    for a, h in zip(res.quotients, res.basis.elements):
+    for a, h in zip(res.quotients, basis.elements):
         if not a.is_zero():
             total = total + h.left_mul(a)
     return total

@@ -5,7 +5,9 @@ line: named, through any chain of names, from ``cli.run`` or ``cli.main``
 or from module-level code outside a definition.  A definition that only
 dead definitions name is dead too, and ``__init__.py`` names nothing on
 behalf of the package.  The grammar entry points that build test inputs
-are the only exemptions.  Every name in ``dfan.__all__`` must resolve."""
+are the only exemptions.  Every method or property of a class must be
+read as an attribute outside its own body, dunders and the documented
+test-facing members aside.  Every name in ``dfan.__all__`` must resolve."""
 
 import ast
 import importlib
@@ -16,6 +18,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "dfan"
 README = SRC.parents[1] / "README.md"
 ENTRY_POINTS = {"run", "main"}
 EXEMPT = {"parse_op", "parse_dt_op", "parse_dt_vec"}
+# (class, member) read only by tests: the certificate's replay
+TEST_FACING = {("FlatCertificate", "replay")}
 
 
 def _names(node):
@@ -70,6 +74,49 @@ def test_every_definition_is_reached_from_the_command_line():
 def test_the_exemptions_are_still_defined():
     defs, _ = _definitions_and_roots()
     assert EXEMPT <= set(defs)
+
+
+def unread_members(sources):
+    """Sorted (class, member) of each method or property, dunders aside,
+    that no code in ``sources`` reads as an attribute outside the
+    member's own body."""
+    trees = [ast.parse(source) for source in sources]
+
+    def reads(node):
+        return [
+            n.attr for n in ast.walk(node)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+        ]
+
+    everywhere = [name for tree in trees for name in reads(tree)]
+    return sorted(
+        (cls.name, node.name)
+        for tree in trees
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and everywhere.count(node.name) == reads(node).count(node.name)
+    )
+
+
+def test_the_guard_finds_unread_members():
+    source = (
+        "class A:\n"
+        "    def used(self):\n        return self.helper()\n"
+        "    def helper(self):\n        return 1\n"
+        "    def selfish(self, n):\n        return n and self.selfish(n - 1)\n"
+        "    @property\n    def unread(self):\n        return 2\n"
+        "    def __repr__(self):\n        return 'A'\n"
+        "def f(a):\n    return a.used()\n"
+    )
+    assert unread_members([source]) == [("A", "selfish"), ("A", "unread")]
+
+
+def test_every_member_is_read_outside_its_body():
+    sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    assert unread_members(sources) == sorted(TEST_FACING)
 
 
 def test_every_exported_name_resolves():

@@ -670,6 +670,23 @@ def test_missing_syzygy_file_exit_three(tmp_path):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("gb", b"ring n=2 k=2 r=1\ngen: x1 \xff\n"),
+        ("normalize-syzygy", b"syzygy n=2 k=2\na = [[1, 0]]\nq: x1 \xff\n"),
+    ],
+    ids=["problem", "syzygy"],
+)
+def test_a_file_that_is_not_utf8_exit_three(tmp_path, command, text):
+    path = tmp_path / "f.txt"
+    path.write_bytes(text)
+    code, out, err = invoke([command, "--input", str(path)])
+    assert code == 3 and out == ""
+    assert err.startswith(f"dfan: error: cannot read {path}: 'utf-8' codec can't decode")
+    assert "internal error" not in err and err.count("\n") == 1
+
+
 def test_bad_integer_field_exit_three(tmp_path):
     problem = tmp_path / "p.txt"
     problem.write_text("ring n=1 k=1 r=1\ngen: d1\ndegree_bound = abc\n")

@@ -8,13 +8,14 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from dfan._linalg import in_row_space, rref, vanishing_rows
 from dfan.basis import StandardBasis, reduce_basis
-from dfan.errors import CertificateError, ConeError, DfanError, SemanticError
+from dfan.errors import (
+    CertificateError, ConeError, DfanError, SemanticError, SyntaxErrorWithPos,
+)
 from dfan.fan import standard_fan
 from dfan.filtration import multi_weight
 from dfan.flatness import (
     FiltrationChain,
     MonomialIdeal,
-    WOp,
     _Frame,
     flat_decompose,
     format_w_op,
@@ -24,12 +25,15 @@ from dfan.flatness import (
     monomial_filtration,
     offsets,
     parse_w_op,
+    w_shift,
 )
-from dfan.grammar import format_vec, parse_op, parse_vec
+from dfan.grammar import SYZYGY, format_factors, format_sum, format_vec, parse_op, parse_sum, parse_vec
 from dfan.toric import BasicCone, _adjugate, _det, orthant_cone
 from dfan.weights import LinearForm
-from dfan.weyl import RingDescriptor, WeylOp, WeylVec, monomial_multiples
-from conftest import chain_ideals, graded_dimension, monomials, random_vec, unimodular_rows
+from dfan.weyl import RingDescriptor, WeylOp, WeylVec, accumulate, monomial_multiples
+from conftest import (
+    chain_ideals, graded_dimension, monomials, random_vec, scaled, unimodular_rows,
+)
 
 R2 = RingDescriptor(2, 2, 1)
 
@@ -125,8 +129,7 @@ def test_offsets_examples():
 
 
 def test_kernel_normalize_rank_one_forces_zero():
-    q = WOp(2, 2)
-    out = kernel_normalize([(1, 1)], [q])
+    out = kernel_normalize([(1, 1)], [{}])
     assert out.matrix == {}
 
 
@@ -144,10 +147,34 @@ def test_kernel_normalize_hand_syzygy():
     assert format_w_op(out.matrix[(1, 0)]) == "-x1 d1"
 
 
+def test_w_shift_moves_only_the_w_exponents():
+    term = {((1, 0), (0, 1), (0, 1)): Fraction(2)}
+    assert w_shift(term, (1, -1)) == {((1, 0), (0, 1), (1, 0)): Fraction(2)}
+    with pytest.raises(SemanticError, match="W-shift leaves the polynomial range"):
+        w_shift(term, (0, -2))
+
+
+def test_verify_rejects_a_corrupted_row_and_region():
+    qs = [parse_w_op("x1 d1 w2", 2, 2), parse_w_op("- x1 d1 w1", 2, 2)]
+    out = kernel_normalize([(1, 0), (0, 1)], qs)
+    assert out.matrix == {
+        (0, 0): qs[0], (1, 0): {((1, 0), (1, 0), (0, 0)): Fraction(-1)},
+    }
+    # a row whose region parts no longer sum to its operator
+    bad_row = dataclasses.replace(out, matrix={**out.matrix, (0, 0): {}})
+    with pytest.raises(DfanError, match=r"^row 0: sum of region parts differs from Q_i$"):
+        bad_row.verify(qs)
+    # Q_1 kept whole in its own region: every row still sums, but region
+    # 0 is left with x1 d1 w2
+    bad_region = dataclasses.replace(out, matrix={(0, 0): qs[0], (1, 1): qs[1]})
+    with pytest.raises(DfanError, match=r"^region 0: cancellation identity fails$"):
+        bad_region.verify(qs)
+
+
 def random_syzygy(rng, r, k, n=2):
     """Combinations of the Koszul generators W^(a_j) e_i - W^(a_i) e_j."""
     a = [tuple(rng.randint(0, 3) for _ in range(k)) for _ in range(r)]
-    qs = [WOp(n, k) for _ in range(r)]
+    qs = [{} for _ in range(r)]
     for _ in range(rng.randint(1, 4)):
         i = rng.randrange(r)
         j = rng.randrange(r)
@@ -159,9 +186,8 @@ def random_syzygy(rng, r, k, n=2):
         c = Fraction(rng.randint(-3, 3))
         if not c:
             continue
-        term = WOp(n, k, {(alpha, beta, extra): c})
-        qs[i] = qs[i] + term.w_shift(a[j])
-        qs[j] = qs[j] - term.w_shift(a[i])
+        accumulate(qs[i], w_shift({(alpha, beta, extra): c}, a[j]).items())
+        accumulate(qs[j], w_shift({(alpha, beta, extra): -c}, a[i]).items())
     return a, qs
 
 
@@ -171,11 +197,146 @@ def test_kernel_normalize_random_syzygies(rng):
         r = rng.randint(2, 4)
         k = rng.randint(1, 3)
         a, qs = random_syzygy(rng, r, k)
-        if all(q.is_zero() for q in qs):
+        if not any(qs):
             continue
         done += 1
         out = kernel_normalize(a, qs)
         out.verify(qs)  # row sums and per-region cancellations
+
+
+class RefWOp:
+    """Reference for the term-dict normalizer: an operator class with
+    its own sum, zero test and W-shift."""
+
+    def __init__(self, n, k, terms=None):
+        self.n, self.k = n, k
+        if terms is None:
+            self.terms = {}
+        elif isinstance(terms, dict):
+            self.terms = {key: c for key, c in terms.items() if c}
+        else:
+            self.terms = accumulate({}, terms)
+
+    def is_zero(self):
+        return not self.terms
+
+    def w_shift(self, v):
+        out = {}
+        for (a, b, l), c in self.terms.items():
+            nl = tuple(x + y for x, y in zip(l, v))
+            if any(x < 0 for x in nl):
+                raise SemanticError("W-shift leaves the polynomial range")
+            out[(a, b, nl)] = c
+        return RefWOp(self.n, self.k, out)
+
+    def __add__(self, other):
+        return RefWOp(self.n, self.k, accumulate(dict(self.terms), other.terms.items()))
+
+    def __eq__(self, other):
+        return (self.n, self.k, self.terms) == (other.n, other.k, other.terms)
+
+
+def ref_parse_w_op(text, n, k):
+    try:
+        terms = parse_sum(text, SYZYGY)
+    except SyntaxErrorWithPos as exc:
+        raise SemanticError(exc.message) from None
+    out = []
+    for coef, factors in terms:
+        alpha, beta, ell = [0] * n, [0] * n, [0] * k
+        for head, idx, e in factors:
+            exps = alpha if head == "x" else beta if head == "d" else ell
+            if not 1 <= idx <= len(exps):
+                raise SemanticError(f"{head}{idx} out of range")
+            exps[idx - 1] += e
+        out.append(((tuple(alpha), tuple(beta), tuple(ell)), coef))
+    return RefWOp(n, k, out)
+
+
+def ref_format_w_op(q):
+    return format_sum(
+        (q.terms[key], format_factors(SYZYGY, key))
+        for key in sorted(q.terms, key=lambda key: (sum(map(sum, key)), key))
+    )
+
+
+def ref_kernel_normalize(a_list, q_list):
+    """Reference: (matrix, offsets) of the normalizer over RefWOp, checked
+    row by row and region by region."""
+    r = len(a_list)
+    if r != len(q_list) or r == 0:
+        raise SemanticError("need matching nonempty exponent/operator lists")
+    a_list = tuple(tuple(int(c) for c in a) for a in a_list)
+    n, k = q_list[0].n, len(a_list[0])
+    total = RefWOp(n, k)
+    for a, q in zip(a_list, q_list):
+        total = total + q.w_shift(a)
+    if not total.is_zero():
+        raise SemanticError("the syzygy relation does not hold")
+
+    def region(point):
+        for p in range(r):
+            if all(x >= y for x, y in zip(point, a_list[p])):
+                return p
+        raise DfanError("lattice point outside every region")
+
+    matrix, offs = {}, {}
+    for i, q in enumerate(q_list):
+        buckets = {}
+        for key, c in q.terms.items():
+            p = region(tuple(x + y for x, y in zip(key[2], a_list[i])))
+            buckets.setdefault(p, {})[key] = c
+        for p, terms in sorted(buckets.items()):
+            v, w = offsets(a_list[i], a_list[p])
+            offs[(i, p)] = (v, w)
+            matrix[(i, p)] = RefWOp(n, k, terms).w_shift(tuple(-x for x in v))
+    for i, q in enumerate(q_list):
+        total = RefWOp(n, k)
+        for p in range(i + 1):
+            if (i, p) in matrix:
+                total = total + matrix[(i, p)].w_shift(offs[(i, p)][0])
+        assert total == q
+    for p in range(r):
+        total = RefWOp(n, k)
+        for i in range(p, r):
+            if (i, p) in matrix:
+                total = total + matrix[(i, p)].w_shift(offs[(i, p)][1])
+        assert total.is_zero()
+    return matrix, offs
+
+
+def outcome(f, *args):
+    """("ok", value) or ("error", (class, message))."""
+    try:
+        return ("ok", f(*args))
+    except DfanError as exc:
+        return ("error", (type(exc), str(exc)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.randoms(use_true_random=False), st.booleans())
+def test_kernel_normalize_matches_the_operator_class_reference(r, k, rnd, broken):
+    a, qs = random_syzygy(rnd, r, k)
+    for q in filter(None, qs):
+        ref_q = RefWOp(2, k, q)
+        assert parse_w_op(ref_format_w_op(ref_q), 2, k) == q
+        assert ref_parse_w_op(format_w_op(q), 2, k) == ref_q
+    if broken:
+        # a term outside the relation: both must reject it alike
+        accumulate(qs[0], [(((1, 0), (0, 1), (0,) * k), Fraction(2))])
+    got = outcome(kernel_normalize, a, qs)
+    ref = outcome(ref_kernel_normalize, a, [RefWOp(2, k, q) for q in qs])
+    assert got[0] == ref[0]
+    if got[0] == "error":
+        assert got[1] == ref[1]
+        return
+    out, (matrix, offs) = got[1], ref[1]
+    assert out.a == tuple(map(tuple, a))
+    assert out.matrix.keys() == matrix.keys()
+    for key, rip in out.matrix.items():
+        assert rip == matrix[key].terms
+        assert format_w_op(rip) == ref_format_w_op(matrix[key])
+        assert offsets(a[key[0]], a[key[1]]) == offs[key]
 
 
 # flat decomposition
@@ -570,7 +731,7 @@ def oracle_cases(draw):
 
 
 def scaled_case(content, texts, rows, J, s, bound):
-    gens = [parse_vec(text, R2).scale(content) for text in texts]
+    gens = [scaled(parse_vec(text, R2), content) for text in texts]
     return gens, BasicCone(rows), J, s, bound
 
 

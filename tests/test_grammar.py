@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dfan.errors import DfanError, SemanticError, SyntaxErrorWithPos
-from dfan.flatness import WOp, format_w_op, parse_w_op
+from dfan.flatness import format_w_op, parse_w_op
 from dfan.grammar import (
     OPERATOR,
     SYZYGY,
@@ -347,16 +347,19 @@ def ref_parse_w_op(text, n, k):
         if not saw:
             raise SemanticError("empty term")
         terms.append(((tuple(alpha), tuple(beta), tuple(ell)), coef))
-    return WOp(n, k, terms)
+    out = {}
+    for key, coef in terms:
+        out[key] = out.get(key, 0) + coef
+    return {key: c for key, c in out.items() if c}
 
 
 def ref_format_w_op(q):
-    if not q.terms:
+    if not q:
         return "0"
     chunks = []
-    for idx, key in enumerate(sorted(q.terms, key=lambda key: (sum(key[0]) + sum(key[1]) + sum(key[2]), key))):
+    for idx, key in enumerate(sorted(q, key=lambda key: (sum(key[0]) + sum(key[1]) + sum(key[2]), key))):
         a, b, l = key
-        coef = q.terms[key]
+        coef = q[key]
         factors = []
         for i, e in enumerate(a):
             if e:
@@ -456,7 +459,7 @@ def test_operators_print_as_the_reference(value):
 @given(st.integers(1, 2), st.integers(1, 3), st.data())
 def test_syzygy_operators_print_as_the_reference(n, k, data):
     key = st.tuples(exponents(n), exponents(n), exponents(k))
-    q = WOp(n, k, data.draw(term_dicts(key)))
+    q = data.draw(term_dicts(key))
     assert format_w_op(q) == ref_format_w_op(q)
 
 

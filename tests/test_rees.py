@@ -17,6 +17,7 @@ from dfan.weyl import RingDescriptor, WeylVec
 from conftest import (
     flat,
     random_vec,
+    scaled,
     uncapped_monomial_multiples,
     unimodular_rows,
 )
@@ -132,7 +133,7 @@ def ref_witness_search(generators, unit, bound, gamma=None):
         if sol is not None:
             total = WeylVec.zero(ring)
             for cidx, x in sorted(sol.items()):
-                total = total + columns[cidx].scale(x)
+                total = total + scaled(columns[cidx], x)
             return total
     return None
 
@@ -184,11 +185,11 @@ def test_witness_search_ignores_positive_scales_of_the_generators(case, scales):
     # a product column moves no pivot, so the witness does not move
     ring, rows, gens = case
     gamma = BasicCone(rows)
-    scaled = [g.scale(c) for g, c in zip(gens, scales)]
+    scaled_gens = [scaled(g, c) for g, c in zip(gens, scales)]
     for unit in range(ring.r):
-        got = _witness_search(scaled, unit, 2, gamma)
+        got = _witness_search(scaled_gens, unit, 2, gamma)
         assert got == _witness_search(gens, unit, 2, gamma)
-        assert got == ref_witness_search(scaled, unit, 2, gamma)
+        assert got == ref_witness_search(scaled_gens, unit, 2, gamma)
 
 
 def flat_uncapped(g, room):
