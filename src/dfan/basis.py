@@ -6,9 +6,11 @@ and scaled to primitive integers (content removal, as in Arnold, "Modular
 algorithms for computing Groebner bases", 2003).  Division, fraction free,
 reduces the maximal remaining term against the first element of its
 component whose privileged exponent divides it (the least-index partition
-of the staircase), which pins the output uniquely.  The per-component
-divisor lists that this scans are built once per basis and grown by the
-completion as it adds elements; the chain criterion reads the same lists.
+of the staircase), which pins the output uniquely.  All that division
+reads of a basis, the per-component divisor lists among it, is one
+``_DivState``: built once per basis, grown by the completion as it adds
+elements (the chain criterion reads the same lists) and updated in place
+by the single pass of the autoreduction.
 Fractions remain at the edges: monic output, quotients folded from the
 integer steps, and remainders scaled back.  The postconditions of a
 division read those Fraction quotients and remainder, not the steps, and
@@ -16,10 +18,9 @@ check the identity on integers over one common denominator (the lcm of
 their denominators, with each element's content).  Polynomial
 coefficients replace convergent series at this scale; division by
 pathological bases whose tails climb in degree forever is cut off by the
-module constants STEP_CAP and DEGREE_SLACK, a completion that grows past
-MAX_BASIS_ELEMENTS or admits an element with a coefficient over
-MAX_COEFF_BITS bits, and an autoreduction that does not settle by
-REDUCTION_ROUNDS; each raises ResourceBoundExceeded, never a silently
+module constants STEP_CAP and DEGREE_SLACK, and a completion that grows
+past MAX_BASIS_ELEMENTS or admits an element with a coefficient over
+MAX_COEFF_BITS bits; each raises ResourceBoundExceeded, never a silently
 truncated result.
 """
 
@@ -55,7 +56,6 @@ from .weyl import (
 STEP_CAP = 20_000  # steps of one division
 MAX_BASIS_ELEMENTS = 256  # elements of one completion, before autoreduction
 MAX_COEFF_BITS = 4096  # bits of a primitive basis element's coefficients
-REDUCTION_ROUNDS = 64  # inter-reduction rounds of one autoreduction
 DEGREE_SLACK = 16  # total degree above the input's plus the basis's
 
 
@@ -136,32 +136,60 @@ def _entry(m, exp):
     return m, exp[0] + exp[1] + (exp[2],), exp
 
 
-def _divisor_lists(indexed):
-    """The divisor lists of the (m, exp) pairs ``indexed``: per component,
-    the ``_entry`` of each element, in the order given."""
-    lists = {}
-    for m, exp in indexed:
-        lists.setdefault(exp[3], []).append(_entry(m, exp))
-    return lists
+class _DivState:
+    """What division reads of a basis: per element m its primitive
+    integer flat, leading exponent, leading coefficient and total degree
+    (``_degree``), and per component the divisor list of ``_entry``s in
+    index order.  An element taken out of division weighs degree 0."""
+
+    __slots__ = ("flats", "exps", "lcs", "degs", "lists")
+
+    def __init__(self, flats=(), exps=()):
+        self.flats, self.exps, self.lcs, self.degs = [], [], [], []
+        self.lists = {}
+        for f, e in zip(flats, exps):
+            self.add(f, e)
+
+    def add(self, flat, top):
+        """Append ``flat`` with leading exponent ``top``."""
+        m = len(self.flats)
+        self.flats.append(flat)
+        self.exps.append(top)
+        self.lcs.append(flat[top])
+        self.degs.append(_degree(flat))
+        self.lists.setdefault(top[3], []).append(_entry(m, top))
+
+    def take(self, m):
+        """Take element m out of its divisor list."""
+        self.lists[self.exps[m][3]].remove(_entry(m, self.exps[m]))
+        self.degs[m] = 0
+
+    def put(self, m, flat):
+        """Put element m back as ``flat``, with the same leading exponent."""
+        top = self.exps[m]
+        self.flats[m] = flat
+        self.lcs[m] = flat[top]
+        self.degs[m] = _degree(flat)
+        insort(self.lists[top[3]], _entry(m, top))
 
 
-def _divide_flat(g, basis_flats, lcs, lists, keyf, emit_t, bd):
-    """Core division loop of the integer flat g by integer flats h_m with
-    leading coefficients ``lcs`` and divisor lists ``lists`` (see
-    ``_divisor_lists``); returns (remainder, scale, steps).  A term c is
-    reduced by the first h_m in its component's list whose exponent
-    divides it, fraction free, a = lcs[m] / h > 0 and b = c / h for
-    h = +-gcd(c, lcs[m]): tail <- a tail - b mu h_m, the remainder
+def _divide_flat(g, state, keyf, emit_t):
+    """Core division loop of the integer flat g by the flats of the
+    ``_DivState`` ``state``; returns (remainder, scale, steps).  A term c
+    is reduced by the first h_m in its component's divisor list whose
+    exponent divides it, fraction free, a = lc_m / h > 0 and b = c / h
+    for h = +-gcd(c, lc_m): tail <- a tail - b mu h_m, the remainder
     scaled by a too, so both stay positive multiples of the rational
     division's.  A step is (m, mu, b, scale after it), and scale * g =
     sum of b (scale / s) mu h_m over the steps + remainder.
 
-    ``bd`` is ``_degree`` over all of ``basis_flats``: a term above the
-    degrees of g and of the basis added together, plus DEGREE_SLACK, trips
-    the degree cap.  The maximal live term is tracked through a lazy
-    max-heap (entries whose key has left the tail are discarded on pop),
-    so pathological inputs hit the step cap in time proportional to the
-    cap, not to the square of the tail size."""
+    A term above the degrees of g and of the state's largest element
+    added together, plus DEGREE_SLACK, trips the degree cap.  The maximal
+    live term is tracked through a lazy max-heap (entries whose key has
+    left the tail are discarded on pop), so pathological inputs hit the
+    step cap in time proportional to the cap, not to the square of the
+    tail size."""
+    basis_flats, lcs, lists = state.flats, state.lcs, state.lists
     neg = keyf.neg
     rem = {}
     scale = 1
@@ -180,7 +208,7 @@ def _divide_flat(g, basis_flats, lcs, lists, keyf, emit_t, bd):
         if entered is not None:
             entered.append(key)
 
-    cap = _degree(g) + bd + DEGREE_SLACK
+    cap = _degree(g) + max(state.degs) + DEGREE_SLACK
     steps = 0
     while True:
         while heap and heap[0][1] not in tail:
@@ -262,24 +290,13 @@ class _Divisors:
         return [max(f, key=self._keyf) for f in self._ints[1]]
 
     @cached_property
-    def _bd(self):
-        return max(map(_degree, self._ints[1]))
-
-    @cached_property
-    def _lcs(self):
-        return [f[e] for f, e in zip(self._ints[1], self._exps)]
-
-    @cached_property
-    def _lists(self):
-        return _divisor_lists(enumerate(self._exps))
+    def _state(self):
+        return _DivState(self._ints[1], self._exps)
 
     def _reduce(self, flat, emit_t):
         """(c, remainder, scale, steps) of dividing flat = c * g, g primitive."""
         n, d, g = primitive_part(flat)
-        out = _divide_flat(
-            g, self._ints[1], self._lcs, self._lists, self._keyf, emit_t, self._bd
-        )
-        return (Fraction(n, d),) + out
+        return (Fraction(n, d),) + _divide_flat(g, self._state, self._keyf, emit_t)
 
 
 @dataclass
@@ -465,15 +482,13 @@ def _leading(flat, keyf):
 def _buchberger(flats, keyf, emit_t):
     """The reduced basis of the nonzero integer ``flats`` in canonical
     order, as (primitive flat with a positive leader, exp) pairs."""
-    basis, exps, lcs = [], [], []  # lcs: the leading coefficients
-    lists = {}  # the divisor lists of the basis, grown by add
+    state = _DivState()
+    basis, exps, lists = state.flats, state.exps, state.lists
     heap = []
     pending = set()
     lcms = []
-    bd = 0  # the basis only grows, so its degree is a running max
 
     def add(flat):
-        nonlocal bd
         new = len(basis)
         if new == MAX_BASIS_ELEMENTS:
             raise ResourceBoundExceeded(
@@ -484,17 +499,12 @@ def _buchberger(flats, keyf, emit_t):
                 observed=new + 1,
             )
         flat, top = _leading(flat, keyf)
-        basis.append(flat)
-        exps.append(top)
-        lcs.append(flat[top])
-        bd = max(bd, _degree(flat))
-        same = lists.setdefault(top[3], [])
-        for m, _, exp in same:
+        for m, _, exp in lists.get(top[3], ()):
             lcm = _lcm_exp(exp, top)
             pending.add((m, new))
             lcms.append(lcm)
             heapq.heappush(heap, (keyf(lcm), (m, new), lcm))
-        same.append(_entry(new, top))
+        state.add(flat, top)
 
     def chain_skippable(i, j, lcm_ij):
         # Buchberger's second criterion: valid if some m divides the lcm
@@ -521,7 +531,7 @@ def _buchberger(flats, keyf, emit_t):
             continue
         s = _spair(basis[i], basis[j], exps[i], exps[j], lcm_ij, emit_t)
         if s:
-            rem = _divide_flat(s, basis, lcs, lists, keyf, emit_t, bd)[0]
+            rem = _divide_flat(s, state, keyf, emit_t)[0]
             if rem:
                 add(rem)
     keyf.ranked(lcms)
@@ -555,54 +565,18 @@ def _autoreduce(basis, exps, keyf, emit_t):
             mm != m and _divides(exps[mm], exps[m]) for mm in dedup
         )
     ]
-    mini = [basis[m] for m in kept]
-    mexp = [exps[m] for m in kept]
-    # one divisor entry, leading coefficient and degree per element, kept
-    # up to date as elements change or drop out (a dropped one weighs 0)
-    entries = [_entry(m, e) for m, e in enumerate(mexp)]
-    lcs = [f[e] for f, e in zip(mini, mexp)]
-    degs = [_degree(f) for f in mini]
-    lists = {}
-    for entry in entries:  # in index order: the first divisor wins
-        lists.setdefault(entry[2][3], []).append(entry)
-    # inter-reduce tails against the other elements until stable
-    for _ in range(REDUCTION_ROUNDS):
-        changed = False
-        for idx in range(len(mini)):
-            if mini[idx] is None:
-                continue
-            # divide by the others: take idx out of its list and degree
-            entry, deg = entries[idx], degs[idx]
-            lists[entry[2][3]].remove(entry)
-            degs[idx] = 0
-            rem = _divide_flat(mini[idx], mini, lcs, lists, keyf, emit_t, max(degs))[0]
-            if not rem:
-                mini[idx] = None
-                changed = True
-                continue
-            rem, top = _leading(rem, keyf)
-            if rem != mini[idx]:
-                mini[idx] = rem
-                mexp[idx] = top
-                entry = entries[idx] = _entry(idx, top)
-                lcs[idx] = rem[top]
-                deg = _degree(rem)
-                changed = True
-            degs[idx] = deg
-            insort(lists.setdefault(entry[2][3], []), entry)
-        if not changed:
-            break
-    else:
-        raise ResourceBoundExceeded(
-            f"autoreduction did not stabilize within {REDUCTION_ROUNDS} rounds",
-            cap="REDUCTION_ROUNDS",
-            limit=REDUCTION_ROUNDS,
-            observed=REDUCTION_ROUNDS + 1,  # the last round still changed
-        )
+    state = _DivState([basis[m] for m in kept], [exps[m] for m in kept])
+    # reduce each tail by the others, in one pass: no leader divides
+    # another and every step adds only terms below the one it reduces,
+    # so no leader moves, no remainder is zero and each stays reduced
+    for m in range(len(kept)):
+        state.take(m)
+        rem = _divide_flat(state.flats[m], state, keyf, emit_t)[0]
+        state.put(m, _leading(rem, keyf)[0])
     # canonical output order, independent of the refining weight
     canon = TermOrder()
     return sorted(
-        ((f, e) for f, e in zip(mini, mexp) if f is not None),
+        zip(state.flats, state.exps),
         key=lambda p: (canon.key((p[1][0], p[1][1], p[1][2]), p[1][3], None), p[1]),
     )
 

@@ -362,6 +362,19 @@ _HANDLERS = {
 }
 
 
+# the flags besides --input, --json and --expect, and the commands that
+# read each: a command accepts only the flags it reads
+_FLAGS = (
+    ("--weight", {"help": "weight form, e.g. \"[1,0]\""}, "gb divide"),
+    ("--cone", {"help": "cone rows, e.g. \"[[1,0],[0,1]]\""}, "cones fiber flat-cert"),
+    ("--ideal", {"help": "W-monomials, e.g. \"W1,W2\""}, "flat-cert monomial-chain"),
+    ("--s", {"help": "graded degree, e.g. \"[0,0]\""}, "flat-cert"),
+    ("--degree-bound", {"type": nonnegative_int}, "flat-cert"),
+    ("--l-max", {"type": nonnegative_int}, "flat-cert"),
+    ("--bound", {"type": nonnegative_int, "help": "fiber truncation bound"}, "fiber"),
+    ("--k", {"type": nonnegative_int, "help": "number of W variables"}, "monomial-chain"),
+)
+
 # the sub-parser of each command, filled in by ``_build_parser``
 _SUBPARSERS: dict = {}
 
@@ -379,14 +392,9 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _HANDLERS:
         p = _SUBPARSERS[name] = sub.add_parser(name)
         p.add_argument("--input", help="problem file")
-        p.add_argument("--weight", help="weight form, e.g. \"[1,0]\"")
-        p.add_argument("--cone", help="cone rows, e.g. \"[[1,0],[0,1]]\"")
-        p.add_argument("--ideal", help="W-monomials, e.g. \"W1,W2\"")
-        p.add_argument("--s", help="graded degree, e.g. \"[0,0]\"")
-        p.add_argument("--degree-bound", type=nonnegative_int, dest="degree_bound")
-        p.add_argument("--l-max", type=nonnegative_int, dest="l_max")
-        p.add_argument("--bound", type=nonnegative_int, help="fiber truncation bound")
-        p.add_argument("--k", type=nonnegative_int, help="number of W variables")
+        for flag, kwargs, commands in _FLAGS:
+            if name in commands.split():
+                p.add_argument(flag, **kwargs)
         p.add_argument("--json", action="store_true")
         p.add_argument("--expect", help="expected verdict; exit 0 iff it matches")
     return parser

@@ -45,10 +45,6 @@ def _bareiss(rows):
     return sign * prev, [[sign * x for x in row[k:]] for row in a]
 
 
-def _det(rows):
-    return _bareiss(rows)[0]
-
-
 def _adjugate(rows):
     """(A, |det M|) for a square integer matrix M, A the adjugate times the
     sign of the determinant: M^-1 = A / |det M|; A is None when M is
@@ -122,23 +118,12 @@ def normalize_rays(rays):
     return tuple(out)
 
 
-def _solve_membership(adj, v):
-    """|det| times the barycentric coordinates of v in the simplicial cone
-    whose rays (rows as points) form the matrix M with M^-1 = adj / |det|
-    (``_adjugate``), or None if v is outside: the solution of
-    lambda . rays = v is v . M^-1."""
-    lam = [sum(map(mul, v, col)) for col in zip(*adj)]
-    if any(l < 0 for l in lam):
-        return None
-    return lam
-
-
-def _candidates(rays, adj, d):
-    """The primitive vectors on the lines of the nonzero lattice points of
-    the half-open fundamental parallelepiped of the rays, smallest first:
-    the points p of the box with 0 <= p . adj_i < d for each column adj_i
-    of the signed adjugate, d = |det|.  Raises ResourceBoundExceeded when
-    the box holds more than MAX_BOX_POINTS points."""
+def _least_candidate(rays, adj, d):
+    """The least primitive vector on the lines of the nonzero lattice
+    points of the half-open fundamental parallelepiped of the rays: the
+    points p of the box with 0 <= p . adj_i < d for each column adj_i of
+    the signed adjugate, d = |det| > 1.  Raises ResourceBoundExceeded
+    when the box holds more than MAX_BOX_POINTS points."""
     k = len(rays)
     bound = max(abs(c) for r in rays for c in r) * k
     if (bound + 1) ** k > MAX_BOX_POINTS:
@@ -150,21 +135,22 @@ def _candidates(rays, adj, d):
             observed=(bound + 1) ** k,
         )
     cols = tuple(zip(*adj))
-    return sorted(
-        {
-            primitive(p)
-            for p in product(range(bound + 1), repeat=k)
-            if any(p) and all(0 <= sum(map(mul, p, c)) < d for c in cols)
-        }
+    return min(
+        primitive(p)
+        for p in product(range(bound + 1), repeat=k)
+        if any(p) and all(0 <= sum(map(mul, p, c)) < d for c in cols)
     )
 
 
 def refine_to_basic(rays) -> tuple[BasicCone, ...]:
     """Refine a full-dimensional simplicial cone (given by its ray forms)
     into basic subcones by iterated stellar subdivision at the
-    lexicographically smallest primitive vector reducing the determinant
-    (``_candidates``).  Raises ResourceBoundExceeded before a step whose
-    box of candidate points holds more than MAX_BOX_POINTS."""
+    lexicographically smallest primitive candidate v
+    (``_least_candidate``).  Its coordinates lambda_i = v . adj_i lie in
+    [0, d), not all 0, and replacing ray i by v leaves |det| = lambda_i,
+    so every subcone with lambda_i > 0 has a smaller determinant.  Raises
+    ResourceBoundExceeded before a step whose box of candidate points
+    holds more than MAX_BOX_POINTS."""
     rays = [tuple(r) for r in normalize_rays(rays)]
     k = len(rays)
     if any(len(r) != k for r in rays):
@@ -174,24 +160,11 @@ def refine_to_basic(rays) -> tuple[BasicCone, ...]:
         raise ConeError("rays are linearly dependent")
     if d == 1:
         return (BasicCone(rays),)
-    for v in _candidates(rays, adj, d):
-        lam = _solve_membership(adj, v)
-        if lam is None:
-            continue
-        pieces = []
-        ok = True
-        for i in range(k):
-            if lam[i] == 0:
-                continue
-            sub = rays[:i] + [v] + rays[i + 1 :]
-            dsub = abs(_det(tuple(sub)))
-            if dsub == 0 or dsub >= d:
-                ok = False
-                break
-            pieces.append(sub)
-        if ok and pieces:
-            out = []
-            for sub in pieces:
-                out.extend(refine_to_basic(sub))
-            return tuple(out)
-    raise ConeError("stellar refinement failed to reduce the determinant")
+    v = _least_candidate(rays, adj, d)
+    lam = [sum(map(mul, v, col)) for col in zip(*adj)]
+    return tuple(
+        cone
+        for i in range(k)
+        if lam[i]
+        for cone in refine_to_basic(rays[:i] + [v] + rays[i + 1 :])
+    )

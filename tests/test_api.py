@@ -79,26 +79,56 @@ def test_the_exemptions_are_still_defined():
 def unread_members(sources):
     """Sorted (class, member) of each method or property, dunders aside,
     that no code in ``sources`` reads as an attribute outside the
-    member's own body."""
-    trees = [ast.parse(source) for source in sources]
-
-    def reads(node):
-        return [
-            n.attr for n in ast.walk(node)
-            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
-        ]
-
-    everywhere = [name for tree in trees for name in reads(tree)]
-    return sorted(
-        (cls.name, node.name)
-        for tree in trees
+    member's own body.  A read ``self.m`` inside class C reads the member
+    m of C, or of the base of C that defines it (not an override in a
+    subclass of C); every other read, and a ``self.m`` that no class of
+    ``sources`` defines, reads each member named m."""
+    classes = {
+        cls.name: cls
+        for tree in map(ast.parse, sources)
         for cls in ast.walk(tree)
         if isinstance(cls, ast.ClassDef)
+    }
+    members = {
+        (cls.name, node.name): node
+        for cls in classes.values()
         for node in cls.body
         if isinstance(node, ast.FunctionDef)
         and not (node.name.startswith("__") and node.name.endswith("__"))
-        and everywhere.count(node.name) == reads(node).count(node.name)
-    )
+    }
+
+    def owner(name, m):
+        """The class among ``name`` and its bases that defines m."""
+        if (name, m) in members:
+            return name
+        for base in getattr(classes.get(name), "bases", ()):
+            found = isinstance(base, ast.Name) and owner(base.id, m)
+            if found:
+                return found
+        return None
+
+    read = set()
+
+    def visit(node, cls, inside):
+        # inside: the members whose bodies enclose node
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, ast.FunctionDef) and (cls, node.name) in members:
+            inside = inside | {(cls, node.name)}
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            base = owner(cls, node.attr) if (
+                cls and isinstance(node.value, ast.Name) and node.value.id == "self"
+            ) else None
+            hits = [(base, node.attr)] if base else [
+                key for key in members if key[1] == node.attr
+            ]
+            read.update(key for key in hits if key not in inside)
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls, inside)
+
+    for source in sources:
+        visit(ast.parse(source), None, frozenset())
+    return sorted(set(members) - read)
 
 
 def test_the_guard_finds_unread_members():
@@ -112,6 +142,24 @@ def test_the_guard_finds_unread_members():
         "def f(a):\n    return a.used()\n"
     )
     assert unread_members([source]) == [("A", "selfish"), ("A", "unread")]
+
+
+def test_the_guard_tells_apart_members_of_one_name():
+    # B.step shares its name with the live A.step, which only A reads
+    # through self; C reads A.size through self as its base's member
+    source = (
+        "class A:\n"
+        "    def run(self):\n        return self.step() + self.size()\n"
+        "    def step(self):\n        return 1\n"
+        "    def size(self):\n        return 2\n"
+        "class B:\n"
+        "    def step(self):\n        return 3\n"
+        "    def size(self):\n        return 4\n"
+        "class C(A):\n"
+        "    def more(self):\n        return self.step()\n"
+        "def f(a, c):\n    return a.run() + c.more()\n"
+    )
+    assert unread_members([source]) == [("B", "size"), ("B", "step")]
 
 
 def test_every_member_is_read_outside_its_body():

@@ -11,12 +11,15 @@ from dfan import basis as basis_module
 from dfan._linalg import primitive_part
 from dfan.basis import (
     DEGREE_SLACK,
-    REDUCTION_ROUNDS,
     STEP_CAP,
     StandardBasis,
     TermOrder,
+    _autoreduce,
+    _buchberger,
     _degree,
+    _divide_flat,
     _divides,
+    _DivState,
     _exp_quotient,
     _flatten,
     _KeyCache,
@@ -649,7 +652,8 @@ def ref_autoreduce(basis, exps, keyf, emit_t):
     ]
     mini = [basis[m] for m in kept]
     mexp = [exps[m] for m in kept]
-    for _ in range(REDUCTION_ROUNDS):
+    rounds = 64
+    for _ in range(rounds):
         changed = False
         for idx in range(len(mini)):
             if mini[idx] is None:
@@ -672,10 +676,10 @@ def ref_autoreduce(basis, exps, keyf, emit_t):
             break
     else:
         raise ResourceBoundExceeded(
-            f"autoreduction did not stabilize within {REDUCTION_ROUNDS} rounds",
+            f"autoreduction did not stabilize within {rounds} rounds",
             cap="REDUCTION_ROUNDS",
-            limit=REDUCTION_ROUNDS,
-            observed=REDUCTION_ROUNDS + 1,
+            limit=rounds,
+            observed=rounds + 1,
         )
     canon = TermOrder()
     return sorted(
@@ -719,7 +723,68 @@ def test_reduce_basis_matches_the_reference_kernels(data):
     generators = data.draw(fan_modules())
     k = generators[0].ring.k
     L = LinearForm(data.draw(st.tuples(*[st.integers(0, 4)] * k)))
-    assert completion(generators, L) == ref_completion(generators, L)
+    got, ref = completion(generators, L), ref_completion(generators, L)
+    if isinstance(got, str) or isinstance(ref, str):
+        assert got == ref
+        return
+    (*out, trace, cone), (*ref_out, ref_trace, ref_cone) = got, ref
+    assert (out, cone) == (ref_out, ref_cone)
+    # the reference repeats its inter-reduction until a round changes
+    # nothing; the extra round only repeats decisions already taken
+    assert ref_trace[: len(trace)] == trace
+    assert all(entry in trace for entry in ref_trace[len(trace) :])
+
+
+def wider_modules():
+    """Two n = 2 generators of 2-3 terms of degree <= 3 with the
+    coefficients of ``random_weyl_op``: wider than any ``fan_modules``
+    draw, like the two-generator modules of the cap test in test_fan."""
+    coef = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+    gen = st.dictionaries(monomials(2, 3), coef, min_size=2, max_size=3)
+    return st.lists(gen, min_size=2, max_size=2).map(
+        lambda gs: [WeylVec(R2, (WeylOp(R2, g),)) for g in gs]
+    )
+
+
+def assert_one_pass_settles(generators, L):
+    """One more pass of the autoreduction over the completion's output,
+    in D[t]^r under L and in D^r under the plain order, takes no division
+    step and returns it unchanged; a completion that trips a cap is
+    skipped."""
+    ring = generators[0].ring
+    cases = (
+        (_KeyCache(TermOrder().refine(L), ring.shifts), True, homogenize_vec),
+        (_KeyCache(TermOrder(), ring.shifts), False, lambda g: g),
+    )
+    for keyf, emit_t, lift in cases:
+        flats = [primitive_part(_flatten(lift(g)))[2] for g in generators]
+        try:
+            done = _buchberger(flats, keyf, emit_t)
+        except ResourceBoundExceeded:
+            continue
+        flats, exps = [f for f, _ in done], [e for _, e in done]
+        state = _DivState(flats, exps)
+        for m, f in enumerate(flats):
+            state.take(m)
+            assert _divide_flat(f, state, keyf, emit_t) == (f, 1, [])
+            state.put(m, f)
+        assert _autoreduce(flats, exps, keyf, emit_t) == done
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_one_more_autoreduction_pass_changes_nothing(data):
+    generators = data.draw(fan_modules())
+    k = generators[0].ring.k
+    assert_one_pass_settles(
+        generators, LinearForm(data.draw(st.tuples(*[st.integers(0, 4)] * k)))
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(wider_modules(), st.tuples(st.integers(0, 4), st.integers(0, 4)))
+def test_one_more_autoreduction_pass_changes_nothing_on_wider_modules(generators, w):
+    assert_one_pass_settles(generators, LinearForm(w))
 
 
 def ref_bd(basis_flats):
@@ -739,19 +804,20 @@ def divisors_of(basis_flats, lists):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_passed_basis_degree_equals_the_recomputed_one(data):
-    # the running max of the completion, the per-element degrees of the
-    # autoreduction and the lazy degree of a finished basis all equal the
-    # full walk over the divisors of each division
+    # the division state's largest degree, in the completion, in the
+    # autoreduction and for a finished basis, equals the full walk over
+    # the divisors of each division
     generators = data.draw(fan_modules())
     k = generators[0].ring.k
     L = LinearForm(data.draw(st.tuples(*[st.integers(0, 4)] * k)))
     divide_flat = basis_module._divide_flat
     seen = []
 
-    def checked(g, basis_flats, lcs, lists, keyf, emit_t, bd):
-        assert bd == ref_bd(divisors_of(basis_flats, lists))
+    def checked(g, state, keyf, emit_t):
+        bd = max(state.degs)
+        assert bd == ref_bd(divisors_of(state.flats, state.lists))
         seen.append(bd)
-        return divide_flat(g, basis_flats, lcs, lists, keyf, emit_t, bd)
+        return divide_flat(g, state, keyf, emit_t)
 
     with mock.patch.object(basis_module, "_divide_flat", checked):
         try:
@@ -943,7 +1009,8 @@ def fraction_autoreduce(basis, exps, keyf, emit_t):
     ]
     mini = [basis[m] for m in kept]
     mexp = [exps[m] for m in kept]
-    for _ in range(REDUCTION_ROUNDS):
+    rounds = 64
+    for _ in range(rounds):
         changed = False
         for idx in range(len(mini)):
             if mini[idx] is None:
@@ -970,7 +1037,7 @@ def fraction_autoreduce(basis, exps, keyf, emit_t):
             break
     else:
         raise ResourceBoundExceeded(
-            "rounds", cap="REDUCTION_ROUNDS", limit=REDUCTION_ROUNDS, observed=0
+            "rounds", cap="REDUCTION_ROUNDS", limit=rounds, observed=0
         )
     canon = TermOrder()
     pairs = sorted(
@@ -1054,15 +1121,19 @@ def test_integer_completion_matches_the_fraction_reference(data):
     L = LinearForm(data.draw(st.tuples(*[st.integers(0, 4)] * k)))
     divide_flat = basis_module._divide_flat
 
-    def checked(g, basis_flats, lcs, lists, *args):
+    def checked(g, state, *args):
         # the completion divides by primitive flats with positive leaders,
-        # listed under their component with their exponent's parts
-        for i, lst in lists.items():
+        # listed in index order under their component with their
+        # exponent's parts
+        for i, lst in state.lists.items():
+            assert [m for m, _, _ in lst] == sorted(m for m, _, _ in lst)
             for m, parts, e in lst:
-                f = basis_flats[m]
-                assert e[3] == i and parts == e[0] + e[1] + (e[2],)
-                assert f[e] == lcs[m] > 0 and gcd(*f.values()) == 1
-        return divide_flat(g, basis_flats, lcs, lists, *args)
+                f = state.flats[m]
+                assert e == state.exps[m] and e[3] == i
+                assert parts == e[0] + e[1] + (e[2],)
+                assert f[e] == state.lcs[m] > 0 and gcd(*f.values()) == 1
+                assert state.degs[m] == _degree(f)
+        return divide_flat(g, state, *args)
 
     with mock.patch.object(basis_module, "_divide_flat", checked):
         got = capped(integer_completion, generators, L)

@@ -1,10 +1,13 @@
+import ast
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import os
 import subprocess
 import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -350,14 +353,12 @@ def inconclusive_line(argv):
     "module, name, value, argv, message",
     [
         (basis, "STEP_CAP", 1, ["divide", "vector2.txt"], "exceeded 1 steps;"),
-        (basis, "REDUCTION_ROUNDS", 1, ["fan", "vector2.txt"], "within 1 rounds"),
         (fan, "MAX_K", 1, ["fan", "euler.txt"], "capped at k = 1 "),
         (fan, "MAX_NORMALS", 2, ["fan", "threecone.txt"], "more than 2 wall normals"),
         (fan, "MAX_CELLS", 4, ["fan", "threecone.txt"], "exceeded 4 cells"),
         (basis, "MAX_COEFF_BITS", 0, ["gb", "vector2.txt"], "over MAX_COEFF_BITS = 0;"),
     ],
-    ids=["STEP_CAP", "REDUCTION_ROUNDS", "MAX_K", "MAX_NORMALS", "MAX_CELLS",
-         "MAX_COEFF_BITS"],
+    ids=["STEP_CAP", "MAX_K", "MAX_NORMALS", "MAX_CELLS", "MAX_COEFF_BITS"],
 )
 def test_each_cap_exits_two_naming_its_limit(module, name, value, argv, message, monkeypatch):
     argv = [argv[0], "--input", str(PROBLEMS / argv[1])]
@@ -397,7 +398,6 @@ def test_degree_slack_sets_the_cap_a_looping_division_reports(tmp_path, monkeypa
     "module, name, value, argv, limit, observed",
     [
         (basis, "STEP_CAP", 1, ["divide", "vector2.txt"], 1, 2),
-        (basis, "REDUCTION_ROUNDS", 1, ["fan", "vector2.txt"], 1, 2),
         # the completion of vector2 adds a third element before autoreduction
         (basis, "MAX_BASIS_ELEMENTS", 2, ["gb", "vector2.txt"], 2, 3),
         # the degree cap is 3 + 2 + DEGREE_SLACK for the looping division
@@ -422,7 +422,7 @@ def test_degree_slack_sets_the_cap_a_looping_division_reports(tmp_path, monkeypa
         (weyl, "MAX_PRODUCT_TERMS", 4096, ["gb", "product.txt"], 4096, 30001),
     ],
     ids=[
-        "STEP_CAP", "REDUCTION_ROUNDS", "MAX_BASIS_ELEMENTS", "DEGREE_SLACK",
+        "STEP_CAP", "MAX_BASIS_ELEMENTS", "DEGREE_SLACK",
         "MAX_COEFF_BITS", "MAX_K",
         "MAX_NORMALS",
         "MAX_CELLS", "toric.MAX_BOX_POINTS", "flatness.MAX_BOX_POINTS",
@@ -761,6 +761,7 @@ USAGE_ARGVS = [
     ["gb", "--input", EULER_PATH, "stray"],
     ["gb", "--input"], ["divide", "--i", "x"], ["gb", "--", "x"],
     ["cones", "--cone", "[[1,0],[0,1]]", "--json", "--json"],
+    ["fan", "--input", EULER_PATH, "--weight", "[1,0]"],
 ]
 
 
@@ -806,6 +807,36 @@ def test_no_command_help_and_an_unknown_command_keep_their_exit_codes():
     code, out, err = invoke(["gb", "--bogus"])
     assert (code, out) == (3, "") and err.startswith("usage: dfan gb [-h]")
     assert err.endswith("dfan gb: error: unrecognized arguments: --bogus\n")
+
+
+def handler_reads(handler):
+    """The flags, by dest, that a command handler reads besides --input:
+    each ``args.<dest>`` and each field name handed to ``_field``."""
+    reads = set()
+    for n in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(handler)))):
+        if isinstance(n, ast.Attribute) and getattr(n.value, "id", None) == "args":
+            reads.add(n.attr)
+        elif isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_field":
+            reads.add(n.args[2].value)
+    return reads - {"input"}
+
+
+@pytest.mark.parametrize("command", sorted(cli._HANDLERS))
+def test_each_command_accepts_only_the_flags_it_reads(command):
+    cli._build_parser()
+    dests = {action.dest for action in cli._SUBPARSERS[command]._actions}
+    assert dests - {"help", "input", "json", "expect"} == handler_reads(
+        cli._HANDLERS[command]
+    )
+
+
+def test_a_flag_the_command_does_not_read_exits_three():
+    # fiber reads --bound; --degree-bound is flat-cert's
+    argv = ["fiber", "--input", str(PROBLEMS / "paper_fiber.txt")]
+    assert invoke(argv)[0] == 0
+    code, out, err = invoke(argv + ["--degree-bound", "6"])
+    assert (code, out) == (3, "") and err.startswith("usage: dfan fiber [-h]")
+    assert err.endswith("dfan fiber: error: unrecognized arguments: --degree-bound 6\n")
 
 
 def test_internal_error_exit_three(monkeypatch):

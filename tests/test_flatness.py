@@ -28,7 +28,7 @@ from dfan.flatness import (
     w_shift,
 )
 from dfan.grammar import SYZYGY, format_factors, format_sum, format_vec, parse_op, parse_sum, parse_vec
-from dfan.toric import BasicCone, _adjugate, _det, orthant_cone
+from dfan.toric import BasicCone, _adjugate, _bareiss, orthant_cone
 from dfan.weights import LinearForm
 from dfan.weyl import RingDescriptor, WeylOp, WeylVec, accumulate, monomial_multiples
 from conftest import (
@@ -568,7 +568,7 @@ class RefIdealFrame:
             raise ConeError(f"ideal coordinates {J} out of range")
         order = [j - 1 for j in J] + [j for j in range(k) if j + 1 not in J]
         rows = tuple(gamma.rows[j] for j in order)
-        if _det(rows) not in (1, -1):
+        if _bareiss(rows)[0] not in (1, -1):
             raise ConeError("frame is not unimodular")
         self.rows = rows
         inverse = _adjugate(rows)[0]

@@ -11,9 +11,8 @@ from dfan.toric import (
     MAX_BOX_POINTS,
     BasicCone,
     _adjugate,
-    _candidates,
-    _det,
-    _solve_membership,
+    _bareiss,
+    _least_candidate,
     cone_drops,
     normalize_rays,
     orthant_cone,
@@ -103,7 +102,7 @@ def test_refine_to_basic():
     assert all(isinstance(p, BasicCone) for p in pieces)
     # the pieces cover the original cone: check on a sample of rays
     def in_cone(rays, v):
-        return _solve_membership(_adjugate(tuple(rays))[0], v) is not None
+        return eliminate_membership(rays, v) is not None
 
     for v in [(1, 0), (1, 1), (1, 2), (2, 1), (3, 4)]:
         if in_cone([(1, 0), (1, 2)], v):
@@ -135,29 +134,18 @@ def eliminate_membership(rays, v):
     return None if any(l < 0 for l in lam) else lam
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(2, 3).flatmap(lambda k: st.tuples(
-    st.lists(st.tuples(*[st.integers(0, 4)] * k), min_size=k, max_size=k),
-    st.lists(st.tuples(*[st.integers(-2, 12)] * k), min_size=1, max_size=5),
-)))
-def test_solve_membership_matches_elimination(case):
-    rays, points = case
-    assume(_det(tuple(rays)) != 0)
-    adj, d = _adjugate(tuple(rays))
-    for v in points:
-        lam = _solve_membership(adj, v)
-        lam = None if lam is None else [Fraction(l, d) for l in lam]
-        assert lam == eliminate_membership(rays, v)
+def det(rows):
+    return _bareiss(tuple(rows))[0]
 
 
 def ref_inverse(rows):
     """Reference: the Fraction inverse that the integer scan replaced."""
     k = len(rows)
-    d = _det(rows)
+    d = det(rows)
 
     def cofactor(i, j):
         minor = [tuple(r[b] for b in range(k) if b != i) for a, r in enumerate(rows) if a != j]
-        return (-1) ** (i + j) * _det(minor)
+        return (-1) ** (i + j) * det(minor)
 
     return [[Fraction(cofactor(i, j), d) for j in range(k)] for i in range(k)]
 
@@ -188,7 +176,7 @@ def ref_refine(rays):
     """Reference: stellar refinement on the Fraction scan."""
     rays = [tuple(r) for r in normalize_rays(rays)]
     k = len(rays)
-    d = abs(_det(tuple(rays)))
+    d = abs(det(tuple(rays)))
     if d == 0:
         raise ConeError("rays are linearly dependent")
     if d == 1:
@@ -201,7 +189,7 @@ def ref_refine(rays):
             if lam[i] == 0:
                 continue
             sub = rays[:i] + [v] + rays[i + 1 :]
-            if not 0 < abs(_det(tuple(sub))) < d:
+            if not 0 < abs(det(tuple(sub))) < d:
                 break
             pieces.append(sub)
         else:
@@ -224,19 +212,46 @@ def outcome(f, rays):
     st.tuples(*[st.integers(0, 5)] * k), min_size=k, max_size=k
 )))
 def test_integer_scan_matches_the_fraction_scan(rays):
-    assume(all(any(r) for r in rays) and _det(tuple(rays)) != 0)
+    assume(all(any(r) for r in rays) and det(tuple(rays)) != 0)
     rays = [tuple(r) for r in normalize_rays(rays)]
     adj, d = _adjugate(tuple(rays))
-    assert d == abs(_det(tuple(rays)))
-    assert outcome(lambda r: _candidates(r, adj, d), rays) == outcome(ref_candidates, rays)
+    assert d == abs(det(tuple(rays)))
+    if d > 1:
+        least = outcome(ref_candidates, rays)
+        least = least[0] if isinstance(least, list) else least
+        assert outcome(lambda r: _least_candidate(r, adj, d), rays) == least
     assert outcome(refine_to_basic, rays) == outcome(ref_refine, rays)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda k: st.lists(
+    st.tuples(*[st.integers(0, 5)] * k), min_size=k, max_size=k
+)))
+def test_every_candidate_lowers_the_determinant_where_it_replaces_a_ray(rays):
+    # each candidate v of the reference scan has coordinates
+    # lambda_i = d v . inverse_i in [0, d), not all 0, and replacing ray i
+    # by v leaves |det| = lambda_i: the least candidate always refines
+    assume(all(any(r) for r in rays) and ref_det(rays) != 0)
+    rays = [tuple(r) for r in normalize_rays(rays)]
+    d = abs(ref_det(rays))
+    inv = ref_inverse(tuple(rays))
+    try:
+        candidates = ref_candidates(rays)
+    except ResourceBoundExceeded:
+        return
+    assert (d > 1) == bool(candidates)
+    for v in candidates:
+        lam = [d * sum(v[j] * inv[j][i] for j in range(len(v))) for i in range(len(v))]
+        assert all(0 <= l < d for l in lam) and any(lam)
+        for i, l in enumerate(lam):
+            assert abs(ref_det(rays[:i] + [v] + rays[i + 1 :])) == l
 
 
 def test_integer_scan_covers_both_signs_of_the_determinant():
     for rays in ([(1, 0), (1, 2)], [(1, 2), (1, 0)]):
-        assert _det(tuple(rays)) in (2, -2)
+        assert det(tuple(rays)) in (2, -2)
         adj, d = _adjugate(tuple(rays))
-        assert _candidates(rays, adj, d) == ref_candidates(rays) == [(1, 1)]
+        assert [_least_candidate(rays, adj, d)] == ref_candidates(rays) == [(1, 1)]
         assert refine_to_basic(rays) == ref_refine(rays)
 
 
@@ -301,7 +316,7 @@ def square_matrices(entries):
 def test_det_and_adjugate_match_the_cofactor_expansion(rows):
     rows = tuple(rows)
     d = ref_det(rows)
-    assert _det(rows) == d
+    assert det(rows) == d
     assert _adjugate(rows) == (ref_adjugate(rows) if d else (None, 0))
 
 
