@@ -8,9 +8,9 @@ reduces the maximal remaining term against the first element of its
 component whose privileged exponent divides it (the least-index partition
 of the staircase), which pins the output uniquely.  All that division
 reads of a basis, the per-component divisor lists among it, is one
-``_DivState``: built once per basis, grown by the completion as it adds
-elements (the chain criterion reads the same lists) and updated in place
-by the single pass of the autoreduction.
+``_DivState``: a basis builds its own in its constructor, the completion
+grows one as it adds elements (the chain criterion reads the same lists)
+and the single pass of the autoreduction updates one in place.
 Fractions remain at the edges: monic output, quotients folded from the
 integer steps, and remainders scaled back.  The postconditions of a
 division read those Fraction quotients and remainder, not the steps, and
@@ -271,27 +271,26 @@ def _rational(flat: dict, c: Fraction) -> dict:
 
 
 class _Divisors:
-    """What division needs of a basis, built once: element m is contents[m]
-    times the primitive integer flat flats[m] (``_ints``)."""
+    """What division needs of a basis, built once: element m is
+    ``_contents[m]`` times the primitive integer flat ``_state.flats[m]``,
+    read off the elements or handed over as ``ints`` = (contents, flats) by
+    the completion that made them, with their leading exponents ``exps``
+    under ``order`` when it knows them."""
 
-    def __init__(self, ring: RingDescriptor, elements, order: TermOrder):
+    def __init__(
+        self, ring: RingDescriptor, elements, order: TermOrder, ints=None, exps=None
+    ):
         self.ring = ring
         self.elements = tuple(elements)
         self.order = order
         self._keyf = _KeyCache(order, ring.shifts)
-
-    @cached_property
-    def _ints(self):
-        parts = [primitive_part(_flatten(h)) for h in self.elements]
-        return [Fraction(g, d) for g, d, _ in parts], [f for *_, f in parts]
-
-    @cached_property
-    def _exps(self):
-        return [max(f, key=self._keyf) for f in self._ints[1]]
-
-    @cached_property
-    def _state(self):
-        return _DivState(self._ints[1], self._exps)
+        if ints is None:
+            parts = [primitive_part(_flatten(h)) for h in self.elements]
+            ints = [Fraction(g, d) for g, d, _ in parts], [f for *_, f in parts]
+        self._contents, flats = ints
+        if exps is None:
+            exps = [max(f, key=self._keyf) for f in flats]
+        self._state = _DivState(flats, exps)
 
     def _reduce(self, flat, emit_t):
         """(c, remainder, scale, steps) of dividing flat = c * g, g primitive."""
@@ -314,18 +313,21 @@ class StandardBasis(_Divisors):
     the weight forms that refine it (``reduce_basis`` refines by one
     interior sample of its cone)."""
 
-    def __init__(self, ring: RingDescriptor, elements, order: TermOrder):
-        super().__init__(ring, elements, order)
-        if not self.elements or any(h.is_zero() for h in self.elements):
+    def __init__(
+        self, ring, elements, order: TermOrder, ints=None, exps=None, trace=None
+    ):
+        elements = tuple(elements)
+        if not elements or any(h.is_zero() for h in elements):
             raise ZeroInputError("zero divisor element in a standard basis")
+        super().__init__(ring, elements, order, ints, exps)
         # the order decisions of the completion that made this basis, if
         # any: see order_cone
-        self._trace = None
+        self._trace = trace
 
     @property
     def exponents(self):
         """Privileged exponents (alpha, beta, l, i), one per element."""
-        return tuple(self._exps)
+        return tuple(self._state.exps)
 
     @cached_property
     def order_cone(self):
@@ -338,6 +340,18 @@ class StandardBasis(_Divisors):
             return None
         cone, self._trace = self._trace.cone(), None
         return cone
+
+    def at(self, sample: LinearForm) -> "StandardBasis":
+        """This basis under the order refined by ``sample``, on the same
+        integer record: the basis a completion at ``sample`` returns when
+        ``sample`` lies in this basis's ``order_cone``.  Raises DfanError
+        if a privileged exponent moves there."""
+        order = TermOrder().refine(sample)
+        ints = self._contents, self._state.flats
+        out = StandardBasis(self.ring, self.elements, order, ints)
+        if out._state.exps != self._state.exps:
+            raise DfanError(f"a privileged exponent moves at {sample}")
+        return out
 
     def __eq__(self, other):
         return (
@@ -356,7 +370,7 @@ class StandardBasis(_Divisors):
         require_f_homogeneous(G)
         flat = _flatten(G)
         c, rem, scale, steps = self._reduce(flat, True)
-        ratios = [c / u for u in self._ints[0]]
+        ratios = [c / u for u in self._contents]
         quots = [{} for _ in self.elements]
         for m, mu, b, s in steps:
             r = ratios[m]
@@ -374,7 +388,7 @@ class StandardBasis(_Divisors):
         the primitive integer flats h."""
         quots = [
             [(mu, c * u) for mu, c in a.terms.items()]
-            for a, u in zip(qops, self._ints[0])
+            for a, u in zip(qops, self._contents)
         ]
         D = lcm(
             *(c.denominator for terms in quots for _, c in terms),
@@ -382,7 +396,7 @@ class StandardBasis(_Divisors):
         )
         acc = {key: c.numerator * (D // c.denominator) for key, c in rem.items()}
         prods = []
-        for terms, hf in zip(quots, self._ints[1]):
+        for terms, hf in zip(quots, self._state.flats):
             prod = {}
             for mu, c in terms:
                 _term_times_flat(mu, c.numerator * (D // c.denominator), hf, True, prod)
@@ -395,7 +409,7 @@ class StandardBasis(_Divisors):
         }:
             raise DfanError("division recomposition failed")
         for key in rem:
-            if any(_divides(e, key) for e in self._exps):
+            if any(_divides(e, key) for e in self._state.exps):
                 raise DfanError("remainder meets the staircase")
         if flat:
             gexp = self._keyf(max(flat, key=self._keyf))
@@ -581,14 +595,13 @@ def _autoreduce(basis, exps, keyf, emit_t):
     )
 
 
-def _completed(cls, ring, done, dt, order):
-    """A ``cls`` basis of the completion's elements made monic."""
+def _completed(cls, ring, done, dt, order, **kw):
+    """A ``cls`` basis of the completion's elements made monic, on the
+    completion's own primitive integer flats and leading exponents."""
     flats, exps = zip(*done)
     units = [Fraction(1, f[e]) for f, e in done]
     elements = [_unflatten(_rational(f, u), ring, dt) for f, u in zip(flats, units)]
-    out = cls(ring, elements, order)
-    out._ints, out._exps = (units, flats), list(exps)
-    return out
+    return cls(ring, elements, order, (units, flats), exps, **kw)
 
 
 def reduce_basis(generators, sample: LinearForm) -> StandardBasis:
@@ -602,35 +615,8 @@ def reduce_basis(generators, sample: LinearForm) -> StandardBasis:
     order = TermOrder().refine(sample)
     keyf = _KeyCache(order, ring.shifts, trace=True)
     flats = [primitive_part(_flatten(homogenize_vec(g)))[2] for g in gens]
-    out = _completed(StandardBasis, ring, _buchberger(flats, keyf, True), True, order)
-    out._trace = keyf
-    return out
-
-
-def recheck_basis(basis: StandardBasis, sample: LinearForm) -> StandardBasis | None:
-    """``basis`` as a standard basis for the order refined by ``sample``,
-    built as ``reduce_basis`` builds it, or None when that is not
-    certified.  Certified means the privileged exponents stay put, so the
-    elements stay monic and reduced, and every same-component S-pair
-    divides to zero under the new order (Buchberger's criterion).  A cap
-    tripped on the way gives None."""
-    order = TermOrder().refine(sample)
-    out = StandardBasis(basis.ring, basis.elements, order)
-    out._ints = basis._ints
-    if out.exponents != basis.exponents:
-        return None
-    f, e = out._ints[1], out._exps
-    try:
-        for j in range(len(f)):
-            for i in range(j):
-                if e[i][3] != e[j][3]:
-                    continue
-                s = _spair(f[i], f[j], e[i], e[j], _lcm_exp(e[i], e[j]), True)
-                if s and out._reduce(s, True)[1]:
-                    return None
-    except ResourceBoundExceeded:
-        return None
-    return out
+    done = _buchberger(flats, keyf, True)
+    return _completed(StandardBasis, ring, done, True, order, trace=keyf)
 
 
 def plain_module_basis(generators):

@@ -15,18 +15,17 @@ cut down to the constancy region on which every basis element keeps its
 top-weight stratum, is the completion's region.  A completion anywhere in
 it would repeat the stored one step for step, so a cell whose integer
 generators show it inside a stored region takes the stored data with no
-LP and no completion.  Every other cell gets the LP's canonical exact
-rational sample, and a completion of its own unless that sample lies in a
-stored region and ``recheck_basis`` confirms the stored basis there by
-Buchberger's criterion.
+LP and no completion, and a sample inside one takes the stored basis
+under its own order (``StandardBasis.at``) with no completion either.
+Every other cell gets the LP's canonical exact rational sample, and a
+sample outside every stored region gets a completion of its own.
 
 Then merge cells that carry identical basis-and-stratum data along the
 convex constancy region of one defining cell; the merge check compares
 the data found above, not recomputed completions.  Each cone's reported
 sample is the LP sample of its representative cell, and its basis is the
-one a completion there returns: a fresh completion, or a stored basis
-confirmed at exactly that sample.  A failed merge falls back to emitting
-the member cells individually.
+one a completion there returns, found by the same rule.  A failed merge
+falls back to emitting the member cells individually.
 
 The module constants MAX_K, MAX_NORMALS and MAX_CELLS cap the dimension,
 the wall normals and the arrangement's cells; reaching one raises
@@ -39,7 +38,7 @@ from itertools import product
 from operator import mul
 
 from ._linalg import cone_interior_point, primitive, to_primitive_int
-from .basis import StandardBasis, recheck_basis, reduce_basis
+from .basis import StandardBasis, reduce_basis
 from .errors import DfanError, ResourceBoundExceeded, WeightError
 from .filtration import multi_weight
 from .weights import LinearForm
@@ -300,11 +299,8 @@ class _Regions:
         if sample not in self._samples:
             L = LinearForm(sample)
             data = self._find([to_primitive_int(sample)])
-            basis = None
             if data is not None:
-                basis = recheck_basis(data[0], L)
-            if basis is not None:
-                data = (basis,) + data[1:]
+                data = (data[0].at(L),) + data[1:]
             else:
                 basis = reduce_basis(self.generators, L)
                 data = _basis_data(basis, L)

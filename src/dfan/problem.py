@@ -158,7 +158,8 @@ def split_lines(text: str, word: str, header: re.Pattern, tags: tuple, keys: tup
     skipped: the numbers of the one header line (a line starting with
     ``word`` must match ``header``), the (text, line) pairs of the lines
     starting with each of ``tags`` in file order, and the (value, line) pair of
-    each ``key = value`` field, ``key`` one of ``keys``."""
+    each ``key = value`` field, ``key`` one of ``keys``.  A line of none
+    of these forms, such as the other format's header, is unrecognized."""
     numbers = None
     tagged = {tag: [] for tag in tags}
     fields = {}
@@ -182,7 +183,7 @@ def split_lines(text: str, word: str, header: re.Pattern, tags: tuple, keys: tup
         else:
             key, eq, value = line.partition("=")
             key = key.strip()
-            if not eq:
+            if not (eq and key.isidentifier()):
                 raise SyntaxErrorWithPos(f"unrecognized line {line[:20]!r}", lineno, 1)
             if key not in keys:
                 raise SyntaxErrorWithPos(f"unknown field {key!r}", lineno, 1)

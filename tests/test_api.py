@@ -7,7 +7,8 @@ dead definitions name is dead too, and ``__init__.py`` names nothing on
 behalf of the package.  The grammar entry points that build test inputs
 are the only exemptions.  Every method or property of a class must be
 read as an attribute outside its own body, dunders and the documented
-test-facing members aside.  Every name in ``dfan.__all__`` must resolve."""
+test-facing members aside.  An object's private attributes are set by
+its own methods alone.  Every name in ``dfan.__all__`` must resolve."""
 
 import ast
 import importlib
@@ -247,3 +248,46 @@ def test_no_module_matches_through_a_pattern_string():
         for path in sorted(SRC.glob("*.py"))
     }
     assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+def foreign_private_sets(source):
+    """Sorted lines of the assignments, plain, augmented or annotated,
+    that set an underscore attribute of an object other than ``self``."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        if any(
+            isinstance(t, ast.Attribute)
+            and isinstance(t.ctx, ast.Store)
+            and t.attr.startswith("_")
+            and not (isinstance(t.value, ast.Name) and t.value.id == "self")
+            for target in targets
+            for t in ast.walk(target)
+        ):
+            out.append(node.lineno)
+    return sorted(out)
+
+
+def test_the_guard_finds_foreign_private_sets():
+    source = (
+        "class A:\n    def __init__(self):\n        self._x = 1\n"
+        "        self._y, self.z = 2, 3\n"
+        "def f(a, b):\n    a._x = 4\n    b.c, (a._y, a._z) = 5, (6, 7)\n"
+        "    a._x += 1\n    a.public = 8\n    self = a\n    a.b._c: int = 9\n"
+    )
+    assert foreign_private_sets(source) == [6, 7, 8, 11]
+
+
+def test_private_attributes_are_set_by_their_owner_alone():
+    # a basis builds its integer record in its constructor: no caller
+    # reaches into another object to set a cache by hand
+    found = {
+        path.name: foreign_private_sets(path.read_text())
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}

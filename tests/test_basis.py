@@ -26,10 +26,10 @@ from dfan.basis import (
     _lcm_exp,
     _leading,
     _rational,
+    _spair,
     _term_times_flat,
     _unflatten,
     plain_module_basis,
-    recheck_basis,
     reduce_basis,
 )
 from dfan.errors import (
@@ -851,6 +851,25 @@ def test_looping_division_reports_its_degree_cap(monkeypatch):
         b.divide(spair)
 
 
+@pytest.mark.parametrize(
+    "L, loops", [((1, 1), True), ((1, 0), False)], ids=["at-1-1", "at-1-0"]
+)
+def test_a_completions_own_spair_loops_under_the_local_order(L, loops):
+    # the first-divisor division on a completion's own output: the S-pair
+    # of the two elements of the completion of LOOP, divided by that
+    # completion, climbs past the degree cap at (1, 1), where
+    # t - 1/2 x2 t leads with t, and gives zero at (1, 0)
+    b = basis_of(LOOP, L)
+    (fi, fj), (ei, ej) = b._state.flats, b._state.exps
+    spair = _unflatten(_spair(fi, fj, ei, ej, _lcm_exp(ei, ej), True), R2, True)
+    if loops:
+        with pytest.raises(ResourceBoundExceeded) as got:
+            b.divide(spair)
+        assert got.value.cap == "DEGREE_SLACK"
+    else:
+        assert b.divide(spair).remainder.is_zero()
+
+
 def test_completion_reports_its_size_cap(monkeypatch):
     # the completion at (1, 1) adds one remainder to the two generators
     # before autoreduction leaves two elements
@@ -868,7 +887,7 @@ def test_completion_reports_its_size_cap(monkeypatch):
 
 # the completion and division on Fraction flats, as they were before the
 # integer kernel: the reference for elements, exponents, order decisions,
-# quotients, remainders, recheck verdicts and caps
+# quotients, remainders and caps
 
 
 def fraction_divide_flat(g, basis_flats, exps, lcs, keyf, emit_t, bd):
@@ -1070,27 +1089,6 @@ def fraction_divide(basis, G):
     return [DtOp(basis.ring, q) for q in quots], _unflatten(rem, basis.ring, True)
 
 
-def fraction_recheck(basis, L):
-    """Whether the Fraction recheck certifies ``basis`` at ``L``."""
-    flats = [_flatten(h) for h in basis.elements]
-    keyf = _KeyCache(TermOrder().refine(L), basis.ring.shifts)
-    exps = [max(f, key=keyf) for f in flats]
-    if tuple(exps) != basis.exponents:
-        return False
-    lcs, bd = [f[e] for f, e in zip(flats, exps)], max(map(_degree, flats))
-    try:
-        for j in range(len(flats)):
-            for i in range(j):
-                if exps[i][3] != exps[j][3]:
-                    continue
-                s = fraction_spair(flats[i], flats[j], exps[i], exps[j], True)
-                if s and fraction_divide_flat(s, flats, exps, lcs, keyf, True, bd)[1]:
-                    return False
-    except ResourceBoundExceeded:
-        return False
-    return True
-
-
 def capped(f, *args):
     """f(*args), or the name of the cap it tripped."""
     try:
@@ -1143,7 +1141,7 @@ def test_integer_completion_matches_the_fraction_reference(data):
     b = reduce_basis(generators, L)
     # the completion's own integer flats: primitive, with positive leaders,
     # each its monic element times the leader
-    for h, u, f, e in zip(b.elements, *b._ints, b._exps):
+    for h, u, f, e in zip(b.elements, b._contents, b._state.flats, b._state.exps):
         assert f[e] > 0 and gcd(*f.values()) == 1 and u == Fraction(1, f[e])
         assert _rational(f, u) == _flatten(h)
     # divide by the basis and by a rescaled copy (negative and non-unit
@@ -1162,8 +1160,6 @@ def test_integer_completion_matches_the_fraction_reference(data):
             except ResourceBoundExceeded:
                 continue
             assert scale > 0 and all(s > 0 for *_, s in steps)
-    L2 = LinearForm(data.draw(st.tuples(*[st.integers(0, 4)] * k)))
-    assert (recheck_basis(b, L2) is not None) == fraction_recheck(b, L2)
 
 
 def normal_form(plain, G):

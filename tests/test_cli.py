@@ -613,6 +613,20 @@ def test_ideal_flag_error_names_the_flag():
 
 
 @pytest.mark.parametrize(
+    "command, problem, message",
+    [
+        ("fan", "syzygy1.txt", "unrecognized line 'syzygy n=2 k=2' (line 2, column 1)"),
+        ("normalize-syzygy", "euler.txt",
+         "unrecognized line 'ring n=2 k=2 r=1' (line 1, column 1)"),
+    ],
+)
+def test_the_other_formats_header_is_an_unrecognized_line(command, problem, message):
+    # it holds an '=', but what stands before it is no field name
+    code, out, err = invoke([command, "--input", str(PROBLEMS / problem)])
+    assert (code, out, err) == (3, "", f"dfan: error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "cone", ["[[1,0],[0,1],junk]", "[[1,0][0,1]]", "[[1,0],,[0,1]]"]
 )
 def test_matrix_must_be_a_comma_separated_list_of_rows(tmp_path, cone):

@@ -3,14 +3,15 @@ import random
 import signal
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import dfan.fan
 from dfan._linalg import cone_interior_point, to_primitive_int
-from dfan.basis import StandardBasis, recheck_basis, reduce_basis
-from dfan.errors import ResourceBoundExceeded, WeightError
+from dfan.basis import StandardBasis, reduce_basis
+from dfan.errors import DfanError, ResourceBoundExceeded, WeightError
 from dfan.fan import (
     Fan,
     FanCone,
@@ -558,25 +559,55 @@ def weights(k):
     return st.tuples(*[st.integers(0, 4)] * k).map(LinearForm)
 
 
+def cone_weights(k, weak, strict):
+    """The weights of {0, ..., 3}^k in the cone {L : L.w >= 0 for w in
+    weak, L.w > 0 for w in strict}, as (on a wall L.w = 0 of a weak
+    form, off every wall)."""
+    walls, inner = [], []
+    for L in product(range(4), repeat=k):
+        dots = [sum(map(mul, L, w)) for w in weak]
+        if all(d >= 0 for d in dots) and all(sum(map(mul, L, w)) > 0 for w in strict):
+            (walls if 0 in dots else inner).append(LinearForm(L))
+    return walls, inner
+
+
+def divided(basis, G):
+    try:
+        res = basis.divide(G)
+    except ResourceBoundExceeded as exc:
+        return exc.cap
+    return res.quotients, res.remainder
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_order_cone_repeats_the_completion(data):
-    # a completion at any weight of another completion's order cone
-    # returns the same elements
+    # a completion at any weight of another completion's order cone, walls
+    # included, returns the same elements; and the stored basis under the
+    # order of that weight (``at``) is that completion: the same elements,
+    # order and exponents, and the same divisions
     generators = data.draw(fan_modules())
-    k = generators[0].ring.k
-    L0 = data.draw(weights(k))
+    ring = generators[0].ring
     try:
-        basis = reduce_basis(generators, L0)
+        basis = reduce_basis(generators, data.draw(weights(ring.k)))
     except ResourceBoundExceeded:
         return
-    weak, strict = basis.order_cone
-    for L in data.draw(st.lists(weights(k), min_size=1, max_size=6)):
-        dots = [sum(a * b for a, b in zip(L.coeffs, w)) for w in weak + strict]
-        if all(d >= 0 for d in dots[: len(weak)]) and all(
-            d > 0 for d in dots[len(weak):]
-        ):
-            assert reduce_basis(generators, L).elements == basis.elements
+    drawn = []
+    for pool in cone_weights(ring.k, *basis.order_cone):
+        if pool:
+            drawn += data.draw(st.lists(st.sampled_from(pool), max_size=2, unique=True))
+    targets = [
+        homogenize_vec(g)
+        for g in data.draw(fan_modules().filter(lambda gs: gs[0].ring == ring))
+    ]
+    for L in drawn:
+        again, fresh = basis.at(L), reduce_basis(generators, L)
+        assert fresh.elements == basis.elements
+        assert (again.elements, again.order, again.exponents) == (
+            fresh.elements, fresh.order, fresh.exponents,
+        )
+        for G in targets:
+            assert divided(again, G) == divided(fresh, G)
 
 
 def test_order_cone_of_a_tie_break():
@@ -700,66 +731,40 @@ def test_constancy_region_alone_does_not_reuse(texts):
         assert summary(standard_fan(gens)) == reference
 
 
-def test_failed_recheck_falls_back_to_a_completion(monkeypatch):
-    # a sample whose stored basis cannot be confirmed gets a completion of
-    # its own, and the fan does not change
-    gens = [parse_vec("x1^2 d1 - x2 d2^2 + 3 d1", R2)]
-    completions = []
-    monkeypatch.setattr(
-        dfan.fan, "reduce_basis",
-        lambda *a, **kw: completions.append(a) or reduce_basis(*a, **kw),
-    )
-    monkeypatch.setattr(dfan.fan, "recheck_basis", lambda *a, **kw: None)
-    fan = standard_fan(gens)
-    assert len(completions) > len(fan.cones)
-    assert summary(fan) == fan_summary(*reference_fan(gens))
-
-
-def test_recheck_basis_certifies_within_a_cone(three_cone_fan):
-    gens = list(three_cone_fan.generators)
-    for cone in three_cone_fan.cones:
-        L = LinearForm(cone.sample)
-        fresh = reduce_basis(gens, L)
-        again = recheck_basis(cone.basis, L)
-        assert (again.elements, again.order) == (fresh.elements, fresh.order)
-
-
-def test_recheck_basis_rejects_adjacent_cones(three_cone_fan):
+def test_at_raises_where_a_leader_moves(three_cone_fan):
     # the three cones share one element; the wall's tie-break gives it the
-    # privileged exponent of one side, so only that side's basis passes at
-    # the wall and vice versa
+    # privileged exponent of one side, so two bases lead with it one way
+    # and the third the other way: each raises at the samples of the
+    # cones whose leaders differ from its own, four pairs in all
     gens = list(three_cone_fan.generators)
-    rejected = 0
+    raised = 0
     for cone in three_cone_fan.cones:
         L = LinearForm(cone.sample)
         for other in three_cone_fan.cones:
-            again = recheck_basis(other.basis, L)
             if other.basis.exponents != cone.basis.exponents:
-                assert again is None
-                rejected += 1
+                with pytest.raises(DfanError, match="privileged exponent moves"):
+                    other.basis.at(L)
+                raised += 1
             else:
-                assert again.elements == reduce_basis(gens, L).elements
-    assert rejected == 4
+                assert other.basis.at(L) == reduce_basis(gens, L)
+    assert raised == 4
 
 
-def test_recheck_basis_rejects_non_standard_generators():
-    # x1 and d1 keep their privileged exponents at every weight, but their
-    # S-pair x1 d1 - d1 x1 = -1 does not divide to zero
-    L = LinearForm((1, 1))
-    order = TermOrder().refine(L)
-    elements = [homogenize_vec(parse_vec(t, R2)) for t in ("x1", "d1")]
-    basis = StandardBasis(R2, elements, order)
-    assert recheck_basis(basis, L) is None
-
-
-def test_recheck_basis_gives_none_when_a_cap_trips():
-    # the completion's own basis: one S-pair's division climbs past the
-    # degree cap under the local order at (1, 1), but not at (1, 0)
-    gens = [parse_vec(t, R2) for t in ("x1", "-2 x1 d1 - x2")]
-    L = LinearForm((1, 1))
-    assert recheck_basis(reduce_basis(gens, L), L) is None
-    L = LinearForm((1, 0))
-    assert recheck_basis(reduce_basis(gens, L), L) is not None
+@pytest.mark.parametrize(
+    "text", ["x1^2 d1 - x2 d2^2 + 3 d1", "d1 + x1 d2^2", "x1 d1 + x2 d2"]
+)
+def test_fresh_completions_in_place_of_at_give_the_same_fan(text, monkeypatch):
+    # some representative samples of these fans lie in stored regions and
+    # take the stored basis; completing afresh there changes nothing
+    gens = [parse_vec(text, R2)]
+    calls = []
+    monkeypatch.setattr(
+        StandardBasis, "at",
+        lambda self, L: calls.append(L) or reduce_basis(gens, L),
+    )
+    fresh = summary(standard_fan(gens))
+    monkeypatch.undo()
+    assert calls and summary(standard_fan(gens)) == fresh
 
 
 def test_merge_fallback_emits_member_cells(monkeypatch):

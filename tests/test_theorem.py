@@ -1,4 +1,4 @@
-"""The paper's theorem on seeded random modules, k = 2.
+"""The paper's theorem on seeded random modules, k = 2 and k = 3.
 
 The standard fan is adapted to the V-multifiltration: for a basic cone Γ
 in the closure of a cone of the fan, the Rees module is flat over the
@@ -20,50 +20,57 @@ from dfan.toric import BasicCone
 from dfan.weights import LinearForm
 from dfan.weyl import RingDescriptor, WeylOp, WeylVec
 
-RING = RingDescriptor(2, 2, 1)
-CONES = [
+CONES_2 = [
     BasicCone(rows)
     for rows in (
         ((1, 0), (0, 1)), ((1, 0), (1, 1)), ((1, 1), (0, 1)), ((2, 1), (1, 1)),
         ((1, 1), (1, 2)), ((1, 0), (2, 1)), ((1, 2), (0, 1)), ((3, 1), (2, 1)),
     )
 ]
-IDEALS = [(1, 2), (1,), (2,)]
-DEGREES = [(0, 0), (1, 0), (0, 1), (-1, 0)]
+CONES_3 = [
+    BasicCone(rows)
+    for rows in (
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((1, 0, 0), (1, 1, 0), (1, 1, 1)),
+        ((1, 1, 0), (0, 1, 0), (0, 1, 1)), ((2, 1, 1), (1, 1, 0), (1, 1, 1)),
+    )
+]
 BOUND = 3
-MODULES = 40
 COEFFICIENTS = (-3, -2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-2, 3))
 
 
-def random_generator(rng):
-    """One generator in n = 2 with 2-3 terms of total degree <= 3."""
+def random_generator(rng, ring, degree):
+    """One generator with 2-3 terms of total degree <= ``degree``."""
+    n = ring.n
     terms, size = {}, rng.randint(2, 3)
     while len(terms) < size:
-        exps = [0, 0, 0, 0]
-        for _ in range(rng.randint(0, 3)):
-            exps[rng.randrange(4)] += 1
-        terms[(tuple(exps[:2]), tuple(exps[2:]))] = Fraction(rng.choice(COEFFICIENTS))
-    return WeylVec(RING, (WeylOp(RING, terms),))
+        exps = [0] * (2 * n)
+        for _ in range(rng.randint(0, degree)):
+            exps[rng.randrange(2 * n)] += 1
+        terms[(tuple(exps[:n]), tuple(exps[n:]))] = Fraction(rng.choice(COEFFICIENTS))
+    return WeylVec(ring, (WeylOp(ring, terms),))
 
 
-def test_the_oracle_is_equal_and_certified_on_every_cone_inside_its_fan_cone():
+def check_the_theorem(ring, degree, modules, cones, ideals, degrees):
+    """Run the oracle on every (module, cone, J, s) of seed 2005 and
+    certify each element it finds on a cone inside its fan cone; return
+    the counts and the failures (inside runs with a counterexample)."""
     rng = random.Random(2005)
     counts = {"inside": 0, "inside-counterexample": 0, "straddling": 0,
               "straddling-counterexample": 0, "certificates": 0}
     failures = []
-    for _ in range(MODULES):
-        g = random_generator(rng)
+    for _ in range(modules):
+        g = random_generator(rng, ring, degree)
         try:
             fan = standard_fan([g])
         except ResourceBoundExceeded:
             continue
-        for gamma in CONES:
+        for gamma in cones:
             interior = LinearForm(tuple(map(sum, zip(*gamma.rows))))
             fan_cone = fan.cone_of_weight(interior)
             inside = fan_cone.closure_contains(gamma.rows)
             where = "inside" if inside else "straddling"
-            for J in IDEALS:
-                for s in DEGREES:
+            for J in ideals:
+                for s in degrees:
                     oracle = intersection_oracle([g], gamma, J, s, BOUND)
                     counts[where] += 1
                     if not oracle.equal:
@@ -76,6 +83,24 @@ def test_the_oracle_is_equal_and_certified_on_every_cone_inside_its_fan_cone():
                     for element in oracle.elements:
                         flat_decompose(element, s, gamma, J, fan_cone).verify()
                         counts["certificates"] += 1
+    return counts, failures
+
+
+def test_the_oracle_is_equal_and_certified_on_every_cone_inside_its_fan_cone():
+    counts, failures = check_the_theorem(
+        RingDescriptor(2, 2, 1), 3, 40, CONES_2,
+        [(1, 2), (1,), (2,)], [(0, 0), (1, 0), (0, 1), (-1, 0)],
+    )
+    assert failures == [], failures
+    assert counts["inside"] and counts["certificates"], counts
+    assert counts["straddling-counterexample"] >= 1, counts
+
+
+def test_the_theorem_holds_for_three_hypersurfaces():
+    counts, failures = check_the_theorem(
+        RingDescriptor(3, 3, 1), 2, 12, CONES_3,
+        [(1, 2, 3), (1,), (2, 3)], [(0, 0, 0), (1, 0, 0), (-1, 0, 1)],
+    )
     assert failures == [], failures
     assert counts["inside"] and counts["certificates"], counts
     assert counts["straddling-counterexample"] >= 1, counts
