@@ -1,8 +1,9 @@
 """Division with quotients and remainder in D[t]^r (and in D^r), and
 Buchberger completion to reduced L-standard bases of homogenized modules.
 
-Internally elements are flattened to dicts keyed by (alpha, beta, l, i)
-and scaled to primitive integers (content removal, as in Arnold, "Modular
+Division reads the terms of a vector of D[t]^r as they are, keyed by
+(alpha, beta, l, i) (a vector of D^r takes l = 0: ``_flatten``), scaled
+to primitive integers (content removal, as in Arnold, "Modular
 algorithms for computing Groebner bases", 2003).  Division, fraction free,
 reduces the maximal remaining term against the first element of its
 component whose privileged exponent divides it (the least-index partition
@@ -42,7 +43,7 @@ from .weyl import (
     DtVec,
     RingDescriptor,
     WeylVec,
-    _mul_terms,
+    _term_times_flat,
     accumulate,
     homogenize_vec,
     require_f_homogeneous,
@@ -59,24 +60,14 @@ MAX_COEFF_BITS = 4096  # bits of a primitive basis element's coefficients
 DEGREE_SLACK = 16  # total degree above the input's plus the basis's
 
 
-def _flatten(V) -> dict:
-    out = {}
-    for i, comp in enumerate(V.components):
-        for key, coef in comp.terms.items():
-            if len(key) == 2:
-                key = (key[0], key[1], 0)
-            out[key + (i,)] = coef
-    return out
+def _flatten(V: WeylVec) -> dict:
+    """The terms of a vector of D^r keyed as D[t]^r's, (alpha, beta, 0, i)."""
+    return {(a, b, 0, i): c for (a, b, i), c in V.terms.items()}
 
 
-def _unflatten(flat: dict, ring: RingDescriptor, dt: bool):
-    if dt:
-        return DtVec.from_terms(
-            ring, (((a, b, l), i, c) for (a, b, l, i), c in flat.items())
-        )
-    return WeylVec.from_terms(
-        ring, (((a, b), i, c) for (a, b, _, i), c in flat.items())
-    )
+def _unflatten(ring: RingDescriptor, flat: dict) -> WeylVec:
+    """The vector of D^r of ``flat``, the inverse of ``_flatten``."""
+    return WeylVec(ring, {(a, b, i): c for (a, b, _, i), c in flat.items()})
 
 
 def _degree(flat) -> int:
@@ -92,33 +83,6 @@ def _divides(exp, key) -> bool:
         and all(map(ge, key[0], exp[0]))
         and all(map(ge, key[1], exp[1]))
     )
-
-
-def _term_times_flat(mu, coef, flat: dict, emit_t: bool, acc: dict, on_new=None):
-    """acc += coef * (x^a d^b t^l) * flat; ``on_new`` as in ``accumulate``.
-    A multiplier x^a t^l without d-part commutes with every term, so its
-    product only adds exponents."""
-    a, b, l = mu
-    if not any(b):
-        if not emit_t:
-            l = 0
-        products = (
-            ((tuple(map(add, a, a2)), b2, l2 + l, i), coef * c2)
-            for (a2, b2, l2, i), c2 in flat.items()
-        )
-    elif emit_t:
-        products = (
-            (key + (i,), cc)
-            for (a2, b2, l2, i), c2 in flat.items()
-            for key, cc in _mul_terms(mu, coef, (a2, b2, l2), c2, True)
-        )
-    else:
-        products = (
-            ((na, nb, 0, i), cc)
-            for (a2, b2, _, i), c2 in flat.items()
-            for (na, nb), cc in _mul_terms((a, b), coef, (a2, b2), c2, False)
-        )
-    accumulate(acc, products, on_new)
 
 
 def _exp_quotient(key, exp):
@@ -285,7 +249,7 @@ class _Divisors:
         self.order = order
         self._keyf = _KeyCache(order, ring.shifts)
         if ints is None:
-            parts = [primitive_part(_flatten(h)) for h in self.elements]
+            parts = [primitive_part(h.terms) for h in self.elements]
             ints = [Fraction(g, d) for g, d, _ in parts], [f for *_, f in parts]
         self._contents, flats = ints
         if exps is None:
@@ -368,7 +332,7 @@ class StandardBasis(_Divisors):
         bound for each weight of the order and each of ``forms``; the
         integer steps fold into Fraction quotients here."""
         require_f_homogeneous(G)
-        flat = _flatten(G)
+        flat = G.terms
         c, rem, scale, steps = self._reduce(flat, True)
         ratios = [c / u for u in self._contents]
         quots = [{} for _ in self.elements]
@@ -378,7 +342,7 @@ class StandardBasis(_Divisors):
         qops = [DtOp(self.ring, q) for q in quots]
         rem = _rational(rem, c / scale)
         self._verify_division(G, qops, rem, flat, self.order.weights + tuple(forms))
-        return DivisionResult(qops, _unflatten(rem, self.ring, True))
+        return DivisionResult(qops, DtVec(self.ring, rem))
 
     def _verify_division(self, G, qops, rem, flat, forms):
         """The postconditions of ``divide`` on the Fraction quotients and
@@ -442,7 +406,7 @@ class StandardBasis(_Divisors):
         if l_max is None:
             gen_deg = max(h.total_degree() for h in self.elements)
             l_max = 2 * (gen_deg + Q.total_degree())
-        flat = _flatten(homogenize_vec(Q))
+        flat = homogenize_vec(Q).terms
         for l in range(l_max + 1):
             shifted = {(a, b, t + l, i): c for (a, b, t, i), c in flat.items()}
             if not self._reduce(shifted, True)[1]:
@@ -591,16 +555,17 @@ def _autoreduce(basis, exps, keyf, emit_t):
     canon = TermOrder()
     return sorted(
         zip(state.flats, state.exps),
-        key=lambda p: (canon.key((p[1][0], p[1][1], p[1][2]), p[1][3], None), p[1]),
+        key=lambda p: (canon.key(p[1], keyf.shifts), p[1]),
     )
 
 
-def _completed(cls, ring, done, dt, order, **kw):
-    """A ``cls`` basis of the completion's elements made monic, on the
-    completion's own primitive integer flats and leading exponents."""
+def _completed(cls, ring, done, vector, order, **kw):
+    """A ``cls`` basis of the completion's elements made monic, each the
+    ``vector(ring, flat)`` of its flat, on the completion's own primitive
+    integer flats and leading exponents."""
     flats, exps = zip(*done)
     units = [Fraction(1, f[e]) for f, e in done]
-    elements = [_unflatten(_rational(f, u), ring, dt) for f, u in zip(flats, units)]
+    elements = [vector(ring, _rational(f, u)) for f, u in zip(flats, units)]
     return cls(ring, elements, order, (units, flats), exps, **kw)
 
 
@@ -614,9 +579,9 @@ def reduce_basis(generators, sample: LinearForm) -> StandardBasis:
     ring = gens[0].ring
     order = TermOrder().refine(sample)
     keyf = _KeyCache(order, ring.shifts, trace=True)
-    flats = [primitive_part(_flatten(homogenize_vec(g)))[2] for g in gens]
+    flats = [primitive_part(homogenize_vec(g).terms)[2] for g in gens]
     done = _buchberger(flats, keyf, True)
-    return _completed(StandardBasis, ring, done, True, order, trace=keyf)
+    return _completed(StandardBasis, ring, done, DtVec, order, trace=keyf)
 
 
 def plain_module_basis(generators):
@@ -629,7 +594,8 @@ def plain_module_basis(generators):
     order = TermOrder()
     keyf = _KeyCache(order, ring.shifts)
     flats = [primitive_part(_flatten(g))[2] for g in gens]
-    return _completed(PlainBasis, ring, _buchberger(flats, keyf, False), False, order)
+    done = _buchberger(flats, keyf, False)
+    return _completed(PlainBasis, ring, done, _unflatten, order)
 
 
 class PlainBasis(_Divisors):

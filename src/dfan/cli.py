@@ -382,15 +382,18 @@ _SUBPARSERS: dict = {}
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """Built on first use and shared by every later ``run`` call:
-    ``parse_args`` leaves the parser unchanged."""
+    ``parse_args`` leaves the parser unchanged.  No parser takes a prefix
+    of a flag, so a flag means the same whatever other flags its command
+    has."""
     parser = argparse.ArgumentParser(
         prog="dfan",
         description="standard bases, standard fans and flatness certificates "
         "over the Weyl algebra",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _HANDLERS:
-        p = _SUBPARSERS[name] = sub.add_parser(name)
+        p = _SUBPARSERS[name] = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--input", help="problem file")
         for flag, kwargs, commands in _FLAGS:
             if name in commands.split():

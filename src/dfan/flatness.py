@@ -42,9 +42,9 @@ from .grammar import (
 from .toric import MAX_BOX_POINTS, BasicCone, cone_drops
 from .weights import LinearForm, ord_L_vec, symbol_L
 from .weyl import (
-    DtOp,
     DtVec,
     WeylVec,
+    _term_times_flat,
     accumulate,
     content_free,
     dehomogenize,
@@ -480,7 +480,7 @@ def flat_decompose(
     if ord_L_vec(G, L1) > d_top:
         raise CertificateError("input exceeds the stated filtration degree")
     splits = []
-    r_pieces = [DtVec.zero(ring) for _ in range(p)]
+    r_pieces = [{} for _ in range(p)]  # the terms of each region's sum
     for m, (a_m, h_m) in enumerate(zip(division.quotients, basis.elements)):
         if a_m.is_zero():
             continue
@@ -504,11 +504,11 @@ def flat_decompose(
                 )
             j = fits.index(True, 1)
             splits.append((m, key, coef, j))
-            r_pieces[j] = r_pieces[j] + h_m.left_mul(DtOp(ring, {key: coef}))
+            _term_times_flat(key, coef, h_m.terms, True, r_pieces[j])
     pieces = [None] * p
     rest = Q
     for j in range(1, p):
-        pieces[j] = dehomogenize(r_pieces[j])
+        pieces[j] = dehomogenize(DtVec(ring, r_pieces[j]))
         rest = rest - pieces[j]
     pieces[0] = rest
     cert = FlatCertificate(
@@ -619,9 +619,7 @@ def intersection_oracle(
     lhs_red, _ = rref(lhs)
 
     def to_vec(row) -> WeylVec:
-        return WeylVec.from_terms(
-            ring, ((keys[idx][:2], keys[idx][2], c) for idx, c in sorted(row.items()))
-        )
+        return WeylVec(ring, {keys[idx]: c for idx, c in row.items()})
 
     counterexample = next(
         (to_vec(v) for v in lhs_red if not in_row_space(rhs, rhs_piv, v)), None

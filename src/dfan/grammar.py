@@ -237,13 +237,9 @@ def format_op(P) -> str:
 
 def format_vec(V) -> str:
     """Render a WeylVec or DtVec, component-major."""
-    return format_sum(
-        [
-            (comp.terms[key], _op_factors(key, i))
-            for i, comp in enumerate(V.components)
-            for key in sorted(comp.terms, key=_display_key)
-        ]
-    )
+    terms = V.terms
+    keys = sorted(terms, key=lambda key: (key[-1], _display_key(key[:-1])))
+    return format_sum([(terms[key], _op_factors(key[:-1], key[-1])) for key in keys])
 
 
 # ---------------------------------------------------------------------------

@@ -73,9 +73,7 @@ def _witness_search(generators, unit: int, bound: int, gamma: BasicCone):
                 for cidx, x in sorted(sol.items())
                 for key, c in columns[cidx].items()
             ))
-            return WeylVec.from_terms(
-                ring, ((key[:2], key[2], c) for key, c in total.items())
-            )
+            return WeylVec(ring, total)
     return None
 
 

@@ -125,20 +125,18 @@ class TermOrder:
     def refine(self, *forms: LinearForm) -> "TermOrder":
         return TermOrder(tuple(forms) + self.weights)
 
-    def key(self, key, comp: int = 0, shifts=None):
-        """Sort key; max() under it picks the privileged exponent."""
-        if len(key) == 3:
-            a, b, l = key
-        else:
-            (a, b), l = key, 0
-        s = () if shifts is None else shifts[comp]
+    def key(self, key, shifts):
+        """Sort key of the exponent ``key`` = (alpha, beta, l, i) under the
+        shift matrix ``shifts``; max() under it picks the privileged
+        exponent."""
+        a, b, l, i = key
         weights = [
-            sum(map(mul, c, b)) - sum(map(mul, c, a)) + sum(map(mul, c, s))
+            sum(map(mul, c, b)) - sum(map(mul, c, a)) + sum(map(mul, c, shifts[i]))
             for c in self._scaled
         ]
         return (
             *weights, sum(a) + sum(b) + l, -l,
-            *map(neg, a[::-1]), *map(neg, b[::-1]), -comp,
+            *map(neg, a[::-1]), *map(neg, b[::-1]), -i,
         )
 
     def __eq__(self, other):
@@ -169,9 +167,7 @@ class _KeyCache:
     def __call__(self, key4):
         k = self.cache.get(key4)
         if k is None:
-            a, b, l, i = key4
-            k = self.order.key((a, b, l), i, self.shifts)
-            self.cache[key4] = k
+            k = self.cache[key4] = self.order.key(key4, self.shifts)
         return k
 
     def neg(self, key4):

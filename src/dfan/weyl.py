@@ -1,17 +1,20 @@
 """Exact arithmetic in the Weyl algebra D, in D^r, and in the homogenized
 ring D[t], over the rationals.
 
-Operators are sparse maps from exponent keys to nonzero Fractions (or
-ints: ``content_free`` makes the coefficients integer, and the products of
-integer operands stay integer):
+Operators and vectors are sparse maps from exponent keys to nonzero
+Fractions (or ints: ``content_free`` makes the coefficients integer, and
+the products of integer operands stay integer).  A vector of rank r keys
+a term by the scalar's key followed by its component index i, the key
+that division, the intersection oracle and the witness search read:
 
-    scalar D      key (alpha, beta)        x^alpha d^beta
-    scalar D[t]   key (alpha, beta, l)     x^alpha d^beta t^l
+    scalar D      key (alpha, beta)           x^alpha d^beta
+    scalar D[t]   key (alpha, beta, l)        x^alpha d^beta t^l
+    vector D^r    key (alpha, beta, i)        x^alpha d^beta e_i
+    vector D[t]^r key (alpha, beta, l, i)     x^alpha d^beta t^l e_i
 
-Vectors are tuples of scalars of fixed rank r.  The product follows the
-Leibniz rule d_i a = a d_i + (da/dx_i); in D[t] each contraction of a d
-against an x emits one power of the central variable t.  Both products are
-computed by the closed-form expansion
+The product follows the Leibniz rule d_i a = a d_i + (da/dx_i); in D[t]
+each contraction of a d against an x emits one power of the central
+variable t.  Products are computed by the closed-form expansion
 
     d^b x^c = sum_nu  C(b, nu) * c!/(c-nu)! * x^(c-nu) d^(b-nu) [t^|nu|]
 
@@ -96,8 +99,9 @@ def _check_same_ring(a, b):
         raise RingMismatchError(f"ring mismatch: {a.ring} vs {b.ring}")
 
 
-class _OpBase:
-    """Shared behaviour of scalar operators (D and D[t])."""
+class _Terms:
+    """Shared behaviour of operators and vectors: one sparse map ``terms``
+    from keys to nonzero coefficients over ``ring``."""
 
     __slots__ = ("ring", "terms")
 
@@ -109,22 +113,6 @@ class _OpBase:
             self.terms = {k: v for k, v in terms.items() if v}
         else:
             self.terms = accumulate({}, terms)
-
-    @classmethod
-    def from_terms(cls, ring: RingDescriptor, terms):
-        """The scalar of the (key, 0, coef) ``terms``, as for a vector of
-        rank one; the coefficients of a repeated key add up."""
-        return cls(ring, ((key, coef) for key, _, coef in terms))
-
-    @property
-    def shifts(self):
-        """One zero shift column: a scalar filters as a vector of rank one."""
-        return ((0,) * self.ring.k,)
-
-    def iter_terms(self):
-        """Yield (key, 0, coef) over the support."""
-        for key, coef in self.terms.items():
-            yield key, 0, coef
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -143,6 +131,9 @@ class _OpBase:
         return hash((type(self).__name__, self.ring, frozenset(self.terms.items())))
 
     def __add__(self, other):
+        # an operand of another class keys its terms in another shape
+        if type(other) is not type(self):
+            return NotImplemented
         _check_same_ring(self, other)
         return type(self)(self.ring, accumulate(dict(self.terms), other.terms.items()))
 
@@ -152,10 +143,97 @@ class _OpBase:
     def __sub__(self, other):
         return self + (-other)
 
+
+class _Scalar(_Terms):
+    """An operator, keyed (alpha, beta) in D and (alpha, beta, l) in D[t]."""
+
+    __slots__ = ()
+
+    @classmethod
+    def from_terms(cls, ring: RingDescriptor, terms):
+        """The scalar of the (key, 0, coef) ``terms``, as for a vector of
+        rank one; the coefficients of a repeated key add up."""
+        return cls(ring, ((key, coef) for key, _, coef in terms))
+
+    @property
+    def shifts(self):
+        """One zero shift column: a scalar filters as a vector of rank one."""
+        return ((0,) * self.ring.k,)
+
+    def iter_terms(self):
+        """Yield (key, 0, coef) over the support."""
+        for key, coef in self.terms.items():
+            yield key, 0, coef
+
     def __repr__(self):
         from .grammar import format_op
 
         return f"{type(self).__name__}({format_op(self)!r})"
+
+
+class _Vec(_Terms):
+    """A vector of rank r: a scalar's key followed by the component index
+    i, (alpha, beta, i) in D^r and (alpha, beta, l, i) in D[t]^r."""
+
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls, ring: RingDescriptor):
+        return cls(ring)
+
+    @classmethod
+    def from_terms(cls, ring: RingDescriptor, terms):
+        """The vector of the (key, comp_index, coef) ``terms``; the
+        coefficients of a repeated key add up."""
+        return cls(ring, ((key + (i,), coef) for key, i, coef in terms))
+
+    @property
+    def shifts(self):
+        """The ring's shift matrix, one column per component."""
+        return self.ring.shifts
+
+    def iter_terms(self):
+        """Yield (key, comp_index, coef) over the whole support."""
+        for key, coef in self.terms.items():
+            yield key[:-1], key[-1], coef
+
+    def __repr__(self):
+        from .grammar import format_vec
+
+        return f"{type(self).__name__}({format_vec(self)!r})"
+
+
+class _D:
+    """Degrees in D and D^r, whose keys start with (alpha, beta)."""
+
+    __slots__ = ()
+
+    def order(self) -> int:
+        """Usual order: max |beta| over the support.  Zero gives -1."""
+        return max((sum(key[1]) for key in self.terms), default=-1)
+
+    def total_degree(self) -> int:
+        return max((sum(key[0]) + sum(key[1]) for key in self.terms), default=-1)
+
+
+class _Dt:
+    """Degrees in D[t] and D[t]^r, whose keys start with (alpha, beta, l)."""
+
+    __slots__ = ()
+
+    def f_degree(self) -> int | None:
+        """F-degree l + |beta| when homogeneous, else None; zero gives -1."""
+        degs = {key[2] + sum(key[1]) for key in self.terms}
+        if not degs:
+            return -1
+        if len(degs) > 1:
+            return None
+        return degs.pop()
+
+    def total_degree(self) -> int:
+        return max(
+            (sum(key[0]) + sum(key[1]) + key[2] for key in self.terms), default=-1
+        )
 
 
 # Most terms one monomial product x^a1 d^b1 * x^a2 d^b2 may expand into.
@@ -220,7 +298,7 @@ def _product(p, q, emit_t: bool):
     return type(p)(p.ring, acc)
 
 
-class WeylOp(_OpBase):
+class WeylOp(_D, _Scalar):
     """Element of D: finite Q-linear combination of x^alpha d^beta."""
 
     __slots__ = ()
@@ -230,19 +308,8 @@ class WeylOp(_OpBase):
             return NotImplemented
         return _product(self, other, False)
 
-    def order(self) -> int:
-        """Usual order: max |beta| over the support.  Zero gives -1."""
-        if not self.terms:
-            return -1
-        return max(sum(b) for _, b in self.terms)
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(a) + sum(b) for a, b in self.terms)
-
-
-class DtOp(_OpBase):
+class DtOp(_Dt, _Scalar):
     """Element of D[t]; t is central and [d_i, a] = (da/dx_i) t."""
 
     __slots__ = ()
@@ -252,132 +319,46 @@ class DtOp(_OpBase):
             return NotImplemented
         return _product(self, other, True)
 
-    def f_degree(self) -> int | None:
-        """F-degree l + |beta| when homogeneous, else None; zero gives -1."""
-        degs = {l + sum(b) for _, b, l in self.terms}
-        if not degs:
-            return -1
-        if len(degs) > 1:
-            return None
-        return degs.pop()
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(a) + sum(b) + l for a, b, l in self.terms)
-
-
-class _VecBase:
-    __slots__ = ("ring", "components")
-
-    _scalar: type
-
-    def __init__(self, ring: RingDescriptor, components):
-        comps = tuple(components)
-        if len(comps) != ring.r:
-            raise ValueError(f"expected {ring.r} components, got {len(comps)}")
-        for c in comps:
-            if not isinstance(c, self._scalar):
-                raise TypeError(f"component of wrong type {type(c).__name__}")
-            if c.ring != ring:
-                raise RingMismatchError("component over a different ring")
-        self.ring = ring
-        self.components = comps
-
-    @classmethod
-    def zero(cls, ring: RingDescriptor):
-        return cls(ring, tuple(cls._scalar(ring) for _ in range(ring.r)))
-
-    @classmethod
-    def from_terms(cls, ring: RingDescriptor, terms):
-        """The vector of the (key, comp_index, coef) ``terms``; the
-        coefficients of a repeated key add up."""
-        buckets = [[] for _ in range(ring.r)]
-        for key, i, coef in terms:
-            buckets[i].append((key, coef))
-        return cls(ring, tuple(cls._scalar(ring, bucket) for bucket in buckets))
-
-    @property
-    def shifts(self):
-        """The ring's shift matrix, one column per component."""
-        return self.ring.shifts
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def __eq__(self, other):
-        return (
-            type(self) is type(other)
-            and self.ring == other.ring
-            and self.components == other.components
-        )
-
-    def __hash__(self):
-        return hash((type(self).__name__, self.components))
-
-    def __add__(self, other):
-        _check_same_ring(self, other)
-        return type(self)(
-            self.ring,
-            tuple(a + b for a, b in zip(self.components, other.components)),
-        )
-
-    def __neg__(self):
-        return type(self)(self.ring, tuple(-c for c in self.components))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def left_mul(self, P):
-        """The product P * self with a scalar P of the same type and ring."""
-        _check_same_ring(P, self)
-        return type(self)(self.ring, tuple(P * c for c in self.components))
-
-    __rmul__ = left_mul
-
-    def total_degree(self) -> int:
-        return max(c.total_degree() for c in self.components)
-
-    def iter_terms(self):
-        """Yield (key, comp_index, coef) over the whole support."""
-        for i, comp in enumerate(self.components):
-            for key, coef in comp.terms.items():
-                yield key, i, coef
-
-    def __repr__(self):
-        from .grammar import format_vec
-
-        return f"{type(self).__name__}({format_vec(self)!r})"
-
-
-class WeylVec(_VecBase):
+class WeylVec(_D, _Vec):
     """Element of D^r."""
 
     __slots__ = ()
-    _scalar = WeylOp
-
-    def order(self) -> int:
-        return max(c.order() for c in self.components)
 
 
-class DtVec(_VecBase):
+class DtVec(_Dt, _Vec):
     """Element of D[t]^r."""
 
     __slots__ = ()
-    _scalar = DtOp
 
-    def f_degree(self) -> int | None:
-        """Common F-degree across all components, None if inhomogeneous."""
-        degs = {l + sum(b) for _, b, l in
-                (key for key, _, _ in self.iter_terms())}
-        if not degs:
-            return -1
-        if len(degs) > 1:
-            return None
-        return degs.pop()
+
+def _term_times_flat(mu, coef, flat: dict, emit_t: bool, acc: dict, on_new=None):
+    """acc += coef * (x^a d^b t^l) * flat for the terms ``flat`` of a
+    vector keyed (alpha, beta, l, i); ``on_new`` as in ``accumulate``.
+    Without ``emit_t`` the product is D's and every l stays 0.  A
+    multiplier x^a t^l without d-part commutes with every term, so its
+    product only adds exponents."""
+    a, b, l = mu
+    if not any(b):
+        if not emit_t:
+            l = 0
+        products = (
+            ((tuple(map(add, a, a2)), b2, l2 + l, i), coef * c2)
+            for (a2, b2, l2, i), c2 in flat.items()
+        )
+    elif emit_t:
+        products = (
+            (key + (i,), cc)
+            for (a2, b2, l2, i), c2 in flat.items()
+            for key, cc in _mul_terms(mu, coef, (a2, b2, l2), c2, True)
+        )
+    else:
+        products = (
+            ((na, nb, 0, i), cc)
+            for (a2, b2, _, i), c2 in flat.items()
+            for (na, nb), cc in _mul_terms((a, b), coef, (a2, b2), c2, False)
+        )
+    accumulate(acc, products, on_new)
 
 
 # Most multiplier tuples one monomial_multiples call may walk.
@@ -392,12 +373,13 @@ def _compositions(n: int, room: int) -> list:
 
 
 def _d_times(terms: dict, e: tuple) -> dict:
-    """The terms of d_i P for the terms of P in D, e the unit vector e_i:
+    """The terms of d_i V for the terms of V in D^r, e the unit vector e_i:
     d_i x^alpha d^beta = x^alpha d^(beta + e) + alpha_i x^(alpha - e) d^beta."""
     i = e.index(1)
-    out = {(x, tuple(map(add, y, e))): c for (x, y), c in terms.items()}
+    out = {(x, tuple(map(add, y, e)), j): c for (x, y, j), c in terms.items()}
     return accumulate(out, (
-        ((tuple(map(sub, x, e)), y), x[i] * c) for (x, y), c in terms.items() if x[i]
+        ((tuple(map(sub, x, e)), y, j), x[i] * c)
+        for (x, y, j), c in terms.items() if x[i]
     ))
 
 
@@ -405,15 +387,14 @@ def content_free(g: WeylVec) -> WeylVec:
     """g divided by its positive content: the same vector up to a positive
     scale, with coprime integer coefficients, so that its products x^a d^b
     are integer too.  The zero vector stays zero."""
-    v = primitive_part({(i, key): c for key, i, c in g.iter_terms()})[2]
-    return type(g).from_terms(g.ring, ((key, i, c) for (i, key), c in v.items()))
+    return type(g)(g.ring, primitive_part(g.terms)[2])
 
 
 def monomial_multiples(g: WeylVec, room: int):
     """Yield the nonzero x^a d^b g with |a| + |b| <= room, (a, b) in
     ``itertools.product`` order, from d^b g = d_i (d^(b - e_i) g) built
-    once per b.  Each product is a flat dict (alpha, beta, i) -> coef,
-    component-major.  Raises ResourceBoundExceeded before the first
+    once per b.  Each product is a dict (alpha, beta, i) -> coef, the
+    shape of g's terms.  Raises ResourceBoundExceeded before the first
     product when there are more than MAX_MULTIPLIERS exponent tuples."""
     n = g.ring.n
     count = comb(room + 2 * n, 2 * n) if room >= 0 else 0
@@ -425,56 +406,44 @@ def monomial_multiples(g: WeylVec, room: int):
         )
     if g.is_zero() or room < 0:
         return  # D is a domain: the multiples of a nonzero g are nonzero
-    d_powers = {(0,) * n: [comp.terms for comp in g.components]}
+    d_powers = {(0,) * n: g.terms}
     tails = {m: _compositions(n, m) for m in range(room + 1)}
     for a in tails[room]:
         for b in tails[room - sum(a)]:
             if b not in d_powers:  # i is b's last nonzero entry: b - e_i came first
                 i = max(j for j in range(n) if b[j])
                 e = tuple(int(j == i) for j in range(n))
-                d_powers[b] = [_d_times(t, e) for t in d_powers[tuple(map(sub, b, e))]]
+                d_powers[b] = _d_times(d_powers[tuple(map(sub, b, e))], e)
             yield {
-                (tuple(map(add, x, a)), y, comp): c
-                for comp, t in enumerate(d_powers[b])
-                for (x, y), c in t.items()
+                (tuple(map(add, x, a)), y, j): c for (x, y, j), c in d_powers[b].items()
             }
 
 
 def homogenize_vec(B: WeylVec) -> DtVec:
     """Componentwise t^(d-d_i) h(P_i) where d = max of the usual orders.
 
-    Every term of every component ends with t-exponent d - |beta|, so the
-    result is F-homogeneous of degree d; zero components stay zero.
+    Every term ends with t-exponent d - |beta|, so the result is
+    F-homogeneous of degree d.
     """
     if B.is_zero():
         raise ZeroInputError("cannot homogenize the zero vector")
     d = B.order()
-    comps = []
-    for comp in B.components:
-        comps.append(
-            DtOp(B.ring, {(a, b, d - sum(b)): c for (a, b), c in comp.terms.items()})
-        )
-    return DtVec(B.ring, comps)
+    return DtVec(B.ring, {(a, b, d - sum(b), i): c for (a, b, i), c in B.terms.items()})
 
 
 def dehomogenize(G):
     """Substitute t = 1 and recanonicalize; accepts DtOp or DtVec."""
-    if isinstance(G, DtOp):
-        return WeylOp(G.ring, (((a, b), c) for (a, b, _), c in G.terms.items()))
-    if isinstance(G, DtVec):
-        return WeylVec(G.ring, tuple(dehomogenize(c) for c in G.components))
-    raise TypeError(f"cannot dehomogenize {type(G).__name__}")
+    cls = {DtOp: WeylOp, DtVec: WeylVec}.get(type(G))
+    if cls is None:
+        raise TypeError(f"cannot dehomogenize {type(G).__name__}")
+    return cls(G.ring, ((key[:2] + key[3:], c) for key, c in G.terms.items()))
 
 
 def t_power_times(G: DtVec, l: int) -> DtVec:
     """Multiply by the central monomial t^l."""
     if l == 0:
         return G
-    comps = [
-        DtOp(G.ring, {(a, b, t + l): c for (a, b, t), c in comp.terms.items()})
-        for comp in G.components
-    ]
-    return DtVec(G.ring, comps)
+    return DtVec(G.ring, {(a, b, t + l, i): c for (a, b, t, i), c in G.terms.items()})
 
 
 def require_f_homogeneous(G) -> int:

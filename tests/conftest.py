@@ -6,7 +6,9 @@ from math import comb, perm
 import pytest
 from hypothesis import strategies as st
 
-from dfan.weyl import DtOp, RingDescriptor, WeylOp, WeylVec
+from dfan._linalg import primitive_part
+from dfan.grammar import _display_key, _op_factors, format_sum
+from dfan.weyl import DtOp, DtVec, RingDescriptor, WeylOp, WeylVec
 
 
 def random_weyl_op(rng: random.Random, ring: RingDescriptor, max_degree=4,
@@ -53,7 +55,7 @@ def random_vec(rng, ring, max_degree=3, max_terms=3) -> WeylVec:
             random_weyl_op(rng, ring, max_degree, max_terms, allow_zero=True)
             for _ in range(ring.r)
         ]
-        v = WeylVec(ring, comps)
+        v = from_components(ring, comps)
         if not v.is_zero():
             return v
 
@@ -61,9 +63,118 @@ def random_vec(rng, ring, max_degree=3, max_terms=3) -> WeylVec:
 def scaled(v, c):
     """The vector c v, for a vector of D^r or D[t]^r and a rational c."""
     c = Fraction(c)
-    return type(v)(v.ring, tuple(
-        type(p)(p.ring, {key: c * x for key, x in p.terms.items()}) for p in v.components
-    ))
+    return type(v)(v.ring, {key: c * x for key, x in v.terms.items()})
+
+
+def from_components(ring, comps):
+    """The vector of D^r, or of D[t]^r for DtOp scalars, whose component i
+    is the scalar ``comps[i]``: the one way the tests build a vector from
+    a tuple of scalars."""
+    comps = tuple(comps)
+    assert len(comps) == ring.r and len({type(c) for c in comps}) == 1
+    cls = DtVec if isinstance(comps[0], DtOp) else WeylVec
+    return cls.from_terms(
+        ring, ((key, i, c) for i, P in enumerate(comps) for key, c in P.terms.items())
+    )
+
+
+def components(V):
+    """The scalars of the components of V, in order."""
+    parts = [{} for _ in range(V.ring.r)]
+    for key, i, c in V.iter_terms():
+        parts[i][key] = c
+    scalar = DtOp if isinstance(V, DtVec) else WeylOp
+    return tuple(scalar(V.ring, p) for p in parts)
+
+
+# Reference: vectors as tuples of scalars, one per component, with the
+# code that ran on them before a vector was one term dict.  Each takes and
+# gives such tuples of one ring.
+
+
+def ref_left_mul(P, comps):
+    """P V through the scalar product, component by component."""
+    return tuple(P * c for c in comps)
+
+
+def ref_add(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def ref_format_vec(comps):
+    return format_sum(
+        [
+            (comp.terms[key], _op_factors(key, i))
+            for i, comp in enumerate(comps)
+            for key in sorted(comp.terms, key=_display_key)
+        ]
+    )
+
+
+def ref_homogenize_vec(comps):
+    d = max(c.order() for c in comps)
+    return tuple(
+        DtOp(c.ring, {(a, b, d - sum(b)): x for (a, b), x in c.terms.items()})
+        for c in comps
+    )
+
+
+def ref_dehomogenize(comps):
+    return tuple(
+        WeylOp(c.ring, (((a, b), x) for (a, b, _), x in c.terms.items())) for c in comps
+    )
+
+
+def ref_content_free(comps):
+    v = primitive_part(
+        {(i, key): x for i, c in enumerate(comps) for key, x in c.terms.items()}
+    )[2]
+    return tuple(
+        type(c)(c.ring, {key: x for (j, key), x in v.items() if j == i})
+        for i, c in enumerate(comps)
+    )
+
+
+def ref_monomial_multiples(comps, room):
+    """The nonzero x^a d^b g with |a| + |b| <= room as flat dicts
+    (alpha, beta, i) -> coef, from per-component powers d^b g."""
+    n = comps[0].ring.n
+    if room < 0 or all(c.is_zero() for c in comps):
+        return
+    d_powers = {(0,) * n: [c.terms for c in comps]}
+
+    def d_times(terms, e):
+        i = e.index(1)
+        out = {}
+        for (x, y), c in terms.items():
+            out[(x, tuple(p + q for p, q in zip(y, e)))] = c
+        for (x, y), c in terms.items():
+            if x[i]:
+                key = (tuple(p - q for p, q in zip(x, e)), y)
+                out[key] = out.get(key, 0) + x[i] * c
+        return {key: c for key, c in out.items() if c}
+
+    def tuples(m):
+        return [t for t in product(range(m + 1), repeat=n) if sum(t) <= m]
+
+    for a in tuples(room):
+        for b in tuples(room - sum(a)):
+            if b not in d_powers:
+                i = max(j for j in range(n) if b[j])
+                e = tuple(int(j == i) for j in range(n))
+                prev = d_powers[tuple(p - q for p, q in zip(b, e))]
+                d_powers[b] = [d_times(t, e) for t in prev]
+            yield {
+                (tuple(p + q for p, q in zip(x, a)), y, i): c
+                for i, t in enumerate(d_powers[b])
+                for (x, y), c in t.items()
+            }
+
+
+def left_mul(P, V):
+    """The product P V of a scalar and a vector of its ring, through the
+    scalar product (the reference ``ref_left_mul``)."""
+    return from_components(V.ring, ref_left_mul(P, components(V)))
 
 
 def apply_op(P: WeylOp, poly: dict) -> dict:
@@ -145,7 +256,7 @@ def fan_modules(draw):
         for _ in range(count)
     ]
     return [
-        WeylVec(ring, (WeylOp(ring, {m: Fraction(c) for m, c in g.items()}),))
+        from_components(ring, [WeylOp(ring, {m: Fraction(c) for m, c in g.items()})])
         for g in gens
     ]
 
@@ -190,7 +301,7 @@ def recompose(res, basis):
     total = res.remainder
     for a, h in zip(res.quotients, basis.elements):
         if not a.is_zero():
-            total = total + h.left_mul(a)
+            total = total + left_mul(a, h)
     return total
 
 
@@ -211,12 +322,6 @@ def chain_ideals(chain):
     return out
 
 
-def flat(v):
-    """The terms of a WeylVec as one dict (alpha, beta, i) -> coef, the
-    form in which monomial_multiples yields its products."""
-    return {key + (i,): c for key, i, c in v.iter_terms()}
-
-
 def uncapped_monomial_multiples(g, room):
     """Reference: monomial_multiples as it was before its size check, one
     full Weyl product per tuple of the filtered (room + 1)^(2n) box."""
@@ -224,7 +329,7 @@ def uncapped_monomial_multiples(g, room):
     for exps in product(range(room + 1), repeat=2 * n):
         if sum(exps) > room:
             continue
-        prod = g.left_mul(WeylOp(g.ring, {(exps[:n], exps[n:]): Fraction(1)}))
+        prod = left_mul(WeylOp(g.ring, {(exps[:n], exps[n:]): Fraction(1)}), g)
         if not prod.is_zero():
             yield prod
 

@@ -14,6 +14,7 @@ import pytest
 
 from dfan.basis import reduce_basis
 from dfan.cli import run as cli_run
+from dfan.errors import ResourceBoundExceeded
 from dfan.fan import standard_fan
 from dfan.flatness import (
     MonomialIdeal,
@@ -23,17 +24,16 @@ from dfan.flatness import (
     monomial_filtration,
 )
 from dfan.grammar import parse_vec
-from dfan.toric import orthant_cone
+from dfan.toric import BasicCone, orthant_cone
 from dfan.weights import LinearForm, ord_L_vec, symbol_L
 from dfan.weyl import (
     DtOp,
-    DtVec,
     RingDescriptor,
     WeylOp,
     WeylVec,
     homogenize_vec,
 )
-from conftest import chain_ideals, graded_dimension, recompose
+from conftest import chain_ideals, from_components, graded_dimension, left_mul, recompose
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
@@ -159,25 +159,25 @@ def test_criterion_4_division_contract():
             G = basis.elements[count % len(basis.elements)]
         elif kind == 1:  # random homogeneous input
             comps = [_random_op(rng, ring, max_degree=4)]
-            G = homogenize_vec(WeylVec(ring, comps))
+            G = homogenize_vec(from_components(ring, comps))
         elif kind == 2:  # multiple of a basis element
             H = basis.elements[count % len(basis.elements)]
             mu = _random_dt(rng, ring, max_degree=2, max_terms=2)
-            G = DtVec(ring, tuple(mu * c for c in H.components))
+            G = left_mul(mu, H)
             if G.is_zero() or G.f_degree() is None:
                 continue
         else:  # constructed remainder: multiple plus staircase-free junk
             H = basis.elements[0]
             d = H.f_degree()
             junk = DtOp(ring, {((0, 3), (0, 0), d): Fraction(1)})
-            G = DtVec(ring, (junk,)) + basis.elements[0]
+            G = from_components(ring, [junk]) + basis.elements[0]
         count += 1
         res = basis.divide(G)  # runs all postcondition checks internally
         assert recompose(res, basis) == G
         bound = ord_L_vec(G, L)
         for a, h in zip(res.quotients, basis.elements):
             if not a.is_zero():
-                prod = DtVec(ring, tuple(a * c for c in h.components))
+                prod = left_mul(a, h)
                 assert ord_L_vec(prod, L) <= bound
     elapsed = time.perf_counter() - t0
     _announce(4, elapsed, 30.0, "200 divisions: identity, support, exp/ord bounds")
@@ -202,7 +202,7 @@ def _random_fan_module(rng, ring):
                 terms[(a, b)] = c
         if not terms:
             terms[((0, 0), (1, 0))] = Fraction(1)
-        gens.append(WeylVec(ring, (WeylOp(ring, terms),)))
+        gens.append(from_components(ring, [WeylOp(ring, terms)]))
     return gens
 
 
@@ -402,3 +402,104 @@ def test_criterion_10_determinism():
     assert first == second  # byte-identical reports and exit codes
     elapsed = time.perf_counter() - t0
     _announce(10, elapsed, 120.0, f"{len(CORPUS)} corpus commands byte-identical across runs")
+
+
+# criterion 11: the paper's theorem on seeded random modules, k = 2 and 3.
+# The standard fan is adapted to the V-multifiltration: for a basic cone Γ
+# in the closure of a cone of the fan, the Rees module is flat over the
+# toric ring.  The intersection oracle tests flatness degree by degree, by
+# linear algebra alone, so whenever Γ lies in the closure of its fan cone
+# the oracle must find the two sides equal, and the certifier must
+# decompose every element of the intersection with that cone's basis.  A
+# cone that straddles a wall carries no such promise; the sample holds one
+# where the oracle finds a counterexample, which shows the check can fail.
+
+CONES_2 = [
+    BasicCone(rows)
+    for rows in (
+        ((1, 0), (0, 1)), ((1, 0), (1, 1)), ((1, 1), (0, 1)), ((2, 1), (1, 1)),
+        ((1, 1), (1, 2)), ((1, 0), (2, 1)), ((1, 2), (0, 1)), ((3, 1), (2, 1)),
+    )
+]
+CONES_3 = [
+    BasicCone(rows)
+    for rows in (
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((1, 0, 0), (1, 1, 0), (1, 1, 1)),
+        ((1, 1, 0), (0, 1, 0), (0, 1, 1)), ((2, 1, 1), (1, 1, 0), (1, 1, 1)),
+    )
+]
+THEOREM_BOUND = 3
+THEOREM_COEFFICIENTS = (-3, -2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-2, 3))
+# per k: ring, generator degree, modules, cones, ideals J and degrees s
+THEOREM_SAMPLES = {
+    2: (RingDescriptor(2, 2, 1), 3, 40, CONES_2,
+        [(1, 2), (1,), (2,)], [(0, 0), (1, 0), (0, 1), (-1, 0)]),
+    3: (RingDescriptor(3, 3, 1), 2, 12, CONES_3,
+        [(1, 2, 3), (1,), (2, 3)], [(0, 0, 0), (1, 0, 0), (-1, 0, 1)]),
+}
+
+
+def _theorem_generator(rng, ring, degree):
+    """One generator with 2-3 terms of total degree <= ``degree``."""
+    n = ring.n
+    terms, size = {}, rng.randint(2, 3)
+    while len(terms) < size:
+        exps = [0] * (2 * n)
+        for _ in range(rng.randint(0, degree)):
+            exps[rng.randrange(2 * n)] += 1
+        terms[(tuple(exps[:n]), tuple(exps[n:]))] = Fraction(rng.choice(THEOREM_COEFFICIENTS))
+    return from_components(ring, [WeylOp(ring, terms)])
+
+
+def _check_the_theorem(ring, degree, modules, cones, ideals, degrees):
+    """Run the oracle on every (module, cone, J, s) of seed 2005 and
+    certify each element it finds on a cone inside its fan cone; return
+    the counts and the failures (inside runs with a counterexample)."""
+    rng = random.Random(2005)
+    counts = {"inside": 0, "inside-counterexample": 0, "straddling": 0,
+              "straddling-counterexample": 0, "certificates": 0}
+    failures = []
+    for _ in range(modules):
+        g = _theorem_generator(rng, ring, degree)
+        try:
+            fan = standard_fan([g])
+        except ResourceBoundExceeded:
+            continue
+        for gamma in cones:
+            interior = LinearForm(tuple(map(sum, zip(*gamma.rows))))
+            fan_cone = fan.cone_of_weight(interior)
+            inside = fan_cone.closure_contains(gamma.rows)
+            where = "inside" if inside else "straddling"
+            for J in ideals:
+                for s in degrees:
+                    oracle = intersection_oracle([g], gamma, J, s, THEOREM_BOUND)
+                    counts[where] += 1
+                    if not oracle.equal:
+                        counts[where + "-counterexample"] += 1
+                        if inside:
+                            failures.append((g, gamma.rows, J, s))
+                        continue
+                    if not inside:
+                        continue
+                    for element in oracle.elements:
+                        flat_decompose(element, s, gamma, J, fan_cone).verify()
+                        counts["certificates"] += 1
+    return counts, failures
+
+
+@pytest.mark.parametrize("k", sorted(THEOREM_SAMPLES))
+def test_criterion_11_main_theorem_oracle(k):
+    t0 = time.perf_counter()
+    counts, failures = _check_the_theorem(*THEOREM_SAMPLES[k])
+    assert failures == [], failures
+    assert counts["inside"] and counts["certificates"], counts
+    # a straddling cone gives at least one counterexample for each k
+    assert counts["straddling-counterexample"] >= 1, counts
+    elapsed = time.perf_counter() - t0
+    _announce(11, elapsed, 60.0, (
+        f"k = {k}: {counts['inside']} inside runs, "
+        f"{counts['certificates']} certificates checked, "
+        f"{counts['straddling']} straddling runs, counterexamples "
+        f"{counts['inside-counterexample']} inside and "
+        f"{counts['straddling-counterexample']} straddling"
+    ))

@@ -27,7 +27,6 @@ from dfan.basis import (
     _leading,
     _rational,
     _spair,
-    _term_times_flat,
     _unflatten,
     plain_module_basis,
     reduce_basis,
@@ -46,6 +45,7 @@ from dfan.weyl import (
     RingDescriptor,
     WeylOp,
     WeylVec,
+    _term_times_flat,
     dehomogenize,
     homogenize_vec,
     accumulate,
@@ -54,6 +54,8 @@ from dfan.weyl import (
 from conftest import (
     COEFFICIENTS,
     fan_modules,
+    from_components,
+    left_mul,
     monomials,
     random_nonzero_op,
     random_vec,
@@ -93,7 +95,7 @@ def test_constructed_remainder():
     H = b.elements[0]
     x1 = parse_dt_op("x1", R2)
     junk = parse_dt_vec("x2^2 d2", R2)  # not divisible by exp(H) = x1 d1
-    G_vec = type(H)(R2, (x1 * H.components[0],)) + junk
+    G_vec = left_mul(x1, H) + junk
     res = b.divide(G_vec)
     assert res.quotients[0] == x1
     assert res.remainder == junk
@@ -132,7 +134,7 @@ def test_division_ord_bounds(rng):
         for a, h in zip(res.quotients, b.elements):
             if a.is_zero():
                 continue
-            prod = type(h)(R2, tuple(a * c for c in h.components))
+            prod = left_mul(a, h)
             assert ord_L_vec(prod, L) <= bound
 
 
@@ -191,7 +193,7 @@ def left_multiple_span(gens, bound):
             mu = WeylOp(
                 ring, {(exps[: ring.n], exps[ring.n:]): Fraction(1)}
             )
-            prod = WeylVec(ring, tuple(mu * c for c in g.components))
+            prod = left_mul(mu, g)
             if not prod.is_zero():
                 cols.append(prod)
     keys = sorted({key + (i,) for c in cols for key, i, _ in c.iter_terms()})
@@ -275,7 +277,7 @@ def test_homogenized_division_examples():
     H1 = b.elements[0]
     assert b.divide(H1).remainder.is_zero()
     x1 = parse_dt_op("x1", R2)
-    assert b.divide(type(H1)(R2, tuple(x1 * c for c in H1.components))).remainder.is_zero()
+    assert b.divide(left_mul(x1, H1)).remainder.is_zero()
     b2 = basis_of(["d1"])
     assert not b2.divide(parse_dt_vec("1", R2)).remainder.is_zero()
 
@@ -285,7 +287,7 @@ def test_member_examples():
     b = basis_of(["x1 d1 + x2 d2"])
     res = b.member(gens[0])
     assert res.is_member and res.l == 0
-    x1g = WeylVec(R2, tuple(parse_op("x1", R2) * c for c in gens[0].components))
+    x1g = left_mul(parse_op("x1", R2), gens[0])
     res2 = b.member(x1g)
     assert res2.is_member and res2.l <= 1
     res3 = b.member(parse_vec("d1", R2))
@@ -338,7 +340,7 @@ def audit_case():
     res = b.divide(G)
     assert res.quotients[0] == parse_dt_op("1/2", R2)
     assert res.remainder == parse_dt_vec("2/3 x2 d2^2 - 1/2 d2^2", R2)
-    return b, G, list(res.quotients), _flatten(res.remainder), _flatten(G)
+    return b, G, list(res.quotients), dict(res.remainder.terms), G.terms
 
 
 def test_audit_reads_the_returned_quotients():
@@ -418,19 +420,22 @@ def term_keys(emit_t):
 @settings(max_examples=150, deadline=None)
 @given(st.booleans(), st.data())
 def test_term_times_flat_matches_operator_product(emit_t, data):
-    vec, scalar = (DtVec, DtOp) if emit_t else (WeylVec, WeylOp)
+    scalar = DtOp if emit_t else WeylOp
 
     def draw_vec():
         comps = st.dictionaries(term_keys(emit_t), COEFS, max_size=3)
-        return vec(RV, [scalar(RV, data.draw(comps)) for _ in range(RV.r)])
+        return from_components(RV, [scalar(RV, data.draw(comps)) for _ in range(RV.r)])
+
+    def flat(v):  # the division's keys (alpha, beta, l, i)
+        return dict(v.terms) if emit_t else _flatten(v)
 
     key = data.draw(term_keys(emit_t))
     coef = data.draw(COEFS.filter(bool))
     h, g = draw_vec(), draw_vec()
-    acc = _flatten(g)
+    acc = flat(g)
     mu = key if emit_t else key + (0,)
-    _term_times_flat(mu, coef, _flatten(h), emit_t, acc)
-    assert acc == _flatten(g + h.left_mul(scalar(RV, {key: coef})))
+    _term_times_flat(mu, coef, flat(h), emit_t, acc)
+    assert acc == flat(g + left_mul(scalar(RV, {key: coef}), h))
 
 
 @settings(max_examples=150, deadline=None)
@@ -684,7 +689,7 @@ def ref_autoreduce(basis, exps, keyf, emit_t):
     canon = TermOrder()
     return sorted(
         ((f, e) for f, e in zip(mini, mexp) if f is not None),
-        key=lambda p: (canon.key(p[1][:3], p[1][3], None), p[1]),
+        key=lambda p: (canon.key(p[1], keyf.shifts), p[1]),
     )
 
 
@@ -706,13 +711,13 @@ def ref_completion(generators, L):
     """``completion`` on the reference kernels."""
     ring = generators[0].ring
     keyf = _KeyCache(TermOrder().refine(L), ring.shifts, trace=True)
-    flats = [primitive_part(_flatten(homogenize_vec(g)))[2] for g in generators]
+    flats = [primitive_part(homogenize_vec(g).terms)[2] for g in generators]
     try:
         done = ref_buchberger(flats, keyf, True)
     except ResourceBoundExceeded as exc:
         return str(exc)
     elements = tuple(
-        _unflatten(_rational(f, Fraction(1, f[e])), ring, True) for f, e in done
+        DtVec(ring, _rational(f, Fraction(1, f[e]))) for f, e in done
     )
     return elements, tuple(e for _, e in done), keyf.trace, keyf.cone()
 
@@ -742,7 +747,7 @@ def wider_modules():
     coef = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
     gen = st.dictionaries(monomials(2, 3), coef, min_size=2, max_size=3)
     return st.lists(gen, min_size=2, max_size=2).map(
-        lambda gs: [WeylVec(R2, (WeylOp(R2, g),)) for g in gs]
+        lambda gs: [from_components(R2, [WeylOp(R2, g)]) for g in gs]
     )
 
 
@@ -753,11 +758,12 @@ def assert_one_pass_settles(generators, L):
     skipped."""
     ring = generators[0].ring
     cases = (
-        (_KeyCache(TermOrder().refine(L), ring.shifts), True, homogenize_vec),
-        (_KeyCache(TermOrder(), ring.shifts), False, lambda g: g),
+        (_KeyCache(TermOrder().refine(L), ring.shifts), True,
+         lambda g: homogenize_vec(g).terms),
+        (_KeyCache(TermOrder(), ring.shifts), False, _flatten),
     )
-    for keyf, emit_t, lift in cases:
-        flats = [primitive_part(_flatten(lift(g)))[2] for g in generators]
+    for keyf, emit_t, flat in cases:
+        flats = [primitive_part(flat(g))[2] for g in generators]
         try:
             done = _buchberger(flats, keyf, emit_t)
         except ResourceBoundExceeded:
@@ -861,7 +867,7 @@ def test_a_completions_own_spair_loops_under_the_local_order(L, loops):
     # t - 1/2 x2 t leads with t, and gives zero at (1, 0)
     b = basis_of(LOOP, L)
     (fi, fj), (ei, ej) = b._state.flats, b._state.exps
-    spair = _unflatten(_spair(fi, fj, ei, ej, _lcm_exp(ei, ej), True), R2, True)
+    spair = DtVec(R2, _spair(fi, fj, ei, ej, _lcm_exp(ei, ej), True))
     if loops:
         with pytest.raises(ResourceBoundExceeded) as got:
             b.divide(spair)
@@ -1061,7 +1067,7 @@ def fraction_autoreduce(basis, exps, keyf, emit_t):
     canon = TermOrder()
     pairs = sorted(
         ((e, f) for e, f in zip(mexp, mini) if f is not None),
-        key=lambda p: (canon.key(p[0][:3], p[0][3], None), p[0]),
+        key=lambda p: (canon.key(p[0], keyf.shifts), p[0]),
     )
     return [f for _, f in pairs]
 
@@ -1071,22 +1077,22 @@ def fraction_reduce_basis(generators, L):
     ring = generators[0].ring
     keyf = _KeyCache(TermOrder().refine(L), ring.shifts, trace=True)
     done = fraction_buchberger(
-        [_flatten(homogenize_vec(g)) for g in generators], keyf, True
+        [homogenize_vec(g).terms for g in generators], keyf, True
     )
     exps = tuple(max(f, key=keyf) for f in done)
-    return tuple(_unflatten(f, ring, True) for f in done), exps, keyf.cone()
+    return tuple(DtVec(ring, f) for f in done), exps, keyf.cone()
 
 
 def fraction_divide(basis, G):
     """(quotients, remainder) of the Fraction division by ``basis``."""
-    flats = [_flatten(h) for h in basis.elements]
+    flats = [h.terms for h in basis.elements]
     keyf = _KeyCache(basis.order, basis.ring.shifts)
     exps = [max(f, key=keyf) for f in flats]
     quots, rem = fraction_divide_flat(
-        _flatten(G), flats, exps, [f[e] for f, e in zip(flats, exps)], keyf, True,
+        G.terms, flats, exps, [f[e] for f, e in zip(flats, exps)], keyf, True,
         max(map(_degree, flats)),
     )
-    return [DtOp(basis.ring, q) for q in quots], _unflatten(rem, basis.ring, True)
+    return [DtOp(basis.ring, q) for q in quots], DtVec(basis.ring, rem)
 
 
 def capped(f, *args):
@@ -1143,7 +1149,7 @@ def test_integer_completion_matches_the_fraction_reference(data):
     # each its monic element times the leader
     for h, u, f, e in zip(b.elements, b._contents, b._state.flats, b._state.exps):
         assert f[e] > 0 and gcd(*f.values()) == 1 and u == Fraction(1, f[e])
-        assert _rational(f, u) == _flatten(h)
+        assert _rational(f, u) == h.terms
     # divide by the basis and by a rescaled copy (negative and non-unit
     # leaders, rational contents), in both orders of the same weight
     rescaled = StandardBasis(
@@ -1156,7 +1162,7 @@ def test_integer_completion_matches_the_fraction_reference(data):
             assert capped(integer_divide, basis, G) == capped(fraction_divide, basis, G)
             # the integer remainder is a positive multiple of the rational one
             try:
-                _, _, scale, steps = basis._reduce(_flatten(G), True)
+                _, _, scale, steps = basis._reduce(G.terms, True)
             except ResourceBoundExceeded:
                 continue
             assert scale > 0 and all(s > 0 for *_, s in steps)
@@ -1166,7 +1172,7 @@ def normal_form(plain, G):
     """The remainder of G divided by a plain basis, as a WeylVec: the
     reference route to its ``member``."""
     c, rem, scale, _ = plain._reduce(_flatten(G), False)
-    return _unflatten(_rational(rem, c / scale), plain.ring, False)
+    return _unflatten(plain.ring, _rational(rem, c / scale))
 
 
 def integer_normal_form(generators, G):
@@ -1183,7 +1189,7 @@ def fraction_normal_form(generators, G):
         _flatten(G), flats, exps, [Fraction(1)] * len(flats), keyf, False,
         max(map(_degree, flats)),
     )
-    return tuple(_unflatten(f, ring, False) for f in flats), _unflatten(rem, ring, False)
+    return tuple(_unflatten(ring, f) for f in flats), _unflatten(ring, rem)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1221,7 +1227,7 @@ def test_member_matches_the_division_and_normal_form_routes(data):
     mult = WeylOp(ring, data.draw(st.dictionaries(
         monomials(ring.n, 2), COEFFICIENTS.map(Fraction), min_size=1, max_size=2
     )))
-    queries = [g, WeylVec(ring, tuple(mult * c for c in g.components))]
+    queries = [g, left_mul(mult, g)]
     queries += data.draw(fan_modules().filter(lambda gs: gs[0].ring == ring))
     L = LinearForm(data.draw(st.tuples(*[st.integers(0, 4)] * ring.k)))
     l_max = data.draw(st.integers(0, 3))

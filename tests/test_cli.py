@@ -810,6 +810,18 @@ def test_each_command_parses_as_under_the_full_parser(monkeypatch):
         assert (code, seen[0] if seen else None) == full_parser_outcome(argv), argv
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["flat-cert", "--input", EULER_PATH, "--deg", "3"], "--deg 3"),
+    (["gb", "--i", EULER_PATH], f"--i {EULER_PATH}"),
+], ids=["flat-cert-deg", "gb-i"])
+def test_a_prefix_of_a_flag_is_an_unknown_flag(argv, flag):
+    # --deg once read as --degree-bound, and --i as --input wherever no
+    # other flag of the command began with it
+    code, out, err = invoke(argv)
+    assert (code, out) == (3, "") and err.startswith(f"usage: dfan {argv[0]} [-h]")
+    assert err.endswith(f"error: unrecognized arguments: {flag}\n")
+
+
 @pytest.mark.parametrize("command", sorted(cli._HANDLERS))
 def test_each_command_prints_its_own_help(command):
     code, out, err = invoke([command, "--help"])

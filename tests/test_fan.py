@@ -26,8 +26,8 @@ from dfan.fan import (
 )
 from dfan.grammar import parse_vec
 from dfan.weights import LinearForm, TermOrder, ord_L_vec, symbol_L
-from dfan.weyl import RingDescriptor, WeylVec, homogenize_vec
-from conftest import fan_modules, random_weyl_op
+from dfan.weyl import RingDescriptor, homogenize_vec
+from conftest import fan_modules, from_components, random_weyl_op
 
 R2 = RingDescriptor(2, 2, 1)
 
@@ -841,7 +841,7 @@ def two_to_three_terms(rng):
     while True:
         op = random_weyl_op(rng, R2, max_degree=3, max_terms=3)
         if len(op.terms) >= 2:
-            return WeylVec(R2, (op,))
+            return from_components(R2, [op])
 
 
 def test_wider_two_generator_modules_end_or_exit_on_a_cap():

@@ -32,7 +32,8 @@ from dfan.toric import BasicCone, _adjugate, _bareiss, orthant_cone
 from dfan.weights import LinearForm
 from dfan.weyl import RingDescriptor, WeylOp, WeylVec, accumulate, monomial_multiples
 from conftest import (
-    chain_ideals, graded_dimension, monomials, random_vec, scaled, unimodular_rows,
+    chain_ideals, from_components, graded_dimension, left_mul, monomials, random_vec, scaled,
+    unimodular_rows,
 )
 
 R2 = RingDescriptor(2, 2, 1)
@@ -353,7 +354,7 @@ def euler_setup():
 def test_trivial_certificate(euler_setup):
     gens, fan, cone = euler_setup
     gamma = orthant_cone(2)
-    Q = parse_op("x1", R2) * gens[0]
+    Q = left_mul(parse_op("x1", R2), gens[0])
     assert in_ideal_piece(Q, (0, 0), gamma, (1, 2))
     cert = flat_decompose(Q, (0, 0), gamma, (1, 2), cone)
     assert cert.pieces[0] == Q and cert.pieces[1].is_zero()
@@ -363,8 +364,8 @@ def test_splitting_certificate(euler_setup):
     gens, fan, cone = euler_setup
     gamma = orthant_cone(2)
     E = gens[0]
-    Q1 = parse_op("x1", R2) * E
-    Q2 = parse_op("x2", R2) * E
+    Q1 = left_mul(parse_op("x1", R2), E)
+    Q2 = left_mul(parse_op("x2", R2), E)
     Q = Q1 + Q2
     cert = flat_decompose(Q, (0, 0), gamma, (1, 2), cone)
     assert cert.pieces[0] + cert.pieces[1] == Q
@@ -378,7 +379,7 @@ def test_certificate_divides_each_piece_once(euler_setup, monkeypatch):
     gens, fan, cone = euler_setup
     gamma = orthant_cone(2)
     E = gens[0]
-    Q1, Q2 = parse_op("x1", R2) * E, parse_op("x2", R2) * E
+    Q1, Q2 = left_mul(parse_op("x1", R2), E), left_mul(parse_op("x2", R2), E)
     member = StandardBasis.member
     calls = []
 
@@ -405,7 +406,7 @@ def test_certificate_rejects_a_term_in_no_region(euler_setup):
     # neither region, at s - e1 or s - e2, admits it
     gens, fan, cone = euler_setup
     gamma = orthant_cone(2)
-    Q = parse_op("x1 d1", R2) * gens[0]
+    Q = left_mul(parse_op("x1 d1", R2), gens[0])
     assert not in_ideal_piece(Q, (0, 0), gamma, (1, 2))
     with pytest.raises(CertificateError, match="fits no ideal region"):
         flat_decompose(Q, (0, 0), gamma, (1, 2), cone)
@@ -473,7 +474,7 @@ def test_gamma_not_in_fan_cone_rejected():
     cone = fan.cone_of_weight(LinearForm((2, 1)))  # open side {e1 > e2}
     gamma = orthant_cone(2)  # spans the whole quadrant: not included
     E = gens[0]
-    Q = parse_op("x1", R2) * E
+    Q = left_mul(parse_op("x1", R2), E)
     with pytest.raises(CertificateError, match="closure"):
         flat_decompose(Q, (2, 2), gamma, (1, 2), cone)
 
@@ -542,7 +543,7 @@ def test_nonorthant_cone_certificates():
 def test_empty_ideal_set_is_rejected_by_the_certifier(euler_setup):
     gens, fan, cone = euler_setup
     gamma = orthant_cone(2)
-    Q = parse_op("x1", R2) * gens[0]
+    Q = left_mul(parse_op("x1", R2), gens[0])
     for reject in (
         lambda: in_ideal_piece(Q, (0, 0), gamma, ()),
         lambda: flat_decompose(Q, (0, 0), gamma, (), cone),
@@ -718,9 +719,9 @@ def oracle_cases(draw):
             for _ in range(ring.r)
         ]
         assume(any(comps))
-        gens.append(WeylVec(ring, tuple(
+        gens.append(from_components(ring, [
             WeylOp(ring, {m: content * c for m, c in terms.items()}) for terms in comps
-        )))
+        ]))
     rows = draw(st.one_of(
         st.just(((1, 0), (0, 1))), st.just(((1, 1), (1, 2))), unimodular_rows(2)
     ))

@@ -22,7 +22,9 @@ from dfan.grammar import (
     parse_w_monomials,
 )
 from dfan.weyl import DtOp, DtVec, RingDescriptor, WeylOp, WeylVec
-from conftest import FUZZ_TOKENS, random_dt_op, random_nonzero_op, random_vec
+from conftest import (
+    FUZZ_TOKENS, components, from_components, random_dt_op, random_nonzero_op, random_vec,
+)
 
 R2 = RingDescriptor(2, 2, 1)
 RV = RingDescriptor(2, 2, 2, [[0, 0], [1, 3]])
@@ -220,7 +222,7 @@ def ref_parse(kind, text, ring):
     buckets = [[] for _ in range(ring.r)]
     for a, b, l, comp, c in terms:
         buckets[comp].append((((a, b, l) if dt else (a, b)), c))
-    return kind(ring, tuple(scalar(ring, bucket) for bucket in buckets))
+    return from_components(ring, [scalar(ring, bucket) for bucket in buckets])
 
 
 def ref_display_key(key):
@@ -278,7 +280,7 @@ def ref_format_op(P):
 
 def ref_format_vec(V):
     items = []
-    for i, comp in enumerate(V.components):
+    for i, comp in enumerate(components(V)):
         for key in sorted(comp.terms, key=ref_display_key):
             items.append((key, i, comp.terms[key]))
     return ref_format_terms(items)
@@ -444,7 +446,7 @@ def operators(draw):
         key = st.tuples(exponents(n), exponents(n), st.integers(0, 3))
     scalar = DtOp if dt else WeylOp
     comps = [scalar(ring, draw(term_dicts(key))) for _ in range(r)]
-    return comps[0], (DtVec if dt else WeylVec)(ring, comps)
+    return comps[0], from_components(ring, comps)
 
 
 @settings(max_examples=200, deadline=None)

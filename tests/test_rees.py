@@ -15,7 +15,6 @@ from dfan.rees import fiber_V_zero_test, _witness_search
 from dfan.toric import BasicCone, orthant_cone
 from dfan.weyl import RingDescriptor, WeylVec
 from conftest import (
-    flat,
     random_vec,
     scaled,
     uncapped_monomial_multiples,
@@ -116,7 +115,7 @@ def ref_witness_search(generators, unit, bound, gamma=None):
         columns = [
             prod for g in generators for prod in uncapped_monomial_multiples(g, B)
         ]
-        col_vecs = [flat(prod) for prod in columns]
+        col_vecs = [prod.terms for prod in columns]
         keys = sorted(
             {key for vec in col_vecs for key in vec if constrained(key)}
             | {unit_key}
@@ -193,9 +192,9 @@ def test_witness_search_ignores_positive_scales_of_the_generators(case, scales):
 
 
 def flat_uncapped(g, room):
-    """The reference enumerator's Weyl products as the flat dicts that
-    monomial_multiples yields."""
-    return map(flat, uncapped_monomial_multiples(g, room))
+    """The terms of the reference enumerator's Weyl products, the dicts
+    that monomial_multiples yields."""
+    return (prod.terms for prod in uncapped_monomial_multiples(g, room))
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,8 +1,7 @@
 """The benchmark's span tracer (``perfbench/spans.py``) wraps the Weyl
 products and the layer functions from outside the program.  Every
-command must print the same report and exit with the same code under it:
-a call such as ``scalar * vector`` that reaches ``WeylOp.__mul__`` and
-returns ``NotImplemented`` breaks the tracer's counters.  Order keys must
+command must print the same report and exit with the same code under it,
+so a wrapped method must keep its name and its class.  Order keys must
 be built by ``TermOrder.key``, the method the tracer counts."""
 
 import importlib.util

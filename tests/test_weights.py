@@ -16,7 +16,7 @@ from dfan.weights import (
     symbol_L,
 )
 from dfan.weyl import DtVec, RingDescriptor, WeylVec
-from conftest import COEFFICIENTS, random_nonzero_op
+from conftest import COEFFICIENTS, components, random_nonzero_op
 
 R1 = RingDescriptor(1, 1, 1)
 R2 = RingDescriptor(2, 2, 1)
@@ -112,14 +112,16 @@ def test_privileged_exponent_in_support(rng):
     order = TermOrder().refine(LinearForm((1, 2)))
     for _ in range(25):
         V = random_vec(rng, RS)
-        a, b, l, i = privileged_exponent(V, order)
-        assert (a, b) in V.components[i].terms
+        # a basis lives in D[t]^r: V's terms with l = 0
+        G = DtVec(RS, {(a, b, 0, i): c for (a, b, i), c in V.terms.items()})
+        a, b, l, i = privileged_exponent(G, order)
+        assert l == 0 and (a, b, i) in V.terms
 
 
 def test_order_ranks_d_before_x():
     order = TermOrder()
-    kx = order.key(((1, 0), (0, 0), 0), 0, None)
-    kd = order.key(((0, 0), (1, 0), 0), 0, None)
+    kx = order.key(((1, 0), (0, 0), 0, 0), ((0, 0),))
+    kd = order.key(((0, 0), (1, 0), 0, 0), ((0, 0),))
     assert kd > kx
 
 
@@ -145,8 +147,11 @@ def test_order_compatible_with_addition(rng):
                 p[2] + q[2],
             )
 
-        if order.key(u, 0, None) < order.key(v, 0, None):
-            assert order.key(add(u, w), 0, None) < order.key(add(v, w), 0, None)
+        def key(p):
+            return order.key(p + (0,), ((0, 0),))
+
+        if key(u) < key(v):
+            assert key(add(u, w)) < key(add(v, w))
 
 
 def reference_key(order, key, comp=0, shifts=None):
@@ -198,7 +203,7 @@ def keyed_orders(draw):
     order = TermOrder([LinearForm(c) for c in forms])
     shifts = draw(
         st.one_of(
-            st.none(),
+            st.just([[0] * k] * r),
             st.lists(
                 st.lists(st.integers(-3, 3), min_size=k, max_size=k),
                 min_size=r,
@@ -223,24 +228,21 @@ def keyed_orders(draw):
 @given(keyed_orders())
 def test_flat_integer_key_matches_reference_order(case):
     order, shifts, (u, i), (v, j) = case
-    ku, kv = order.key(u, i, shifts), order.key(v, j, shifts)
+    ku, kv = order.key(u + (i,), shifts), order.key(v + (j,), shifts)
     ru, rv = reference_key(order, u, i, shifts), reference_key(order, v, j, shifts)
     assert all(type(x) is int for x in ku + kv)
     assert len(ku) == len(kv)
     assert (ku < kv) == (ru < rv)
     assert (ku == kv) == (ru == rv)
-    # a key without l is the key of l = 0
-    assert order.key(u[:2], i, shifts) == order.key(u[:2] + (0,), i, shifts)
 
 
 @settings(max_examples=300, deadline=None)
 @given(keyed_orders())
 def test_key_matches_the_reference_tuple(case):
-    # 2- and 3-part keys, with and without shifts, under 0-2 forms
+    # flat keys (alpha, beta, l, i), with zero or drawn shifts, under 0-2
+    # forms
     order, shifts, (u, i), _ = case
-    for key in (u, u[:2]):
-        assert order.key(key, i, shifts) == ref_key_tuple(order, key, i, shifts)
-        assert order.key(key, i) == ref_key_tuple(order, key, i)
+    assert order.key(u + (i,), shifts) == ref_key_tuple(order, u, i, shifts)
 
 
 def ref_of(coeffs, v):
@@ -291,7 +293,7 @@ def forms_on_operands(draw):
     terms = draw(st.lists(st.tuples(keys, st.integers(0, r - 1), COEFFICIENTS), max_size=5))
     B = (DtVec if dt else WeylVec).from_terms(ring, terms)
     if r == 1 and draw(st.booleans()):
-        B = B.components[0]
+        B = components(B)[0]
     vecs = st.lists(st.integers(-4, 4), min_size=k, max_size=n).map(tuple)
     return coeffs, B, draw(vecs)
 

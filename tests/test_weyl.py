@@ -7,13 +7,16 @@ from hypothesis import given, settings, strategies as st
 from dfan import weyl
 from dfan.errors import ResourceBoundExceeded, RingMismatchError, ZeroInputError
 from dfan.grammar import parse_dt_op, parse_dt_vec, parse_op, parse_vec
+from dfan.basis import _flatten
+from dfan.grammar import format_vec
 from dfan.weyl import (
     DtOp,
     RingDescriptor,
     WeylOp,
-    WeylVec,
     _mul_terms,
+    _term_times_flat,
     accumulate,
+    content_free,
     dehomogenize,
     homogenize_vec,
     monomial_multiples,
@@ -21,11 +24,19 @@ from dfan.weyl import (
 )
 from conftest import (
     apply_op,
-    flat,
+    components,
+    from_components,
     monomials_up_to,
     random_dt_op,
     random_nonzero_op,
     random_vec,
+    ref_add,
+    ref_content_free,
+    ref_dehomogenize,
+    ref_format_vec,
+    ref_homogenize_vec,
+    ref_left_mul,
+    ref_monomial_multiples,
     ref_mul_terms,
     uncapped_monomial_multiples,
 )
@@ -154,7 +165,7 @@ def test_f_homogeneity_closure(rng):
 
 def homogenize(P):
     """h(P) of a scalar operator, as a vector of rank one."""
-    return homogenize_vec(WeylVec(P.ring, (P,)))
+    return homogenize_vec(from_components(P.ring, [P]))
 
 
 def test_homogenize_first_order():
@@ -199,7 +210,7 @@ def test_dehomogenize_examples():
 def test_dehomogenize_section(rng):
     for _ in range(25):
         P = random_nonzero_op(rng, R2)
-        assert dehomogenize(homogenize(P)) == WeylVec(R2, (P,))
+        assert dehomogenize(homogenize(P)) == from_components(R2, [P])
 
 
 @settings(max_examples=200, deadline=None)
@@ -239,7 +250,7 @@ def test_monomial_multiples_keeps_order(text, ring):
     g = parse_vec(text, ring)
     for room in range(-1, 5):
         got = list(monomial_multiples(g, room))
-        assert got == [flat(v) for v in uncapped_monomial_multiples(g, room)]
+        assert got == [v.terms for v in uncapped_monomial_multiples(g, room)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -255,7 +266,7 @@ def test_monomial_multiples_match_the_filtered_product(n, r, room, seed):
     # (room + 1)^(2n) box, flattened
     g = random_vec(random.Random(seed), RingDescriptor(n, 1, r), max_degree=3)
     got = list(monomial_multiples(g, room))
-    assert got == [flat(v) for v in uncapped_monomial_multiples(g, room)]
+    assert got == [v.terms for v in uncapped_monomial_multiples(g, room)]
     assert all(type(c) is Fraction for v in got for c in v.values())
 
 
@@ -308,3 +319,65 @@ def test_mul_terms_matches_the_nu_expansion(pair, c1, c2, emit_t):
     assert all(type(c) is Fraction for _, c in got)
     commute = not any(b and a for b, a in zip(t1[1], t2[0]))
     assert (len(got) == 1) is commute
+
+
+# vectors on flat keys against the per-component reference in conftest.py
+
+
+@st.composite
+def vectors_and_a_scalar(draw):
+    """Two vectors of one ring of rank 1-3, in D^r or in D[t]^r, as
+    tuples of scalars, and a scalar of the same ring."""
+    n, r, dt = draw(st.integers(1, 2)), draw(st.integers(1, 3)), draw(st.booleans())
+    ring = RingDescriptor(n, n, r)
+    exps = st.tuples(*[st.integers(0, 2)] * n)
+    key = st.tuples(exps, exps, st.integers(0, 2)) if dt else st.tuples(exps, exps)
+    scalar = DtOp if dt else WeylOp
+
+    def draw_comps():
+        terms = st.dictionaries(key, COEFS, max_size=3)
+        return tuple(scalar(ring, draw(terms)) for _ in range(r))
+
+    P = scalar(ring, draw(st.dictionaries(key, COEFS, max_size=2)))
+    return draw_comps(), draw_comps(), P
+
+
+@settings(max_examples=200, deadline=None)
+@given(vectors_and_a_scalar(), st.integers(0, 2))
+def test_flat_vectors_match_the_per_component_reference(case, room):
+    u, v, P = case
+    ring = P.ring
+    dt = isinstance(P, DtOp)
+    U, V = from_components(ring, u), from_components(ring, v)
+
+    def terms(comps):
+        return from_components(ring, comps).terms
+
+    assert components(U) == u
+    assert (U + V).terms == terms(ref_add(u, v))
+    assert (U - V).terms == terms(ref_add(u, tuple(-c for c in v)))
+    assert format_vec(U) == ref_format_vec(u)
+    assert content_free(U).terms == terms(ref_content_free(u))
+    # P U by the one monomial-times-vector kernel, on division's keys
+    flat = (lambda X: dict(X.terms)) if dt else _flatten
+    acc = {}
+    for key, c in P.terms.items():
+        _term_times_flat(key if dt else key + (0,), c, flat(U), dt, acc)
+    assert acc == flat(from_components(ring, ref_left_mul(P, u)))
+    if dt:
+        assert dehomogenize(U).terms == terms(ref_dehomogenize(u))
+    elif U:
+        H = homogenize_vec(U)
+        assert H.terms == terms(ref_homogenize_vec(u))
+        assert format_vec(H) == ref_format_vec(ref_homogenize_vec(u))
+        assert list(monomial_multiples(U, room)) == list(ref_monomial_multiples(u, room))
+
+
+def test_a_scalar_and_a_vector_do_not_add():
+    # their keys differ in shape: (alpha, beta) against (alpha, beta, i)
+    P, V = parse_op("x1", R1), parse_vec("x1", R1)
+    for a, b in ((P, V), (V, P), (P, homogenize_vec(V)), (V, homogenize_vec(V))):
+        with pytest.raises(TypeError):
+            a + b
+        with pytest.raises(TypeError):
+            a - b
