@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .basis import DivisionResult, StandardBasis, reduce_basis
 from .fan import Fan, FanCone, standard_fan
-from .filtration import in_V_gamma, multi_weight
+from .filtration import in_V_gamma
 from .flatness import (
     FlatCertificate,
     MonomialIdeal,
@@ -29,6 +29,7 @@ from .weyl import (
     WeylVec,
     dehomogenize,
     homogenize_vec,
+    multi_weight,
 )
 
 __all__ = [

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, ge, mul, sub
+from operator import ge, sub
 
 from ._linalg import primitive_part
 from .errors import DfanError, ResourceBoundExceeded, ZeroInputError
@@ -46,6 +46,7 @@ from .weyl import (
     _term_times_flat,
     accumulate,
     homogenize_vec,
+    multi_weight,
     require_f_homogeneous,
 )
 
@@ -283,6 +284,9 @@ class StandardBasis(_Divisors):
         elements = tuple(elements)
         if not elements or any(h.is_zero() for h in elements):
             raise ZeroInputError("zero divisor element in a standard basis")
+        for h in elements:
+            if type(h) is not DtVec:
+                raise TypeError(f"a standard basis holds DtVec elements, not {type(h).__name__}")
         super().__init__(ring, elements, order, ints, exps)
         # the order decisions of the completion that made this basis, if
         # any: see order_cone
@@ -386,13 +390,8 @@ class StandardBasis(_Divisors):
         for L in forms:
             # den * L-weights of flat keys, against den * the bound
             bound = ord_L_vec(G, L) * L.den
-            ints = L.ints
-            offs = [sum(map(mul, ints, n)) for n in self.ring.shifts]
             for prod in prods:
-                top = max(
-                    sum(map(mul, ints, b)) - sum(map(mul, ints, a)) + offs[i]
-                    for a, b, _, i in prod
-                )
+                top = max(L.dot(multi_weight(key, self.ring.shifts, L.k)) for key in prod)
                 if top > bound:
                     raise DfanError(f"L-order bound violated for form {L}")
 

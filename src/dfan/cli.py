@@ -18,7 +18,7 @@ import sys
 
 from . import __version__
 from .basis import reduce_basis
-from .errors import DfanError, ResourceBoundExceeded
+from .errors import DfanError, MembershipInconclusive, ResourceBoundExceeded
 from .fan import check_fan_k, standard_fan
 from .flatness import (
     MonomialIdeal,
@@ -261,16 +261,6 @@ def _cmd_flat_cert(args):
     check_fan_k(k)
     interior = LinearForm(tuple(sum(col) for col in zip(*gamma.rows)))
 
-    def certify(elements):
-        """One certificate per element, each dividing by the basis of the
-        standard fan's cone at the interior of Γ.  Only the verdicts that
-        carry certificates call this, so no other verdict builds the fan."""
-        fan_cone = standard_fan(list(problem.generators)).cone_of_weight(interior)
-        return [
-            flat_decompose(elt, s, gamma, J, fan_cone, l_max=l_max).to_report()
-            for elt in elements
-        ]
-
     if problem.target is not None:
         if not in_ideal_piece(problem.target, s, gamma, J):
             return _report(
@@ -279,26 +269,40 @@ def _cmd_flat_cert(args):
                 {"reason": "a term of the target fits no ideal region"},
                 bounds,
             )
-        data = {"certificates": certify([problem.target])}
-        return _report("flat-cert", "certified", data, bounds)
-    oracle = intersection_oracle(list(problem.generators), gamma, J, s, bound)
-    if not oracle.equal:
+        elements, data = [problem.target], {}
+    else:
+        oracle = intersection_oracle(list(problem.generators), gamma, J, s, bound)
+        if not oracle.equal:
+            data = {
+                "counterexample": format_vec(oracle.counterexample),
+                "lhs_dim": oracle.lhs_dim,
+                "rhs_dim": oracle.rhs_dim,
+            }
+            return _report("flat-cert", "counterexample", data, bounds)
+        elements = oracle.elements
         data = {
-            "counterexample": format_vec(oracle.counterexample),
-            "lhs_dim": oracle.lhs_dim,
-            "rhs_dim": oracle.rhs_dim,
+            "oracle": {
+                "equal": True,
+                "lhs_dim": oracle.lhs_dim,
+                "rhs_dim": oracle.rhs_dim,
+                "slack": oracle.slack,
+            },
         }
-        return _report("flat-cert", "counterexample", data, bounds)
-    certs = certify(oracle.elements) if oracle.elements else []
-    data = {
-        "oracle": {
-            "equal": True,
-            "lhs_dim": oracle.lhs_dim,
-            "rhs_dim": oracle.rhs_dim,
-            "slack": oracle.slack,
-        },
-        "certificates": certs,
-    }
+    data["certificates"] = []
+    if elements:
+        # one certificate per element, each dividing by the basis of the
+        # standard fan's cone at the interior of Γ; only the verdicts that
+        # carry certificates build the fan
+        fan_cone = standard_fan(list(problem.generators)).cone_of_weight(interior)
+        try:
+            data["certificates"] = [
+                flat_decompose(elt, s, gamma, J, fan_cone, l_max=l_max).to_report()
+                for elt in elements
+            ]
+        except MembershipInconclusive as exc:
+            # a membership search found no t-power up to its bound
+            data = {"reason": str(exc)}
+            return _report("flat-cert", "inconclusive", data, dict(bounds, l_max=exc.l_max))
     return _report("flat-cert", "certified", data, bounds)
 
 

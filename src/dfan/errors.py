@@ -43,6 +43,15 @@ class CertificateError(DfanError):
     """A flatness certificate could not be produced or verified."""
 
 
+class MembershipInconclusive(CertificateError):
+    """The bounded t-power membership search found no power up to
+    ``l_max``: the certificate is inconclusive at that bound."""
+
+    def __init__(self, message: str, l_max: int):
+        super().__init__(message)
+        self.l_max = l_max
+
+
 class SyntaxErrorWithPos(DfanError):
     """Parse error carrying a line/column position.  Column 0 means only
     the line is known; line 0 marks a flag's value, whose error carries

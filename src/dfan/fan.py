@@ -40,7 +40,6 @@ from operator import mul
 from ._linalg import cone_interior_point, primitive, to_primitive_int
 from .basis import StandardBasis, reduce_basis
 from .errors import DfanError, ResourceBoundExceeded, WeightError
-from .filtration import multi_weight
 from .weights import LinearForm
 
 # Cell counts grow quickly with the dimension.
@@ -68,12 +67,11 @@ def _sign(x):
 
 
 def _weight_vectors(element, k):
-    """Distinct shifted multiweights of an element's support."""
+    """The flat keys of an element's terms, by distinct shifted
+    multiweight."""
     out = {}
-    shifts = element.shifts
-    for key, i, _ in element.iter_terms():
-        w = multi_weight(key, i, shifts, k)
-        out.setdefault(w, []).append((key, i))
+    for key, w in element.weights(k):
+        out.setdefault(w, []).append(key)
     return out
 
 
@@ -94,7 +92,7 @@ def _basis_data(basis: StandardBasis, sample: LinearForm):
         stratum_ws = sorted(w for w, v in vals.items() if v == top)
         rest_ws = sorted(w for w, v in vals.items() if v != top)
         strata.append(
-            frozenset((key, i) for w in stratum_ws for key, i in wvs[w])
+            frozenset(key for w in stratum_ws for key in wvs[w])
         )
         for idx, w1 in enumerate(stratum_ws):
             for w2 in stratum_ws[idx + 1 :]:

@@ -1,31 +1,18 @@
-"""Multiweights and V-multifiltration membership.
+"""V-multifiltration membership.
 
-The multiweight of a term x^alpha d^beta in component i is
-(beta - alpha)[:k] + n^(i), with n^(i) the i-th shift column.  A vector
-lies in the cone-refined V^Gamma_s iff L(delta) <= L(s) for every ray
-form L of the cone (each term may take sigma = delta in the defining sum,
-so the ray characterization is equivalent; the brute-force regression
-lives in the tests).  V_s, where every multiweight is <= s componentwise,
-is the case of the orthant cone.  A scalar operator filters as a vector
-of rank one with a zero shift."""
+A vector lies in the cone-refined V^Gamma_s iff L(delta) <= L(s) for
+every ray form L of the cone and the multiweight delta of each of its
+terms, which its one per-term reader ``weights`` yields (``multi_weight``
+in ``weyl``: (beta - alpha)[:k] + n^(i), with n^(i) the i-th shift
+column; a scalar operator weighs as a vector of rank one with a zero
+shift).  Each term may take sigma = delta in the defining sum, so the ray
+characterization is equivalent; the brute-force regression lives in the
+tests.  V_s, where every multiweight is <= s componentwise, is the case
+of the orthant cone."""
 
 from __future__ import annotations
 
 from .toric import BasicCone, cone_drops, normalize_rays
-
-
-def multi_weight(key, comp: int, shifts, k: int):
-    """Shifted weight vector (beta - alpha)[:k] + n^(comp) in Z^k."""
-    a, b = key[0], key[1]
-    n = shifts[comp]
-    return tuple(b[i] - a[i] + n[i] for i in range(k))
-
-
-def _iter_weighted_terms(B, k):
-    """The multiweights of B's terms, with B's own shifts."""
-    shifts = B.shifts
-    for key, i, _ in B.iter_terms():
-        yield multi_weight(key, i, shifts, k)
 
 
 def in_V_gamma(B, s, gamma) -> bool:
@@ -33,7 +20,5 @@ def in_V_gamma(B, s, gamma) -> bool:
     BasicCone or a list of ray forms."""
     rows = gamma.rows if isinstance(gamma, BasicCone) else normalize_rays(gamma)
     return all(
-        min(cone_drops(rows, s, delta)) >= 0
-        for delta in _iter_weighted_terms(B, len(s))
+        min(cone_drops(rows, s, delta)) >= 0 for _, delta in B.weights(len(s))
     )
-

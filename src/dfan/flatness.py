@@ -24,12 +24,13 @@ from .errors import (
     CertificateError,
     ConeError,
     DfanError,
+    MembershipInconclusive,
     ResourceBoundExceeded,
     SemanticError,
     SyntaxErrorWithPos,
     ZeroInputError,
 )
-from .filtration import in_V_gamma, multi_weight
+from .filtration import in_V_gamma
 from .grammar import (
     SYZYGY,
     format_factors,
@@ -50,6 +51,7 @@ from .weyl import (
     dehomogenize,
     homogenize_vec,
     monomial_multiples,
+    multi_weight,
     t_power_times,
 )
 
@@ -350,11 +352,7 @@ class _Frame:
 
     def admits(self, Q: WeylVec) -> bool:
         """Whether every term of Q lies in some region."""
-        ring = Q.ring
-        return all(
-            any(self.fits(multi_weight(key, i, ring.shifts, ring.k)))
-            for key, i, _ in Q.iter_terms()
-        )
+        return all(any(self.fits(w)) for _, w in Q.weights(Q.ring.k))
 
 
 def in_ideal_piece(Q: WeylVec, s, gamma: BasicCone, J) -> bool:
@@ -387,7 +385,7 @@ class FlatCertificate:
         least t-power l <= ``l_max`` of each piece's membership (0 for a
         zero piece)."""
         degrees = _Frame(self.gamma, self.J, self.s).degrees
-        total = WeylVec.zero(self.Q.ring)
+        total = WeylVec(self.Q.ring)
         for piece in self.pieces:
             total = total + piece
         if total != self.Q:
@@ -403,8 +401,9 @@ class FlatCertificate:
                 )
             check = self.fan_cone.basis.member(piece, self.l_max)
             if not check.is_member:
-                raise CertificateError(
-                    f"piece {j + 1} has inconclusive module membership"
+                raise MembershipInconclusive(
+                    f"piece {j + 1} has inconclusive module membership",
+                    check.l_max,
                 )
             powers.append(check.l)
         return tuple(powers)
@@ -463,8 +462,9 @@ def flat_decompose(
     basis = fan_cone.basis
     mem = basis.member(Q, l_max)
     if not mem.is_member:
-        raise CertificateError(
-            f"module membership of the input is inconclusive up to t^{mem.l_max}"
+        raise MembershipInconclusive(
+            f"module membership of the input is inconclusive up to t^{mem.l_max}",
+            mem.l_max,
         )
     # the L-order bounds of the division are machine-checked for every ray
     row_forms = [LinearForm(r) for r in frame.rows]
@@ -491,13 +491,10 @@ def flat_decompose(
             raise CertificateError(f"quotient {m} breaks the order bound: {exc}")
         if top.is_zero():
             continue
-        exp = basis.exponents[m]
-        w_m = multi_weight((exp[0], exp[1], exp[2]), exp[3], ring.shifts, ring.k)
-        for key, coef in sorted(top.terms.items()):
-            delta = tuple(
-                key[1][i] - key[0][i] for i in range(ring.k)
-            )
-            fits = frame.fits(tuple(x + y for x, y in zip(delta, w_m)))
+        w_m = multi_weight(basis.exponents[m], ring.shifts, ring.k)
+        for key, delta in sorted(top.weights(ring.k)):
+            coef = top.terms[key]
+            fits = frame.fits(tuple(map(add, delta, w_m)))
             if not any(fits[1:]):
                 raise CertificateError(
                     f"stratum term {key} of quotient {m} fits no ideal region"
@@ -603,7 +600,7 @@ def intersection_oracle(
 
     # per key, the regions it lies in; none when over the bound
     fits = [
-        frame.fits(multi_weight(key, key[2], ring.shifts, ring.k))
+        frame.fits(multi_weight(key, ring.shifts, ring.k))
         if sum(key[0]) + sum(key[1]) <= degree_bound
         else [False] * p
         for key in keys

@@ -155,8 +155,9 @@ def format_sum(items) -> str:
 
 
 def parse_terms(text: str, ring: RingDescriptor, *, vector: bool, dt: bool):
-    """Parse into a list of (key, comp, coef) triples, the key (alpha,
-    beta, l) in D[t] and (alpha, beta) in D."""
+    """Parse into a list of (key, coef) pairs, the key (alpha, beta[, l])
+    of a scalar, or that key followed by the component index i of a
+    vector, as the operands key their terms."""
     n = ring.n
     terms = []
     for coef, factors in parse_sum(text, OPERATOR):
@@ -188,26 +189,24 @@ def parse_terms(text: str, ring: RingDescriptor, *, vector: bool, dt: bool):
                 raise SemanticError("vector term without component marker")
             comp = 0
         key = (tuple(alpha), tuple(beta), l) if dt else (tuple(alpha), tuple(beta))
-        terms.append((key, comp, coef))
+        terms.append((key + (comp,) if vector else key, coef))
     return terms
 
 
 def parse_op(text: str, ring: RingDescriptor) -> WeylOp:
-    terms = parse_terms(text, ring, vector=False, dt=False)
-    return WeylOp(ring, ((key, c) for key, _, c in terms))
+    return WeylOp(ring, parse_terms(text, ring, vector=False, dt=False))
 
 
 def parse_dt_op(text: str, ring: RingDescriptor) -> DtOp:
-    terms = parse_terms(text, ring, vector=False, dt=True)
-    return DtOp(ring, ((key, c) for key, _, c in terms))
+    return DtOp(ring, parse_terms(text, ring, vector=False, dt=True))
 
 
 def parse_vec(text: str, ring: RingDescriptor) -> WeylVec:
-    return WeylVec.from_terms(ring, parse_terms(text, ring, vector=True, dt=False))
+    return WeylVec(ring, parse_terms(text, ring, vector=True, dt=False))
 
 
 def parse_dt_vec(text: str, ring: RingDescriptor) -> DtVec:
-    return DtVec.from_terms(ring, parse_terms(text, ring, vector=True, dt=True))
+    return DtVec(ring, parse_terms(text, ring, vector=True, dt=True))
 
 
 def _display_key(key):

@@ -11,15 +11,20 @@ algebra; anything else is reported inconclusive at its bound."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ._linalg import solve_affine
 from .basis import plain_module_basis, reduce_basis
 from .errors import ConeError, ZeroInputError
-from .filtration import multi_weight
 from .toric import BasicCone, cone_drops, orthant_cone
 from .weights import LinearForm, ord_L_vec, symbol_L
-from .weyl import WeylVec, accumulate, content_free, dehomogenize, monomial_multiples
+from .weyl import (
+    WeylVec,
+    accumulate,
+    content_free,
+    dehomogenize,
+    monomial_multiples,
+    multi_weight,
+)
 
 
 @dataclass
@@ -48,7 +53,7 @@ def _witness_search(generators, unit: int, bound: int, gamma: BasicCone):
     def constrained(key):
         """Outside the filtration (must vanish) or on the top stratum
         (must match the unit)."""
-        drops = cone_drops(gamma.rows, s, multi_weight(key, key[2], ring.shifts, ring.k))
+        drops = cone_drops(gamma.rows, s, multi_weight(key, ring.shifts, ring.k))
         return min(drops) < 0 or not any(drops)
 
     generators = [content_free(g) for g in generators]
@@ -105,7 +110,7 @@ def fiber_V_zero_test(
     symbol_gb = plain_module_basis(symbols)
     one = ((0,) * ring.n, (0,) * ring.n)
     for i in range(ring.r):
-        if not symbol_gb.member(WeylVec.from_terms(ring, [(one, i, Fraction(1))])):
+        if not symbol_gb.member(WeylVec(ring, {one + (i,): 1})):
             return FiberResult("nonzero", [], i, bound)
     # conclusive "zero": exhibit a witness per unit
     witnesses = []

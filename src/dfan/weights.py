@@ -21,6 +21,7 @@ from operator import mul, neg, sub
 
 from ._linalg import to_primitive_int
 from .errors import WeightError
+from .weyl import multi_weight
 
 NEG_INF = float("-inf")
 
@@ -68,21 +69,11 @@ def ones_form(k: int) -> LinearForm:
     return LinearForm((1,) * k)
 
 
-def _scaled_weights(B, L: LinearForm):
-    """Yield (den * shifted L-weight, term) for each term (key, i, c) of
-    an operand, on integers."""
-    ints = L.ints
-    offs = [sum(map(mul, ints, n)) for n in B.shifts]
-    for t in B.iter_terms():
-        key = t[0]
-        yield sum(map(mul, ints, key[1])) - sum(map(mul, ints, key[0])) + offs[t[1]], t
-
-
 def ord_L_vec(B, L: LinearForm):
-    """Shifted L-order of an operand: max over its terms in component i of
-    L(beta - alpha) + L(n^(i)), with n the operand's shifts (one zero
-    column for a scalar); -inf for zero.  t-exponents weigh nothing."""
-    top = max((w for w, _ in _scaled_weights(B, L)), default=None)
+    """Shifted L-order of an operand: max of L over the multiweights of its
+    terms (``weights``), i.e. L(beta - alpha) + L(n^(i)) in component i;
+    -inf for zero.  t-exponents weigh nothing."""
+    top = max((L.dot(w) for _, w in B.weights(L.k)), default=None)
     return NEG_INF if top is None else Fraction(top, L.den)
 
 
@@ -90,14 +81,14 @@ def symbol_L(B, L: LinearForm, d):
     """The terms of exact shifted L-weight d: the canonical representative
     of the symbol of order d.  Requires ord <= d; returns 0 when every
     term lies strictly below."""
-    weighted = list(_scaled_weights(B, L))
+    weighted = [(L.dot(w), key) for key, w in B.weights(L.k)]
     top = d * L.den
     w0 = max((w for w, _ in weighted), default=None)
     if w0 is not None and w0 > top:
         raise WeightError(
             f"ord {Fraction(w0, L.den)} exceeds requested symbol degree {d}"
         )
-    return type(B).from_terms(B.ring, (t for w, t in weighted if w == top))
+    return type(B)(B.ring, {key: B.terms[key] for w, key in weighted if w == top})
 
 
 class TermOrder:
@@ -130,10 +121,8 @@ class TermOrder:
         shift matrix ``shifts``; max() under it picks the privileged
         exponent."""
         a, b, l, i = key
-        weights = [
-            sum(map(mul, c, b)) - sum(map(mul, c, a)) + sum(map(mul, c, shifts[i]))
-            for c in self._scaled
-        ]
+        w = multi_weight(key, shifts, len(shifts[i]))
+        weights = [sum(map(mul, c, w)) for c in self._scaled]
         return (
             *weights, sum(a) + sum(b) + l, -l,
             *map(neg, a[::-1]), *map(neg, b[::-1]), -i,
@@ -222,11 +211,7 @@ class _KeyCache:
                     loose.append(n)
         # each exponent's L-weight vector and base-order key, once
         k = self.order.weights[0].k
-        parts = []
-        for e in num:
-            a, b, _, i = e
-            s = self.shifts[i]
-            parts.append(([b[j] - a[j] + s[j] for j in range(k)], key(e)[1:]))
+        parts = [(multi_weight(e, self.shifts, k), key(e)[1:]) for e in num]
         weak, strict = set(), set()
         for hi, lo in pairs:
             (vh, th), (vl, tl) = parts[hi], parts[lo]

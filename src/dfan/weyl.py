@@ -5,7 +5,7 @@ Operators and vectors are sparse maps from exponent keys to nonzero
 Fractions (or ints: ``content_free`` makes the coefficients integer, and
 the products of integer operands stay integer).  A vector of rank r keys
 a term by the scalar's key followed by its component index i, the key
-that division, the intersection oracle and the witness search read:
+that division, the oracles and the multiweight ``multi_weight`` read:
 
     scalar D      key (alpha, beta)           x^alpha d^beta
     scalar D[t]   key (alpha, beta, l)        x^alpha d^beta t^l
@@ -94,6 +94,12 @@ def accumulate(acc: dict, terms, on_new=None) -> dict:
     return acc
 
 
+def multi_weight(key, shifts, k: int):
+    """Shifted multiweight (beta - alpha)[:k] + n^(i) in Z^k of a vector
+    key (alpha, beta, i) or (alpha, beta, l, i), n^(i) = ``shifts[i]``."""
+    return tuple(map(add, map(sub, key[1][:k], key[0]), shifts[key[-1]]))
+
+
 def _check_same_ring(a, b):
     if a.ring != b.ring:
         raise RingMismatchError(f"ring mismatch: {a.ring} vs {b.ring}")
@@ -149,21 +155,11 @@ class _Scalar(_Terms):
 
     __slots__ = ()
 
-    @classmethod
-    def from_terms(cls, ring: RingDescriptor, terms):
-        """The scalar of the (key, 0, coef) ``terms``, as for a vector of
-        rank one; the coefficients of a repeated key add up."""
-        return cls(ring, ((key, coef) for key, _, coef in terms))
-
-    @property
-    def shifts(self):
-        """One zero shift column: a scalar filters as a vector of rank one."""
-        return ((0,) * self.ring.k,)
-
-    def iter_terms(self):
-        """Yield (key, 0, coef) over the support."""
-        for key, coef in self.terms.items():
-            yield key, 0, coef
+    def weights(self, k: int):
+        """Yield (key, multiweight) over the support: a scalar weighs as a
+        vector of rank one with a zero shift."""
+        zero = ((0,) * k,)
+        return ((key, multi_weight(key + (0,), zero, k)) for key in self.terms)
 
     def __repr__(self):
         from .grammar import format_op
@@ -177,25 +173,11 @@ class _Vec(_Terms):
 
     __slots__ = ()
 
-    @classmethod
-    def zero(cls, ring: RingDescriptor):
-        return cls(ring)
-
-    @classmethod
-    def from_terms(cls, ring: RingDescriptor, terms):
-        """The vector of the (key, comp_index, coef) ``terms``; the
-        coefficients of a repeated key add up."""
-        return cls(ring, ((key + (i,), coef) for key, i, coef in terms))
-
-    @property
-    def shifts(self):
-        """The ring's shift matrix, one column per component."""
-        return self.ring.shifts
-
-    def iter_terms(self):
-        """Yield (key, comp_index, coef) over the whole support."""
-        for key, coef in self.terms.items():
-            yield key[:-1], key[-1], coef
+    def weights(self, k: int):
+        """Yield (key, multiweight) over the support, each key weighed with
+        the ring's shifts."""
+        shifts = self.ring.shifts
+        return ((key, multi_weight(key, shifts, k)) for key in self.terms)
 
     def __repr__(self):
         from .grammar import format_vec

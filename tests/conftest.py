@@ -73,16 +73,16 @@ def from_components(ring, comps):
     comps = tuple(comps)
     assert len(comps) == ring.r and len({type(c) for c in comps}) == 1
     cls = DtVec if isinstance(comps[0], DtOp) else WeylVec
-    return cls.from_terms(
-        ring, ((key, i, c) for i, P in enumerate(comps) for key, c in P.terms.items())
+    return cls(
+        ring, ((key + (i,), c) for i, P in enumerate(comps) for key, c in P.terms.items())
     )
 
 
 def components(V):
     """The scalars of the components of V, in order."""
     parts = [{} for _ in range(V.ring.r)]
-    for key, i, c in V.iter_terms():
-        parts[i][key] = c
+    for key, c in V.terms.items():
+        parts[key[-1]][key[:-1]] = c
     scalar = DtOp if isinstance(V, DtVec) else WeylOp
     return tuple(scalar(V.ring, p) for p in parts)
 

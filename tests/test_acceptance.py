@@ -316,7 +316,7 @@ def test_criterion_9_main_theorem_certifier():
     assert len(oracle.elements) > 0
     for elt in oracle.elements:
         cert = flat_decompose(elt, (0, 0), gamma, (1, 2), cone)
-        total = WeylVec.zero(ring)
+        total = WeylVec(ring)
         for piece in cert.pieces:
             total = total + piece
         assert total == elt

@@ -109,10 +109,10 @@ def test_division_identity_and_support(rng):
         G = homogenize_vec(random_vec(rng, R2, max_degree=4))
         res = b.divide(G)  # internal checks: recomposition, support, bounds
         assert recompose(res, b) == G
-        for key, i, _ in res.remainder.iter_terms():
+        for key in res.remainder.terms:
             for exp in b.exponents:
                 ea, eb, el, ei = exp
-                a, bb, l = key
+                a, bb, l, i = key
                 divisible = (
                     i == ei
                     and l >= el
@@ -159,7 +159,7 @@ def test_pathological_tails_hit_explicit_guard():
 
 def test_reduce_basis_rejects_zero():
     with pytest.raises(ZeroInputError):
-        reduce_basis([WeylVec.zero(R2)], LinearForm((1, 1)))
+        reduce_basis([WeylVec(R2)], LinearForm((1, 1)))
 
 
 def test_zero_divisor_rejected_at_construction():
@@ -169,13 +169,24 @@ def test_zero_divisor_rejected_at_construction():
 
     L = LinearForm((1, 1))
     with pytest.raises(ZeroInputError):
-        StandardBasis(R2, [DtVec.zero(R2)], TermOrder().refine(L))
+        StandardBasis(R2, [DtVec(R2)], TermOrder().refine(L))
+
+
+def test_a_basis_of_vectors_of_D_r_is_a_type_error():
+    # a standard basis lives in D[t]^r: a WeylVec element is named, not
+    # unpacked as a key of D[t]^r
+    from dfan.basis import StandardBasis
+    from dfan.weights import TermOrder
+
+    order = TermOrder().refine(LinearForm((1, 1)))
+    with pytest.raises(TypeError, match="not WeylVec"):
+        StandardBasis(R2, [parse_vec("x1 d1 + x2 d2", R2)], order)
 
 
 def test_member_rejects_zero_query():
     b = basis_of(["d1"])
     with pytest.raises(ZeroInputError):
-        b.member(WeylVec.zero(R2))
+        b.member(WeylVec(R2))
 
 
 def left_multiple_span(gens, bound):
@@ -196,13 +207,13 @@ def left_multiple_span(gens, bound):
             prod = left_mul(mu, g)
             if not prod.is_zero():
                 cols.append(prod)
-    keys = sorted({key + (i,) for c in cols for key, i, _ in c.iter_terms()})
+    keys = sorted({key for c in cols for key in c.terms})
     index = {key: j for j, key in enumerate(keys)}
 
     def sparse_row(v):
         row = {}
-        for key, i, c in v.iter_terms():
-            j = index.get(key + (i,))
+        for key, c in v.terms.items():
+            j = index.get(key)
             if j is None:
                 return None
             row[j] = c
@@ -246,8 +257,8 @@ def test_autoreduced_staircase():
     gens = [parse_vec("d1 + x1 d2^2", R2), parse_vec("d2", R2)]
     b = reduce_basis(gens, LinearForm((1, 1)))
     for m, h in enumerate(b.elements):
-        for key, i, _ in h.iter_terms():
-            a, bb, l = key
+        for key in h.terms:
+            a, bb, l, i = key
             for mm, exp in enumerate(b.exponents):
                 if mm == m:
                     continue
@@ -701,7 +712,7 @@ def completion(generators, L):
     except ResourceBoundExceeded as exc:
         return str(exc)
     assert all(
-        type(c) is Fraction for h in b.elements for _, _, c in h.iter_terms()
+        type(c) is Fraction for h in b.elements for c in h.terms.values()
     )
     trace = b._trace.trace
     return b.elements, b.exponents, trace, b.order_cone

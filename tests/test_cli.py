@@ -64,6 +64,34 @@ def test_fiber_with_cone_flag(tmp_path):
     assert code2 == 0 and "fiber: zero" in out2
 
 
+def test_an_inconclusive_membership_reports_and_exits_two():
+    # the membership search of the target finds no t-power up to its
+    # bound: a report with verdict inconclusive, its reason and the bound
+    # searched, and exit 2, as for every inconclusive verdict
+    problem = str(PROBLEMS / "euler_inconclusive.txt")
+    reason = "module membership of the input is inconclusive up to t^10"
+    code, out, err = invoke(["flat-cert", "--input", problem])
+    assert (code, err) == (2, "")
+    assert out.splitlines() == [
+        "dfan flat-cert (v0.1.0)",
+        "bounds: degree_bound=4, l_max=10",
+        "flat-cert: inconclusive",
+        f"reason: {reason}",
+    ]
+    code, out, _ = invoke(["flat-cert", "--input", problem, "--l-max", "4"])
+    assert code == 2 and "l_max=4" in out and "up to t^4" in out
+    code, out, _ = invoke(["flat-cert", "--input", problem, "--expect", "certified"])
+    assert code == 2 and "flat-cert: inconclusive" in out
+    code, out, _ = invoke(["flat-cert", "--input", problem, "--json"])
+    report = json.loads(out)
+    assert code == 2
+    assert report["verdict"] == "inconclusive"
+    assert report["data"] == {"reason": reason}
+    assert report["bounds"] == {"degree_bound": 4, "l_max": 10}
+    jsonschema = pytest.importorskip("jsonschema")
+    jsonschema.validate(report, json.loads(SCHEMA_PATH.read_text()))
+
+
 def test_fan_euler_single_cone():
     code, out, _ = invoke(["fan", "--input", str(PROBLEMS / "euler.txt")])
     assert code == 0

@@ -4,29 +4,70 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dfan
 from dfan.errors import ConeError
-from dfan.filtration import (
-    _iter_weighted_terms,
-    cone_drops,
-    in_V_gamma,
-    multi_weight,
-    normalize_rays,
-)
+from dfan.filtration import cone_drops, in_V_gamma, normalize_rays
 from dfan.grammar import parse_vec
 from dfan.toric import BasicCone, orthant_cone
 from dfan.weights import LinearForm
-from dfan.weyl import RingDescriptor
-from conftest import random_nonzero_op, random_vec, unimodular_rows
+from dfan.weyl import DtOp, DtVec, RingDescriptor, WeylOp, WeylVec, multi_weight
+from conftest import COEFFICIENTS, random_nonzero_op, random_vec, unimodular_rows
 
 R2 = RingDescriptor(2, 2, 1)
 ORTH2 = orthant_cone(2)  # V_s is V^Gamma_s for the orthant cone
 
 
+def ref_weights(B, k):
+    """(key, multiweight) of each term of B, read off its term dict:
+    beta - alpha on the first k coordinates, plus the shift column of the
+    term's component (the last entry of a vector's key) for a vector of
+    D^r or D[t]^r, and no shift for a scalar of D or D[t]."""
+    out = []
+    for key in B.terms:
+        a, b = key[0], key[1]
+        n = B.ring.shifts[key[-1]] if isinstance(B, (WeylVec, DtVec)) else (0,) * k
+        out.append((key, tuple(b[j] - a[j] + n[j] for j in range(k))))
+    return out
+
+
 def test_multi_weight_examples():
     zero_shift = ((0, 0),)
-    assert multi_weight(((1, 0), (1, 0)), 0, zero_shift, 2) == (0, 0)
-    assert multi_weight(((2, 0), (1, 0)), 0, zero_shift, 2) == (-1, 0)
-    assert multi_weight(((0, 0), (0, 1)), 1, ((0, 0), (1, 3)), 2) == (1, 4)
+    assert dfan.multi_weight is multi_weight
+    assert multi_weight(((1, 0), (1, 0), 0), zero_shift, 2) == (0, 0)
+    assert multi_weight(((2, 0), (1, 0), 0), zero_shift, 2) == (-1, 0)
+    assert multi_weight(((0, 0), (0, 1), 1), ((0, 0), (1, 3)), 2) == (1, 4)
+    # a key of D[t]^r: l weighs nothing, the component is the last entry
+    assert multi_weight(((0, 0), (0, 1), 5, 1), ((0, 0), (1, 3)), 2) == (1, 4)
+
+
+@st.composite
+def shifted_operands(draw):
+    """An operand of D, D[t], D^r or D[t]^r (r = 1-3, possibly zero)
+    over a ring with a random shift matrix."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, n))
+    r = draw(st.integers(1, 3))
+    column = st.lists(st.integers(-3, 3), min_size=k, max_size=k)
+    ring = RingDescriptor(n, k, r, draw(st.lists(column, min_size=r, max_size=r)))
+    dt, vector = draw(st.booleans()), draw(st.booleans())
+    exps = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple)
+    key = st.tuples(exps, exps, *[st.integers(0, 2)] * dt, *[st.integers(0, r - 1)] * vector)
+    cls = [[WeylOp, WeylVec], [DtOp, DtVec]][dt][vector]
+    return cls(ring, draw(st.dictionaries(key, COEFFICIENTS, max_size=5)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(shifted_operands())
+def test_the_term_reader_and_the_kernel_match_the_reference(B):
+    k = B.ring.k
+    got = list(B.weights(k))
+    assert got == ref_weights(B, k)
+    vector = isinstance(B, (WeylVec, DtVec))
+    for key, w in got:
+        if vector:
+            assert multi_weight(key, B.ring.shifts, k) == w
+        else:  # a scalar weighs as a vector of rank one with a zero shift
+            assert multi_weight(key + (0,), ((0,) * k,), k) == w
 
 
 def test_in_V_s_examples():
@@ -41,8 +82,7 @@ def test_in_V_s_examples():
 
 def ref_in_V_s(B, s):
     """The componentwise test: every multiweight <= s."""
-    k = len(s)
-    for delta in _iter_weighted_terms(B, k):
+    for _, delta in ref_weights(B, len(s)):
         if any(d > si for d, si in zip(delta, s)):
             return False
     return True
@@ -53,7 +93,7 @@ def ref_in_V_gamma(B, s, gamma):
     rays = gamma.rows if hasattr(gamma, "rows") else normalize_rays(gamma)
     forms = [LinearForm(ray) for ray in rays]
     svals = [L.of(s) for L in forms]
-    for delta in _iter_weighted_terms(B, len(s)):
+    for _, delta in ref_weights(B, len(s)):
         for L, sv in zip(forms, svals):
             if L.of(delta) > sv:
                 return False
@@ -77,10 +117,9 @@ def test_cone_drops_examples():
     assert cone_drops(((1, 2), (0, 1)), (1, 1), (1, 1)) == (0, 0)
     # x1 d2 + d1 d2 at s = (1, 1): x1 d2 lies strictly below the top
     # stratum (it dies on the fiber at zero), d1 d2 is on it
-    shifts = R2.shifts
     drops = [
-        cone_drops(((1, 0), (1, 1)), (1, 1), multi_weight(key, i, shifts, 2))
-        for key, i, _ in parse_vec("x1 d2 + d1 d2", R2).iter_terms()
+        cone_drops(((1, 0), (1, 1)), (1, 1), delta)
+        for _, delta in parse_vec("x1 d2 + d1 d2", R2).weights(2)
     ]
     assert sorted(drops) == [(0, 0), (2, 2)]
 
@@ -128,10 +167,8 @@ def brute_force_v_gamma(B, s, rays, M=8):
     some sigma in (s - dual cone), scanned over a box wide enough to cover
     the element's diagram (the dual cone need not sit under s)."""
     k = len(s)
-    shifts = B.ring.shifts
     box = list(product(range(-M, M + 1), repeat=k))
-    for key, i, _ in B.iter_terms():
-        delta = multi_weight(key, i, shifts, k)
+    for _, delta in ref_weights(B, k):
         found = False
         for off in box:
             sigma = tuple(si + o for si, o in zip(s, off))

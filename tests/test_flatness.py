@@ -12,7 +12,6 @@ from dfan.errors import (
     CertificateError, ConeError, DfanError, SemanticError, SyntaxErrorWithPos,
 )
 from dfan.fan import standard_fan
-from dfan.filtration import multi_weight
 from dfan.flatness import (
     FiltrationChain,
     MonomialIdeal,
@@ -30,7 +29,9 @@ from dfan.flatness import (
 from dfan.grammar import SYZYGY, format_factors, format_sum, format_vec, parse_op, parse_sum, parse_vec
 from dfan.toric import BasicCone, _adjugate, _bareiss, orthant_cone
 from dfan.weights import LinearForm
-from dfan.weyl import RingDescriptor, WeylOp, WeylVec, accumulate, monomial_multiples
+from dfan.weyl import (
+    RingDescriptor, WeylOp, WeylVec, accumulate, monomial_multiples, multi_weight,
+)
 from conftest import (
     chain_ideals, from_components, graded_dimension, left_mul, monomials, random_vec, scaled,
     unimodular_rows,
@@ -442,7 +443,7 @@ def test_all_oracle_elements_certify(euler_setup):
     res = intersection_oracle(gens, gamma, (1, 2), (0, 0), 3)
     for elt in res.elements:
         cert = flat_decompose(elt, (0, 0), gamma, (1, 2), cone)
-        total = WeylVec.zero(R2)
+        total = WeylVec(R2)
         for piece in cert.pieces:
             total = total + piece
         assert total == elt
@@ -505,7 +506,7 @@ def test_rank_two_certificates():
     certified = 0
     for elt in res.elements:
         cert = flat_decompose(elt, (0, 0), gamma, (1, 2), cone)
-        total = WeylVec.zero(ring)
+        total = WeylVec(ring)
         for piece in cert.pieces:
             total = total + piece
         assert total == elt
@@ -630,8 +631,8 @@ def test_frame_matches_the_reference_frames(case):
                 assert first == ref_region_index(point, s, ref)
             # a vector is in the ideal's piece iff each term has a region
             indices = [
-                ref_region_index(multi_weight(key, i, ring.shifts, k), s, ref)
-                for key, i, _ in Q.iter_terms()
+                ref_region_index(multi_weight(key, ring.shifts, k), s, ref)
+                for key in Q.terms
             ]
             assert in_ideal_piece(Q, s, gamma, J) == (None not in indices)
 
@@ -657,7 +658,7 @@ def ref_intersection_oracle(generators, gamma, J, s, degree_bound):
     key_index = {key: idx for idx, key in enumerate(keys)}
     rows = [{key_index[key]: c for key, c in col.items()} for col in columns]
     fits = [
-        frame.fits(multi_weight(key, key[2], ring.shifts, ring.k))
+        frame.fits(multi_weight(key, ring.shifts, ring.k))
         if sum(key[0]) + sum(key[1]) <= degree_bound
         else [False] * p
         for key in keys
@@ -673,9 +674,7 @@ def ref_intersection_oracle(generators, gamma, J, s, degree_bound):
     lhs_red, _ = rref(lhs)
 
     def to_vec(row):
-        return WeylVec.from_terms(
-            ring, ((keys[idx][:2], keys[idx][2], c) for idx, c in sorted(row.items()))
-        )
+        return WeylVec(ring, ((keys[idx], c) for idx, c in sorted(row.items())))
 
     counterexample = next(
         (to_vec(v) for v in lhs_red if not in_row_space(rhs, rhs_piv, v)), None

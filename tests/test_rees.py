@@ -9,11 +9,10 @@ from hypothesis import given, settings, strategies as st
 from dfan import rees
 from dfan._linalg import solve_affine
 from dfan.errors import ConeError, DfanError
-from dfan.filtration import multi_weight
 from dfan.grammar import parse_vec
 from dfan.rees import fiber_V_zero_test, _witness_search
 from dfan.toric import BasicCone, orthant_cone
-from dfan.weyl import RingDescriptor, WeylVec
+from dfan.weyl import RingDescriptor, WeylVec, multi_weight
 from conftest import (
     random_vec,
     scaled,
@@ -98,7 +97,7 @@ def ref_witness_search(generators, unit, bound, gamma=None):
     unit_key = ((0,) * ring.n, (0,) * ring.n, unit)
 
     def constrained(key):
-        delta = multi_weight(key, key[2], ring.shifts, k)
+        delta = multi_weight(key, ring.shifts, k)
         if gamma is None:
             if all(d <= t for d, t in zip(delta, s)):
                 return delta == tuple(s)  # top stratum: must match the unit
@@ -130,7 +129,7 @@ def ref_witness_search(generators, unit, bound, gamma=None):
         rhs = [int(key == unit_key) for key in keys]
         sol = solve_affine(rows, rhs, len(columns))
         if sol is not None:
-            total = WeylVec.zero(ring)
+            total = WeylVec(ring)
             for cidx, x in sorted(sol.items()):
                 total = total + scaled(columns[cidx], x)
             return total
@@ -144,7 +143,7 @@ def fiber_cases(draw):
     ring = RingDescriptor(k, k, 2, [[0] * k, list(shift)])
     rnd = random.Random(draw(st.integers(0, 2**32)))
     # a unit vector plus random terms often has a witness
-    units = [parse_vec("1 e1", ring), parse_vec("1 e2", ring), WeylVec.zero(ring)]
+    units = [parse_vec("1 e1", ring), parse_vec("1 e2", ring), WeylVec(ring)]
     gens = []
     for _ in range(rnd.randint(1, 2)):
         g = random_vec(rnd, ring, max_degree=2, max_terms=2) + rnd.choice(units)

@@ -25,6 +25,8 @@ COMMANDS = [
     ["fan", "--input", str(PROBLEMS / "threecone.txt")],
     # an explicit target: the region check, flat_decompose and member
     ["flat-cert", "--input", str(PROBLEMS / "euler_target.txt")],
+    # a target whose membership search is inconclusive: the exit-2 report
+    ["flat-cert", "--input", str(PROBLEMS / "euler_inconclusive.txt")],
 ]
 # a subcommand's first run is named by it, a later one by its problem too
 IDS = [

@@ -15,7 +15,8 @@ from dfan.weights import (
     ord_L_vec,
     symbol_L,
 )
-from dfan.weyl import DtVec, RingDescriptor, WeylVec
+from dfan._linalg import to_primitive_int
+from dfan.weyl import DtVec, RingDescriptor, WeylVec, multi_weight
 from conftest import COEFFICIENTS, components, random_nonzero_op
 
 R1 = RingDescriptor(1, 1, 1)
@@ -245,6 +246,19 @@ def test_key_matches_the_reference_tuple(case):
     assert order.key(u + (i,), shifts) == ref_key_tuple(order, u, i, shifts)
 
 
+@settings(max_examples=300, deadline=None)
+@given(keyed_orders())
+def test_key_weights_are_the_scaled_forms_on_the_multiweight(case):
+    # each weight entry of a key is L's primitive integer vector applied
+    # to the key's shifted multiweight, in the order's form order
+    order, shifts, (u, i), _ = case
+    key = u + (i,)
+    w = multi_weight(key, shifts, len(shifts[0]))
+    assert order.key(key, shifts)[: len(order.weights)] == tuple(
+        sum(map(mul, to_primitive_int(L.coeffs), w)) for L in order.weights
+    )
+
+
 def ref_of(coeffs, v):
     """The Fraction sum that the integer forms replaced."""
     return sum((c * x for c, x in zip(coeffs, v)), Fraction(0))
@@ -254,23 +268,24 @@ def ref_weight(coeffs, alpha, beta):
     return ref_of(coeffs, beta) - ref_of(coeffs, alpha)
 
 
+def ref_term_weight(B, coeffs, key):
+    """The shifted weight of the term ``key`` of B: L(beta - alpha) plus
+    L of the shift column of its component (the last entry of the key) for
+    a vector, plus nothing for a scalar."""
+    w = ref_weight(coeffs, key[0], key[1])
+    if isinstance(B, (WeylVec, DtVec)):
+        w += ref_of(coeffs, B.ring.shifts[key[-1]])
+    return w
+
+
 def ref_ord_L_vec(B, coeffs):
-    offs = [ref_of(coeffs, n) for n in B.shifts]
-    return max(
-        (ref_weight(coeffs, key[0], key[1]) + offs[i] for key, i, _ in B.iter_terms()),
-        default=NEG_INF,
-    )
+    return max((ref_term_weight(B, coeffs, key) for key in B.terms), default=NEG_INF)
 
 
 def ref_symbol_L(B, coeffs, d):
-    offs = [ref_of(coeffs, n) for n in B.shifts]
-    return type(B).from_terms(
+    return type(B)(
         B.ring,
-        (
-            (key, i, c)
-            for key, i, c in B.iter_terms()
-            if ref_weight(coeffs, key[0], key[1]) + offs[i] == d
-        ),
+        {key: c for key, c in B.terms.items() if ref_term_weight(B, coeffs, key) == d},
     )
 
 
@@ -291,7 +306,7 @@ def forms_on_operands(draw):
     dt = draw(st.booleans())
     keys = st.tuples(exps, exps, st.integers(0, 2)) if dt else st.tuples(exps, exps)
     terms = draw(st.lists(st.tuples(keys, st.integers(0, r - 1), COEFFICIENTS), max_size=5))
-    B = (DtVec if dt else WeylVec).from_terms(ring, terms)
+    B = (DtVec if dt else WeylVec)(ring, [(key + (i,), c) for key, i, c in terms])
     if r == 1 and draw(st.booleans()):
         B = components(B)[0]
     vecs = st.lists(st.integers(-4, 4), min_size=k, max_size=n).map(tuple)
@@ -320,10 +335,7 @@ def test_integer_forms_match_the_fraction_reference(case):
         assert symbol_L(B, L, 0).is_zero()
         return
     degrees = {top, top + Fraction(1, 7), top + 1}
-    degrees.update(
-        ref_weight(coeffs, key[0], key[1]) + ref_of(coeffs, B.shifts[i])
-        for key, i, _ in B.iter_terms()
-    )
+    degrees.update(ref_term_weight(B, coeffs, key) for key in B.terms)
     for d in sorted(degrees):
         if d < top:
             with pytest.raises(WeightError):
